@@ -17,8 +17,8 @@ from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
 from .families import taylor_green_exact
 from .fields import to_physical
 from .grid import TorusGrid
-from .snapshot import read_snapshot_file, write_snapshot_file
-from .solver import DiagnosticsSample, SimulationState, SolverConfig, run
+from .snapshot import write_snapshot_file
+from .solver import DiagnosticsSample, SolverConfig, run
 from .spectral import embed_modes, l2_norm, leray_project
 from .verification import FieldSampler
 
@@ -68,15 +68,6 @@ def write_diagnostics(samples, path):
         lines.append("\t".join(_fmt(getattr(s, c)) for c in cols))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_snapshot(state: SimulationState, path, params):
-    write_snapshot_file(path, state.u, state.t, params)
-
-
-def read_snapshot(path) -> SimulationState:
-    field, time, params = read_snapshot_file(path)
-    return SimulationState(t=time, u=leray_project(field), energy0=0.0), params
 
 
 def _ensure_outdir(path):

@@ -7,7 +7,8 @@ share across threads.
 Spectral coefficients follow the convention u(x) = sum_m u_hat(m) e^{i k_m.x}
 with k_m = 2*pi*m/L, i.e. ``fftn(samples) / N^d``.  Real-valued fields then
 satisfy the Hermitian symmetry u_hat(-m) = conj(u_hat(m)), which
-:func:`to_physical` enforces before inverting.
+:func:`to_physical` enforces before inverting.  Transforms are real, on the
+half spectrum (last-axis modes 0..N/2); fields store the full array.
 """
 
 from dataclasses import dataclass
@@ -130,24 +131,50 @@ def zero_field(grid, ncomp=None):
                          divergence_free=True)
 
 
+def half_spectrum(coeffs, grid):
+    """View of the last-axis modes 0..N/2: the half that ``rfftn`` keeps."""
+    return coeffs[..., :grid.n_points // 2 + 1]
+
+
+def real_inverse(half, grid):
+    """Real samples from half-spectrum coefficients over the trailing axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+
+
+def real_forward(samples, grid):
+    """Half-spectrum coefficients fftn(samples)/N^d over the trailing axes."""
+    return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def hermitian_expand(half, grid):
+    """Full spectrum from its half by u_hat(-m) = conj(u_hat(m)), -m mod N."""
+    n, h = grid.n_points, grid.n_points // 2 + 1
+    axes = tuple(range(-grid.dim, -1))
+    full = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :h] = half
+    # Column j > N/2 is conj(column N - j) at -i mod N on the other axes,
+    # which is a flip followed by a roll by one.
+    tail = np.flip(half[..., 1:n - h + 1], axis=(*axes, -1))
+    np.conjugate(np.roll(tail, 1, axis=axes), out=full[..., h:])
+    return full
+
+
 def to_spectral(field: PhysicalField) -> SpectralField:
     """Forward transform; coefficients are fftn(samples)/N^d per component."""
-    norm = field.grid.n_points ** field.grid.dim
-    axes = tuple(range(1, field.grid.dim + 1))
-    coeffs = np.fft.fftn(field.data, axes=axes) / norm
-    return SpectralField(field.grid, coeffs)
+    grid = field.grid
+    return SpectralField(grid, hermitian_expand(real_forward(field.data, grid), grid))
 
 
 def to_physical(field: SpectralField) -> PhysicalField:
     """Inverse transform back to real samples.
 
     Raises :class:`SymmetryError` when the coefficients are not Hermitian
-    symmetric relative to the overall coefficient scale.
+    symmetric relative to the overall coefficient scale; internal pipelines,
+    symmetric by construction, call :func:`real_inverse` without the check.
     """
     scale = field.scale()
     if field.symmetry_defect() > SYMMETRY_TOL * max(scale, 1e-300):
         raise SymmetryError("coefficients violate Hermitian symmetry")
-    norm = field.grid.n_points ** field.grid.dim
-    axes = tuple(range(1, field.grid.dim + 1))
-    samples = np.fft.ifftn(field.coeffs * norm, axes=axes)
-    return PhysicalField(field.grid, samples.real)
+    grid = field.grid
+    return PhysicalField(grid, real_inverse(half_spectrum(field.coeffs, grid), grid))

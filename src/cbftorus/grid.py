@@ -93,6 +93,12 @@ class TorusGrid:
         return out
 
     @cached_property
+    def inv_k_squared(self):
+        """1/|k|^2, and 0 on the modes with k = 0."""
+        k2 = self.k_squared
+        return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+
+    @cached_property
     def mode_inf_norm(self):
         """max_i |m_i| per grid mode (box radius of the index)."""
         out = np.zeros(self.shape, dtype=int)
@@ -110,8 +116,13 @@ class TorusGrid:
 
     @cached_property
     def dealias_mask(self):
-        """2/3-rule mask: True on modes with max_i |m_i| <= floor(N/3)."""
-        return self.mode_inf_norm <= self.n_points // 3
+        """2/3-rule mask: True on modes with max_i |m_i| <= K = floor((N-1)/3).
+
+        A product of two fields in this band has |m_i| <= 2K; its aliases land
+        at |m_i| >= N - 2K > K, outside the band, because 3K < N.  The bound
+        floor(N/3) breaks this when 3 divides N.
+        """
+        return self.mode_inf_norm <= (self.n_points - 1) // 3
 
     @cached_property
     def _reflect_index(self):

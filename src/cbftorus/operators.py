@@ -8,6 +8,8 @@ with A the (negative) Laplacian restricted to divergence-free fields, B the
 Leray-projected advection and C_r the projected pointwise damping
 |u|^{r-1} u.  Nonlinear terms are evaluated pseudo-spectrally: physical-space
 products, forward transform, 2/3-rule dealiasing, then Leray projection.
+:func:`nonlinear_term` is the one kernel that the solver, :func:`cbf_operator`
+and :func:`recover_pressure` share.
 """
 
 from dataclasses import dataclass
@@ -16,10 +18,11 @@ import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, NotApplicableError)
-from .fields import (PhysicalField, SpectralField, require_same_grid,
-                     to_physical, to_spectral)
-from .spectral import (dealias, divergence_defect, jacobian, l2_pairing,
-                       leray_project)
+from .fields import (PhysicalField, SpectralField, half_spectrum,
+                     hermitian_expand, real_forward, real_inverse,
+                     require_same_grid, to_physical, to_spectral)
+from .spectral import (band_mask, dealias, divergence_defect, leray_project,
+                       project_coeffs)
 
 DIV_FREE_TOL = 1e-10
 
@@ -63,16 +66,24 @@ def stokes(u: SpectralField) -> SpectralField:
     return u.replace(u.grid.k_squared * u.coeffs)
 
 
+def magnitude(data: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean norm over the leading (component) axis."""
+    return np.sqrt(np.sum(data * data, axis=0))
+
+
+def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
+    """mag**p taken as 0 where mag = 0, and 1 everywhere for p = 0."""
+    if p == 0.0:
+        return np.ones_like(mag)
+    positive = mag > 0
+    return np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0)
+
+
 def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
     """|u|^{r-1} u evaluated on samples, with |u|^{r-1}u := 0 where u = 0."""
     if r < 1:
         raise InvalidExponentError(f"r must be >= 1, got {r}")
-    mag = np.sqrt(np.sum(data * data, axis=0))
-    if r == 1.0:
-        return data.copy()
-    factor = np.where(mag > 0, mag, 1.0) ** (r - 1.0)
-    factor = np.where(mag > 0, factor, 0.0)
-    return factor * data
+    return pointwise_power(magnitude(data), r - 1.0) * data
 
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
@@ -89,13 +100,70 @@ def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
     return np.einsum("i...,ji...->j...", u_phys, v_jac_phys)
 
 
+def _half_wavenumbers(grid):
+    return [half_spectrum(k, grid) for k in grid.wavenumbers]
+
+
+def _jacobian_samples(half, grid):
+    """Samples of the partial derivatives of half-spectrum coefficients."""
+    k = _half_wavenumbers(grid)
+    return real_inverse(np.stack([np.stack([1j * ka * c for ka in k])
+                                  for c in half]), grid)
+
+
 def physical_jacobian(v: SpectralField) -> np.ndarray:
     """Partial derivatives of v evaluated on the grid, shape (ncomp, dim, ...)."""
-    grid = v.grid
-    jac = jacobian(v)
-    norm = grid.n_points ** grid.dim
-    axes = tuple(range(2, grid.dim + 2))
-    return np.fft.ifftn(jac * norm, axes=axes).real
+    return _jacobian_samples(half_spectrum(v.coeffs, v.grid), v.grid)
+
+
+def _rotational_samples(half, u_phys, grid):
+    """omega x u on samples, omega = curl u (its z-component alone in 2D)."""
+    k = _half_wavenumbers(grid)
+
+    def curl(i, j):
+        return 1j * (k[i] * half[j] - k[j] * half[i])
+
+    if grid.dim == 2:
+        w = real_inverse(curl(0, 1), grid)
+        return np.stack([-w * u_phys[1], w * u_phys[0]])
+    w = real_inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]), grid)
+    return np.stack([w[1] * u_phys[2] - w[2] * u_phys[1],
+                     w[2] * u_phys[0] - w[0] * u_phys[2],
+                     w[0] * u_phys[1] - w[1] * u_phys[0]])
+
+
+def nonlinear_term(u: SpectralField, params: CbfParams,
+                   apply_dealias: bool = True, galerkin_n: int = 0,
+                   galerkin_shape: str = "box", project: bool = True,
+                   u_phys: np.ndarray = None):
+    """(B(u) + beta*C_r(u), samples of u), both on the band of
+    :func:`band_mask`; pass ``u_phys`` when those samples are known.
+
+    Projected and dealiased, advection takes the rotational form omega x u,
+    equal to (u.grad)u up to grad(|u|^2/2), which the projection removes;
+    otherwise the convective form.  Only the result leaves the half spectrum.
+    """
+    grid = u.grid
+    mask = band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
+    half = half_spectrum(u.coeffs, grid)
+    if mask is not None:
+        mask = half_spectrum(mask, grid)
+        half = half * mask
+    if u_phys is None:
+        u_phys = real_inverse(half, grid)
+    if apply_dealias and project:
+        term = _rotational_samples(half, u_phys, grid)
+    else:
+        term = advect_samples(u_phys, _jacobian_samples(half, grid))
+    term = term + params.beta * damping_pointwise(u_phys, params.r)
+    out = real_forward(term, grid)
+    if mask is not None:
+        out = out * mask
+    if project:
+        out = project_coeffs(out, _half_wavenumbers(grid),
+                             half_spectrum(grid.inv_k_squared, grid))
+    return (SpectralField(grid, hermitian_expand(out, grid), divergence_free=project),
+            u_phys)
 
 
 def advection(u: SpectralField, v: SpectralField = None,
@@ -125,32 +193,13 @@ def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
     return float(np.sum(term * w_phys) * u.grid.cell_volume)
 
 
-def nonlinear_rhs(u: SpectralField, params: CbfParams,
-                  apply_dealias: bool = True) -> SpectralField:
-    """B(u) + beta*C(u) through one shared transform pipeline."""
-    if apply_dealias:
-        u = dealias(u)
-    u_phys = to_physical(u).data
-    term = advect_samples(u_phys, physical_jacobian(u))
-    term = term + params.beta * damping_pointwise(u_phys, params.r)
-    out = to_spectral(PhysicalField(u.grid, term))
-    if apply_dealias:
-        out = dealias(out)
-    return leray_project(out)
-
-
 def cbf_operator(u: SpectralField, params: CbfParams,
                  apply_dealias: bool = True) -> SpectralField:
     """G(u) = mu*A u + B(u) + beta*C(u) + alpha*u."""
     _require_div_free(u, "cbf operator")
-    nl = nonlinear_rhs(u, params, apply_dealias)
+    nl, _ = nonlinear_term(u, params, apply_dealias)
     coeffs = (params.mu * u.grid.k_squared + params.alpha) * u.coeffs + nl.coeffs
     return SpectralField(u.grid, coeffs, divergence_free=True)
-
-
-def operator_energy(u: SpectralField, params: CbfParams) -> float:
-    """<G(u), u>, assembled as one pairing."""
-    return l2_pairing(cbf_operator(u, params), u)
 
 
 def monotonicity_shift(params: CbfParams, variant: str = "theorem") -> float:
@@ -193,18 +242,8 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     _require_div_free(u, "pressure recovery")
     require_same_grid(u, f)
     grid = u.grid
-    if apply_dealias:
-        u = dealias(u)
-    u_phys = to_physical(u).data
-    term = advect_samples(u_phys, physical_jacobian(u))
-    term = term + params.beta * damping_pointwise(u_phys, params.r)
-    rhs = to_spectral(PhysicalField(grid, term))
-    if apply_dealias:
-        rhs = dealias(rhs)
+    rhs, _ = nonlinear_term(u, params, apply_dealias, project=False)
     source = f.coeffs - rhs.coeffs
     k = grid.wavenumbers
     div_src = sum(1j * k[i] * source[i] for i in range(grid.dim))
-    k2 = grid.k_squared
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(k2 > 0, -div_src / np.where(k2 > 0, k2, 1.0), 0.0)
-    return SpectralField(grid, p[np.newaxis])
+    return SpectralField(grid, (-grid.inv_k_squared * div_src)[np.newaxis])

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError
-from .fields import PhysicalField, SpectralField, to_physical, to_spectral
-from .operators import (CbfParams, advect_samples, damping_pointwise,
-                        physical_jacobian)
-from .spectral import (dealias, divergence_defect, dual_norm, grad_norm,
-                       l2_norm, l2_pairing, leray_project, truncate_modes)
+from .fields import SpectralField, half_spectrum, real_inverse, to_physical
+from .operators import (CbfParams, magnitude, nonlinear_term,
+                        physical_jacobian, pointwise_power)
+from .spectral import (band_mask, divergence_defect, dual_norm, grad_norm,
+                       l2_norm, l2_pairing, leray_project)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -127,6 +127,10 @@ class Integrals:
 
 @dataclass(frozen=True)
 class SimulationState:
+    """Solver state.  ``u_phys`` caches the samples of ``u`` for the next
+    nonlinear evaluation; only :func:`initialize_state` and :func:`step` set
+    it, because they keep ``u`` inside the solver's mode band."""
+
     t: float
     u: SpectralField
     prev_nonlinear: SpectralField = None
@@ -134,6 +138,7 @@ class SimulationState:
     rates: BudgetRates = None
     integrals: Integrals = field(default_factory=Integrals)
     extended: bool = False
+    u_phys: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ def compute_rates(u: SpectralField, t: float, params: CbfParams,
     grid = u.grid
     if u_phys is None:
         u_phys = to_physical(u).data
-    mag = np.sqrt(np.sum(u_phys * u_phys, axis=0))
+    mag = magnitude(u_phys)
     damping_val = float(np.sum(mag ** (params.r + 1.0)) * grid.cell_volume)
     f = forcing.at(t)
     forcing_val = l2_pairing(f, u) if f is not None else 0.0
@@ -179,11 +184,7 @@ def compute_rates(u: SpectralField, t: float, params: CbfParams,
                      * np.sum(grid.k_squared ** 2 * np.abs(u.coeffs) ** 2))
         jac = physical_jacobian(u)
         grad_sq = np.sum(jac * jac, axis=(0, 1))
-        if params.r == 1.0:
-            weight = np.ones_like(mag)
-        else:
-            weight = np.where(mag > 0, mag, 1.0) ** (params.r - 1.0)
-            weight = np.where(mag > 0, weight, 0.0)
+        weight = pointwise_power(mag, params.r - 1.0)
         wgrad = float(np.sum(weight * grad_sq) * grid.cell_volume)
     return BudgetRates(grad_norm(u) ** 2, damping_val, forcing_val,
                        l2_norm(u) ** 2, a_sq, wgrad)
@@ -195,37 +196,28 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     u = ic
     if not u.divergence_free and divergence_defect(u) > 1e-10:
         warnings.warn("initial condition is not divergence-free; projecting")
-    u = leray_project(u)
-    if config.dealias:
-        u = dealias(u)
-    if config.galerkin_n > 0:
-        u = truncate_modes(u, config.galerkin_n, config.galerkin_shape)
-    rates = compute_rates(u, 0.0, params, forcing, extended)
+    u = _restrict(leray_project(u), config)
+    u_phys = to_physical(u).data
+    rates = compute_rates(u, 0.0, params, forcing, extended, u_phys)
     return SimulationState(t=0.0, u=u, prev_nonlinear=None,
                            energy0=l2_norm(u) ** 2, rates=rates,
-                           integrals=Integrals(), extended=extended)
+                           integrals=Integrals(), extended=extended,
+                           u_phys=u_phys)
 
 
 def _restrict(field: SpectralField, config: SolverConfig) -> SpectralField:
-    if config.dealias:
-        field = dealias(field)
-    if config.galerkin_n > 0:
-        field = truncate_modes(field, config.galerkin_n, config.galerkin_shape)
-    return field
+    mask = band_mask(field.grid, config.dealias, config.galerkin_n,
+                     config.galerkin_shape)
+    return field if mask is None else field.replace(field.coeffs * mask)
 
 
-def _nonlinear(u: SpectralField, params: CbfParams, config: SolverConfig):
-    """Explicit term B(u) + beta*C(u) plus the max speed for the CFL check."""
-    u_in = _restrict(u, config)
-    u_phys = to_physical(u_in).data
-    jac = physical_jacobian(u_in)
-    term = advect_samples(u_phys, jac)
-    term = term + params.beta * damping_pointwise(u_phys, params.r)
-    out = to_spectral(PhysicalField(u.grid, term))
-    out = _restrict(out, config)
-    out = leray_project(out)
-    max_speed = float(np.max(np.sqrt(np.sum(u_phys * u_phys, axis=0))))
-    return out, max_speed
+def _nonlinear(u: SpectralField, params: CbfParams, config: SolverConfig,
+               u_phys=None):
+    """Explicit term B(u) + beta*C(u) plus the max speed for the CFL check;
+    ``u_phys`` are the samples of u when already known."""
+    out, u_phys = nonlinear_term(u, params, config.dealias, config.galerkin_n,
+                                 config.galerkin_shape, u_phys=u_phys)
+    return out, float(np.max(magnitude(u_phys)))
 
 
 def _forcing_coeffs(forcing: Forcing, t: float, config: SolverConfig, grid):
@@ -257,7 +249,8 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         for s in range(n_sub):
             t_sub = state.t + s * h
             u_sub = SpectralField(grid, coeffs, divergence_free=True)
-            nl, max_speed = _nonlinear(u_sub, params, config)
+            nl, max_speed = _nonlinear(u_sub, params, config,
+                                       state.u_phys if s == 0 else None)
             rhs = coeffs + h * (_forcing_coeffs(forcing, t_sub, config, grid)
                                 - nl.coeffs)
             coeffs = rhs / (1.0 + h * lam)
@@ -265,7 +258,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         new_u = SpectralField(grid, coeffs, divergence_free=True)
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
-        nl, max_speed = _nonlinear(state.u, params, config)
+        nl, max_speed = _nonlinear(state.u, params, config, state.u_phys)
         _check_cfl(max_speed, grid, dt)
         explicit = 1.5 * nl.coeffs - 0.5 * state.prev_nonlinear.coeffs
         f_mid = _forcing_coeffs(forcing, state.t + 0.5 * dt, config, grid)
@@ -277,14 +270,17 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
     new_t = state.t + dt
     if not np.all(np.isfinite(new_u.coeffs)):
         raise BlowUpError("non-finite state", last_valid_time=state.t)
-    new_rates = compute_rates(new_u, new_t, params, forcing, state.extended)
+    new_phys = real_inverse(half_spectrum(new_u.coeffs, grid), grid)
+    new_rates = compute_rates(new_u, new_t, params, forcing, state.extended,
+                              new_phys)
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(
         t=new_t, u=new_u, prev_nonlinear=prev_nl, energy0=state.energy0,
         rates=new_rates,
         integrals=state.integrals.advance(state.rates, new_rates, dt),
-        extended=state.extended)
+        extended=state.extended,
+        u_phys=new_phys if state.u_phys is not None else None)
 
 
 def sample_diagnostics(state: SimulationState, params: CbfParams) -> DiagnosticsSample:
@@ -361,4 +357,5 @@ def apriori_bound(ic: SpectralField, params: CbfParams, forcing: Forcing,
         return base
     times = np.linspace(0.0, t, n_quad + 1)
     vals = np.array([dual_norm(forcing.at(s)) ** 2 for s in times])
-    return base + float(np.trapezoid(vals, times)) / params.mu
+    trapezoid = float(np.sum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0))
+    return base + trapezoid / params.mu

@@ -13,8 +13,9 @@ from .errors import InvalidExponentError, InvalidArgumentsError
 from .fields import PhysicalField, SpectralField, require_same_grid, to_physical
 
 __all__ = [
-    "leray_project", "gradient", "jacobian", "divergence", "laplacian",
-    "dealias", "truncate_modes", "exp_filter",
+    "leray_project", "project_coeffs", "gradient", "jacobian", "divergence",
+    "laplacian", "dealias", "truncate_modes", "truncation_mask", "band_mask",
+    "exp_filter",
     "l2_norm", "h1_norm", "grad_norm", "lp_norm", "dual_norm", "l2_pairing",
     "divergence_defect",
 ]
@@ -30,13 +31,15 @@ def leray_project(u: SpectralField) -> SpectralField:
     grid = u.grid
     if not u.is_vector:
         raise InvalidArgumentsError("Leray projection needs a vector field")
-    k = grid.wavenumbers
-    k2 = grid.k_squared
-    kdotu = sum(k[i] * u.coeffs[i] for i in range(grid.dim))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(k2 > 0, kdotu / np.where(k2 > 0, k2, 1.0), 0.0)
-    coeffs = np.stack([u.coeffs[i] - k[i] * factor for i in range(grid.dim)])
+    coeffs = project_coeffs(u.coeffs, grid.wavenumbers, grid.inv_k_squared)
     return SpectralField(grid, coeffs, divergence_free=True)
+
+
+def project_coeffs(coeffs, k, inv_k2):
+    """(I - k k^T/|k|^2) applied to a (dim, ...) coefficient array, given the
+    wavenumbers and 1/|k|^2 broadcast to its modes (full or half spectrum)."""
+    factor = inv_k2 * sum(k[i] * coeffs[i] for i in range(len(k)))
+    return np.stack([coeffs[i] - k[i] * factor for i in range(len(k))])
 
 
 def divergence_defect(u: SpectralField) -> float:
@@ -79,22 +82,35 @@ def laplacian(u: SpectralField) -> SpectralField:
 
 
 def dealias(u: SpectralField) -> SpectralField:
-    """Zero all modes with any |m_i| above the 2/3-rule band floor(N/3)."""
+    """Zero all modes with any |m_i| above the 2/3-rule band floor((N-1)/3)."""
     return u.replace(u.coeffs * u.grid.dealias_mask)
 
 
 def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralField:
     """Galerkin truncation to the index box [-n, n]^d (or ball |m| <= n)."""
+    return u.replace(u.coeffs * truncation_mask(u.grid, n, shape))
+
+
+def truncation_mask(grid, n: int, shape: str = "box"):
+    """True on the modes of the index box [-n, n]^d (or ball |m| <= n)."""
     if n < 0:
         raise InvalidArgumentsError("truncation radius must be >= 0")
-    grid = u.grid
     if shape == "box":
-        mask = grid.mode_inf_norm <= n
-    elif shape == "ball":
-        mask = grid.mode_sq_norm <= n * n
-    else:
-        raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
-    return u.replace(u.coeffs * mask)
+        return grid.mode_inf_norm <= n
+    if shape == "ball":
+        return grid.mode_sq_norm <= n * n
+    raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
+
+
+def band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
+              galerkin_shape: str = "box"):
+    """Modes kept by 2/3-rule dealiasing and Galerkin truncation (off at
+    ``galerkin_n = 0``); None when both are off."""
+    mask = grid.dealias_mask if apply_dealias else None
+    if galerkin_n > 0:
+        trunc = truncation_mask(grid, galerkin_n, galerkin_shape)
+        mask = trunc if mask is None else mask & trunc
+    return mask
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:

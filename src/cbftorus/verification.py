@@ -21,7 +21,7 @@ from .fields import SpectralField, to_physical
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         damping_pointwise, monotonicity_shift, physical_jacobian,
-                        regularity_rate)
+                        pointwise_power, regularity_rate)
 from .solver import (Forcing, SolverConfig, initialize_state, step)
 from .spectral import (dual_norm, exp_filter, grad_norm, l2_norm, l2_pairing,
                        laplacian, lp_norm)
@@ -100,11 +100,7 @@ class FieldSampler:
 
 def _weighted_l2_sq(weight_mag, diff_phys, cell_volume, half_power):
     """|| |w|^half_power d ||_{L2}^2 = int |w|^{2*half_power} |d|^2 dx."""
-    if half_power == 0.0:
-        w = np.ones_like(weight_mag)
-    else:
-        w = np.where(weight_mag > 0, weight_mag, 1.0) ** (2.0 * half_power)
-        w = np.where(weight_mag > 0, w, 0.0)
+    w = pointwise_power(weight_mag, 2.0 * half_power)
     return float(np.sum(w * np.sum(diff_phys * diff_phys, axis=0)) * cell_volume)
 
 
@@ -353,11 +349,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     i1 = float(np.sum(neg_lap * c_phys) * cell)
 
     grad_sq = np.sum(jac * jac, axis=(0, 1))
-    if r == 1.0:
-        weight = np.ones_like(mag)
-    else:
-        weight = np.where(mag > 0, mag, 1.0) ** (r - 1.0)
-        weight = np.where(mag > 0, weight, 0.0)
+    weight = pointwise_power(mag, r - 1.0)
     mid = float(np.sum(weight * grad_sq) * cell)
 
     # grad(|u|^2) = 2 sum_i u_i grad u_i, exact for band-limited u.
@@ -366,8 +358,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
 
     if r >= 3.0:
         # |grad |u|^{(r+1)/2}|^2 = ((r+1)/2)^2 |u|^{r-3} |u.grad u|^2
-        w = np.where(mag > 0, mag, 1.0) ** (r - 3.0)
-        w = np.where(mag > 0, w, 0.0) if r > 3.0 else np.ones_like(mag)
+        w = pointwise_power(mag, r - 3.0)
         grad_pow_sq = (0.5 * (r + 1.0)) ** 2 * w * np.sum(half_grad_mag2 ** 2, axis=0)
     else:
         from .fields import PhysicalField, to_spectral
@@ -379,9 +370,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     if r == 1.0:
         third = 0.0
     else:
-        w3 = np.where(mag > 0, mag, 1.0) ** (r - 3.0)
-        w3 = np.where(mag > 0, w3, 0.0) if r != 3.0 else np.ones_like(mag)
-        third = float(np.sum(w3 * grad_mag2_sq) * cell)
+        third = float(np.sum(pointwise_power(mag, r - 3.0) * grad_mag2_sq) * cell)
     i3 = mid + 0.25 * (r - 1.0) * third
     return i1, i2, i3, mid
 

@@ -244,6 +244,17 @@ def test_cli_run_deterministic_bytes(tmp_path):
     assert bytes_a == bytes_b
 
 
+def test_cli_run_deterministic_bytes_3d(tmp_path):
+    cfg = _write(tmp_path, "run3d.ini",
+                 RUN_INI.replace("dim = 2\nn = 32", "dim = 3\nn = 16"))
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(["run", "--config", cfg, "--out", out_a]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", out_b]) == 0
+    bytes_a = (tmp_path / "a" / "diagnostics.tsv").read_bytes()
+    bytes_b = (tmp_path / "b" / "diagnostics.tsv").read_bytes()
+    assert bytes_a == bytes_b
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", "[params]\nmu = -1\n")
     assert cli.main(["run", "--config", cfg]) == 2
