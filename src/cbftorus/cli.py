@@ -5,6 +5,7 @@ Exit status contract: 0 all good, 1 check failure, 2 usage/config error,
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -18,7 +19,7 @@ from .families import taylor_green_exact
 from .fields import to_physical
 from .grid import TorusGrid
 from .snapshot import write_snapshot_file
-from .solver import DiagnosticsSample, SolverConfig, run
+from .solver import DiagnosticsSample, run
 from .spectral import embed_modes, l2_norm, leray_project
 from .verification import FieldSampler
 
@@ -206,11 +207,8 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
     ic = config.initial_condition(grid)
     errors = []
     for dt in dts:
-        solver_config = SolverConfig(
-            dt=dt, t_end=base.t_end, scheme=base.scheme,
-            galerkin_n=base.galerkin_n, galerkin_shape=base.galerkin_shape,
-            dealias=base.dealias, diagnostics_every=10 ** 9,
-            snapshot_every=0, substeps=base.substeps)
+        solver_config = dataclasses.replace(base, dt=dt, diagnostics_every=10 ** 9,
+                                            snapshot_every=0)
         state, diagnostics, _ = run(ic, params, solver_config, forcing)
         if metric == "taylor_green":
             if params.beta != 0.0 or params.alpha != 0.0:

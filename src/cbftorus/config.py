@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentsError
-from .families import make_family
+from .families import kolmogorov, random_band_limited, single_mode, taylor_green
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
@@ -166,16 +166,10 @@ class RunConfig:
         return TorusGrid(dim=g["dim"], n_points=g["n"], period=g["l"])
 
     def params(self) -> CbfParams:
-        p = self.section("params")
-        return CbfParams(mu=p["mu"], alpha=p["alpha"], beta=p["beta"], r=p["r"])
+        return CbfParams(**self.section("params"))
 
     def solver(self) -> SolverConfig:
-        s = self.section("solver")
-        return SolverConfig(
-            dt=s["dt"], t_end=s["t_end"], scheme=s["scheme"],
-            galerkin_n=s["galerkin_n"], galerkin_shape=s["galerkin_shape"],
-            dealias=s["dealias"], diagnostics_every=s["diagnostics_every"],
-            snapshot_every=s["snapshot_every"], substeps=s["substeps"])
+        return SolverConfig(**self.section("solver"))
 
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
@@ -183,20 +177,17 @@ class RunConfig:
     def _family_field(self, grid, spec):
         name = spec["family"]
         if name == "taylor_green":
-            return make_family(name, grid, amplitude=spec["amplitude"])
+            return taylor_green(grid, amplitude=spec["amplitude"])
         if name == "random":
-            return make_family(name, grid, seed=spec["seed"],
-                               band_limit=spec["band_limit"],
-                               spectrum_slope=spec["slope"],
-                               amplitude=spec["amplitude"])
+            return random_band_limited(grid, seed=spec["seed"],
+                                       band_limit=spec["band_limit"],
+                                       spectrum_slope=spec["slope"],
+                                       amplitude=spec["amplitude"])
         if name == "single_mode":
-            return make_family(name, grid, mode=spec["mode"],
+            return single_mode(grid, mode=spec["mode"],
                                component=spec["component"],
                                amplitude=spec["amplitude"], phase=spec["phase"])
-        if name == "kolmogorov":
-            return make_family(name, grid, mode=spec.get("mode", 1),
-                               amplitude=spec["amplitude"])
-        raise ConfigError(f"unsupported family {name!r}")
+        return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
 
     def initial_condition(self, grid=None):
         grid = grid if grid is not None else self.grid()

@@ -92,20 +92,3 @@ def kolmogorov(grid: TorusGrid, mode: int = 1, amplitude: float = 1.0) -> Spectr
     data[0] = amplitude * np.sin(mode * scale * mesh[1])
     return to_spectral(PhysicalField(grid, data))
 
-
-FAMILIES = {
-    "taylor_green": taylor_green,
-    "single_mode": single_mode,
-    "random": random_band_limited,
-    "kolmogorov": kolmogorov,
-}
-
-
-def make_family(name: str, grid: TorusGrid, **params) -> SpectralField:
-    """Instantiate a named family; unknown names raise InvalidArgumentsError."""
-    try:
-        builder = FAMILIES[name]
-    except KeyError:
-        raise InvalidArgumentsError(
-            f"unknown field family {name!r}; known: {sorted(FAMILIES)}") from None
-    return builder(grid, **params)

@@ -55,7 +55,7 @@ class PhysicalField:
 
     def magnitude(self):
         """Pointwise Euclidean magnitude |u(x)|."""
-        return np.sqrt(np.sum(self.data * self.data, axis=0))
+        return magnitude(self.data)
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,11 @@ class SpectralField:
 
     def __neg__(self):
         return self * -1.0
+
+
+def magnitude(data: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean norm over the leading (component) axis."""
+    return np.sqrt(np.sum(data * data, axis=0))
 
 
 def require_same_grid(a, b):

@@ -7,9 +7,10 @@ The full operator applied to a divergence-free field u is
 with A the (negative) Laplacian restricted to divergence-free fields, B the
 Leray-projected advection and C_r the projected pointwise damping
 |u|^{r-1} u.  Nonlinear terms are evaluated pseudo-spectrally: physical-space
-products, forward transform, 2/3-rule dealiasing, then Leray projection.
-:func:`nonlinear_term` is the one kernel that the solver, :func:`cbf_operator`
-and :func:`recover_pressure` share.
+products, forward transform, 2/3-rule dealiasing, then Leray projection, the
+last three on the half spectrum in one place.  :func:`nonlinear_term` is the
+one kernel that the solver, :func:`cbf_operator` and :func:`recover_pressure`
+share; :func:`advection` and :func:`damping` end in the same forward tail.
 """
 
 from dataclasses import dataclass
@@ -18,10 +19,9 @@ import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, NotApplicableError)
-from .fields import (PhysicalField, SpectralField, half_spectrum,
-                     hermitian_expand, real_forward, real_inverse,
-                     require_same_grid, to_physical, to_spectral)
-from .spectral import (band_mask, dealias, divergence_defect, leray_project,
+from .fields import (SpectralField, half_spectrum, hermitian_expand, magnitude,
+                     real_forward, real_inverse, require_same_grid, to_physical)
+from .spectral import (band_mask, dealias, divergence, divergence_defect,
                        project_coeffs)
 
 DIV_FREE_TOL = 1e-10
@@ -66,11 +66,6 @@ def stokes(u: SpectralField) -> SpectralField:
     return u.replace(u.grid.k_squared * u.coeffs)
 
 
-def magnitude(data: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean norm over the leading (component) axis."""
-    return np.sqrt(np.sum(data * data, axis=0))
-
-
 def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
     """mag**p taken as 0 where mag = 0, and 1 everywhere for p = 0."""
     if p == 0.0:
@@ -88,11 +83,8 @@ def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
     """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
-    phys = to_physical(u)
-    out = to_spectral(PhysicalField(u.grid, damping_pointwise(phys.data, r)))
-    if apply_dealias:
-        out = dealias(out)
-    return leray_project(out)
+    return _spectral_term(damping_pointwise(to_physical(u).data, r), u.grid,
+                          band_mask(u.grid, apply_dealias))
 
 
 def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
@@ -132,6 +124,20 @@ def _rotational_samples(half, u_phys, grid):
                      w[0] * u_phys[1] - w[1] * u_phys[0]])
 
 
+def _spectral_term(samples, grid, mask, project=True):
+    """Field of the samples' coefficients restricted to ``mask`` (a
+    :func:`band_mask`) and Leray-projected, all on the half spectrum."""
+    if project and len(samples) != grid.dim:
+        raise InvalidArgumentsError("Leray projection needs a vector field")
+    out = real_forward(samples, grid)
+    if mask is not None:
+        out = out * half_spectrum(mask, grid)
+    if project:
+        out = project_coeffs(out, _half_wavenumbers(grid),
+                             half_spectrum(grid.inv_k_squared, grid))
+    return SpectralField(grid, hermitian_expand(out, grid), divergence_free=project)
+
+
 def nonlinear_term(u: SpectralField, params: CbfParams,
                    apply_dealias: bool = True, galerkin_n: int = 0,
                    galerkin_shape: str = "box", project: bool = True,
@@ -147,8 +153,7 @@ def nonlinear_term(u: SpectralField, params: CbfParams,
     mask = band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
     half = half_spectrum(u.coeffs, grid)
     if mask is not None:
-        mask = half_spectrum(mask, grid)
-        half = half * mask
+        half = half * half_spectrum(mask, grid)
     if u_phys is None:
         u_phys = real_inverse(half, grid)
     if apply_dealias and project:
@@ -156,14 +161,7 @@ def nonlinear_term(u: SpectralField, params: CbfParams,
     else:
         term = advect_samples(u_phys, _jacobian_samples(half, grid))
     term = term + params.beta * damping_pointwise(u_phys, params.r)
-    out = real_forward(term, grid)
-    if mask is not None:
-        out = out * mask
-    if project:
-        out = project_coeffs(out, _half_wavenumbers(grid),
-                             half_spectrum(grid.inv_k_squared, grid))
-    return (SpectralField(grid, hermitian_expand(out, grid), divergence_free=project),
-            u_phys)
+    return _spectral_term(term, grid, mask, project), u_phys
 
 
 def advection(u: SpectralField, v: SpectralField = None,
@@ -175,12 +173,8 @@ def advection(u: SpectralField, v: SpectralField = None,
     _require_div_free(u, "advection")
     if apply_dealias:
         u, v = dealias(u), dealias(v)
-    u_phys = to_physical(u).data
-    term = advect_samples(u_phys, physical_jacobian(v))
-    out = to_spectral(PhysicalField(u.grid, term))
-    if apply_dealias:
-        out = dealias(out)
-    return leray_project(out)
+    term = advect_samples(to_physical(u).data, physical_jacobian(v))
+    return _spectral_term(term, u.grid, band_mask(u.grid, apply_dealias))
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -243,7 +237,4 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     require_same_grid(u, f)
     grid = u.grid
     rhs, _ = nonlinear_term(u, params, apply_dealias, project=False)
-    source = f.coeffs - rhs.coeffs
-    k = grid.wavenumbers
-    div_src = sum(1j * k[i] * source[i] for i in range(grid.dim))
-    return SpectralField(grid, (-grid.inv_k_squared * div_src)[np.newaxis])
+    return SpectralField(grid, -grid.inv_k_squared * divergence(f - rhs).coeffs)

@@ -12,14 +12,15 @@ cumulative defect of the energy identity
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError
-from .fields import SpectralField, half_spectrum, real_inverse, to_physical
-from .operators import (CbfParams, magnitude, nonlinear_term,
-                        physical_jacobian, pointwise_power)
+from .fields import (SpectralField, half_spectrum, magnitude, real_inverse,
+                     to_physical)
+from .operators import (CbfParams, nonlinear_term, physical_jacobian,
+                        pointwise_power)
 from .spectral import (band_mask, divergence_defect, dual_norm, grad_norm,
                        l2_norm, l2_pairing, leray_project)
 
@@ -115,14 +116,9 @@ class Integrals:
 
     def advance(self, old: BudgetRates, new: BudgetRates, dt: float):
         half = 0.5 * dt
-        return Integrals(
-            self.dissipation + half * (old.dissipation + new.dissipation),
-            self.damping + half * (old.damping + new.damping),
-            self.forcing + half * (old.forcing + new.forcing),
-            self.darcy + half * (old.darcy + new.darcy),
-            self.a_norm_sq + half * (old.a_norm_sq + new.a_norm_sq),
-            self.weighted_grad_sq + half * (old.weighted_grad_sq + new.weighted_grad_sq),
-        )
+        return Integrals(*(getattr(self, f.name)
+                           + half * (getattr(old, f.name) + getattr(new, f.name))
+                           for f in fields(Integrals)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentsError, RegimeError)
 from .families import random_band_limited
-from .fields import SpectralField, to_physical
+from .fields import SpectralField, magnitude, to_physical
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         damping_pointwise, monotonicity_shift, physical_jacobian,
@@ -102,6 +102,12 @@ def _weighted_l2_sq(weight_mag, diff_phys, cell_volume, half_power):
     """|| |w|^half_power d ||_{L2}^2 = int |w|^{2*half_power} |d|^2 dx."""
     w = pointwise_power(weight_mag, 2.0 * half_power)
     return float(np.sum(w * np.sum(diff_phys * diff_phys, axis=0)) * cell_volume)
+
+
+def _damping_pairing(u_phys, v_phys, r, cell_volume):
+    """<C(u)-C(v), u-v> = int (|u|^{r-1}u - |v|^{r-1}v).(u-v) dx."""
+    return float(np.sum((damping_pointwise(u_phys, r) - damping_pointwise(v_phys, r))
+                        * (u_phys - v_phys)) * cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +266,9 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
         u_phys = to_physical(u).data
         v_phys = to_physical(v).data
         d_phys = u_phys - v_phys
-        cu = damping_pointwise(u_phys, r)
-        cv = damping_pointwise(v_phys, r)
-        pairing = float(np.sum((cu - cv) * d_phys) * cell)
-        u_mag = np.sqrt(np.sum(u_phys * u_phys, axis=0))
-        v_mag = np.sqrt(np.sum(v_phys * v_phys, axis=0))
-        rhs = 0.5 * (_weighted_l2_sq(u_mag, d_phys, cell, expo)
-                     + _weighted_l2_sq(v_mag, d_phys, cell, expo))
+        pairing = _damping_pairing(u_phys, v_phys, r, cell)
+        rhs = 0.5 * (_weighted_l2_sq(magnitude(u_phys), d_phys, cell, expo)
+                     + _weighted_l2_sq(magnitude(v_phys), d_phys, cell, expo))
         scale = abs(pairing) + rhs + TINY
         margins.append(min(pairing - rhs, pairing) / scale)
         seeds.append(s)
@@ -286,11 +288,9 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
         u, v, s = sampler.pair(i)
         u_phys = to_physical(u).data
         v_phys = to_physical(v).data
-        d_phys = u_phys - v_phys
-        pairing = float(np.sum((damping_pointwise(u_phys, r)
-                                - damping_pointwise(v_phys, r)) * d_phys) * cell)
-        diff_lp = float(np.sum(np.sqrt(np.sum(d_phys * d_phys, axis=0))
-                               ** (r + 1.0)) * cell) ** (2.0 / (r + 1.0))
+        pairing = _damping_pairing(u_phys, v_phys, r, cell)
+        diff_lp = float(np.sum(magnitude(u_phys - v_phys) ** (r + 1.0))
+                        * cell) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
         margins.append((rhs - pairing) / (abs(pairing) + rhs + TINY))
         seeds.append(s)
@@ -310,12 +310,8 @@ def check_pointwise_mvt(sampler: FieldSampler, r: float,
         u, v, s = sampler.pair(i)
         y = to_physical(u).data
         z = to_physical(v).data
-        lhs = np.sqrt(np.sum((damping_pointwise(y, r)
-                              - damping_pointwise(z, r)) ** 2, axis=0))
-        y_mag = np.sqrt(np.sum(y * y, axis=0))
-        z_mag = np.sqrt(np.sum(z * z, axis=0))
-        d_mag = np.sqrt(np.sum((y - z) ** 2, axis=0))
-        rhs = r * (y_mag + z_mag) ** (r - 1.0) * d_mag
+        lhs = magnitude(damping_pointwise(y, r) - damping_pointwise(z, r))
+        rhs = r * (magnitude(y) + magnitude(z)) ** (r - 1.0) * magnitude(y - z)
         scale = float(np.max(rhs)) + TINY
         margins.append(float(np.min(rhs - lhs)) / scale)
         seeds.append(s)
@@ -343,7 +339,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     cell = grid.cell_volume
     u_phys = to_physical(u).data
     jac = physical_jacobian(u)
-    mag = np.sqrt(np.sum(u_phys * u_phys, axis=0))
+    mag = magnitude(u_phys)
     neg_lap = to_physical(laplacian(u) * -1.0).data
     c_phys = damping_pointwise(u_phys, r)
     i1 = float(np.sum(neg_lap * c_phys) * cell)

@@ -1,6 +1,6 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
-it replaced, exact 2/3-rule dealiasing for every N, and the solver's cache of
-physical samples."""
+it replaced, advection and damping against their full-array pipelines, exact
+2/3-rule dealiasing for every N, and the solver's cache of physical samples."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ import pytest
 from cbftorus.families import random_band_limited
 from cbftorus.fields import PhysicalField, SpectralField, to_physical, to_spectral
 from cbftorus.grid import TorusGrid
-from cbftorus.operators import CbfParams, nonlinear_term, recover_pressure
+from cbftorus.operators import (CbfParams, advect_samples, advection, damping,
+                                damping_pointwise, nonlinear_term,
+                                physical_jacobian, recover_pressure)
 from cbftorus.solver import (Forcing, SimulationState, SolverConfig,
                              compute_rates, initialize_state, step)
 from cbftorus.spectral import dealias, embed_modes, leray_project, truncation_mask
@@ -95,6 +97,45 @@ def test_recover_pressure_matches_convective_reference(grid32):
         div_src = sum(1j * k[i] * (f.coeffs[i] - rhs.coeffs[i]) for i in range(2))
         ref = np.where(k2 > 0, -div_src / np.where(k2 > 0, k2, 1.0), 0.0)
         assert rel_diff(p.coeffs[0], ref) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# advection and damping: the half-spectrum tail against the full-array one
+
+
+def _reference_advection(u, v, apply_dealias):
+    """Dealias the inputs, multiply on samples, then transform, dealias and
+    Leray-project the full coefficient array."""
+    if apply_dealias:
+        u, v = dealias(u), dealias(v)
+    term = advect_samples(to_physical(u).data, physical_jacobian(v))
+    out = to_spectral(PhysicalField(u.grid, term))
+    return leray_project(dealias(out) if apply_dealias else out)
+
+
+def _reference_damping(u, r, apply_dealias):
+    out = to_spectral(PhysicalField(u.grid, damping_pointwise(to_physical(u).data, r)))
+    return leray_project(dealias(out) if apply_dealias else out)
+
+
+TAIL_GRIDS = [TorusGrid(dim=2, n_points=32), TorusGrid(dim=2, n_points=24),
+              TorusGrid(dim=3, n_points=12)]
+
+
+@pytest.mark.parametrize("grid", TAIL_GRIDS, ids=lambda g: f"{g.dim}d-n{g.n_points}")
+@pytest.mark.parametrize("apply_dealias", [True, False])
+def test_advection_and_damping_match_full_array_pipeline(grid, apply_dealias):
+    u = _full_band_field(grid, seed=12)
+    v = _full_band_field(grid, seed=13)
+    for second in (None, v):
+        got = advection(u, second, apply_dealias)
+        ref = _reference_advection(u, u if second is None else second, apply_dealias)
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert got.divergence_free
+    for r in (1.0, 3.0, 3.5):
+        got = damping(u, r, apply_dealias)
+        assert np.array_equal(got.coeffs, _reference_damping(u, r, apply_dealias).coeffs)
+        assert got.divergence_free
 
 
 # ---------------------------------------------------------------------------

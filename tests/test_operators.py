@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cbftorus.errors import (ContractViolationError, InvalidArgumentsError,
                              InvalidExponentError, NotApplicableError)
 from cbftorus.families import single_mode, taylor_green
-from cbftorus.fields import PhysicalField, to_physical, to_spectral, zero_field
+from cbftorus.fields import (PhysicalField, SpectralField, to_physical, to_spectral,
+                             zero_field)
 from cbftorus.operators import (CbfParams, advection, advection_form,
                                 cbf_operator, damping, damping_pointwise,
                                 monotonicity_shift, physical_jacobian,
@@ -136,6 +137,12 @@ def test_damping_pairing_is_lebesgue_norm(random_field):
         pairing = l2_pairing(damping(random_field, r), random_field)
         assert pairing == pytest.approx(lp_norm(random_field, r + 1) ** (r + 1),
                                         rel=1e-8)
+
+
+def test_damping_rejects_scalar_field(grid32):
+    scalar = SpectralField(grid32, np.zeros(grid32.shape, dtype=complex))
+    with pytest.raises(InvalidArgumentsError):
+        damping(scalar, 3.0)
 
 
 def test_damping_invalid_exponent(random_field):
