@@ -1,7 +1,7 @@
 """Command-line surface: run, verify, convergence, taylor-green.
 
-Exit status contract: 0 all good, 1 check failure, 2 usage/config error,
-3 numerical blow-up.
+Exit status contract: 0 all good, 1 check failure, 2 usage/config error or
+malformed snapshot, 3 numerical blow-up.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import numpy as np
 from . import verification as verif
 from .config import RunConfig, all_checks, config_from_text, dump_config, load_config
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
-                     RegimeError)
+                     RegimeError, SnapshotFormatError)
 from .families import taylor_green_exact
 from .fields import to_physical
 from .grid import TorusGrid
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir=args.out, seed_override=args.seed)
         return cmd_convergence(config, out_dir=args.out)
-    except (ConfigError, InvalidArgumentsError) as err:
+    except (ConfigError, InvalidArgumentsError, SnapshotFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as err:

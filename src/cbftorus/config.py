@@ -90,7 +90,7 @@ SCHEMA = {
     "ic": {
         "family": (str, "taylor_green",
                    lambda v: v in ("taylor_green", "random", "single_mode",
-                                   "kolmogorov", "snapshot")),
+                                   "snapshot")),
         "amplitude": (float, 1.0, None),
         "band_limit": (int, 8, _positive),
         "slope": (float, 2.0, None),
@@ -187,6 +187,7 @@ class RunConfig:
             return single_mode(grid, mode=spec["mode"],
                                component=spec["component"],
                                amplitude=spec["amplitude"], phase=spec["phase"])
+        # kolmogorov, a [forcing] family only: its mode is one integer
         return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
 
     def initial_condition(self, grid=None):

@@ -171,15 +171,20 @@ def to_spectral(field: PhysicalField) -> SpectralField:
     return SpectralField(grid, hermitian_expand(real_forward(field.data, grid), grid))
 
 
+def require_hermitian(field: SpectralField):
+    """Raise :class:`SymmetryError` unless the coefficients are Hermitian
+    symmetric relative to the overall coefficient scale."""
+    if field.symmetry_defect() > SYMMETRY_TOL * max(field.scale(), 1e-300):
+        raise SymmetryError("coefficients violate Hermitian symmetry")
+
+
 def to_physical(field: SpectralField) -> PhysicalField:
     """Inverse transform back to real samples.
 
-    Raises :class:`SymmetryError` when the coefficients are not Hermitian
-    symmetric relative to the overall coefficient scale; internal pipelines,
-    symmetric by construction, call :func:`real_inverse` without the check.
+    Raises :class:`SymmetryError` by :func:`require_hermitian`; internal
+    pipelines, symmetric by construction, call :func:`real_inverse` without
+    the check.
     """
-    scale = field.scale()
-    if field.symmetry_defect() > SYMMETRY_TOL * max(scale, 1e-300):
-        raise SymmetryError("coefficients violate Hermitian symmetry")
+    require_hermitian(field)
     grid = field.grid
     return PhysicalField(grid, real_inverse(half_spectrum(field.coeffs, grid), grid))

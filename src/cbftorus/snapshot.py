@@ -6,14 +6,19 @@ Layout (all little-endian):
   uint32    n_points
   float64   period, time, r, mu, alpha, beta
   then dim row-major complex128 coefficient arrays, one per component.
+
+The reader raises :class:`SnapshotFormatError` for every malformed file, and
+checks the size the header declares against the file before it reads on.
 """
 
+import os
 import struct
 
 import numpy as np
 
-from .errors import SnapshotFormatError
-from .fields import SpectralField
+from .errors import (CbfError, InvalidFieldError, SnapshotFormatError,
+                     SymmetryError)
+from .fields import SpectralField, require_hermitian
 from .grid import TorusGrid
 from .operators import CbfParams
 
@@ -44,14 +49,24 @@ def read_snapshot_file(path):
         if len(raw) != _HEADER.size:
             raise SnapshotFormatError(f"truncated header in {path}")
         dim, n_points, period, time, r, mu, alpha, beta = _HEADER.unpack(raw)
-        grid = TorusGrid(dim=dim, n_points=n_points, period=period)
-        count = dim * n_points ** dim
-        raw_coeffs = fh.read(count * 16)
-        if len(raw_coeffs) != count * 16:
+        if not np.all(np.isfinite([period, time, r, mu, alpha, beta])):
+            raise SnapshotFormatError(f"non-finite header value in {path}")
+        try:
+            grid = TorusGrid(dim=dim, n_points=n_points, period=period)
+            params = CbfParams(mu=mu, alpha=alpha, beta=beta, r=r)
+        except CbfError as err:
+            raise SnapshotFormatError(f"header out of domain in {path}: {err}") from None
+        n_bytes = 16 * dim * n_points ** dim
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < n_bytes:
             raise SnapshotFormatError(f"truncated coefficients in {path}")
-        data = np.frombuffer(raw_coeffs, dtype="<c16")
-        if fh.read(1):
+        if remaining > n_bytes:
             raise SnapshotFormatError(f"trailing bytes in {path}")
-    coeffs = data.reshape((dim,) + grid.shape).astype(complex)
-    field = SpectralField(grid, coeffs)
-    return field, time, CbfParams(mu=mu, alpha=alpha, beta=beta, r=r)
+        raw_coeffs = fh.read(n_bytes)
+    coeffs = np.frombuffer(raw_coeffs, dtype="<c16").reshape((dim,) + grid.shape)
+    try:
+        field = SpectralField(grid, coeffs.astype(complex))
+        require_hermitian(field)
+    except (InvalidFieldError, SymmetryError) as err:
+        raise SnapshotFormatError(f"bad coefficients in {path}: {err}") from None
+    return field, time, params

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidArgumentsError
+from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import (SpectralField, half_spectrum, magnitude, real_inverse,
                      to_physical)
 from .operators import (CbfParams, nonlinear_term, physical_jacobian,
@@ -232,7 +232,15 @@ def _check_cfl(max_speed: float, grid, dt: float):
 
 def step(state: SimulationState, params: CbfParams, config: SolverConfig,
          forcing: Forcing) -> SimulationState:
-    """Advance one time step; divergence-free by construction."""
+    """Advance one time step; divergence-free by construction.  Raises
+    :class:`BlowUpError` when the state overflows or runs away."""
+    try:
+        return _advance(state, params, config, forcing)
+    except InvalidFieldError:
+        raise BlowUpError("non-finite state", last_valid_time=state.t) from None
+
+
+def _advance(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
     lam = params.mu * grid.k_squared + params.alpha
@@ -264,8 +272,6 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         prev_nl = nl
 
     new_t = state.t + dt
-    if not np.all(np.isfinite(new_u.coeffs)):
-        raise BlowUpError("non-finite state", last_valid_time=state.t)
     new_phys = real_inverse(half_spectrum(new_u.coeffs, grid), grid)
     new_rates = compute_rates(new_u, new_t, params, forcing, state.extended,
                               new_phys)

@@ -44,13 +44,10 @@ def project_coeffs(coeffs, k, inv_k2):
 
 def divergence_defect(u: SpectralField) -> float:
     """max_k |k . u_hat(k)| normalized by the coefficient scale."""
-    grid = u.grid
-    k = grid.wavenumbers
-    kdotu = sum(k[i] * u.coeffs[i] for i in range(grid.dim))
     scale = u.scale()
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(kdotu))) / scale
+    return float(np.max(np.abs(divergence(u).coeffs))) / scale
 
 
 def jacobian(u: SpectralField) -> np.ndarray:

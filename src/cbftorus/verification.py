@@ -23,8 +23,8 @@ from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         damping_pointwise, monotonicity_shift, physical_jacobian,
                         pointwise_power, regularity_rate)
 from .solver import (Forcing, SolverConfig, initialize_state, step)
-from .spectral import (dual_norm, exp_filter, grad_norm, l2_norm, l2_pairing,
-                       laplacian, lp_norm)
+from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, l2_norm,
+                       l2_pairing, laplacian, lp_norm)
 
 DEFAULT_TOL = 1e-9
 TINY = 1e-300
@@ -379,17 +379,27 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
 
     0 <= int |grad u|^2 |u|^{r-1} <= <C(u), A u> <= r int |grad u|^2 |u|^{r-1}.
 
-    For odd integer r every integrand is a polynomial in the field samples,
-    quadrature is exact, and the tolerances are asserted.  For any other r
-    the |u|^{r-1}-type integrands are not band-limited, their quadrature
-    aliasing tail dominates the tolerances at desk resolutions, and the check
-    runs exploratory: margins are the report, nothing fails.
+    For odd integer r every integrand is a polynomial of degree r+1 in the
+    samples of u and grad u, whose modes lie in the band
+    K = min(band_limit, (N-1)//3).  Quadrature on N points is exact when
+    (r+1)K < N; otherwise the forms are evaluated on the smallest even
+    N' > (r+1)K (modes copied by :func:`embed_modes`), and the tolerances
+    are asserted.  For any other r the |u|^{r-1}-type integrands are not
+    band-limited, their quadrature aliasing tail dominates the tolerances at
+    desk resolutions, and the check runs exploratory: margins are the
+    report, nothing fails.
     """
     exact_power = r == round(r) and round(r) % 2 == 1
+    grid = sampler.grid
+    degree_band = int(r + 1.0) * min(sampler.band_limit, (grid.n_points - 1) // 3)
+    fine = None
+    if exact_power and degree_band >= grid.n_points:
+        fine = TorusGrid(grid.dim, degree_band + 1 + (degree_band + 1) % 2, grid.period)
     margins, seeds = [], []
     for i in range(n_samples):
         u, s = sampler.single(i)
-        i1, i2, i3, mid = dissipation_identity_forms(u, r)
+        i1, i2, i3, mid = dissipation_identity_forms(
+            u if fine is None else embed_modes(u, fine), r)
         scale = max(abs(i1), abs(i2), abs(i3), TINY)
         disagree = max(abs(i1 - i2), abs(i1 - i3), abs(i2 - i3)) / scale
         m_forms = rel_tolerance - disagree
@@ -399,6 +409,8 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
         margins.append(min(m_forms, m_chain))
         seeds.append(s)
     notes = f"forms within {rel_tolerance:g} rel; chain slack {chain_tolerance:g}*scale"
+    if fine is not None:
+        notes += f"; forms on N = {fine.n_points} for exact quadrature"
     if not exact_power:
         notes += ("; non-odd-integer r: composite-power quadrature tail "
                   "reported, not asserted (refine N to shrink)")

@@ -1,16 +1,20 @@
 """Configuration, snapshot format, diagnostics files, and the CLI surface."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cbftorus import cli
 from cbftorus.config import config_from_text, dump_config, load_config
 from cbftorus.errors import ConfigError, SnapshotFormatError
 from cbftorus.families import random_band_limited
+from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams
-from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
+from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
 from cbftorus.solver import DiagnosticsSample, SolverConfig, run
 from cbftorus.spectral import l2_norm
 from cbftorus.verification import CheckReport
@@ -100,6 +104,14 @@ amplitude = 0.5
     assert f is not None and l2_norm(f) > 0
 
 
+def test_kolmogorov_is_forcing_only(tmp_path):
+    text = MINIMAL + "\n[ic]\nfamily = kolmogorov\n"
+    with pytest.raises(ConfigError, match="ic.family"):
+        config_from_text(text)
+    cfg = _write(tmp_path, "kolmogorov_ic.ini", text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_config_analytic_forcing_decays():
     text = MINIMAL + """
 [forcing]
@@ -146,6 +158,85 @@ def test_snapshot_bad_magic_and_truncation(tmp_path, grid32):
     (tmp_path / "cut.snap").write_bytes(good.read_bytes()[:-17])
     with pytest.raises(SnapshotFormatError, match="truncated"):
         read_snapshot_file(tmp_path / "cut.snap")
+
+
+def _snapshot_bytes(tmp_path):
+    field = random_band_limited(TorusGrid(dim=2, n_points=8), seed=36, band_limit=2)
+    path = tmp_path / "small.snap"
+    write_snapshot_file(path, field, 0.5, CbfParams())
+    return path.read_bytes()
+
+
+HUGE_HEADER = MAGIC + struct.pack("<II6d", 3, 2 ** 20, 2 * np.pi, 0.0, 3.0, 1.0,
+                                  0.0, 1.0)
+
+
+@st.composite
+def corrupted_snapshots(draw, good):
+    data = bytearray(good)
+    kind = draw(st.sampled_from(["overwrite", "header", "truncate", "append"]))
+    if kind == "overwrite":
+        start = draw(st.integers(0, len(data) - 1))
+        patch = draw(st.binary(min_size=1, max_size=32))
+        data[start:start + len(patch)] = patch
+    elif kind == "header":
+        # replace one of the eight header fields (two uint32, six float64)
+        i = draw(st.integers(0, 7))
+        if i < 2:
+            start, value = 8 + 4 * i, struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
+        else:
+            start, value = 16 + 8 * (i - 2), struct.pack("<d", draw(st.floats()))
+        data[start:start + len(value)] = value
+    elif kind == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    else:
+        data += draw(st.binary(min_size=1, max_size=64))
+    return bytes(data)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_snapshot_reader_fuzz_raises_only_format_error(tmp_path, data):
+    good = _snapshot_bytes(tmp_path)
+    blob = data.draw(corrupted_snapshots(good))
+    path = tmp_path / "fuzz.snap"
+    path.write_bytes(blob)
+    try:
+        field, t, params = read_snapshot_file(path)
+    except SnapshotFormatError:
+        return
+    assert np.all(np.isfinite(field.coeffs)) and np.isfinite(t)
+
+
+def test_snapshot_bad_values_rejected(tmp_path):
+    good = _snapshot_bytes(tmp_path)
+    header = 8 + struct.calcsize("<II6d")
+    cases = {
+        # 64 bytes that declare 3 * (2^20)^3 coefficients
+        "truncated": HUGE_HEADER,
+        "non-finite header": good[:16] + struct.pack("<d", np.nan) + good[24:],
+        "out of domain": good[:8] + struct.pack("<I", 5) + good[12:],
+        "bad coefficients": good[:header] + struct.pack("<d", np.inf) + good[header + 8:],
+    }
+    # one coefficient without its conjugate partner: not Hermitian
+    broken = bytearray(good)
+    broken[header + 16 * 9:header + 16 * 10] = struct.pack("<2d", 1.0, 0.0)
+    cases["Hermitian"] = bytes(broken)
+    for match, blob in cases.items():
+        path = tmp_path / "bad.snap"
+        path.write_bytes(blob)
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot_file(path)
+
+
+def test_cli_malformed_snapshot_exit_code(tmp_path, capsys):
+    (tmp_path / "huge.snap").write_bytes(HUGE_HEADER)
+    cfg = _write(tmp_path, "snap.ini", "[grid]\ndim = 3\nn = 16\n"
+                 "[ic]\nfamily = snapshot\nsnapshot = huge.snap\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +380,28 @@ amplitude = 1000.0
         status = cli.main(["run", "--config", cfg, "--out", out])
     assert status == 3
     assert os.path.exists(os.path.join(out, "diagnostics.tsv"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflow_exits_as_blowup(tmp_path):
+    text = """
+[grid]
+n = 16
+
+[params]
+r = 12.0
+
+[ic]
+family = random
+band_limit = 4
+amplitude = 1e30
+"""
+    cfg = _write(tmp_path, "overflow.ini", text)
+    out = tmp_path / "overflow_out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    lines = (out / "diagnostics.tsv").read_text().splitlines()
+    assert lines[0].split("\t") == list(DiagnosticsSample.BASE_COLUMNS)
+    assert len(lines) == 2 and float(lines[1].split("\t")[0]) == 0.0
 
 
 VERIFY_INI = """

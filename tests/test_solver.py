@@ -7,6 +7,7 @@ from cbftorus.errors import BlowUpError, InvalidArgumentsError
 from cbftorus.families import (random_band_limited, single_mode, taylor_green,
                                taylor_green_exact)
 from cbftorus.fields import to_physical, zero_field
+from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
 from cbftorus.solver import (Forcing, SolverConfig, apriori_bound,
                              energy_residual, initialize_state, run, step)
@@ -177,6 +178,18 @@ def test_blowup_detected_with_partial_diagnostics(grid32):
             run(ic, params, config)
     assert err.value.last_valid_time >= 0.0
     assert len(err.value.diagnostics) >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_reported_as_blowup():
+    grid = TorusGrid(dim=2, n_points=16)
+    params = CbfParams(mu=1.0, beta=1.0, r=12.0)
+    config = SolverConfig(dt=1e-3, t_end=1e-2)
+    ic = random_band_limited(grid, seed=1, band_limit=4, amplitude=1e30)
+    state = initialize_state(ic, params, config, Forcing.zero())
+    with pytest.raises(BlowUpError, match="non-finite") as err:
+        step(state, params, config, Forcing.zero())
+    assert err.value.last_valid_time == 0.0
 
 
 def test_nonsolenoidal_ic_projected_with_warning(grid32):

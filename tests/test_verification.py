@@ -170,6 +170,16 @@ def test_dissipation_identity_check(grid64, r):
     assert report.passed and not report.exploratory
 
 
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_dissipation_identity_check_at_verify_defaults(grid32, r):
+    # (r+1)*8 >= 32: the forms move to a grid where quadrature is exact
+    sampler = FieldSampler(grid=grid32, seed=42, band_limit=8)
+    report = check_dissipation_identity(sampler, r, 100)
+    assert report.passed and not report.exploratory
+    assert report.worst_margin > 0.99e-6
+    assert f"N = {int(r + 1) * 8 + 2}" in report.notes
+
+
 def test_dissipation_identity_fractional_r_is_exploratory(grid64):
     sampler = FieldSampler(grid=grid64, seed=6, band_limit=8)
     report = check_dissipation_identity(sampler, 3.5, 10)
