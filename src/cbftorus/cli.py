@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import verification as verif
-from .config import RunConfig, all_checks, config_from_text, dump_config, load_config
+from .config import RunConfig, config_from_text, dump_config, load_config
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
 from .families import taylor_green_exact
@@ -118,7 +118,7 @@ def _sampled_context(config: RunConfig, seed_override=None):
     return sampler, v
 
 
-def _run_one_check(name, config: RunConfig, sampler, v, seed):
+def _run_one_check(name, config: RunConfig, sampler, v):
     params = config.params()
     n = v["samples"]
     tol = v["tolerance"]
@@ -157,6 +157,7 @@ def _run_one_check(name, config: RunConfig, sampler, v, seed):
     forcing = config.forcing(grid)
     ic = config.initial_condition(grid)
     if name == "continuous_dependence":
+        seed = sampler.seed
         delta = FieldSampler(grid=grid, seed=seed + 9001,
                              band_limit=v["band_limit"],
                              spectrum_slope=v["slope"],
@@ -175,14 +176,13 @@ def _run_one_check(name, config: RunConfig, sampler, v, seed):
 
 def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     sampler, v = _sampled_context(config, seed_override)
-    seed = sampler.seed
     names = v["checks"]
     if "all" in names:
-        names = all_checks()
+        names = verif.CHECKS
     blocks, failures = [], 0
     for name in names:
         try:
-            report = _run_one_check(name, config, sampler, v, seed)
+            report = _run_one_check(name, config, sampler, v)
         except RegimeError as err:
             blocks.append(f"check {name}\n  status       REGIME-SKIP ({err})")
             continue

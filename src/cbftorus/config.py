@@ -18,14 +18,7 @@ from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
 from .solver import Forcing, SolverConfig
-
-_ALL_CHECKS = (
-    "trilinear", "monotone_shifted", "monotone_critical",
-    "advection_splitting", "local_2d", "damping_monotone",
-    "damping_lipschitz", "mvt", "dissipation_identity", "interpolation",
-    "advection_bounds", "filter", "operator_continuity", "gronwall",
-    "continuous_dependence", "apriori", "regularity",
-)
+from .verification import CHECKS
 
 
 def _positive(x):
@@ -300,7 +293,7 @@ def _cross_validate(config: RunConfig):
         if not os.path.exists(path):
             raise ConfigError(f"forcing.snapshot: path not resolvable: {path!r}")
     for name in config.section("verify")["checks"]:
-        if name != "all" and name not in _ALL_CHECKS:
+        if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
     exps = config.section("verify")["interpolation_exponents"]
     if len(exps) != 3:
@@ -313,7 +306,3 @@ def dump_config(config: RunConfig, path=None) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def all_checks():
-    return _ALL_CHECKS

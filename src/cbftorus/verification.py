@@ -11,7 +11,7 @@ asserted.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,15 @@ from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, l2_norm,
 DEFAULT_TOL = 1e-9
 TINY = 1e-300
 
+# The checks of ``cbftorus verify``, in report order.
+CHECKS = (
+    "trilinear", "monotone_shifted", "monotone_critical",
+    "advection_splitting", "local_2d", "damping_monotone",
+    "damping_lipschitz", "mvt", "dissipation_identity", "interpolation",
+    "advection_bounds", "filter", "operator_continuity", "gronwall",
+    "continuous_dependence", "apriori", "regularity",
+)
+
 
 @dataclass
 class CheckReport:
@@ -42,7 +51,6 @@ class CheckReport:
     tolerance: float = DEFAULT_TOL
     exploratory: bool = False
     notes: str = ""
-    details: list = field(default_factory=list)
 
     def __str__(self):
         status = "EXPLORATORY" if self.exploratory else (
@@ -57,16 +65,29 @@ class CheckReport:
 
 
 def _report(name, margins, seeds, tolerance=DEFAULT_TOL, exploratory=False,
-            notes="", keep_details=False):
+            notes=""):
     worst = int(np.argmin(margins))
-    details = list(zip(seeds, margins)) if keep_details else []
     worst_margin = float(margins[worst])
     return CheckReport(
         name=name, samples=len(margins), worst_margin=worst_margin,
         worst_case_seed=int(seeds[worst]),
         passed=bool(exploratory or worst_margin >= -tolerance),
-        tolerance=tolerance, exploratory=exploratory, notes=notes,
-        details=details)
+        tolerance=tolerance, exploratory=exploratory, notes=notes)
+
+
+def _sampled(name, sampler, n_samples, margin, tolerance, pairs=True, **report):
+    """Report the worst of ``margin`` over samples i = 0..n_samples-1.
+
+    Sample i is ``sampler.pair(i)``, passed as ``margin(u, v, s)``, or with
+    ``pairs=False`` ``sampler.single(i)``, passed as ``margin(u, s)``.  One
+    sample is drawn at a time; ``report`` goes on to :func:`_report`.
+    """
+    margins, seeds = [], []
+    for i in range(n_samples):
+        *fields, s = sampler.pair(i) if pairs else sampler.single(i)
+        margins.append(margin(*fields, s))
+        seeds.append(s)
+    return _report(name, margins, seeds, tolerance, **report)
 
 
 @dataclass(frozen=True)
@@ -74,8 +95,9 @@ class FieldSampler:
     """Deterministic generator of divergence-free band-limited test fields.
 
     ``field_from_seed(s)`` is a pure function of ``s``; sample i of a check
-    uses seeds ``seed + 2i`` and ``seed + 2i + 1``, so the reported
-    worst_case_seed reproduces the failing pair standalone.
+    uses seeds ``seed + 2i`` and ``seed + 2i + 1`` (``pair``), or ``seed + i``
+    (``single``), so the reported worst_case_seed reproduces the failing
+    sample standalone.
     """
 
     grid: TorusGrid
@@ -117,18 +139,15 @@ def _damping_pairing(u_phys, v_phys, r, cell_volume):
 def check_trilinear(sampler: FieldSampler, n_samples: int = 100,
                     tolerance: float = 1e-10) -> CheckReport:
     """b(u,v,v) = 0, b(u,v,w) = -b(u,w,v), <B(u),u> = 0 for solenoidal u."""
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         w = sampler.field_from_seed(s + n_samples * 2 + 17)
         scale = (l2_norm(u) * grad_norm(v) * (l2_norm(v) + l2_norm(w)) + TINY)
         worst = max(abs(advection_form(u, v, v)),
                     abs(advection_form(u, v, w) + advection_form(u, w, v)),
                     abs(l2_pairing(advection(u), u)))
-        margins.append(-worst / scale)
-        seeds.append(s)
-    return _report("trilinear", margins, seeds, tolerance,
-                   notes="antisymmetry and energy neutrality of advection")
+        return -worst / scale
+    return _sampled("trilinear", sampler, n_samples, margin, tolerance,
+                    notes="antisymmetry and energy neutrality of advection")
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +175,13 @@ def check_monotone_shifted(sampler: FieldSampler, params: CbfParams,
     if params.r <= 3.0:
         raise RegimeError("shifted monotonicity requires r > 3")
     rho = monotonicity_shift(params)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         delta, pairing, scale = _pair_quantities(u, v, params)
         m = (pairing + rho * l2_norm(delta) ** 2
              - 0.5 * params.mu * grad_norm(delta) ** 2)
-        margins.append(m / scale)
-        seeds.append(s)
-    return _report("monotone_shifted", margins, seeds, tolerance,
-                   notes=f"rho = {rho:.6g}")
+        return m / scale
+    return _sampled("monotone_shifted", sampler, n_samples, margin, tolerance,
+                    notes=f"rho = {rho:.6g}")
 
 
 def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
@@ -181,19 +197,16 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
     exploratory = 2.0 * params.beta * params.mu < 1.0
     coeff = 0.5 * (params.beta - 1.0 / (2.0 * params.mu))
     cell = sampler.grid.cell_volume
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         delta, pairing, scale = _pair_quantities(u, v, params)
         v_mag = to_physical(v).magnitude()
         d_phys = to_physical(delta).data
         lower = coeff * _weighted_l2_sq(v_mag, d_phys, cell, 1.0)
-        margins.append((pairing - lower) / scale)
-        seeds.append(s)
+        return (pairing - lower) / scale
     notes = "2*beta*mu < 1: no proven bound, margins reported only" \
         if exploratory else f"lower-bound coefficient {coeff:.6g}"
-    return _report("monotone_critical", margins, seeds, tolerance,
-                   exploratory=exploratory, notes=notes)
+    return _sampled("monotone_critical", sampler, n_samples, margin, tolerance,
+                    exploratory=exploratory, notes=notes)
 
 
 def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
@@ -208,9 +221,7 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
         raise RegimeError("advection splitting bound requires r > 3")
     rho = monotonicity_shift(params)
     cell = sampler.grid.cell_volume
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
         v_mag = to_physical(v).magnitude()
@@ -219,9 +230,8 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
                + 0.5 * params.beta
                * _weighted_l2_sq(v_mag, d_phys, cell, 0.5 * (params.r - 1.0))
                + rho * l2_norm(delta) ** 2)
-        margins.append((rhs - lhs) / (rhs + lhs + TINY))
-        seeds.append(s)
-    return _report("advection_splitting", margins, seeds, tolerance)
+        return (rhs - lhs) / (rhs + lhs + TINY)
+    return _sampled("advection_splitting", sampler, n_samples, margin, tolerance)
 
 
 def check_local_bound_2d(sampler: FieldSampler, mu: float,
@@ -233,17 +243,14 @@ def check_local_bound_2d(sampler: FieldSampler, mu: float,
     """
     if sampler.grid.dim != 2:
         raise RegimeError("local bound check is 2D only")
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
         rhs = (0.5 * mu * grad_norm(delta) ** 2
                + 27.0 / (16.0 * mu ** 3) * lp_norm(v, 4) ** 4
                * l2_norm(delta) ** 2)
-        margins.append((rhs - lhs) / (rhs + lhs + TINY))
-        seeds.append(s)
-    return _report("local_2d", margins, seeds, tolerance)
+        return (rhs - lhs) / (rhs + lhs + TINY)
+    return _sampled("local_2d", sampler, n_samples, margin, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +267,7 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
     """
     cell = sampler.grid.cell_volume
     expo = 0.5 * (r - 1.0)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         u_phys = to_physical(u).data
         v_phys = to_physical(v).data
         d_phys = u_phys - v_phys
@@ -270,9 +275,8 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
         rhs = 0.5 * (_weighted_l2_sq(magnitude(u_phys), d_phys, cell, expo)
                      + _weighted_l2_sq(magnitude(v_phys), d_phys, cell, expo))
         scale = abs(pairing) + rhs + TINY
-        margins.append(min(pairing - rhs, pairing) / scale)
-        seeds.append(s)
-    return _report("damping_monotone", margins, seeds, tolerance)
+        return min(pairing - rhs, pairing) / scale
+    return _sampled("damping_monotone", sampler, n_samples, margin, tolerance)
 
 
 def check_damping_lipschitz(sampler: FieldSampler, r: float,
@@ -283,18 +287,15 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
     <C(u)-C(v), u-v> <= r (||u||_{r+1} + ||v||_{r+1})^{r-1} ||u-v||_{r+1}^2.
     """
     cell = sampler.grid.cell_volume
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         u_phys = to_physical(u).data
         v_phys = to_physical(v).data
         pairing = _damping_pairing(u_phys, v_phys, r, cell)
         diff_lp = float(np.sum(magnitude(u_phys - v_phys) ** (r + 1.0))
                         * cell) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
-        margins.append((rhs - pairing) / (abs(pairing) + rhs + TINY))
-        seeds.append(s)
-    return _report("damping_lipschitz", margins, seeds, tolerance)
+        return (rhs - pairing) / (abs(pairing) + rhs + TINY)
+    return _sampled("damping_lipschitz", sampler, n_samples, margin, tolerance)
 
 
 def check_pointwise_mvt(sampler: FieldSampler, r: float,
@@ -305,17 +306,14 @@ def check_pointwise_mvt(sampler: FieldSampler, r: float,
     | |y|^{r-1}y - |z|^{r-1}z | <= r (|y| + |z|)^{r-1} |y - z| at every
     grid point of each sampled pair.
     """
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         y = to_physical(u).data
         z = to_physical(v).data
         lhs = magnitude(damping_pointwise(y, r) - damping_pointwise(z, r))
         rhs = r * (magnitude(y) + magnitude(z)) ** (r - 1.0) * magnitude(y - z)
         scale = float(np.max(rhs)) + TINY
-        margins.append(float(np.min(rhs - lhs)) / scale)
-        seeds.append(s)
-    return _report("pointwise_mvt", margins, seeds, tolerance)
+        return float(np.min(rhs - lhs)) / scale
+    return _sampled("pointwise_mvt", sampler, n_samples, margin, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +393,7 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
     fine = None
     if exact_power and degree_band >= grid.n_points:
         fine = TorusGrid(grid.dim, degree_band + 1 + (degree_band + 1) % 2, grid.period)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, s = sampler.single(i)
+    def margin(u, s):
         i1, i2, i3, mid = dissipation_identity_forms(
             u if fine is None else embed_modes(u, fine), r)
         scale = max(abs(i1), abs(i2), abs(i3), TINY)
@@ -406,16 +402,15 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
         chain_scale = r * mid + abs(i1) + TINY
         m_chain = (min(mid, i1 - mid, r * mid - i1) / chain_scale
                    + chain_tolerance)
-        margins.append(min(m_forms, m_chain))
-        seeds.append(s)
+        return min(m_forms, m_chain)
     notes = f"forms within {rel_tolerance:g} rel; chain slack {chain_tolerance:g}*scale"
     if fine is not None:
         notes += f"; forms on N = {fine.n_points} for exact quadrature"
     if not exact_power:
         notes += ("; non-odd-integer r: composite-power quadrature tail "
                   "reported, not asserted (refine N to shrink)")
-    return _report("dissipation_identity", margins, seeds, tolerance=0.0,
-                   exploratory=not exact_power, notes=notes)
+    return _sampled("dissipation_identity", sampler, n_samples, margin, 0.0,
+                    pairs=False, exploratory=not exact_power, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +428,13 @@ def check_interpolation(sampler: FieldSampler, s_exp: float, rho_exp: float,
         theta = 0.5
     else:
         theta = (1.0 / rho_exp - 1.0 / t_exp) / (1.0 / s_exp - 1.0 / t_exp)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, s = sampler.single(i)
+    def margin(u, s):
         lhs = lp_norm(u, rho_exp)
         rhs = lp_norm(u, s_exp) ** theta * lp_norm(u, t_exp) ** (1.0 - theta)
-        margins.append((rhs - lhs) / (rhs + TINY))
-        seeds.append(s)
-    return _report(f"interpolation_{s_exp:g}_{rho_exp:g}_{t_exp:g}",
-                   margins, seeds, tolerance, notes=f"theta = {theta:.6g}")
+        return (rhs - lhs) / (rhs + TINY)
+    return _sampled(f"interpolation_{s_exp:g}_{rho_exp:g}_{t_exp:g}", sampler,
+                    n_samples, margin, tolerance, pairs=False,
+                    notes=f"theta = {theta:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +454,7 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
     if r < 3.0:
         raise RegimeError("advection bounds require r >= 3")
     q = 2.0 * (r + 1.0) / (r - 1.0)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, v, s = sampler.pair(i)
+    def margin(u, v, s):
         w = sampler.field_from_seed(s + n_samples * 2 + 31)
         ms = []
         lhs = dual_norm(advection(u, v))
@@ -477,10 +468,9 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
             rhs = (lp_norm(u, r + 1.0) ** ((r + 1.0) / (r - 1.0))
                    * l2_norm(u) ** ((r - 3.0) / (r - 1.0)) * grad_norm(v))
             ms.append((rhs * (1.0 + tolerance) - lhs) / (rhs + TINY))
-        margins.append(min(ms))
-        seeds.append(s)
-    return _report("advection_bounds", margins, seeds, tolerance=0.0,
-                   notes=f"relative slack {tolerance:g} folded into margins")
+        return min(ms)
+    return _sampled("advection_bounds", sampler, n_samples, margin, 0.0,
+                    notes=f"relative slack {tolerance:g} folded into margins")
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +489,7 @@ def check_filter_props(sampler: FieldSampler, n_values,
     grid = sampler.grid
     lam_max = float((2.0 * np.pi / grid.period) ** 2
                     * grid.dim * sampler.band_limit ** 2)
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, s = sampler.single(i)
+    def margin(u, s):
         norm_u = l2_norm(u)
         residuals = []
         ms = []
@@ -513,10 +501,9 @@ def check_filter_props(sampler: FieldSampler, n_values,
             ms.append((a - b) / (norm_u + TINY))
         bound = lam_max / n_values[-1] * norm_u
         ms.append((bound - residuals[-1]) / (bound + TINY))
-        margins.append(min(ms))
-        seeds.append(s)
-    return _report("filter", margins, seeds, tolerance,
-                   notes=f"n values {n_values}, band eigenvalue {lam_max:g}")
+        return min(ms)
+    return _sampled("filter", sampler, n_samples, margin, tolerance, pairs=False,
+                    notes=f"n values {n_values}, band eigenvalue {lam_max:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +520,16 @@ def check_operator_continuity(sampler: FieldSampler, params: CbfParams,
     directions w (difference-to-eps ratio stays within 3x of its large-eps
     value and the difference itself decreases monotonically).
     """
-    margins, seeds = [], []
-    for i in range(n_samples):
-        u, w, s = sampler.pair(i)
+    def margin(u, w, s):
         gu = cbf_operator(u, params)
         diffs = [l2_norm(cbf_operator(u + eps * w, params) - gu)
                  for eps in eps_values]
         ratios = [d / eps for d, eps in zip(diffs, eps_values)]
         ms = [(a - b) / (diffs[0] + TINY) for a, b in zip(diffs, diffs[1:])]
         ms.append((3.0 * ratios[0] - max(ratios)) / (ratios[0] + TINY))
-        margins.append(min(ms))
-        seeds.append(s)
-    return _report("operator_continuity", margins, seeds, tolerance,
-                   notes=f"eps ladder {list(eps_values)}")
+        return min(ms)
+    return _sampled("operator_continuity", sampler, n_samples, margin, tolerance,
+                    notes=f"eps ladder {list(eps_values)}")
 
 
 # ---------------------------------------------------------------------------
