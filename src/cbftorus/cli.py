@@ -199,6 +199,13 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
+def _taylor_green_error(state, params):
+    """Max pointwise error against the Taylor-Green closed form, relative."""
+    exact = taylor_green_exact(state.u.grid, params.mu, state.t)
+    num = to_physical(state.u)
+    return np.max(np.abs(num.data - exact.data)) / np.max(np.abs(exact.data))
+
+
 def _convergence_errors_dt(config: RunConfig, metric, dts):
     grid = config.grid()
     params = config.params()
@@ -213,10 +220,7 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
         if metric == "taylor_green":
             if params.beta != 0.0 or params.alpha != 0.0:
                 raise ConfigError("taylor_green metric needs beta = alpha = 0")
-            exact = taylor_green_exact(grid, params.mu, state.t)
-            num = to_physical(state.u)
-            err = (np.max(np.abs(num.data - exact.data))
-                   / np.max(np.abs(exact.data)))
+            err = _taylor_green_error(state, params)
         elif metric == "single_mode":
             if params.beta != 0.0:
                 raise ConfigError("single_mode metric needs beta = 0")
@@ -353,9 +357,7 @@ def cmd_taylor_green(out_dir) -> int:
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     write_snapshot_file(os.path.join(out, "final_state.snap"),
                         state.u, state.t, params)
-    exact = taylor_green_exact(grid, params.mu, state.t)
-    num = to_physical(state.u)
-    err = np.max(np.abs(num.data - exact.data)) / np.max(np.abs(exact.data))
+    err = _taylor_green_error(state, params)
     print(f"taylor-green max pointwise relative error at t={state.t:g}: {err:.3e}")
     print(f"outputs in {out}")
     return EXIT_OK

@@ -183,14 +183,18 @@ class RunConfig:
         # kolmogorov, a [forcing] family only: its mode is one integer
         return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
 
+    def _snapshot_field(self, section, grid):
+        path = self._resolve(self.section(section)["snapshot"])
+        field, _, _ = read_snapshot_file(path)
+        if not field.grid.compatible(grid):
+            raise ConfigError(f"{section}.snapshot grid does not match [grid]")
+        return field
+
     def initial_condition(self, grid=None):
         grid = grid if grid is not None else self.grid()
         spec = self.section("ic")
         if spec["family"] == "snapshot":
-            field, _, _ = read_snapshot_file(self._resolve(spec["snapshot"]))
-            if not field.grid.compatible(grid):
-                raise ConfigError("ic.snapshot grid does not match [grid]")
-            return field
+            return self._snapshot_field("ic", grid)
         return self._family_field(grid, spec)
 
     def forcing(self, grid=None) -> Forcing:
@@ -199,9 +203,7 @@ class RunConfig:
         if spec["kind"] == "zero":
             return Forcing.zero()
         if spec["snapshot"]:
-            base, _, _ = read_snapshot_file(self._resolve(spec["snapshot"]))
-            if not base.grid.compatible(grid):
-                raise ConfigError("forcing.snapshot grid does not match [grid]")
+            base = self._snapshot_field("forcing", grid)
         else:
             base = self._family_field(grid, spec)
         if spec["kind"] == "steady":

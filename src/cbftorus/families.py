@@ -14,13 +14,7 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
     Divergence-free; under pure viscous decay it evolves as
     amplitude * e^{-2 mu t} on the unit torus scale 2*pi/L.
     """
-    scale = TWO_PI / grid.period
-    mesh = grid.meshgrid()
-    x, y = mesh[0] * scale, mesh[1] * scale
-    data = np.zeros((grid.dim,) + grid.shape)
-    data[0] = amplitude * np.cos(x) * np.sin(y)
-    data[1] = -amplitude * np.sin(x) * np.cos(y)
-    field = to_spectral(PhysicalField(grid, data))
+    field = to_spectral(taylor_green_exact(grid, 0.0, 0.0, amplitude))
     return SpectralField(grid, field.coeffs, divergence_free=True)
 
 

@@ -93,8 +93,13 @@ class SpectralField:
         return defect
 
     def scale(self):
-        """Coefficient magnitude used to normalize tolerances."""
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+        """Coefficient norm ||c||_2 used to normalize tolerances, summed
+        relative to the peak |c|: squares of |c| > 1e154 would overflow."""
+        mags = np.abs(self.coeffs)
+        peak = float(np.max(mags))
+        if peak == 0.0:
+            return 0.0
+        return peak * float(np.sqrt(np.sum((mags / peak) ** 2)))
 
     def replace(self, coeffs, divergence_free=None):
         if divergence_free is None:

@@ -135,5 +135,5 @@ class TorusGrid:
         return np.conj(coeffs[self._reflect_index])
 
     def compatible(self, other):
-        return (self.dim == other.dim and self.n_points == other.n_points
-                and np.isclose(self.period, other.period, rtol=0, atol=0))
+        """Same dimension, resolution and (finite, so exactly equal) period."""
+        return self == other

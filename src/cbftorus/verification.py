@@ -194,7 +194,7 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
     """
     if params.r != 3.0:
         raise RegimeError("critical monotonicity requires r = 3")
-    exploratory = 2.0 * params.beta * params.mu < 1.0
+    exploratory = not params.critical_regime
     coeff = 0.5 * (params.beta - 1.0 / (2.0 * params.mu))
     cell = sampler.grid.cell_volume
     def margin(u, v, s):
@@ -651,7 +651,7 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
     """
     if params.r > 3.0:
         rho = monotonicity_shift(params)
-    elif params.r == 3.0 and 2.0 * params.beta * params.mu >= 1.0:
+    elif params.critical_regime:
         rho = 0.0
     else:
         raise RegimeError("continuous dependence is proven for r > 3, or "

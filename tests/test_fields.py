@@ -9,7 +9,8 @@ from cbftorus.errors import InvalidFieldError, SymmetryError
 from cbftorus.families import random_band_limited, single_mode
 from cbftorus.fields import (PhysicalField, SpectralField, to_physical,
                              to_spectral, zero_field)
-from cbftorus.grid import TorusGrid
+from cbftorus.grid import TWO_PI, TorusGrid
+from cbftorus.spectral import divergence_defect
 
 
 def test_constant_field_is_mean_mode_only(grid32):
@@ -83,6 +84,29 @@ def test_broken_hermitian_symmetry_rejected(grid32):
     field = SpectralField(grid32, coeffs)
     with pytest.raises(SymmetryError):
         to_physical(field)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_coefficient_keeps_a_finite_scale():
+    # |c|^2 overflows above about 1e154; an infinite scale would let the
+    # symmetry and divergence checks pass any field.
+    grid = TorusGrid(dim=2, n_points=8)
+    coeffs = np.zeros((2,) + grid.shape, dtype=complex)
+    coeffs[0][1, 2] = 1e200  # no conjugate partner, and k . u_hat != 0
+    field = SpectralField(grid, coeffs)
+    assert field.scale() == 1e200
+    with pytest.raises(SymmetryError):
+        to_physical(field)
+    assert divergence_defect(field) > 0.5
+
+
+def test_grid_compatibility_is_exact():
+    grid = TorusGrid(dim=2, n_points=16)
+    assert grid.compatible(TorusGrid(dim=2, n_points=16, period=TWO_PI))
+    assert not grid.compatible(TorusGrid(dim=2, n_points=16,
+                                         period=np.nextafter(TWO_PI, 7.0)))
+    assert not grid.compatible(TorusGrid(dim=3, n_points=16))
+    assert not grid.compatible(TorusGrid(dim=2, n_points=18))
 
 
 def test_non_finite_samples_rejected(grid32):

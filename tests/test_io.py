@@ -224,6 +224,9 @@ def test_snapshot_bad_values_rejected(tmp_path):
     broken = bytearray(good)
     broken[header + 16 * 9:header + 16 * 10] = struct.pack("<2d", 1.0, 0.0)
     cases["Hermitian"] = bytes(broken)
+    # the same at 1e200, whose square overflows a plain coefficient norm
+    broken[header + 16 * 9:header + 16 * 10] = struct.pack("<2d", 1e200, 0.0)
+    cases["Hermitian symmetry"] = bytes(broken)
     for match, blob in cases.items():
         path = tmp_path / "bad.snap"
         path.write_bytes(blob)

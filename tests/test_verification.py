@@ -1,11 +1,15 @@
 """Verification harness: samplers, reports, checks, and envelope lemmas."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cbftorus.errors import (ConfigError, InvalidArgumentsError, RegimeError)
 from cbftorus.families import random_band_limited, single_mode
-from cbftorus.fields import to_physical, zero_field
+from cbftorus.fields import zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator, monotonicity_shift
 from cbftorus.solver import Forcing, SolverConfig, run
@@ -46,6 +50,12 @@ def test_sampler_deterministic_and_solenoidal(grid32):
     assert l2_norm(a) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_readme_lists_the_checks_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Verification check names:", 1)[1].split(".", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == verif.CHECKS
+
+
 def test_report_pass_rule():
     good = CheckReport("x", 3, -5e-10, 0, passed=True, tolerance=1e-9)
     assert good.passed == (good.worst_margin >= -good.tolerance)
@@ -53,18 +63,33 @@ def test_report_pass_rule():
     assert "worst_seed   7" in text and "PASS" in text
 
 
-def test_worst_seed_reproduces_sample(sampler32):
-    report = check_damping_monotone(sampler32, 5.0, 40)
-    s = report.worst_case_seed
-    u = sampler32.field_from_seed(s)
-    v = sampler32.field_from_seed(s + 1)
-    # recompute the margin for that pair through the public surface
-    from cbftorus.operators import damping_pointwise
-    cell = sampler32.grid.cell_volume
-    up, vp = to_physical(u).data, to_physical(v).data
-    pairing = float(np.sum((damping_pointwise(up, 5.0)
-                            - damping_pointwise(vp, 5.0)) * (up - vp)) * cell)
-    assert pairing > 0  # strong monotonicity at the worst sample still holds
+_R4 = CbfParams(mu=0.5, beta=1.0, r=4.0)
+_R3 = CbfParams(mu=1.0, beta=1.0, r=3.0)
+
+# Every sampled check whose fields depend only on the sample's seeds
+# (trilinear and advection_bounds also draw a third field offset by n_samples).
+SEED_ONLY_CHECKS = {
+    "monotone_shifted": lambda s, n: check_monotone_shifted(s, _R4, n),
+    "monotone_critical": lambda s, n: check_monotone_critical(s, _R3, n),
+    "advection_splitting": lambda s, n: check_advection_splitting(s, _R4, n),
+    "local_2d": lambda s, n: check_local_bound_2d(s, 0.5, n),
+    "damping_monotone": lambda s, n: check_damping_monotone(s, 5.0, n),
+    "damping_lipschitz": lambda s, n: check_damping_lipschitz(s, 3.5, n),
+    "mvt": lambda s, n: check_pointwise_mvt(s, 3.5, n),
+    "dissipation_identity": lambda s, n: check_dissipation_identity(s, 3.0, n),
+    "interpolation": lambda s, n: check_interpolation(s, 2.0, 4.0, 6.0, n),
+    "filter": lambda s, n: check_filter_props(s, (1, 10, 100), n),
+    "operator_continuity": lambda s, n: check_operator_continuity(s, _R4, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ONLY_CHECKS))
+def test_worst_seed_reproduces_sample(sampler32, name):
+    check = SEED_ONLY_CHECKS[name]
+    report = check(sampler32, 12)
+    alone = check(replace(sampler32, seed=report.worst_case_seed), 1)
+    assert report.samples == 12 and alone.samples == 1
+    assert alone.worst_margin == report.worst_margin
 
 
 # ---------------------------------------------------------------------------
