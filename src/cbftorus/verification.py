@@ -97,7 +97,8 @@ class FieldSampler:
     ``field_from_seed(s)`` is a pure function of ``s``; sample i of a check
     uses seeds ``seed + 2i`` and ``seed + 2i + 1`` (``pair``), or ``seed + i``
     (``single``), so the reported worst_case_seed reproduces the failing
-    sample standalone.
+    sample standalone (trilinear and advection_bounds excepted: their third
+    field's seed also depends on n_samples).
     """
 
     grid: TorusGrid
