@@ -54,7 +54,8 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     Modes fill the index box 0 < max|m_i| <= band_limit; the mean mode is
     excluded so samples are mean-free.  The result is Leray-projected (unless
     ``project=False``), dealiased (which removes nothing when band_limit <=
-    (N-1)//3), and normalized so its L2 norm equals ``amplitude``.
+    (N-1)//3), and normalized so its L2 norm equals ``amplitude``.  ``seed``
+    is an integer or a ``numpy.random.SeedSequence``.
     """
     if band_limit < 1 or band_limit > grid.n_points // 2:
         raise InvalidArgumentsError("band_limit must be in [1, N/2]")

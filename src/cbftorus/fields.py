@@ -8,7 +8,9 @@ Spectral coefficients follow the convention u(x) = sum_m u_hat(m) e^{i k_m.x}
 with k_m = 2*pi*m/L, i.e. ``fftn(samples) / N^d``.  Real-valued fields then
 satisfy the Hermitian symmetry u_hat(-m) = conj(u_hat(m)), which
 :func:`to_physical` enforces before inverting.  Transforms are real, on the
-half spectrum (last-axis modes 0..N/2); fields store the full array.
+half spectrum (last-axis modes 0..N/2), where the solver also keeps its
+state; a :class:`SpectralField` stores the full array, which
+:func:`hermitian_expand` rebuilds from the half.
 """
 
 from dataclasses import dataclass
@@ -101,6 +103,27 @@ class SpectralField:
             return 0.0
         return peak * float(np.sqrt(np.sum((mags / peak) ** 2)))
 
+    @classmethod
+    def from_half(cls, grid, half, divergence_free=False):
+        """Exactly Hermitian field of half-spectrum coefficients (ncomp, N,
+        ..., N/2+1).  Columns 0 and N/2, each its own mirror image, are
+        replaced by their Hermitian parts (c + conj(c(-m)))/2; the other
+        columns are mirrored.  Raises :class:`InvalidFieldError` unless the
+        half is finite, and then skips the scan of the full array, whose
+        entries are all finite."""
+        if not np.all(np.isfinite(half)):
+            raise InvalidFieldError("non-finite coefficients")
+        full = hermitian_expand(half, grid)
+        axes = tuple(range(-grid.dim + 1, 0))
+        for j in (0, grid.n_points // 2):
+            column = full[..., j]
+            column[...] = 0.5 * (column + _conj_mirror(column, axes))
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "coeffs", _freeze(full))
+        object.__setattr__(field, "divergence_free", divergence_free)
+        return field
+
     def replace(self, coeffs, divergence_free=None):
         if divergence_free is None:
             divergence_free = self.divergence_free
@@ -125,9 +148,14 @@ class SpectralField:
         return self * -1.0
 
 
+def squared_magnitude(data: np.ndarray) -> np.ndarray:
+    """Pointwise |u|^2 summed over the leading (component) axis."""
+    return np.sum(data * data, axis=0)
+
+
 def magnitude(data: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm over the leading (component) axis."""
-    return np.sqrt(np.sum(data * data, axis=0))
+    return np.sqrt(squared_magnitude(data))
 
 
 def require_same_grid(a, b):
@@ -157,16 +185,19 @@ def real_forward(samples, grid):
     return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
+def _conj_mirror(a, axes, out=None):
+    """conj(a(-m)) over ``axes``, -m mod N: a flip followed by a roll by one."""
+    return np.conjugate(np.roll(np.flip(a, axis=axes), 1, axis=axes), out=out)
+
+
 def hermitian_expand(half, grid):
     """Full spectrum from its half by u_hat(-m) = conj(u_hat(m)), -m mod N."""
     n, h = grid.n_points, grid.n_points // 2 + 1
-    axes = tuple(range(-grid.dim, -1))
     full = np.empty(half.shape[:-1] + (n,), dtype=complex)
     full[..., :h] = half
-    # Column j > N/2 is conj(column N - j) at -i mod N on the other axes,
-    # which is a flip followed by a roll by one.
-    tail = np.flip(half[..., 1:n - h + 1], axis=(*axes, -1))
-    np.conjugate(np.roll(tail, 1, axis=axes), out=full[..., h:])
+    # Column j > N/2 is conj(column N - j) mirrored on the other axes.
+    _conj_mirror(np.flip(half[..., 1:n - h + 1], axis=-1),
+                 tuple(range(-grid.dim, -1)), out=full[..., h:])
     return full
 
 

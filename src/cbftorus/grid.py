@@ -4,7 +4,9 @@ A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
 the torus and precomputes everything the spectral operators need: integer
 mode indices, derivative wavenumbers (with the unmatched Nyquist mode zeroed
 so that ik*u_hat stays Hermitian-symmetric), the squared-wavenumber
-multiplier of the Stokes operator, and the 2/3-rule dealiasing mask.
+multiplier of the Stokes operator, and the 2/3-rule dealiasing mask; and, for
+the solver, the same multipliers on the half spectrum (last-axis modes
+0..N/2) with the Plancherel weights of its columns.
 """
 
 from dataclasses import dataclass
@@ -123,6 +125,38 @@ class TorusGrid:
         floor(N/3) breaks this when 3 divides N.
         """
         return self.mode_inf_norm <= (self.n_points - 1) // 3
+
+    def _half(self, multiplier):
+        """Contiguous copy of a multiplier's last-axis modes 0..N/2."""
+        return np.ascontiguousarray(multiplier[..., :self.n_points // 2 + 1])
+
+    @cached_property
+    def half_wavenumbers(self):
+        """:attr:`wavenumbers` on the half spectrum."""
+        return tuple(self._half(k) for k in self.wavenumbers)
+
+    @cached_property
+    def half_k_squared(self):
+        return self._half(self.k_squared)
+
+    @cached_property
+    def half_inv_k_squared(self):
+        return self._half(self.inv_k_squared)
+
+    @cached_property
+    def plancherel_weights(self):
+        """Weight of each half-spectrum column in a Plancherel sum over the
+        full spectrum: 2 on columns 1..N/2-1, whose mirror images -m are not
+        stored, and 1 on columns 0 and N/2, which are their own mirrors."""
+        weights = np.full(self.n_points // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        return weights
+
+    @cached_property
+    def half_band_masks(self):
+        """Half-spectrum band masks by their arguments, filled once each by
+        ``spectral.half_band_mask``."""
+        return {}
 
     @cached_property
     def _reflect_index(self):

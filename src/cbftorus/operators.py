@@ -10,18 +10,22 @@ Leray-projected advection and C_r the projected pointwise damping
 products, forward transform, 2/3-rule dealiasing, then Leray projection, the
 last three on the half spectrum in one place.  :func:`nonlinear_term` is the
 one kernel that the solver, :func:`cbf_operator` and :func:`recover_pressure`
-share; :func:`advection` and :func:`damping` end in the same forward tail.
+share; it takes and returns half-spectrum coefficients, so only the last two
+expand to the full array.  :func:`advection` and :func:`damping` end in the
+same forward tail.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, NotApplicableError)
-from .fields import (SpectralField, half_spectrum, hermitian_expand, magnitude,
-                     real_forward, real_inverse, require_same_grid, to_physical)
-from .spectral import (band_mask, dealias, divergence, divergence_defect,
+from .fields import (SpectralField, half_spectrum, hermitian_expand,
+                     real_forward, real_inverse, require_same_grid,
+                     squared_magnitude, to_physical)
+from .spectral import (dealias, divergence_defect, half_band_mask,
                        project_coeffs)
 
 DIV_FREE_TOL = 1e-10
@@ -74,17 +78,36 @@ def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
     return np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0)
 
 
+def damping_weight(u_sq: np.ndarray, r: float) -> np.ndarray:
+    """|u|^{r-1} = (|u|^2)^{(r-1)/2} from samples of |u|^2, 0 where u = 0."""
+    return pointwise_power(u_sq, 0.5 * (r - 1.0))
+
+
+class Samples(NamedTuple):
+    """u on the grid with |u|^2 and the damping weight |u|^{r-1} there."""
+
+    phys: np.ndarray
+    sq: np.ndarray
+    weight: np.ndarray
+
+
+def pointwise_samples(u_phys: np.ndarray, r: float) -> Samples:
+    """Form |u|^2 once, and the weight from it."""
+    u_sq = squared_magnitude(u_phys)
+    return Samples(u_phys, u_sq, damping_weight(u_sq, r))
+
+
 def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
     """|u|^{r-1} u evaluated on samples, with |u|^{r-1}u := 0 where u = 0."""
     if r < 1:
         raise InvalidExponentError(f"r must be >= 1, got {r}")
-    return pointwise_power(magnitude(data), r - 1.0) * data
+    return damping_weight(squared_magnitude(data), r) * data
 
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
     """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
     return _spectral_term(damping_pointwise(to_physical(u).data, r), u.grid,
-                          band_mask(u.grid, apply_dealias))
+                          half_band_mask(u.grid, apply_dealias))
 
 
 def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
@@ -92,13 +115,9 @@ def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
     return np.einsum("i...,ji...->j...", u_phys, v_jac_phys)
 
 
-def _half_wavenumbers(grid):
-    return [half_spectrum(k, grid) for k in grid.wavenumbers]
-
-
 def _jacobian_samples(half, grid):
     """Samples of the partial derivatives of half-spectrum coefficients."""
-    k = _half_wavenumbers(grid)
+    k = grid.half_wavenumbers
     return real_inverse(np.stack([np.stack([1j * ka * c for ka in k])
                                   for c in half]), grid)
 
@@ -110,7 +129,7 @@ def physical_jacobian(v: SpectralField) -> np.ndarray:
 
 def _rotational_samples(half, u_phys, grid):
     """omega x u on samples, omega = curl u (its z-component alone in 2D)."""
-    k = _half_wavenumbers(grid)
+    k = grid.half_wavenumbers
 
     def curl(i, j):
         return 1j * (k[i] * half[j] - k[j] * half[i])
@@ -124,44 +143,49 @@ def _rotational_samples(half, u_phys, grid):
                      w[0] * u_phys[1] - w[1] * u_phys[0]])
 
 
-def _spectral_term(samples, grid, mask, project=True):
-    """Field of the samples' coefficients restricted to ``mask`` (a
-    :func:`band_mask`) and Leray-projected, all on the half spectrum."""
+def _forward_half(samples, grid, mask, project=True):
+    """Half-spectrum coefficients of the samples, restricted to ``mask`` (a
+    :func:`half_band_mask`) and Leray-projected."""
     if project and len(samples) != grid.dim:
         raise InvalidArgumentsError("Leray projection needs a vector field")
     out = real_forward(samples, grid)
     if mask is not None:
-        out = out * half_spectrum(mask, grid)
+        out = out * mask
     if project:
-        out = project_coeffs(out, _half_wavenumbers(grid),
-                             half_spectrum(grid.inv_k_squared, grid))
-    return SpectralField(grid, hermitian_expand(out, grid), divergence_free=project)
+        out = project_coeffs(out, grid.half_wavenumbers, grid.half_inv_k_squared)
+    return out
 
 
-def nonlinear_term(u: SpectralField, params: CbfParams,
+def _spectral_term(samples, grid, mask, project=True):
+    """:func:`_forward_half` expanded to a full-array field."""
+    return SpectralField(grid, hermitian_expand(
+        _forward_half(samples, grid, mask, project), grid), divergence_free=project)
+
+
+def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
                    apply_dealias: bool = True, galerkin_n: int = 0,
                    galerkin_shape: str = "box", project: bool = True,
-                   u_phys: np.ndarray = None):
-    """(B(u) + beta*C_r(u), samples of u), both on the band of
-    :func:`band_mask`; pass ``u_phys`` when those samples are known.
+                   samples: Samples = None):
+    """(B(u) + beta*C_r(u), :class:`Samples` of u) for the u of half-spectrum
+    coefficients ``half``, both on the band of :func:`half_band_mask`; the result
+    is half-spectrum coefficients too.  Pass ``samples`` when they are known;
+    u must then lie in the band already.
 
     Projected and dealiased, advection takes the rotational form omega x u,
     equal to (u.grad)u up to grad(|u|^2/2), which the projection removes;
-    otherwise the convective form.  Only the result leaves the half spectrum.
+    otherwise the convective form.
     """
-    grid = u.grid
-    mask = band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
-    half = half_spectrum(u.coeffs, grid)
-    if mask is not None:
-        half = half * half_spectrum(mask, grid)
-    if u_phys is None:
-        u_phys = real_inverse(half, grid)
+    mask = half_band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
+    if samples is None:
+        if mask is not None:
+            half = half * mask
+        samples = pointwise_samples(real_inverse(half, grid), params.r)
     if apply_dealias and project:
-        term = _rotational_samples(half, u_phys, grid)
+        term = _rotational_samples(half, samples.phys, grid)
     else:
-        term = advect_samples(u_phys, _jacobian_samples(half, grid))
-    term = term + params.beta * damping_pointwise(u_phys, params.r)
-    return _spectral_term(term, grid, mask, project), u_phys
+        term = advect_samples(samples.phys, _jacobian_samples(half, grid))
+    term = term + params.beta * samples.weight * samples.phys
+    return _forward_half(term, grid, mask, project), samples
 
 
 def advection(u: SpectralField, v: SpectralField = None,
@@ -174,7 +198,7 @@ def advection(u: SpectralField, v: SpectralField = None,
     if apply_dealias:
         u, v = dealias(u), dealias(v)
     term = advect_samples(to_physical(u).data, physical_jacobian(v))
-    return _spectral_term(term, u.grid, band_mask(u.grid, apply_dealias))
+    return _spectral_term(term, u.grid, half_band_mask(u.grid, apply_dealias))
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -191,9 +215,12 @@ def cbf_operator(u: SpectralField, params: CbfParams,
                  apply_dealias: bool = True) -> SpectralField:
     """G(u) = mu*A u + B(u) + beta*C(u) + alpha*u."""
     _require_div_free(u, "cbf operator")
-    nl, _ = nonlinear_term(u, params, apply_dealias)
-    coeffs = (params.mu * u.grid.k_squared + params.alpha) * u.coeffs + nl.coeffs
-    return SpectralField(u.grid, coeffs, divergence_free=True)
+    grid = u.grid
+    nl, _ = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
+                           apply_dealias)
+    coeffs = ((params.mu * grid.k_squared + params.alpha) * u.coeffs
+              + hermitian_expand(nl, grid))
+    return SpectralField(grid, coeffs, divergence_free=True)
 
 
 def monotonicity_shift(params: CbfParams, variant: str = "theorem") -> float:
@@ -236,5 +263,9 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     _require_div_free(u, "pressure recovery")
     require_same_grid(u, f)
     grid = u.grid
-    rhs, _ = nonlinear_term(u, params, apply_dealias, project=False)
-    return SpectralField(grid, -grid.inv_k_squared * divergence(f - rhs).coeffs)
+    rhs, _ = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
+                            apply_dealias, project=False)
+    src = half_spectrum(f.coeffs, grid) - rhs
+    div = sum(1j * k * c for k, c in zip(grid.half_wavenumbers, src))
+    return SpectralField(grid, hermitian_expand(-grid.half_inv_k_squared * div,
+                                                grid))

@@ -9,6 +9,13 @@ cumulative defect of the energy identity
 
     ||u(t)||^2 + 2 mu int ||grad u||^2 + 2 alpha int ||u||^2
               + 2 beta int ||u||_{r+1}^{r+1}  =  ||u0||^2 + 2 int <f, u>.
+
+A step works on the half spectrum (last-axis modes 0..N/2) from the update
+to the budget rates, whose Plancherel sums weight the columns that stand for
+their mirror images by 2.  |u|^2 is formed once per set of samples of u; the
+weight |u|^{r-1} taken from it gives both the damping rate and the next
+step's damping term.  The state's ``u`` is the exactly Hermitian full array,
+expanded once per step.
 """
 
 import warnings
@@ -17,12 +24,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import (SpectralField, half_spectrum, magnitude, real_inverse,
-                     to_physical)
-from .operators import (CbfParams, nonlinear_term, physical_jacobian,
-                        pointwise_power)
-from .spectral import (band_mask, divergence_defect, dual_norm, grad_norm,
-                       l2_norm, l2_pairing, leray_project)
+from .fields import (SpectralField, half_spectrum, real_inverse,
+                     require_same_grid)
+from .operators import (CbfParams, Samples, nonlinear_term, physical_jacobian,
+                        pointwise_samples)
+from .spectral import (abs_sq, divergence_defect, dual_norm, half_band_mask,
+                       l2_norm, leray_project, project_coeffs)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -65,6 +72,7 @@ class Forcing:
     def __init__(self, kind, sample=None):
         self.kind = kind
         self._sample = sample
+        self._band = (None, None)  # (mask, steady forcing restricted to it)
 
     @classmethod
     def zero(cls):
@@ -89,6 +97,22 @@ class Forcing:
         if self.kind == "zero":
             return None
         return self._sample(t)
+
+    def band_half(self, t: float, mask):
+        """Half-spectrum coefficients of f(t) restricted to the half-spectrum
+        ``mask`` (None keeps every mode), or 0.0 when f = 0.  A steady
+        forcing is restricted once per mask."""
+        f = self.at(t)
+        if f is None:
+            return 0.0
+        half = half_spectrum(f.coeffs, f.grid)
+        if mask is None:
+            return half
+        if self.kind != "steady":
+            return half * mask
+        if self._band[0] is not mask:
+            self._band = (mask, half * mask)
+        return self._band[1]
 
 
 @dataclass(frozen=True)
@@ -123,18 +147,20 @@ class Integrals:
 
 @dataclass(frozen=True)
 class SimulationState:
-    """Solver state.  ``u_phys`` caches the samples of ``u`` for the next
-    nonlinear evaluation; only :func:`initialize_state` and :func:`step` set
-    it, because they keep ``u`` inside the solver's mode band."""
+    """Solver state.  ``u`` is exactly Hermitian; ``prev_nonlinear`` is the
+    previous explicit term on the half spectrum.  ``samples`` caches u on
+    the grid with |u|^2 and |u|^{r-1} for the next nonlinear evaluation; only
+    :func:`initialize_state` and :func:`step` set it, because they keep
+    ``u`` inside the solver's mode band."""
 
     t: float
     u: SpectralField
-    prev_nonlinear: SpectralField = None
+    prev_nonlinear: np.ndarray = field(default=None, repr=False, compare=False)
     energy0: float = 0.0
     rates: BudgetRates = None
     integrals: Integrals = field(default_factory=Integrals)
     extended: bool = False
-    u_phys: np.ndarray = field(default=None, repr=False, compare=False)
+    samples: Samples = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -165,62 +191,70 @@ class DiagnosticsSample:
 
 def compute_rates(u: SpectralField, t: float, params: CbfParams,
                   forcing: Forcing, extended: bool = False,
-                  u_phys=None) -> BudgetRates:
-    """Evaluate the budget integrands at one instant."""
+                  samples: Samples = None) -> BudgetRates:
+    """Evaluate the budget integrands at one instant: Plancherel sums over
+    the half spectrum, and ``samples`` of u (formed here when not given)."""
     grid = u.grid
-    if u_phys is None:
-        u_phys = to_physical(u).data
-    mag = magnitude(u_phys)
-    damping_val = float(np.sum(mag ** (params.r + 1.0)) * grid.cell_volume)
+    half = half_spectrum(u.coeffs, grid)
+    if samples is None:
+        samples = _samples(u, params.r)
+    weights = grid.plancherel_weights * grid.volume
+    power = weights * np.sum(abs_sq(half), axis=0)
+    k2 = grid.half_k_squared
+    damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
     f = forcing.at(t)
-    forcing_val = l2_pairing(f, u) if f is not None else 0.0
+    forcing_val = 0.0
+    if f is not None:
+        require_same_grid(f, u)
+        fh = half_spectrum(f.coeffs, grid)
+        forcing_val = float(np.sum(weights * np.sum(
+            fh.real * half.real + fh.imag * half.imag, axis=0)))
     a_sq = wgrad = 0.0
     if extended:
-        a_sq = float(grid.volume
-                     * np.sum(grid.k_squared ** 2 * np.abs(u.coeffs) ** 2))
+        a_sq = float(np.sum(k2 * k2 * power))
         jac = physical_jacobian(u)
         grad_sq = np.sum(jac * jac, axis=(0, 1))
-        weight = pointwise_power(mag, params.r - 1.0)
-        wgrad = float(np.sum(weight * grad_sq) * grid.cell_volume)
-    return BudgetRates(grad_norm(u) ** 2, damping_val, forcing_val,
-                       l2_norm(u) ** 2, a_sq, wgrad)
+        wgrad = float(np.sum(samples.weight * grad_sq) * grid.cell_volume)
+    return BudgetRates(float(np.sum(k2 * power)), damping_val, forcing_val,
+                       float(np.sum(power)), a_sq, wgrad)
 
 
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
-    """Project/dealias the initial condition and prime the budget rates."""
-    u = ic
-    if not u.divergence_free and divergence_defect(u) > 1e-10:
+    """Project and restrict the initial condition's half spectrum, and prime
+    the budget rates; the state is exactly Hermitian."""
+    grid = ic.grid
+    if not ic.divergence_free and divergence_defect(ic) > 1e-10:
         warnings.warn("initial condition is not divergence-free; projecting")
-    u = _restrict(leray_project(u), config)
-    u_phys = to_physical(u).data
-    rates = compute_rates(u, 0.0, params, forcing, extended, u_phys)
-    return SimulationState(t=0.0, u=u, prev_nonlinear=None,
-                           energy0=l2_norm(u) ** 2, rates=rates,
-                           integrals=Integrals(), extended=extended,
-                           u_phys=u_phys)
+    half = project_coeffs(half_spectrum(ic.coeffs, grid), grid.half_wavenumbers,
+                          grid.half_inv_k_squared)
+    mask = _band(grid, config)
+    if mask is not None:
+        half = half * mask
+    u = SpectralField.from_half(grid, half, divergence_free=True)
+    samples = _samples(u, params.r)
+    rates = compute_rates(u, 0.0, params, forcing, extended, samples)
+    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
+                           extended=extended, samples=samples)
 
 
-def _restrict(field: SpectralField, config: SolverConfig) -> SpectralField:
-    mask = band_mask(field.grid, config.dealias, config.galerkin_n,
-                     config.galerkin_shape)
-    return field if mask is None else field.replace(field.coeffs * mask)
+def _samples(u: SpectralField, r: float) -> Samples:
+    return pointwise_samples(real_inverse(half_spectrum(u.coeffs, u.grid), u.grid), r)
 
 
-def _nonlinear(u: SpectralField, params: CbfParams, config: SolverConfig,
-               u_phys=None):
-    """Explicit term B(u) + beta*C(u) plus the max speed for the CFL check;
-    ``u_phys`` are the samples of u when already known."""
-    out, u_phys = nonlinear_term(u, params, config.dealias, config.galerkin_n,
-                                 config.galerkin_shape, u_phys=u_phys)
-    return out, float(np.max(magnitude(u_phys)))
+def _band(grid, config: SolverConfig):
+    return half_band_mask(grid, config.dealias, config.galerkin_n,
+                          config.galerkin_shape)
 
 
-def _forcing_coeffs(forcing: Forcing, t: float, config: SolverConfig, grid):
-    f = forcing.at(t)
-    if f is None:
-        return 0.0
-    return _restrict(f, config).coeffs
+def _nonlinear(half, grid, params: CbfParams, config: SolverConfig,
+               samples=None):
+    """Explicit term B(u) + beta*C(u) on the half spectrum, plus the max
+    speed for the CFL check; ``samples`` are those of u when already known."""
+    out, samples = nonlinear_term(half, grid, params, config.dealias,
+                                  config.galerkin_n, config.galerkin_shape,
+                                  samples=samples)
+    return out, float(np.sqrt(np.max(samples.sq)))
 
 
 def _check_cfl(max_speed: float, grid, dt: float):
@@ -243,38 +277,36 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
 def _advance(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
-    lam = params.mu * grid.k_squared + params.alpha
+    mask = _band(grid, config)
+    lam = params.mu * grid.half_k_squared + params.alpha
+    half = half_spectrum(state.u.coeffs, grid)
 
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h = dt / n_sub
-        coeffs = state.u.coeffs
+        coeffs = half
         nl = max_speed = None
         for s in range(n_sub):
-            t_sub = state.t + s * h
-            u_sub = SpectralField(grid, coeffs, divergence_free=True)
-            nl, max_speed = _nonlinear(u_sub, params, config,
-                                       state.u_phys if s == 0 else None)
-            rhs = coeffs + h * (_forcing_coeffs(forcing, t_sub, config, grid)
-                                - nl.coeffs)
+            nl, max_speed = _nonlinear(coeffs, grid, params, config,
+                                       state.samples if s == 0 else None)
+            rhs = coeffs + h * (forcing.band_half(state.t + s * h, mask) - nl)
             coeffs = rhs / (1.0 + h * lam)
-        _check_cfl(max_speed, grid, dt)
-        new_u = SpectralField(grid, coeffs, divergence_free=True)
+        new_half = coeffs
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
-        nl, max_speed = _nonlinear(state.u, params, config, state.u_phys)
-        _check_cfl(max_speed, grid, dt)
-        explicit = 1.5 * nl.coeffs - 0.5 * state.prev_nonlinear.coeffs
-        f_mid = _forcing_coeffs(forcing, state.t + 0.5 * dt, config, grid)
-        rhs = (1.0 - 0.5 * dt * lam) * state.u.coeffs + dt * (f_mid - explicit)
-        new_u = SpectralField(grid, rhs / (1.0 + 0.5 * dt * lam),
-                              divergence_free=True)
+        nl, max_speed = _nonlinear(half, grid, params, config, state.samples)
+        explicit = 1.5 * nl - 0.5 * state.prev_nonlinear
+        f_mid = forcing.band_half(state.t + 0.5 * dt, mask)
+        rhs = (1.0 - 0.5 * dt * lam) * half + dt * (f_mid - explicit)
+        new_half = rhs / (1.0 + 0.5 * dt * lam)
         prev_nl = nl
 
+    new_u = SpectralField.from_half(grid, new_half, divergence_free=True)
+    _check_cfl(max_speed, grid, dt)
     new_t = state.t + dt
-    new_phys = real_inverse(half_spectrum(new_u.coeffs, grid), grid)
+    samples = _samples(new_u, params.r)
     new_rates = compute_rates(new_u, new_t, params, forcing, state.extended,
-                              new_phys)
+                              samples)
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(
@@ -282,7 +314,7 @@ def _advance(state, params, config, forcing):
         rates=new_rates,
         integrals=state.integrals.advance(state.rates, new_rates, dt),
         extended=state.extended,
-        u_phys=new_phys if state.u_phys is not None else None)
+        samples=samples if state.samples is not None else None)
 
 
 def sample_diagnostics(state: SimulationState, params: CbfParams) -> DiagnosticsSample:

@@ -10,12 +10,13 @@ rounding.
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
-from .fields import PhysicalField, SpectralField, require_same_grid, to_physical
+from .fields import (PhysicalField, SpectralField, half_spectrum,
+                     require_same_grid, to_physical)
 
 __all__ = [
     "leray_project", "project_coeffs", "gradient", "jacobian", "divergence",
-    "laplacian", "dealias", "truncate_modes", "truncation_mask", "band_mask",
-    "exp_filter",
+    "laplacian", "dealias", "truncate_modes", "truncation_mask",
+    "half_band_mask", "exp_filter", "abs_sq",
     "l2_norm", "h1_norm", "grad_norm", "lp_norm", "dual_norm", "l2_pairing",
     "divergence_defect",
 ]
@@ -99,15 +100,21 @@ def truncation_mask(grid, n: int, shape: str = "box"):
     raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
 
 
-def band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
-              galerkin_shape: str = "box"):
-    """Modes kept by 2/3-rule dealiasing and Galerkin truncation (off at
-    ``galerkin_n = 0``); None when both are off."""
-    mask = grid.dealias_mask if apply_dealias else None
-    if galerkin_n > 0:
-        trunc = truncation_mask(grid, galerkin_n, galerkin_shape)
-        mask = trunc if mask is None else mask & trunc
-    return mask
+def half_band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
+                   galerkin_shape: str = "box"):
+    """Half-spectrum modes kept by 2/3-rule dealiasing and Galerkin
+    truncation (off at ``galerkin_n = 0``), or None when both are off; built
+    once per grid and arguments."""
+    key = (apply_dealias, galerkin_n, galerkin_shape)
+    masks = grid.half_band_masks
+    if key not in masks:
+        mask = grid.dealias_mask if apply_dealias else None
+        if galerkin_n > 0:
+            trunc = truncation_mask(grid, galerkin_n, galerkin_shape)
+            mask = trunc if mask is None else mask & trunc
+        masks[key] = None if mask is None else np.ascontiguousarray(
+            half_spectrum(mask, grid))
+    return masks[key]
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:
@@ -123,29 +130,34 @@ def exp_filter(u: SpectralField, n: float) -> SpectralField:
     return u.replace(mult * u.coeffs)
 
 
+def abs_sq(coeffs):
+    """|c|^2 as c.real^2 + c.imag^2, with no square root taken."""
+    return coeffs.real ** 2 + coeffs.imag ** 2
+
+
 def l2_norm(u) -> float:
     """L2 norm; spectral Plancherel sum or physical quadrature."""
     if isinstance(u, PhysicalField):
         return float(np.sqrt(np.sum(u.data ** 2) * u.grid.cell_volume))
-    return float(np.sqrt(u.grid.volume * np.sum(np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(u.grid.volume * np.sum(abs_sq(u.coeffs))))
 
 
 def grad_norm(u: SpectralField) -> float:
     """Gradient seminorm ||grad u||_{L2}, computed spectrally."""
     return float(np.sqrt(u.grid.volume
-                         * np.sum(u.grid.k_squared * np.abs(u.coeffs) ** 2)))
+                         * np.sum(u.grid.k_squared * abs_sq(u.coeffs))))
 
 
 def h1_norm(u: SpectralField) -> float:
     """Full H1 norm (sum of squared L2 norm and gradient seminorm)."""
     w = 1.0 + u.grid.k_squared
-    return float(np.sqrt(u.grid.volume * np.sum(w * np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(u.grid.volume * np.sum(w * abs_sq(u.coeffs))))
 
 
 def dual_norm(u: SpectralField) -> float:
     """H1-dual norm: coefficients weighted by (1 + |k|^2)^{-1/2}."""
     w = 1.0 / (1.0 + u.grid.k_squared)
-    return float(np.sqrt(u.grid.volume * np.sum(w * np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(u.grid.volume * np.sum(w * abs_sq(u.coeffs))))
 
 
 def lp_norm(u, p: float) -> float:

@@ -97,8 +97,8 @@ class FieldSampler:
     ``field_from_seed(s)`` is a pure function of ``s``; sample i of a check
     uses seeds ``seed + 2i`` and ``seed + 2i + 1`` (``pair``), or ``seed + i``
     (``single``), so the reported worst_case_seed reproduces the failing
-    sample standalone (trilinear and advection_bounds excepted: their third
-    field's seed also depends on n_samples).
+    sample standalone.  A third field of a sample comes from a child stream
+    of its seed, ``field_from_seed(s, stream)``.
     """
 
     grid: TorusGrid
@@ -107,8 +107,12 @@ class FieldSampler:
     spectrum_slope: float = 2.0
     amplitude: float = 1.0
 
-    def field_from_seed(self, s: int) -> SpectralField:
-        return random_band_limited(self.grid, seed=s, band_limit=self.band_limit,
+    def field_from_seed(self, s: int, stream: int = None) -> SpectralField:
+        """Field of seed ``s``, or of child ``stream`` of seed ``s``, which
+        no integer seed reaches (its spawn key is not empty)."""
+        seed = s if stream is None else np.random.SeedSequence(
+            s, spawn_key=(stream,))
+        return random_band_limited(self.grid, seed=seed, band_limit=self.band_limit,
                                    spectrum_slope=self.spectrum_slope,
                                    amplitude=self.amplitude)
 
@@ -141,7 +145,7 @@ def check_trilinear(sampler: FieldSampler, n_samples: int = 100,
                     tolerance: float = 1e-10) -> CheckReport:
     """b(u,v,v) = 0, b(u,v,w) = -b(u,w,v), <B(u),u> = 0 for solenoidal u."""
     def margin(u, v, s):
-        w = sampler.field_from_seed(s + n_samples * 2 + 17)
+        w = sampler.field_from_seed(s, stream=17)
         scale = (l2_norm(u) * grad_norm(v) * (l2_norm(v) + l2_norm(w)) + TINY)
         worst = max(abs(advection_form(u, v, v)),
                     abs(advection_form(u, v, w) + advection_form(u, w, v)),
@@ -456,7 +460,7 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
         raise RegimeError("advection bounds require r >= 3")
     q = 2.0 * (r + 1.0) / (r - 1.0)
     def margin(u, v, s):
-        w = sampler.field_from_seed(s + n_samples * 2 + 31)
+        w = sampler.field_from_seed(s, stream=31)
         ms = []
         lhs = dual_norm(advection(u, v))
         rhs = lp_norm(u, r + 1.0) * lp_norm(v, q)

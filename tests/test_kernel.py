@@ -1,19 +1,25 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
 it replaced, advection and damping against their full-array pipelines, exact
-2/3-rule dealiasing for every N, and the solver's cache of physical samples."""
+2/3-rule dealiasing for every N, the solver's cache of physical samples, and
+the half-spectrum solver step against the full-array step it replaced."""
 
 import numpy as np
 import pytest
 
+from cbftorus import fields, operators
 from cbftorus.families import random_band_limited
-from cbftorus.fields import PhysicalField, SpectralField, to_physical, to_spectral
+from cbftorus.fields import (PhysicalField, SpectralField, half_spectrum,
+                             to_physical, to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, advect_samples, advection, damping,
                                 damping_pointwise, nonlinear_term,
                                 physical_jacobian, recover_pressure)
-from cbftorus.solver import (Forcing, SimulationState, SolverConfig,
-                             compute_rates, initialize_state, step)
-from cbftorus.spectral import dealias, embed_modes, leray_project, truncation_mask
+from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
+from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
+                             SimulationState, SolverConfig, compute_rates,
+                             initialize_state, sample_diagnostics, step)
+from cbftorus.spectral import (dealias, embed_modes, l2_norm, leray_project,
+                               truncation_mask)
 
 from conftest import rel_diff
 
@@ -67,23 +73,23 @@ def test_kernel_matches_convective_reference(grid, apply_dealias, galerkin, r):
     u = _full_band_field(grid, seed=5)
     params = CbfParams(mu=0.1, beta=0.7, r=r)
     for project in (True, False):
-        got, got_phys = nonlinear_term(u, params, apply_dealias, *galerkin,
-                                       project=project)
+        got, samples = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
+                                      apply_dealias, *galerkin, project=project)
         ref, ref_phys = _reference_nonlinear(u, params, apply_dealias,
                                              *galerkin, project=project)
-        assert rel_diff(got.coeffs, ref.coeffs) < 1e-12
-        assert rel_diff(got_phys, ref_phys) < 1e-12
-        assert got.coeffs.shape == (grid.dim,) + grid.shape
-        assert got.divergence_free == project
+        assert rel_diff(got, half_spectrum(ref.coeffs, grid)) < 1e-12
+        assert rel_diff(samples.phys, ref_phys) < 1e-12
+        assert got.shape == (grid.dim,) + grid.shape[:-1] + (grid.n_points // 2 + 1,)
 
 
 def test_kernel_uses_given_samples(grid3d):
     u = random_band_limited(grid3d, seed=3, band_limit=4)
+    half = half_spectrum(u.coeffs, grid3d)
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
-    fresh, samples = nonlinear_term(u, params)
-    cached, same = nonlinear_term(u, params, u_phys=samples)
+    fresh, samples = nonlinear_term(half, grid3d, params)
+    cached, same = nonlinear_term(half, grid3d, params, samples=samples)
     assert same is samples
-    assert np.array_equal(cached.coeffs, fresh.coeffs)
+    assert np.array_equal(cached, fresh)
 
 
 def test_recover_pressure_matches_convective_reference(grid32):
@@ -183,9 +189,9 @@ def test_cached_samples_match_state(grid3d, scheme, substeps):
     state = initialize_state(random_band_limited(grid3d, seed=2, band_limit=5),
                              params, config, forcing)
     for _ in range(3):
-        assert np.array_equal(state.u_phys, to_physical(state.u).data)
+        assert np.array_equal(state.samples.phys, to_physical(state.u).data)
         state = step(state, params, config, forcing)
-    assert np.array_equal(state.u_phys, to_physical(state.u).data)
+    assert np.array_equal(state.samples.phys, to_physical(state.u).data)
 
 
 def test_user_built_state_is_not_cached(grid32):
@@ -197,7 +203,7 @@ def test_user_built_state_is_not_cached(grid32):
     rates = compute_rates(u, 0.0, params, Forcing.zero())
     state = SimulationState(t=0.0, u=u, rates=rates)
     state = step(state, params, config, Forcing.zero())
-    assert state.u_phys is None
+    assert state.samples is None
 
 
 @pytest.mark.parametrize("dim,expected", [(2, 5), (3, 9)])
@@ -220,3 +226,205 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, expected):
         monkeypatch.setattr(np.fft, name, counted)
     step(state, params, config, forcing)
     assert sum(count) == expected
+
+
+# ---------------------------------------------------------------------------
+# solver: the half-spectrum step against the full-array step it replaced
+
+
+def _reference_rates(u, t, params, forcing, extended):
+    """Budget integrands as full-array Plancherel sums of |c|^2, and
+    quadratures of samples from complex inverse transforms."""
+    grid = u.grid
+    d, norm = grid.dim, grid.n_points ** grid.dim
+    u_phys = np.fft.ifftn(u.coeffs * norm, axes=tuple(range(1, d + 1))).real
+    mag = np.sqrt(np.sum(u_phys ** 2, axis=0))
+    power = np.abs(u.coeffs) ** 2
+    damping_val = np.sum(mag ** (params.r + 1.0)) * grid.cell_volume
+    f = forcing.at(t)
+    forcing_val = (0.0 if f is None else
+                   grid.volume * np.real(np.sum(f.coeffs * np.conj(u.coeffs))))
+    a_sq = wgrad = 0.0
+    if extended:
+        a_sq = grid.volume * np.sum(grid.k_squared ** 2 * power)
+        k = grid.wavenumbers
+        jac = np.fft.ifftn(np.stack([np.stack([1j * k[a] * c for a in range(d)])
+                                     for c in u.coeffs]) * norm,
+                           axes=tuple(range(2, d + 2))).real
+        weight = (np.ones_like(mag) if params.r == 1.0 else
+                  np.where(mag > 0, np.where(mag > 0, mag, 1.0) ** (params.r - 1.0),
+                           0.0))
+        wgrad = np.sum(weight * np.sum(jac * jac, axis=(0, 1))) * grid.cell_volume
+    return BudgetRates(grid.volume * np.sum(grid.k_squared * power), damping_val,
+                       forcing_val, grid.volume * np.sum(power), a_sq, wgrad)
+
+
+def _reference_band(grid, config):
+    mask = np.ones(grid.shape, dtype=bool)
+    if config.dealias:
+        mask &= grid.dealias_mask
+    if config.galerkin_n > 0:
+        mask &= truncation_mask(grid, config.galerkin_n, config.galerkin_shape)
+    return mask
+
+
+def _reference_initialize(ic, params, config, forcing, extended):
+    u = SpectralField(grid=ic.grid, coeffs=leray_project(ic).coeffs
+                      * _reference_band(ic.grid, config), divergence_free=True)
+    rates = _reference_rates(u, 0.0, params, forcing, extended)
+    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
+                           extended=extended)
+
+
+def _reference_step(state, params, config, forcing):
+    """The full-array IMEX update: every array holds all N^d modes, the
+    explicit term comes from the complex convective pipeline."""
+    grid = state.u.grid
+    dt = config.dt
+    lam = params.mu * grid.k_squared + params.alpha
+    mask = _reference_band(grid, config)
+
+    def explicit_term(coeffs):
+        out, _ = _reference_nonlinear(SpectralField(grid, coeffs), params,
+                                      config.dealias, config.galerkin_n,
+                                      config.galerkin_shape)
+        return out.coeffs
+
+    def forcing_at(t):
+        f = forcing.at(t)
+        return 0.0 if f is None else f.coeffs * mask
+
+    coeffs = state.u.coeffs
+    if config.scheme == "imex_euler" or state.prev_nonlinear is None:
+        h = dt / config.substeps
+        for s in range(config.substeps):
+            nl = explicit_term(coeffs)
+            coeffs = (coeffs + h * (forcing_at(state.t + s * h) - nl)) / (1.0 + h * lam)
+        prev = nl if config.scheme == "imex_cnab2" else None
+    else:
+        nl = explicit_term(coeffs)
+        rhs = ((1.0 - 0.5 * dt * lam) * coeffs
+               + dt * (forcing_at(state.t + 0.5 * dt)
+                       - (1.5 * nl - 0.5 * state.prev_nonlinear)))
+        coeffs = rhs / (1.0 + 0.5 * dt * lam)
+        prev = nl
+    u = SpectralField(grid, coeffs, divergence_free=True)
+    rates = _reference_rates(u, state.t + dt, params, forcing, state.extended)
+    return SimulationState(
+        t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
+        rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
+        extended=state.extended)
+
+
+def _assert_same_diagnostics(got, ref, params, energy0):
+    a, b = sample_diagnostics(got, params), sample_diagnostics(ref, params)
+    for name in DiagnosticsSample.BASE_COLUMNS + DiagnosticsSample.EXTENDED_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "energy_residual":
+            assert abs(x - y) <= 1e-14 * energy0, name
+        elif x is not None or y is not None:
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), name
+
+
+def _forcing(kind, grid):
+    f = _full_band_field(grid, seed=7)
+    f = f * (0.5 / l2_norm(f))
+    if kind == "steady":
+        return Forcing.steady(f)
+    if kind == "analytic":
+        return Forcing.analytic(lambda t: f * float(np.cos(3.0 * t)))
+    return Forcing.zero()
+
+
+# dim, scheme, substeps, dealias, (galerkin_n, shape), extended, forcing, r
+STEP_CASES = [
+    (2, "imex_cnab2", 1, True, (0, "box"), False, "zero", 4.0),
+    (2, "imex_cnab2", 1, True, (4, "ball"), True, "steady", 3.5),
+    (2, "imex_cnab2", 1, False, (3, "box"), False, "analytic", 3.0),
+    (2, "imex_euler", 3, False, (0, "box"), True, "analytic", 3.0),
+    (2, "imex_euler", 1, True, (5, "box"), False, "steady", 1.0),
+    (3, "imex_cnab2", 1, True, (0, "box"), True, "analytic", 4.0),
+    (3, "imex_cnab2", 1, False, (0, "box"), False, "steady", 1.0),
+    (3, "imex_euler", 2, False, (3, "ball"), False, "zero", 3.5),
+    (3, "imex_euler", 2, True, (4, "box"), True, "steady", 4.0),
+]
+
+
+@pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,galerkin,extended,"
+                         "forcing_kind,r", STEP_CASES)
+def test_step_matches_full_array_step(dim, scheme, substeps, apply_dealias,
+                                      galerkin, extended, forcing_kind, r):
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
+    params = CbfParams(mu=0.1, alpha=0.2, beta=0.8, r=r)
+    config = SolverConfig(dt=2e-3, t_end=1.0, scheme=scheme, substeps=substeps,
+                          dealias=apply_dealias, galerkin_n=galerkin[0],
+                          galerkin_shape=galerkin[1])
+    forcing = _forcing(forcing_kind, grid)
+    ic = _full_band_field(grid, seed=4)
+    ic = ic * (1.0 / l2_norm(ic))
+    state = initialize_state(ic, params, config, forcing, extended)
+    ref = _reference_initialize(ic, params, config, forcing, extended)
+    for _ in range(5):
+        _assert_same_diagnostics(state, ref, params, ref.energy0)
+        state = step(state, params, config, forcing)
+        ref = _reference_step(ref, params, config, forcing)
+    _assert_same_diagnostics(state, ref, params, ref.energy0)
+    assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
+
+
+def test_hand_built_state_matches_full_array_step(grid32):
+    # Outside the band, the state keeps its modes and the rates see them.
+    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
+    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
+    forcing = _forcing("steady", grid32)
+    u = leray_project(_full_band_field(grid32, seed=6))
+    u = u * (1.0 / l2_norm(u))
+    rates = compute_rates(u, 0.0, params, forcing)
+    state = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
+    ref = SimulationState(t=0.0, u=u, energy0=rates.darcy,
+                          rates=_reference_rates(u, 0.0, params, forcing, False))
+    for _ in range(3):
+        state = step(state, params, config, forcing)
+        ref = _reference_step(ref, params, config, forcing)
+        _assert_same_diagnostics(state, ref, params, rates.darcy)
+    assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
+
+
+def test_dealiased_cnab2_step_expands_once(monkeypatch):
+    grid = TorusGrid(dim=2, n_points=16)
+    params = CbfParams(mu=0.1, beta=1.0, r=4.0)
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    forcing = _forcing("steady", grid)
+    state = initialize_state(random_band_limited(grid, seed=1, band_limit=4),
+                             params, config, forcing)
+    state = step(state, params, config, forcing)
+    calls = []
+    original = fields.hermitian_expand
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (fields, operators):
+        monkeypatch.setattr(module, "hermitian_expand", counted)
+    step(state, params, config, forcing)
+    assert len(calls) <= 1
+
+
+def test_state_is_exactly_hermitian(tmp_path, grid32):
+    # A snapshot whose asymmetry passes SYMMETRY_TOL still gives an exactly
+    # Hermitian solver state.
+    u = random_band_limited(grid32, seed=9, band_limit=8)
+    noise = leray_project(SpectralField(
+        grid32, np.random.default_rng(3).standard_normal((2,) + grid32.shape)))
+    path = tmp_path / "ic.snap"
+    write_snapshot_file(path, u + 1e-12 * noise, 0.0, CbfParams())
+    ic, _, _ = read_snapshot_file(path)
+    assert ic.symmetry_defect() > 0.0
+    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    forcing = _forcing("steady", grid32)
+    state = initialize_state(ic, params, config, forcing)
+    assert state.u.symmetry_defect() == 0.0
+    state = step(state, params, config, forcing)
+    assert state.u.symmetry_defect() == 0.0

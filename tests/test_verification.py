@@ -66,9 +66,10 @@ def test_report_pass_rule():
 _R4 = CbfParams(mu=0.5, beta=1.0, r=4.0)
 _R3 = CbfParams(mu=1.0, beta=1.0, r=3.0)
 
-# Every sampled check whose fields depend only on the sample's seeds
-# (trilinear and advection_bounds also draw a third field offset by n_samples).
+# Every sampled check: its fields depend only on the sample's seeds.
 SEED_ONLY_CHECKS = {
+    "trilinear": lambda s, n: check_trilinear(s, n),
+    "advection_bounds": lambda s, n: check_advection_bounds(s, 4.0, n),
     "monotone_shifted": lambda s, n: check_monotone_shifted(s, _R4, n),
     "monotone_critical": lambda s, n: check_monotone_critical(s, _R3, n),
     "advection_splitting": lambda s, n: check_advection_splitting(s, _R4, n),
