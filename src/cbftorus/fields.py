@@ -114,10 +114,9 @@ class SpectralField:
         if not np.all(np.isfinite(half)):
             raise InvalidFieldError("non-finite coefficients")
         full = hermitian_expand(half, grid)
-        axes = tuple(range(-grid.dim + 1, 0))
-        for j in (0, grid.n_points // 2):
-            column = full[..., j]
-            column[...] = 0.5 * (column + _conj_mirror(column, axes))
+        columns = full[..., ::grid.n_points // 2]  # 0 and N/2, as a view
+        columns[...] = 0.5 * (columns + _conj_mirror(
+            columns, tuple(range(-grid.dim, -1))))
         field = object.__new__(cls)
         object.__setattr__(field, "grid", grid)
         object.__setattr__(field, "coeffs", _freeze(full))

@@ -24,6 +24,15 @@ from cbftorus.spectral import (dealias, embed_modes, l2_norm, leray_project,
 from conftest import rel_diff
 
 
+def _reference_band(grid, apply_dealias, galerkin_n, galerkin_shape):
+    mask = np.ones(grid.shape, dtype=bool)
+    if apply_dealias:
+        mask &= grid.dealias_mask
+    if galerkin_n > 0:
+        mask &= truncation_mask(grid, galerkin_n, galerkin_shape)
+    return mask
+
+
 def _reference_nonlinear(u, params, apply_dealias=True, galerkin_n=0,
                          galerkin_shape="box", project=True):
     """Convective (u.grad)u + beta|u|^{r-1}u through complex fftn/ifftn:
@@ -32,11 +41,7 @@ def _reference_nonlinear(u, params, apply_dealias=True, galerkin_n=0,
     grid = u.grid
     d, norm = grid.dim, grid.n_points ** grid.dim
     axes = tuple(range(1, d + 1))
-    mask = np.ones(grid.shape, dtype=bool)
-    if apply_dealias:
-        mask &= grid.dealias_mask
-    if galerkin_n > 0:
-        mask &= truncation_mask(grid, galerkin_n, galerkin_shape)
+    mask = _reference_band(grid, apply_dealias, galerkin_n, galerkin_shape)
     c = u.coeffs * mask
     u_phys = np.fft.ifftn(c * norm, axes=axes).real
     k = grid.wavenumbers
@@ -259,18 +264,11 @@ def _reference_rates(u, t, params, forcing, extended):
                        forcing_val, grid.volume * np.sum(power), a_sq, wgrad)
 
 
-def _reference_band(grid, config):
-    mask = np.ones(grid.shape, dtype=bool)
-    if config.dealias:
-        mask &= grid.dealias_mask
-    if config.galerkin_n > 0:
-        mask &= truncation_mask(grid, config.galerkin_n, config.galerkin_shape)
-    return mask
-
-
 def _reference_initialize(ic, params, config, forcing, extended):
     u = SpectralField(grid=ic.grid, coeffs=leray_project(ic).coeffs
-                      * _reference_band(ic.grid, config), divergence_free=True)
+                      * _reference_band(ic.grid, config.dealias, config.galerkin_n,
+                                        config.galerkin_shape),
+                      divergence_free=True)
     rates = _reference_rates(u, 0.0, params, forcing, extended)
     return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
                            extended=extended)
@@ -282,7 +280,8 @@ def _reference_step(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
     lam = params.mu * grid.k_squared + params.alpha
-    mask = _reference_band(grid, config)
+    mask = _reference_band(grid, config.dealias, config.galerkin_n,
+                           config.galerkin_shape)
 
     def explicit_term(coeffs):
         out, _ = _reference_nonlinear(SpectralField(grid, coeffs), params,
