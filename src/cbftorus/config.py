@@ -167,21 +167,27 @@ class RunConfig:
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
-    def _family_field(self, grid, spec):
+    def _family_field(self, grid, section):
+        """The [ic] or [forcing] family field; an argument a family rejects is
+        an error of that section."""
+        spec = self.section(section)
         name = spec["family"]
-        if name == "taylor_green":
-            return taylor_green(grid, amplitude=spec["amplitude"])
-        if name == "random":
-            return random_band_limited(grid, seed=spec["seed"],
-                                       band_limit=spec["band_limit"],
-                                       spectrum_slope=spec["slope"],
-                                       amplitude=spec["amplitude"])
-        if name == "single_mode":
-            return single_mode(grid, mode=spec["mode"],
-                               component=spec["component"],
-                               amplitude=spec["amplitude"], phase=spec["phase"])
-        # kolmogorov, a [forcing] family only: its mode is one integer
-        return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
+        try:
+            if name == "taylor_green":
+                return taylor_green(grid, amplitude=spec["amplitude"])
+            if name == "random":
+                return random_band_limited(grid, seed=spec["seed"],
+                                           band_limit=spec["band_limit"],
+                                           spectrum_slope=spec["slope"],
+                                           amplitude=spec["amplitude"])
+            if name == "single_mode":
+                return single_mode(grid, mode=spec["mode"],
+                                   component=spec["component"],
+                                   amplitude=spec["amplitude"], phase=spec["phase"])
+            # kolmogorov, a [forcing] family only: its mode is one integer
+            return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
+        except InvalidArgumentsError as err:
+            raise ConfigError(f"{section}: {err}") from None
 
     def _snapshot_field(self, section, grid):
         path = self._resolve(self.section(section)["snapshot"])
@@ -195,7 +201,7 @@ class RunConfig:
         spec = self.section("ic")
         if spec["family"] == "snapshot":
             return self._snapshot_field("ic", grid)
-        return self._family_field(grid, spec)
+        return self._family_field(grid, "ic")
 
     def forcing(self, grid=None) -> Forcing:
         grid = grid if grid is not None else self.grid()
@@ -205,11 +211,11 @@ class RunConfig:
         if spec["snapshot"]:
             base = self._snapshot_field("forcing", grid)
         else:
-            base = self._family_field(grid, spec)
+            base = self._family_field(grid, "forcing")
         if spec["kind"] == "steady":
             return Forcing.steady(base)
         rate = spec["decay_rate"]
-        return Forcing.analytic(lambda t: base * float(np.exp(-rate * t)))
+        return Forcing.analytic(base, lambda t: np.exp(-rate * t))
 
     def dump(self) -> str:
         lines = []
@@ -224,9 +230,12 @@ class RunConfig:
 
 def _parse_value(section, key, parser, raw):
     try:
-        return parser(raw)
+        value = parser(raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({err})") from None
+    if parser in (float, _float_list) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not finite")
+    return value
 
 
 def load_config(path) -> RunConfig:

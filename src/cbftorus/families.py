@@ -3,9 +3,9 @@
 import numpy as np
 
 from .errors import InvalidArgumentsError
-from .fields import PhysicalField, SpectralField, to_spectral
+from .fields import PhysicalField, SpectralField, conj_mirror, to_spectral
 from .grid import TorusGrid, TWO_PI
-from .spectral import dealias, l2_norm, leray_project
+from .spectral import abs_sq, dealias, leray_project
 
 
 def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
@@ -33,16 +33,23 @@ def taylor_green_exact(grid: TorusGrid, mu: float, t: float,
 
 def single_mode(grid: TorusGrid, mode, component: int = 0,
                 amplitude: float = 1.0, phase: float = 0.0) -> SpectralField:
-    """Real single-mode field amplitude*cos(k.x + phase) in one component."""
+    """Real single-mode field amplitude*cos(k.x + phase) in one component;
+    each |m_i| must lie below N/2, where the grid resolves cos(k.x + phase)."""
     mode = tuple(int(m) for m in mode)
     if len(mode) != grid.dim:
         raise InvalidArgumentsError("mode index length must equal grid.dim")
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-    idx = tuple(m % grid.n_points for m in mode)
-    conj_idx = tuple((-m) % grid.n_points for m in mode)
-    half = 0.5 * amplitude * np.exp(1j * phase)
-    coeffs[(component,) + idx] += half
-    coeffs[(component,) + conj_idx] += np.conj(half)
+    if any(abs(m) >= grid.n_points // 2 for m in mode):
+        raise InvalidArgumentsError(
+            f"mode {mode} needs every |m_i| < N/2 = {grid.n_points // 2}")
+    if not 0 <= component < grid.dim:
+        raise InvalidArgumentsError(
+            f"component must be in [0, {grid.dim}), got {component}")
+    coeffs = np.zeros((grid.dim,) + grid.half_shape, dtype=complex)
+    c = 0.5 * amplitude * np.exp(1j * phase)
+    for m, value in ((mode, c), (tuple(-m for m in mode), np.conj(c))):
+        idx = tuple(x % grid.n_points for x in m)
+        if idx[-1] <= grid.n_points // 2:  # the half holds it
+            coeffs[(component,) + idx] += value
     return SpectralField(grid, coeffs)
 
 
@@ -62,25 +69,33 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     rng = np.random.default_rng(seed)
     shape = (grid.dim,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mask = (grid.mode_inf_norm <= band_limit) & (grid.mode_sq_norm > 0)
-    weight = np.where(grid.mode_sq_norm > 0,
-                      np.asarray(grid.mode_sq_norm, dtype=float), 1.0)
-    weight = weight ** (-spectrum_slope / 2.0)
-    raw = raw * mask * weight
+    # The draw covers the full spectrum, and so do its weights.
+    modes = np.ix_(*([grid.modes] * grid.dim))
+    sq_norm = sum(m * m for m in modes)
+    inf_norm = np.max(np.broadcast_arrays(*(np.abs(m) for m in modes)), axis=0)
+    mask = (inf_norm <= band_limit) & (sq_norm > 0)
+    weight = np.where(sq_norm > 0, np.asarray(sq_norm, dtype=float), 1.0)
+    raw = raw * mask * weight ** (-spectrum_slope / 2.0)
     # Hermitian part of the raw draw gives a real-valued field.
-    coeffs = np.stack([0.5 * (c + grid.conj_reflect(c)) for c in raw])
-    field = SpectralField(grid, coeffs)
+    full = 0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0))))
+    field = SpectralField(grid, full[..., :grid.n_points // 2 + 1])
     if project:
         field = leray_project(field)
     field = dealias(field)
-    norm = l2_norm(field)
+    # Summed over the full array, in its order, so that a seed gives the
+    # same field to the bit whatever the layout of the norms.
+    norm = float(np.sqrt(grid.volume * np.sum(abs_sq(field.full()))))
     if norm == 0.0:
         raise InvalidArgumentsError("degenerate random field (zero norm)")
     return field.replace(field.coeffs * (amplitude / norm))
 
 
 def kolmogorov(grid: TorusGrid, mode: int = 1, amplitude: float = 1.0) -> SpectralField:
-    """Steady shear forcing amplitude*(sin(m * 2 pi y / L), 0, ...)."""
+    """Steady shear forcing amplitude*(sin(m * 2 pi y / L), 0, ...), for
+    |m| < N/2."""
+    if abs(mode) >= grid.n_points // 2:
+        raise InvalidArgumentsError(
+            f"mode {mode} needs |mode| < N/2 = {grid.n_points // 2}")
     scale = TWO_PI / grid.period
     mesh = grid.meshgrid()
     data = np.zeros((grid.dim,) + grid.shape)

@@ -5,12 +5,14 @@ read-only and every operation returns a new field, so values are safe to
 share across threads.
 
 Spectral coefficients follow the convention u(x) = sum_m u_hat(m) e^{i k_m.x}
-with k_m = 2*pi*m/L, i.e. ``fftn(samples) / N^d``.  Real-valued fields then
-satisfy the Hermitian symmetry u_hat(-m) = conj(u_hat(m)), which
-:func:`to_physical` enforces before inverting.  Transforms are real, on the
-half spectrum (last-axis modes 0..N/2), where the solver also keeps its
-state; a :class:`SpectralField` stores the full array, which
-:func:`hermitian_expand` rebuilds from the half.
+with k_m = 2*pi*m/L, i.e. ``fftn(samples) / N^d``.  Real-valued fields
+satisfy the Hermitian symmetry u_hat(-m) = conj(u_hat(m)), so a
+:class:`SpectralField` stores only the half spectrum that ``rfftn`` keeps
+(last-axis modes 0..N/2), and transforms are real.  Full arrays appear only
+at the boundaries: :meth:`SpectralField.from_full` takes one in and runs the
+one Hermitian check (raising :class:`SymmetryError`), and
+:meth:`SpectralField.full` expands for output; snapshot files store the full
+array.
 """
 
 from dataclasses import dataclass
@@ -60,9 +62,19 @@ class PhysicalField:
         return magnitude(self.data)
 
 
+def _norm(mags, weights=1.0):
+    """sqrt(sum(weights * mags^2)), summed relative to the peak magnitude:
+    squares of magnitudes above about 1e154 would overflow."""
+    peak = float(np.max(mags))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sqrt(np.sum(weights * (mags / peak) ** 2)))
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients, shape (ncomp, N, ..., N)."""
+    """Complex Fourier coefficients on the half spectrum, shape (ncomp, N,
+    ..., N/2+1); the modes -m it leaves out are conj(u_hat(m))."""
 
     grid: TorusGrid
     coeffs: np.ndarray
@@ -72,9 +84,10 @@ class SpectralField:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim == self.grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] != self.grid.shape:
+        if coeffs.shape[1:] != self.grid.half_shape:
             raise InvalidFieldError(
-                f"coefficient shape {coeffs.shape} does not match grid {self.grid.shape}")
+                f"coefficient shape {coeffs.shape} does not match the half "
+                f"spectrum {self.grid.half_shape} of grid {self.grid.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidFieldError("non-finite coefficients")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
@@ -88,40 +101,47 @@ class SpectralField:
         return self.ncomp == self.grid.dim
 
     def symmetry_defect(self):
-        """max |u_hat(-k) - conj(u_hat(k))| over all modes and components."""
-        defect = 0.0
-        for c in self.coeffs:
-            defect = max(defect, float(np.max(np.abs(c - self.grid.conj_reflect(c)))))
-        return defect
+        """max |u_hat(-m) - conj(u_hat(m))| on columns 0 and N/2, the only
+        columns that hold both m and -m."""
+        columns = self.coeffs[..., ::self.grid.n_points // 2]
+        return float(np.max(np.abs(
+            columns - conj_mirror(columns, _leading_axes(self.grid)))))
 
     def scale(self):
-        """Coefficient norm ||c||_2 used to normalize tolerances, summed
-        relative to the peak |c|: squares of |c| > 1e154 would overflow."""
-        mags = np.abs(self.coeffs)
-        peak = float(np.max(mags))
-        if peak == 0.0:
-            return 0.0
-        return peak * float(np.sqrt(np.sum((mags / peak) ** 2)))
+        """Coefficient norm ||c||_2 over the full spectrum, used to normalize
+        tolerances; a Plancherel sum of the half."""
+        return _norm(np.abs(self.coeffs), self.grid.plancherel_weights)
+
+    def full(self):
+        """The full coefficient array (ncomp, N, ..., N), a new array."""
+        return hermitian_expand(self.coeffs, self.grid)
+
+    @classmethod
+    def from_full(cls, grid, full, divergence_free=False):
+        """Field of a full coefficient array (ncomp, N, ..., N), which keeps
+        its half.  Raises :class:`InvalidFieldError` unless the array is
+        finite, and :class:`SymmetryError` unless it is Hermitian symmetric
+        relative to its norm: the one symmetry check of the package."""
+        full = np.asarray(full, dtype=complex)
+        if full.shape[1:] != grid.shape or not np.all(np.isfinite(full)):
+            raise InvalidFieldError(f"need finite coefficients of shape "
+                                    f"(ncomp,) + {grid.shape}, got {full.shape}")
+        defect = float(np.max(np.abs(full - conj_mirror(
+            full, tuple(range(-grid.dim, 0))))))
+        if defect > SYMMETRY_TOL * max(_norm(np.abs(full)), 1e-300):
+            raise SymmetryError("coefficients violate Hermitian symmetry")
+        return cls(grid, full[..., :grid.n_points // 2 + 1], divergence_free)
 
     @classmethod
     def from_half(cls, grid, half, divergence_free=False):
-        """Exactly Hermitian field of half-spectrum coefficients (ncomp, N,
-        ..., N/2+1).  Columns 0 and N/2, each its own mirror image, are
-        replaced by their Hermitian parts (c + conj(c(-m)))/2; the other
-        columns are mirrored.  Raises :class:`InvalidFieldError` unless the
-        half is finite, and then skips the scan of the full array, whose
-        entries are all finite."""
-        if not np.all(np.isfinite(half)):
-            raise InvalidFieldError("non-finite coefficients")
-        full = hermitian_expand(half, grid)
-        columns = full[..., ::grid.n_points // 2]  # 0 and N/2, as a view
-        columns[...] = 0.5 * (columns + _conj_mirror(
-            columns, tuple(range(-grid.dim, -1))))
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "coeffs", _freeze(full))
-        object.__setattr__(field, "divergence_free", divergence_free)
-        return field
+        """Exactly Hermitian field of half-spectrum coefficients, which it
+        takes over: columns 0 and N/2, each its own mirror image, are
+        replaced in place by their Hermitian parts (c + conj(c(-m)))/2.  The
+        constructor then runs the one finiteness check."""
+        half = np.ascontiguousarray(half, dtype=complex)
+        columns = half[..., ::grid.n_points // 2]  # 0 and N/2, as a view
+        columns[...] = 0.5 * (columns + conj_mirror(columns, _leading_axes(grid)))
+        return cls(grid, half, divergence_free)
 
     def replace(self, coeffs, divergence_free=None):
         if divergence_free is None:
@@ -164,13 +184,8 @@ def require_same_grid(a, b):
 
 def zero_field(grid, ncomp=None):
     ncomp = grid.dim if ncomp is None else ncomp
-    return SpectralField(grid, np.zeros((ncomp,) + grid.shape, dtype=complex),
+    return SpectralField(grid, np.zeros((ncomp,) + grid.half_shape, dtype=complex),
                          divergence_free=True)
-
-
-def half_spectrum(coeffs, grid):
-    """View of the last-axis modes 0..N/2: the half that ``rfftn`` keeps."""
-    return coeffs[..., :grid.n_points // 2 + 1]
 
 
 def real_inverse(half, grid):
@@ -184,7 +199,11 @@ def real_forward(samples, grid):
     return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
 
 
-def _conj_mirror(a, axes, out=None):
+def _leading_axes(grid):
+    return tuple(range(-grid.dim, -1))
+
+
+def conj_mirror(a, axes, out=None):
     """conj(a(-m)) over ``axes``, -m mod N: a flip followed by a roll by one."""
     return np.conjugate(np.roll(np.flip(a, axis=axes), 1, axis=axes), out=out)
 
@@ -195,31 +214,17 @@ def hermitian_expand(half, grid):
     full = np.empty(half.shape[:-1] + (n,), dtype=complex)
     full[..., :h] = half
     # Column j > N/2 is conj(column N - j) mirrored on the other axes.
-    _conj_mirror(np.flip(half[..., 1:n - h + 1], axis=-1),
-                 tuple(range(-grid.dim, -1)), out=full[..., h:])
+    conj_mirror(np.flip(half[..., 1:n - h + 1], axis=-1), _leading_axes(grid),
+                 out=full[..., h:])
     return full
 
 
 def to_spectral(field: PhysicalField) -> SpectralField:
-    """Forward transform; coefficients are fftn(samples)/N^d per component."""
-    grid = field.grid
-    return SpectralField(grid, hermitian_expand(real_forward(field.data, grid), grid))
-
-
-def require_hermitian(field: SpectralField):
-    """Raise :class:`SymmetryError` unless the coefficients are Hermitian
-    symmetric relative to the overall coefficient scale."""
-    if field.symmetry_defect() > SYMMETRY_TOL * max(field.scale(), 1e-300):
-        raise SymmetryError("coefficients violate Hermitian symmetry")
+    """Forward transform; coefficients are fftn(samples)/N^d per component,
+    on the half spectrum."""
+    return SpectralField(field.grid, real_forward(field.data, field.grid))
 
 
 def to_physical(field: SpectralField) -> PhysicalField:
-    """Inverse transform back to real samples.
-
-    Raises :class:`SymmetryError` by :func:`require_hermitian`; internal
-    pipelines, symmetric by construction, call :func:`real_inverse` without
-    the check.
-    """
-    require_hermitian(field)
-    grid = field.grid
-    return PhysicalField(grid, real_inverse(half_spectrum(field.coeffs, grid), grid))
+    """Inverse transform back to real samples."""
+    return PhysicalField(field.grid, real_inverse(field.coeffs, field.grid))

@@ -1,12 +1,12 @@
 """Periodic computational domain and its wavenumber machinery.
 
 A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
-the torus and precomputes everything the spectral operators need: integer
-mode indices, derivative wavenumbers (with the unmatched Nyquist mode zeroed
-so that ik*u_hat stays Hermitian-symmetric), the squared-wavenumber
-multiplier of the Stokes operator, and the 2/3-rule dealiasing mask; and, for
-the solver, the same multipliers on the half spectrum (last-axis modes
-0..N/2) with the Plancherel weights of its columns.
+the torus and precomputes everything the spectral operators need, on the
+half spectrum that spectral fields store (last-axis modes 0..N/2): integer
+mode indices, derivative wavenumbers (with the unmatched Nyquist modes
+zeroed so that ik*u_hat stays Hermitian-symmetric), the squared-wavenumber
+multiplier of the Stokes operator, the 2/3-rule dealiasing mask, and the
+Plancherel weights of the half's columns.
 """
 
 from dataclasses import dataclass
@@ -69,27 +69,35 @@ class TorusGrid:
         """Integer mode index along one axis in FFT order (Nyquist = -N/2)."""
         return np.rint(np.fft.fftfreq(self.n_points) * self.n_points).astype(int)
 
-    def _broadcast_axis(self, values, axis):
-        shape = [1] * self.dim
-        shape[axis] = self.n_points
-        return values.reshape(shape)
+    @property
+    def half_shape(self):
+        """Shape of the half spectrum that ``rfftn`` keeps: last-axis modes
+        0..N/2."""
+        return self.shape[:-1] + (self.n_points // 2 + 1,)
 
     @cached_property
     def mode_grids(self):
-        """Integer mode index per axis, broadcastable to the field shape."""
-        return tuple(self._broadcast_axis(self.modes, a) for a in range(self.dim))
+        """Integer mode index per axis on the half spectrum, broadcastable to
+        :attr:`half_shape`: FFT order on the leading axes, 0..N/2 last."""
+        last = np.arange(self.n_points // 2 + 1)
+        return tuple(np.reshape(self.modes if a < self.dim - 1 else last,
+                                [-1 if b == a else 1 for b in range(self.dim)])
+                     for a in range(self.dim))
 
     @cached_property
     def wavenumbers(self):
-        """Derivative wavenumbers 2*pi*m/L per axis, Nyquist entry zeroed."""
-        k = self.modes.astype(float) * (TWO_PI / self.period)
-        k[self.n_points // 2] = 0.0
-        return tuple(self._broadcast_axis(k, a) for a in range(self.dim))
+        """Derivative wavenumbers 2*pi*m/L per axis, Nyquist entries zeroed."""
+        out = []
+        for m in self.mode_grids:
+            k = m.astype(float) * (TWO_PI / self.period)
+            k[np.abs(m) == self.n_points // 2] = 0.0
+            out.append(k)
+        return tuple(out)
 
     @cached_property
     def k_squared(self):
         """|k|^2 multiplier built from the derivative wavenumbers."""
-        out = np.zeros(self.shape)
+        out = np.zeros(self.half_shape)
         for k in self.wavenumbers:
             out = out + k * k
         return out
@@ -102,16 +110,16 @@ class TorusGrid:
 
     @cached_property
     def mode_inf_norm(self):
-        """max_i |m_i| per grid mode (box radius of the index)."""
-        out = np.zeros(self.shape, dtype=int)
+        """max_i |m_i| per mode (box radius of the index)."""
+        out = np.zeros(self.half_shape, dtype=int)
         for m in self.mode_grids:
             out = np.maximum(out, np.abs(m))
         return out
 
     @cached_property
     def mode_sq_norm(self):
-        """sum_i m_i^2 per grid mode."""
-        out = np.zeros(self.shape, dtype=int)
+        """sum_i m_i^2 per mode."""
+        out = np.zeros(self.half_shape, dtype=int)
         for m in self.mode_grids:
             out = out + m * m
         return out
@@ -126,23 +134,6 @@ class TorusGrid:
         """
         return self.mode_inf_norm <= (self.n_points - 1) // 3
 
-    def _half(self, multiplier):
-        """Contiguous copy of a multiplier's last-axis modes 0..N/2."""
-        return np.ascontiguousarray(multiplier[..., :self.n_points // 2 + 1])
-
-    @cached_property
-    def half_wavenumbers(self):
-        """:attr:`wavenumbers` on the half spectrum."""
-        return tuple(self._half(k) for k in self.wavenumbers)
-
-    @cached_property
-    def half_k_squared(self):
-        return self._half(self.k_squared)
-
-    @cached_property
-    def half_inv_k_squared(self):
-        return self._half(self.inv_k_squared)
-
     @cached_property
     def plancherel_weights(self):
         """Weight of each half-spectrum column in a Plancherel sum over the
@@ -153,20 +144,10 @@ class TorusGrid:
         return weights
 
     @cached_property
-    def half_band_masks(self):
-        """Half-spectrum band masks by their arguments, filled once each by
-        ``spectral.half_band_mask``."""
+    def band_masks(self):
+        """Band masks by their arguments, filled once each by
+        ``spectral.band_mask``."""
         return {}
-
-    @cached_property
-    def _reflect_index(self):
-        """Index arrays realizing the m -> -m mod N map on each axis."""
-        idx = (-np.arange(self.n_points)) % self.n_points
-        return np.ix_(*([idx] * self.dim))
-
-    def conj_reflect(self, coeffs):
-        """conj(c(-k)) for a single-component coefficient array."""
-        return np.conj(coeffs[self._reflect_index])
 
     def compatible(self, other):
         """Same dimension, resolution and (finite, so exactly equal) period."""

@@ -8,11 +8,10 @@ with A the (negative) Laplacian restricted to divergence-free fields, B the
 Leray-projected advection and C_r the projected pointwise damping
 |u|^{r-1} u.  Nonlinear terms are evaluated pseudo-spectrally: physical-space
 products, forward transform, 2/3-rule dealiasing, then Leray projection, the
-last three on the half spectrum in one place.  :func:`nonlinear_term` is the
-one kernel that the solver, :func:`cbf_operator` and :func:`recover_pressure`
-share; it takes and returns half-spectrum coefficients, so only the last two
-expand to the full array.  :func:`advection` and :func:`damping` end in the
-same forward tail.
+last three in one place.  :func:`nonlinear_term` is the one kernel that the
+solver, :func:`cbf_operator` and :func:`recover_pressure` share; it takes and
+returns half-spectrum coefficients, the layout of every spectral field.
+:func:`advection` and :func:`damping` end in the same forward tail.
 """
 
 from dataclasses import dataclass
@@ -22,10 +21,9 @@ import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, NotApplicableError)
-from .fields import (SpectralField, half_spectrum, hermitian_expand,
-                     real_forward, real_inverse, require_same_grid,
-                     squared_magnitude, to_physical)
-from .spectral import (dealias, divergence_defect, half_band_mask,
+from .fields import (SpectralField, real_forward, real_inverse,
+                     require_same_grid, squared_magnitude, to_physical)
+from .spectral import (band_mask, dealias, divergence_defect, jacobian,
                        project_coeffs)
 
 DIV_FREE_TOL = 1e-10
@@ -106,8 +104,9 @@ def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
     """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
-    return _spectral_term(damping_pointwise(to_physical(u).data, r), u.grid,
-                          half_band_mask(u.grid, apply_dealias))
+    samples = damping_pointwise(to_physical(u).data, r)
+    return SpectralField(u.grid, _forward_half(
+        samples, u.grid, band_mask(u.grid, apply_dealias)), divergence_free=True)
 
 
 def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
@@ -115,21 +114,14 @@ def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
     return np.einsum("i...,ji...->j...", u_phys, v_jac_phys)
 
 
-def _jacobian_samples(half, grid):
-    """Samples of the partial derivatives of half-spectrum coefficients."""
-    k = grid.half_wavenumbers
-    return real_inverse(np.stack([np.stack([1j * ka * c for ka in k])
-                                  for c in half]), grid)
-
-
 def physical_jacobian(v: SpectralField) -> np.ndarray:
     """Partial derivatives of v evaluated on the grid, shape (ncomp, dim, ...)."""
-    return _jacobian_samples(half_spectrum(v.coeffs, v.grid), v.grid)
+    return real_inverse(jacobian(v.coeffs, v.grid), v.grid)
 
 
 def _rotational_samples(half, u_phys, grid):
     """omega x u on samples, omega = curl u (its z-component alone in 2D)."""
-    k = grid.half_wavenumbers
+    k = grid.wavenumbers
 
     def curl(i, j):
         return 1j * (k[i] * half[j] - k[j] * half[i])
@@ -145,21 +137,15 @@ def _rotational_samples(half, u_phys, grid):
 
 def _forward_half(samples, grid, mask, project=True):
     """Half-spectrum coefficients of the samples, restricted to ``mask`` (a
-    :func:`half_band_mask`) and Leray-projected."""
+    :func:`band_mask`) and Leray-projected."""
     if project and len(samples) != grid.dim:
         raise InvalidArgumentsError("Leray projection needs a vector field")
     out = real_forward(samples, grid)
     if mask is not None:
         out = out * mask
     if project:
-        out = project_coeffs(out, grid.half_wavenumbers, grid.half_inv_k_squared)
+        out = project_coeffs(out, grid.wavenumbers, grid.inv_k_squared)
     return out
-
-
-def _spectral_term(samples, grid, mask, project=True):
-    """:func:`_forward_half` expanded to a full-array field."""
-    return SpectralField(grid, hermitian_expand(
-        _forward_half(samples, grid, mask, project), grid), divergence_free=project)
 
 
 def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
@@ -167,7 +153,7 @@ def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
                    galerkin_shape: str = "box", project: bool = True,
                    samples: Samples = None):
     """(B(u) + beta*C_r(u), :class:`Samples` of u) for the u of half-spectrum
-    coefficients ``half``, both on the band of :func:`half_band_mask`; the result
+    coefficients ``half``, both on the band of :func:`band_mask`; the result
     is half-spectrum coefficients too.  Pass ``samples`` when they are known;
     u must then lie in the band already.
 
@@ -175,7 +161,7 @@ def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
     equal to (u.grad)u up to grad(|u|^2/2), which the projection removes;
     otherwise the convective form.
     """
-    mask = half_band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
+    mask = band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
     if samples is None:
         if mask is not None:
             half = half * mask
@@ -183,7 +169,8 @@ def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
     if apply_dealias and project:
         term = _rotational_samples(half, samples.phys, grid)
     else:
-        term = advect_samples(samples.phys, _jacobian_samples(half, grid))
+        term = advect_samples(samples.phys,
+                              real_inverse(jacobian(half, grid), grid))
     term = term + params.beta * samples.weight * samples.phys
     return _forward_half(term, grid, mask, project), samples
 
@@ -198,7 +185,8 @@ def advection(u: SpectralField, v: SpectralField = None,
     if apply_dealias:
         u, v = dealias(u), dealias(v)
     term = advect_samples(to_physical(u).data, physical_jacobian(v))
-    return _spectral_term(term, u.grid, half_band_mask(u.grid, apply_dealias))
+    return SpectralField(u.grid, _forward_half(
+        term, u.grid, band_mask(u.grid, apply_dealias)), divergence_free=True)
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -216,10 +204,8 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     """G(u) = mu*A u + B(u) + beta*C(u) + alpha*u."""
     _require_div_free(u, "cbf operator")
     grid = u.grid
-    nl, _ = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
-                           apply_dealias)
-    coeffs = ((params.mu * grid.k_squared + params.alpha) * u.coeffs
-              + hermitian_expand(nl, grid))
+    nl, _ = nonlinear_term(u.coeffs, grid, params, apply_dealias)
+    coeffs = (params.mu * grid.k_squared + params.alpha) * u.coeffs + nl
     return SpectralField(grid, coeffs, divergence_free=True)
 
 
@@ -263,9 +249,6 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     _require_div_free(u, "pressure recovery")
     require_same_grid(u, f)
     grid = u.grid
-    rhs, _ = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
-                            apply_dealias, project=False)
-    src = half_spectrum(f.coeffs, grid) - rhs
-    div = sum(1j * k * c for k, c in zip(grid.half_wavenumbers, src))
-    return SpectralField(grid, hermitian_expand(-grid.half_inv_k_squared * div,
-                                                grid))
+    rhs, _ = nonlinear_term(u.coeffs, grid, params, apply_dealias, project=False)
+    div = sum(1j * k * c for k, c in zip(grid.wavenumbers, f.coeffs - rhs))
+    return SpectralField(grid, -grid.inv_k_squared * div)

@@ -5,7 +5,9 @@ Layout (all little-endian):
   uint32    dim
   uint32    n_points
   float64   period, time, r, mu, alpha, beta
-  then dim row-major complex128 coefficient arrays, one per component.
+  then dim row-major complex128 coefficient arrays, one per component: the
+  full spectrum, which the writer expands from a field's half and the
+  reader checks for Hermitian symmetry before it keeps the half.
 
 The reader raises :class:`SnapshotFormatError` for every malformed file, and
 checks the size the header declares against the file before it reads on.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import (CbfError, InvalidFieldError, SnapshotFormatError,
                      SymmetryError)
-from .fields import SpectralField, require_hermitian
+from .fields import SpectralField
 from .grid import TorusGrid
 from .operators import CbfParams
 
@@ -36,7 +38,7 @@ def write_snapshot_file(path, field: SpectralField, time: float,
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.coeffs.astype("<c16")).tobytes())
+        fh.write(field.full().astype("<c16", copy=False))
 
 
 def read_snapshot_file(path):
@@ -65,8 +67,7 @@ def read_snapshot_file(path):
         raw_coeffs = fh.read(n_bytes)
     coeffs = np.frombuffer(raw_coeffs, dtype="<c16").reshape((dim,) + grid.shape)
     try:
-        field = SpectralField(grid, coeffs.astype(complex))
-        require_hermitian(field)
+        field = SpectralField.from_full(grid, coeffs)
     except (InvalidFieldError, SymmetryError) as err:
         raise SnapshotFormatError(f"bad coefficients in {path}: {err}") from None
     return field, time, params

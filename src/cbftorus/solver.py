@@ -10,12 +10,13 @@ cumulative defect of the energy identity
     ||u(t)||^2 + 2 mu int ||grad u||^2 + 2 alpha int ||u||^2
               + 2 beta int ||u||_{r+1}^{r+1}  =  ||u0||^2 + 2 int <f, u>.
 
-A step works on the half spectrum (last-axis modes 0..N/2) from the update
-to the budget rates, whose Plancherel sums weight the columns that stand for
-their mirror images by 2.  |u|^2 is formed once per set of samples of u; the
-weight |u|^{r-1} taken from it gives both the damping rate and the next
-step's damping term.  The state's ``u`` is the exactly Hermitian full array,
-expanded once per step.
+The state and every step work on the half spectrum (last-axis modes
+0..N/2) that spectral fields store; the budget rates are Plancherel sums
+that weight the columns standing for their mirror images by 2.  |u|^2 is
+formed once per set of samples of u; the weight |u|^{r-1} taken from it
+gives both the damping rate and the next step's damping term.  The state's
+``u`` is exactly Hermitian: each step symmetrizes columns 0 and N/2 of the
+new half in place, and expands nothing.
 """
 
 import warnings
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import (SpectralField, half_spectrum, real_inverse,
-                     require_same_grid)
+from .fields import SpectralField, real_inverse
 from .operators import (CbfParams, Samples, nonlinear_term, physical_jacobian,
                         pointwise_samples)
-from .spectral import (abs_sq, divergence_defect, dual_norm, half_band_mask,
-                       l2_norm, leray_project, project_coeffs)
+from .spectral import (band_mask, divergence_defect, dual_norm, l2_norm,
+                       l2_pairing, leray_project, power_spectrum,
+                       project_coeffs)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -67,52 +68,50 @@ class SolverConfig:
 
 
 class Forcing:
-    """Right-hand side f(t); always Leray-projected before use."""
+    """Right-hand side f(t) = profile(t) * P(base), with P the Leray
+    projector: zero (no base), steady (no profile) or analytic.  The base is
+    projected once, and restricted to each band mask once."""
 
-    def __init__(self, kind, sample=None):
-        self.kind = kind
-        self._sample = sample
-        self._band = (None, None)  # (mask, steady forcing restricted to it)
+    def __init__(self, base: SpectralField = None, profile=None):
+        self._base = None if base is None else leray_project(base)
+        self._profile = profile
+        self._band = None  # (mask, base restricted to it)
 
     @classmethod
     def zero(cls):
-        return cls("zero")
+        return cls()
 
     @classmethod
     def steady(cls, f: SpectralField):
-        f = leray_project(f)
-        return cls("steady", lambda t: f)
+        return cls(f)
 
     @classmethod
-    def analytic(cls, fn):
-        """Time-dependent forcing from a callable t -> SpectralField."""
-        return cls("analytic", lambda t: leray_project(fn(t)))
+    def analytic(cls, base: SpectralField, profile):
+        """Time-dependent forcing profile(t) * P(base) for a callable
+        t -> float."""
+        return cls(base, profile)
 
     @property
     def is_zero(self):
-        return self.kind == "zero"
+        return self._base is None
 
     def at(self, t: float):
         """Projected forcing field at time t, or None when zero."""
-        if self.kind == "zero":
-            return None
-        return self._sample(t)
+        if self._base is None or self._profile is None:
+            return self._base
+        return self._base * float(self._profile(t))
 
-    def band_half(self, t: float, mask):
-        """Half-spectrum coefficients of f(t) restricted to the half-spectrum
-        ``mask`` (None keeps every mode), or 0.0 when f = 0.  A steady
-        forcing is restricted once per mask."""
-        f = self.at(t)
-        if f is None:
+    def band_coeffs(self, t: float, mask):
+        """Coefficients of f(t) restricted to ``mask`` (None keeps every
+        mode), or 0.0 when f = 0."""
+        if self._base is None:
             return 0.0
-        half = half_spectrum(f.coeffs, f.grid)
-        if mask is None:
-            return half
-        if self.kind != "steady":
-            return half * mask
-        if self._band[0] is not mask:
-            self._band = (mask, half * mask)
-        return self._band[1]
+        if self._band is None or self._band[0] is not mask:
+            base = self._base.coeffs
+            self._band = (mask, base if mask is None else base * mask)
+        if self._profile is None:
+            return self._band[1]
+        return self._band[1] * float(self._profile(t))
 
 
 @dataclass(frozen=True)
@@ -195,20 +194,13 @@ def compute_rates(u: SpectralField, t: float, params: CbfParams,
     """Evaluate the budget integrands at one instant: Plancherel sums over
     the half spectrum, and ``samples`` of u (formed here when not given)."""
     grid = u.grid
-    half = half_spectrum(u.coeffs, grid)
     if samples is None:
         samples = _samples(u, params.r)
-    weights = grid.plancherel_weights * grid.volume
-    power = weights * np.sum(abs_sq(half), axis=0)
-    k2 = grid.half_k_squared
+    power = power_spectrum(u)
+    k2 = grid.k_squared
     damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
     f = forcing.at(t)
-    forcing_val = 0.0
-    if f is not None:
-        require_same_grid(f, u)
-        fh = half_spectrum(f.coeffs, grid)
-        forcing_val = float(np.sum(weights * np.sum(
-            fh.real * half.real + fh.imag * half.imag, axis=0)))
+    forcing_val = 0.0 if f is None else l2_pairing(f, u)
     a_sq = wgrad = 0.0
     if extended:
         a_sq = float(np.sum(k2 * k2 * power))
@@ -221,13 +213,12 @@ def compute_rates(u: SpectralField, t: float, params: CbfParams,
 
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
-    """Project and restrict the initial condition's half spectrum, and prime
-    the budget rates; the state is exactly Hermitian."""
+    """Project and restrict the initial condition, and prime the budget
+    rates; the state is exactly Hermitian."""
     grid = ic.grid
     if not ic.divergence_free and divergence_defect(ic) > 1e-10:
         warnings.warn("initial condition is not divergence-free; projecting")
-    half = project_coeffs(half_spectrum(ic.coeffs, grid), grid.half_wavenumbers,
-                          grid.half_inv_k_squared)
+    half = project_coeffs(ic.coeffs, grid.wavenumbers, grid.inv_k_squared)
     mask = _band(grid, config)
     if mask is not None:
         half = half * mask
@@ -239,12 +230,12 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
 
 
 def _samples(u: SpectralField, r: float) -> Samples:
-    return pointwise_samples(real_inverse(half_spectrum(u.coeffs, u.grid), u.grid), r)
+    return pointwise_samples(real_inverse(u.coeffs, u.grid), r)
 
 
 def _band(grid, config: SolverConfig):
-    return half_band_mask(grid, config.dealias, config.galerkin_n,
-                          config.galerkin_shape)
+    return band_mask(grid, config.dealias, config.galerkin_n,
+                     config.galerkin_shape)
 
 
 def _nonlinear(half, grid, params: CbfParams, config: SolverConfig,
@@ -278,8 +269,8 @@ def _advance(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
     mask = _band(grid, config)
-    lam = params.mu * grid.half_k_squared + params.alpha
-    half = half_spectrum(state.u.coeffs, grid)
+    lam = params.mu * grid.k_squared + params.alpha
+    half = state.u.coeffs
 
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
@@ -289,14 +280,14 @@ def _advance(state, params, config, forcing):
         for s in range(n_sub):
             nl, max_speed = _nonlinear(coeffs, grid, params, config,
                                        state.samples if s == 0 else None)
-            rhs = coeffs + h * (forcing.band_half(state.t + s * h, mask) - nl)
+            rhs = coeffs + h * (forcing.band_coeffs(state.t + s * h, mask) - nl)
             coeffs = rhs / (1.0 + h * lam)
         new_half = coeffs
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
         nl, max_speed = _nonlinear(half, grid, params, config, state.samples)
         explicit = 1.5 * nl - 0.5 * state.prev_nonlinear
-        f_mid = forcing.band_half(state.t + 0.5 * dt, mask)
+        f_mid = forcing.band_coeffs(state.t + 0.5 * dt, mask)
         rhs = (1.0 - 0.5 * dt * lam) * half + dt * (f_mid - explicit)
         new_half = rhs / (1.0 + 0.5 * dt * lam)
         prev_nl = nl

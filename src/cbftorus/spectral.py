@@ -1,25 +1,18 @@
 """Spectral calculus: projection, differentiation, filtering, norms.
 
-Every multiplier here is built from the grid's derivative wavenumbers (with
-the unmatched Nyquist entry zeroed), which keeps the discrete identities
-exact: the Leray projector annihilates discrete gradients, <Au,u> equals the
-quadrature of |grad u|^2, and Plancherel sums match physical quadrature to
-rounding.
+Every operation acts on the half spectrum that a :class:`SpectralField`
+stores.  Every multiplier here is built from the grid's derivative
+wavenumbers (with the unmatched Nyquist entries zeroed), which keeps the
+discrete identities exact: the Leray projector annihilates discrete
+gradients, <Au,u> equals the quadrature of |grad u|^2, and Plancherel sums,
+which weight each column that stands for its mirror image by 2
+(``grid.plancherel_weights``), match physical quadrature to rounding.
 """
 
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
-from .fields import (PhysicalField, SpectralField, half_spectrum,
-                     require_same_grid, to_physical)
-
-__all__ = [
-    "leray_project", "project_coeffs", "gradient", "jacobian", "divergence",
-    "laplacian", "dealias", "truncate_modes", "truncation_mask",
-    "half_band_mask", "exp_filter", "abs_sq",
-    "l2_norm", "h1_norm", "grad_norm", "lp_norm", "dual_norm", "l2_pairing",
-    "divergence_defect",
-]
+from .fields import PhysicalField, SpectralField, require_same_grid, to_physical
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -38,7 +31,7 @@ def leray_project(u: SpectralField) -> SpectralField:
 
 def project_coeffs(coeffs, k, inv_k2):
     """(I - k k^T/|k|^2) applied to a (dim, ...) coefficient array, given the
-    wavenumbers and 1/|k|^2 broadcast to its modes (full or half spectrum)."""
+    wavenumbers and 1/|k|^2 broadcast to its modes."""
     factor = inv_k2 * sum(k[i] * coeffs[i] for i in range(len(k)))
     return np.stack([coeffs[i] - k[i] * factor for i in range(len(k))])
 
@@ -51,19 +44,18 @@ def divergence_defect(u: SpectralField) -> float:
     return float(np.max(np.abs(divergence(u).coeffs))) / scale
 
 
-def jacobian(u: SpectralField) -> np.ndarray:
-    """Spectral partial derivatives, shape (ncomp, dim, N, ..., N)."""
-    grid = u.grid
-    return np.stack(
-        [np.stack([1j * grid.wavenumbers[a] * u.coeffs[c] for a in range(grid.dim)])
-         for c in range(u.ncomp)])
+def jacobian(coeffs, grid) -> np.ndarray:
+    """Spectral partial derivatives i*k_a*c of a (ncomp, ...) coefficient
+    array, shape (ncomp, dim, ...)."""
+    return np.stack([np.stack([1j * k * c for k in grid.wavenumbers])
+                     for c in coeffs])
 
 
 def gradient(u: SpectralField) -> SpectralField:
     """Gradient of a scalar field (or flattened Jacobian of a vector)."""
     grid = u.grid
-    jac = jacobian(u)
-    return SpectralField(grid, jac.reshape((-1,) + grid.shape))
+    return SpectralField(grid, jacobian(u.coeffs, grid).reshape(
+        (-1,) + grid.half_shape))
 
 
 def divergence(u: SpectralField) -> SpectralField:
@@ -100,20 +92,19 @@ def truncation_mask(grid, n: int, shape: str = "box"):
     raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
 
 
-def half_band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
-                   galerkin_shape: str = "box"):
-    """Half-spectrum modes kept by 2/3-rule dealiasing and Galerkin
-    truncation (off at ``galerkin_n = 0``), or None when both are off; built
-    once per grid and arguments."""
+def band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
+              galerkin_shape: str = "box"):
+    """Modes kept by 2/3-rule dealiasing and Galerkin truncation (off at
+    ``galerkin_n = 0``), or None when both are off; built once per grid and
+    arguments."""
     key = (apply_dealias, galerkin_n, galerkin_shape)
-    masks = grid.half_band_masks
+    masks = grid.band_masks
     if key not in masks:
         mask = grid.dealias_mask if apply_dealias else None
         if galerkin_n > 0:
             trunc = truncation_mask(grid, galerkin_n, galerkin_shape)
             mask = trunc if mask is None else mask & trunc
-        masks[key] = None if mask is None else np.ascontiguousarray(
-            half_spectrum(mask, grid))
+        masks[key] = mask
     return masks[key]
 
 
@@ -135,29 +126,37 @@ def abs_sq(coeffs):
     return coeffs.real ** 2 + coeffs.imag ** 2
 
 
+def _volume_weights(grid):
+    """Plancherel weight of each half-spectrum column times the volume."""
+    return grid.plancherel_weights * grid.volume
+
+
+def power_spectrum(u: SpectralField) -> np.ndarray:
+    """L2 energy per half-spectrum mode, summed over components: its sum is
+    ||u||^2, and with multiplier weights it gives the Sobolev norms."""
+    return _volume_weights(u.grid) * np.sum(abs_sq(u.coeffs), axis=0)
+
+
 def l2_norm(u) -> float:
     """L2 norm; spectral Plancherel sum or physical quadrature."""
     if isinstance(u, PhysicalField):
         return float(np.sqrt(np.sum(u.data ** 2) * u.grid.cell_volume))
-    return float(np.sqrt(u.grid.volume * np.sum(abs_sq(u.coeffs))))
+    return float(np.sqrt(np.sum(power_spectrum(u))))
 
 
 def grad_norm(u: SpectralField) -> float:
     """Gradient seminorm ||grad u||_{L2}, computed spectrally."""
-    return float(np.sqrt(u.grid.volume
-                         * np.sum(u.grid.k_squared * abs_sq(u.coeffs))))
+    return float(np.sqrt(np.sum(u.grid.k_squared * power_spectrum(u))))
 
 
 def h1_norm(u: SpectralField) -> float:
     """Full H1 norm (sum of squared L2 norm and gradient seminorm)."""
-    w = 1.0 + u.grid.k_squared
-    return float(np.sqrt(u.grid.volume * np.sum(w * abs_sq(u.coeffs))))
+    return float(np.sqrt(np.sum((1.0 + u.grid.k_squared) * power_spectrum(u))))
 
 
 def dual_norm(u: SpectralField) -> float:
     """H1-dual norm: coefficients weighted by (1 + |k|^2)^{-1/2}."""
-    w = 1.0 / (1.0 + u.grid.k_squared)
-    return float(np.sqrt(u.grid.volume * np.sum(w * abs_sq(u.coeffs))))
+    return float(np.sqrt(np.sum(power_spectrum(u) / (1.0 + u.grid.k_squared))))
 
 
 def lp_norm(u, p: float) -> float:
@@ -172,19 +171,29 @@ def lp_norm(u, p: float) -> float:
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:
     """Duality pairing <f, u> = integral of f.u, as a Plancherel sum."""
     require_same_grid(f, u)
-    return float(f.grid.volume * np.real(np.sum(f.coeffs * np.conj(u.coeffs))))
+    fc, uc = f.coeffs, u.coeffs
+    return float(np.sum(_volume_weights(f.grid) * np.sum(
+        fc.real * uc.real + fc.imag * uc.imag, axis=0)))
 
 
 def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
-    """Copy coefficients into a finer grid by mode index (same period)."""
+    """The same trigonometric polynomial on a finer grid (same period):
+    coefficients copied by mode index, each Nyquist mode split evenly onto
+    the fine grid's -N/2 and +N/2, so that the fine field is real and equals
+    u at the coarse grid points."""
     if fine_grid.dim != u.grid.dim or fine_grid.n_points < u.grid.n_points:
         raise InvalidArgumentsError("target grid must refine the source grid")
-    coarse = u.grid
-    out = np.zeros((u.ncomp,) + fine_grid.shape, dtype=complex)
-    src = [m.ravel() for m in np.meshgrid(*([coarse.modes] * coarse.dim),
-                                          indexing="ij")]
-    dst = tuple(m % fine_grid.n_points for m in src)
-    flat = u.coeffs.reshape(u.ncomp, -1)
-    for c in range(u.ncomp):
-        out[(c,) + dst] = flat[c]
+    n, n_fine, h = u.grid.n_points, fine_grid.n_points, u.grid.n_points // 2
+    if n_fine == n:
+        return SpectralField(fine_grid, u.coeffs, u.divergence_free)
+    c = u.coeffs
+    for axis in range(1, u.grid.dim):  # the leading axes hold every mode
+        c = np.moveaxis(c, axis, 0)
+        out = np.zeros((n_fine,) + c.shape[1:], dtype=complex)
+        out[u.grid.modes % n_fine] = c
+        out[h] = out[n_fine - h] = 0.5 * c[h]
+        c = np.moveaxis(out, 0, axis)
+    out = np.zeros((u.ncomp,) + fine_grid.half_shape, dtype=complex)
+    out[..., :h + 1] = c
+    out[..., h] *= 0.5  # the last axis keeps +N/2, whose mirror is -N/2
     return SpectralField(fine_grid, out, u.divergence_free)

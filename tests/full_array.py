@@ -1,0 +1,78 @@
+"""Full-array references: the spectral operations on all N^d modes, written
+out with complex transforms and full-spectrum multipliers, as the package
+computed them before spectral fields stored the half spectrum."""
+
+import numpy as np
+
+
+def modes(grid):
+    """Integer mode indices in FFT order as an open mesh over the full
+    spectrum (Nyquist = -N/2)."""
+    return np.ix_(*([grid.modes] * grid.dim))
+
+
+def wavenumbers(grid):
+    """2*pi*m/L per axis with the Nyquist entry zeroed, broadcast to the
+    full spectrum."""
+    k = grid.modes * (2.0 * np.pi / grid.period)
+    k[grid.n_points // 2] = 0.0
+    return tuple(k.reshape([-1 if b == a else 1 for b in range(grid.dim)])
+                 for a in range(grid.dim))
+
+
+def k_squared(grid):
+    out = np.zeros(grid.shape)
+    for k in wavenumbers(grid):
+        out = out + k * k
+    return out
+
+
+def inv_k_squared(grid):
+    k2 = k_squared(grid)
+    return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+
+
+def inf_norm(grid):
+    return np.max(np.broadcast_arrays(*(np.abs(m) for m in modes(grid))), axis=0)
+
+
+def sq_norm(grid):
+    return sum(m * m for m in modes(grid))
+
+
+def dealias_mask(grid):
+    return inf_norm(grid) <= (grid.n_points - 1) // 3
+
+
+def band(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box"):
+    mask = np.ones(grid.shape, dtype=bool)
+    if apply_dealias:
+        mask &= dealias_mask(grid)
+    if galerkin_n > 0:
+        mask &= (inf_norm(grid) <= galerkin_n if galerkin_shape == "box"
+                 else sq_norm(grid) <= galerkin_n ** 2)
+    return mask
+
+
+def project(c, grid):
+    """(I - k k^T/|k|^2) c on a (dim, N, ..., N) array."""
+    k, inv = wavenumbers(grid), inv_k_squared(grid)
+    factor = inv * sum(k[i] * c[i] for i in range(grid.dim))
+    return np.stack([c[i] - k[i] * factor for i in range(grid.dim)])
+
+
+def forward(data, grid):
+    """fftn(samples)/N^d over the trailing axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.fftn(data, axes=axes) / grid.n_points ** grid.dim
+
+
+def inverse(c, grid):
+    """Real part of the inverse of full coefficients over the trailing axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(c * grid.n_points ** grid.dim, axes=axes).real
+
+
+def jacobian(c, grid):
+    """i*k_a*c, shape (ncomp, dim, N, ..., N)."""
+    return np.stack([np.stack([1j * k * ci for k in wavenumbers(grid)]) for ci in c])

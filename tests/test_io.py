@@ -355,6 +355,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "params.mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,entries", [
+    ("solver", "t_end = inf"),
+    ("ic", "family = single_mode\ncomponent = 5"),
+    ("ic", "family = random\namplitude = nan"),
+    ("ic", "family = single_mode\nmode = 0, 99"),  # would alias at N = 64
+    ("forcing", "kind = steady\nfamily = kolmogorov\nmode = 40"),
+], ids=["t_end_inf", "component_5", "amplitude_nan", "mode_above_nyquist",
+        "forcing_mode_above_nyquist"])
+def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
+    text = f"[grid]\ndim = 2\nn = 64\n\n[{section}]\n{entries}\n"
+    with pytest.raises(ConfigError, match=section):
+        config = config_from_text(text)
+        config.initial_condition()
+        config.forcing()
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}" in capsys.readouterr().err
+
+
 def test_cli_blowup_exit_code(tmp_path, capsys):
     text = """
 [grid]

@@ -6,49 +6,33 @@ the half-spectrum solver step against the full-array step it replaced."""
 import numpy as np
 import pytest
 
-from cbftorus import fields, operators
+import full_array as fa
+from cbftorus import fields
 from cbftorus.families import random_band_limited
-from cbftorus.fields import (PhysicalField, SpectralField, half_spectrum,
-                             to_physical, to_spectral)
+from cbftorus.fields import PhysicalField, SpectralField, to_physical, to_spectral
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, advect_samples, advection, damping,
                                 damping_pointwise, nonlinear_term,
-                                physical_jacobian, recover_pressure)
+                                recover_pressure)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
                              SimulationState, SolverConfig, compute_rates,
                              initialize_state, sample_diagnostics, step)
-from cbftorus.spectral import (dealias, embed_modes, l2_norm, leray_project,
-                               truncation_mask)
+from cbftorus.spectral import dealias, embed_modes, l2_norm, leray_project
 
 from conftest import rel_diff
 
 
-def _reference_band(grid, apply_dealias, galerkin_n, galerkin_shape):
-    mask = np.ones(grid.shape, dtype=bool)
-    if apply_dealias:
-        mask &= grid.dealias_mask
-    if galerkin_n > 0:
-        mask &= truncation_mask(grid, galerkin_n, galerkin_shape)
-    return mask
-
-
-def _reference_nonlinear(u, params, apply_dealias=True, galerkin_n=0,
-                         galerkin_shape="box", project=True):
-    """Convective (u.grad)u + beta|u|^{r-1}u through complex fftn/ifftn:
-    restrict u, invert u and its Jacobian, multiply, transform, restrict the
-    result, Leray-project."""
-    grid = u.grid
-    d, norm = grid.dim, grid.n_points ** grid.dim
-    axes = tuple(range(1, d + 1))
-    mask = _reference_band(grid, apply_dealias, galerkin_n, galerkin_shape)
-    c = u.coeffs * mask
-    u_phys = np.fft.ifftn(c * norm, axes=axes).real
-    k = grid.wavenumbers
-    jac = np.stack([np.stack([1j * k[a] * c[i] for a in range(d)])
-                    for i in range(d)])
-    jac_phys = np.fft.ifftn(jac * norm, axes=tuple(range(2, d + 2))).real
-    term = np.einsum("i...,ji...->j...", u_phys, jac_phys)
+def _reference_nonlinear_full(c, grid, params, apply_dealias=True, galerkin_n=0,
+                              galerkin_shape="box", project=True):
+    """Convective (u.grad)u + beta|u|^{r-1}u of full coefficients ``c``
+    through complex fftn/ifftn: restrict u, invert u and its Jacobian,
+    multiply, transform, restrict the result, Leray-project.  Returns the
+    full coefficients and the samples of u."""
+    mask = fa.band(grid, apply_dealias, galerkin_n, galerkin_shape)
+    c = c * mask
+    u_phys = fa.inverse(c, grid)
+    term = np.einsum("i...,ji...->j...", u_phys, fa.inverse(fa.jacobian(c, grid), grid))
     mag = np.sqrt(np.sum(u_phys ** 2, axis=0))
     if params.r == 1.0:
         weight = np.ones_like(mag)
@@ -56,8 +40,14 @@ def _reference_nonlinear(u, params, apply_dealias=True, galerkin_n=0,
         weight = np.where(mag > 0, np.where(mag > 0, mag, 1.0) ** (params.r - 1.0),
                           0.0)
     term = term + params.beta * weight * u_phys
-    out = SpectralField(grid, np.fft.fftn(term, axes=axes) / norm * mask)
-    return (leray_project(out) if project else out), u_phys
+    out = fa.forward(term, grid) * mask
+    return (fa.project(out, grid) if project else out), u_phys
+
+
+def _reference_nonlinear(u, params, *args, **kwargs):
+    """:func:`_reference_nonlinear_full` of a field, as a field."""
+    out, u_phys = _reference_nonlinear_full(u.full(), u.grid, params, *args, **kwargs)
+    return SpectralField.from_full(u.grid, out), u_phys
 
 
 def _full_band_field(grid, seed):
@@ -78,18 +68,18 @@ def test_kernel_matches_convective_reference(grid, apply_dealias, galerkin, r):
     u = _full_band_field(grid, seed=5)
     params = CbfParams(mu=0.1, beta=0.7, r=r)
     for project in (True, False):
-        got, samples = nonlinear_term(half_spectrum(u.coeffs, grid), grid, params,
+        got, samples = nonlinear_term(u.coeffs, grid, params,
                                       apply_dealias, *galerkin, project=project)
         ref, ref_phys = _reference_nonlinear(u, params, apply_dealias,
                                              *galerkin, project=project)
-        assert rel_diff(got, half_spectrum(ref.coeffs, grid)) < 1e-12
+        assert rel_diff(got, ref.coeffs) < 1e-12
         assert rel_diff(samples.phys, ref_phys) < 1e-12
         assert got.shape == (grid.dim,) + grid.shape[:-1] + (grid.n_points // 2 + 1,)
 
 
 def test_kernel_uses_given_samples(grid3d):
     u = random_band_limited(grid3d, seed=3, band_limit=4)
-    half = half_spectrum(u.coeffs, grid3d)
+    half = u.coeffs
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
     fresh, samples = nonlinear_term(half, grid3d, params)
     cached, same = nonlinear_term(half, grid3d, params, samples=samples)
@@ -103,30 +93,49 @@ def test_recover_pressure_matches_convective_reference(grid32):
     f = _full_band_field(grid32, seed=9)
     for apply_dealias in (True, False):
         p = recover_pressure(u, f, params, apply_dealias)
-        rhs, _ = _reference_nonlinear(u, params, apply_dealias, project=False)
-        k, k2 = grid32.wavenumbers, grid32.k_squared
-        div_src = sum(1j * k[i] * (f.coeffs[i] - rhs.coeffs[i]) for i in range(2))
+        rhs, _ = _reference_nonlinear_full(u.full(), grid32, params, apply_dealias,
+                                           project=False)
+        k, k2 = fa.wavenumbers(grid32), fa.k_squared(grid32)
+        div_src = sum(1j * k[i] * (f.full()[i] - rhs[i]) for i in range(2))
         ref = np.where(k2 > 0, -div_src / np.where(k2 > 0, k2, 1.0), 0.0)
-        assert rel_diff(p.coeffs[0], ref) < 1e-12
+        assert rel_diff(p.full()[0], ref) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # advection and damping: the half-spectrum tail against the full-array one
 
 
+def _full_to_physical(c, grid):
+    return np.fft.irfftn(c[..., :grid.n_points // 2 + 1], s=grid.shape,
+                         axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
+def _full_to_spectral(data, grid):
+    return fields.hermitian_expand(np.fft.rfftn(
+        data, axes=tuple(range(-grid.dim, 0)), norm="forward"), grid)
+
+
+def _reference_tail(term, grid, apply_dealias):
+    """Transform, dealias and Leray-project the full coefficient array."""
+    out = _full_to_spectral(term, grid)
+    return fa.project(out * fa.dealias_mask(grid) if apply_dealias else out, grid)
+
+
 def _reference_advection(u, v, apply_dealias):
-    """Dealias the inputs, multiply on samples, then transform, dealias and
-    Leray-project the full coefficient array."""
+    """Dealias the inputs, multiply on samples, then the full-array tail;
+    real transforms, as the full-array pipeline made them."""
+    grid = u.grid
+    cu, cv = u.full(), v.full()
     if apply_dealias:
-        u, v = dealias(u), dealias(v)
-    term = advect_samples(to_physical(u).data, physical_jacobian(v))
-    out = to_spectral(PhysicalField(u.grid, term))
-    return leray_project(dealias(out) if apply_dealias else out)
+        cu, cv = cu * fa.dealias_mask(grid), cv * fa.dealias_mask(grid)
+    term = advect_samples(_full_to_physical(cu, grid),
+                          _full_to_physical(fa.jacobian(cv, grid), grid))
+    return _reference_tail(term, grid, apply_dealias)
 
 
 def _reference_damping(u, r, apply_dealias):
-    out = to_spectral(PhysicalField(u.grid, damping_pointwise(to_physical(u).data, r)))
-    return leray_project(dealias(out) if apply_dealias else out)
+    samples = damping_pointwise(_full_to_physical(u.full(), u.grid), r)
+    return _reference_tail(samples, u.grid, apply_dealias)
 
 
 TAIL_GRIDS = [TorusGrid(dim=2, n_points=32), TorusGrid(dim=2, n_points=24),
@@ -141,11 +150,11 @@ def test_advection_and_damping_match_full_array_pipeline(grid, apply_dealias):
     for second in (None, v):
         got = advection(u, second, apply_dealias)
         ref = _reference_advection(u, u if second is None else second, apply_dealias)
-        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert np.array_equal(got.full(), ref)
         assert got.divergence_free
     for r in (1.0, 3.0, 3.5):
         got = damping(u, r, apply_dealias)
-        assert np.array_equal(got.coeffs, _reference_damping(u, r, apply_dealias).coeffs)
+        assert np.array_equal(got.full(), _reference_damping(u, r, apply_dealias))
         assert got.divergence_free
 
 
@@ -160,7 +169,7 @@ def _padded_product(f, g, pad):
     fine = TorusGrid(coarse.dim, coarse.n_points * pad, coarse.period)
     prod = (to_physical(embed_modes(f, fine)).data
             * to_physical(embed_modes(g, fine)).data)
-    fine_coeffs = to_spectral(PhysicalField(fine, prod)).coeffs[0]
+    fine_coeffs = to_spectral(PhysicalField(fine, prod)).full()[0]
     idx = np.ix_(*([coarse.modes % fine.n_points] * coarse.dim))
     return fine_coeffs[idx]
 
@@ -173,11 +182,11 @@ def test_two_thirds_rule_is_exact(dim, n):
     f, g = (dealias(to_spectral(PhysicalField(grid, rng.standard_normal(grid.shape))))
             for _ in range(2))
     got = dealias(to_spectral(PhysicalField(
-        grid, to_physical(f).data * to_physical(g).data))).coeffs[0]
+        grid, to_physical(f).data * to_physical(g).data))).full()[0]
     # The product has |m_i| <= 2K, K = (N-1)//3, so any grid of more than
     # 4K points resolves it; 4N in 2D, 2N in 3D to bound the memory.
     pad = 4 if dim == 2 else 2
-    ref = _padded_product(f, g, pad) * grid.dealias_mask
+    ref = _padded_product(f, g, pad) * fa.dealias_mask(grid)
     assert rel_diff(got, ref) < 1e-13
 
 
@@ -241,34 +250,32 @@ def _reference_rates(u, t, params, forcing, extended):
     """Budget integrands as full-array Plancherel sums of |c|^2, and
     quadratures of samples from complex inverse transforms."""
     grid = u.grid
-    d, norm = grid.dim, grid.n_points ** grid.dim
-    u_phys = np.fft.ifftn(u.coeffs * norm, axes=tuple(range(1, d + 1))).real
+    c = u.full()
+    k2 = fa.k_squared(grid)
+    u_phys = fa.inverse(c, grid)
     mag = np.sqrt(np.sum(u_phys ** 2, axis=0))
-    power = np.abs(u.coeffs) ** 2
+    power = np.abs(c) ** 2
     damping_val = np.sum(mag ** (params.r + 1.0)) * grid.cell_volume
     f = forcing.at(t)
     forcing_val = (0.0 if f is None else
-                   grid.volume * np.real(np.sum(f.coeffs * np.conj(u.coeffs))))
+                   grid.volume * np.real(np.sum(f.full() * np.conj(c))))
     a_sq = wgrad = 0.0
     if extended:
-        a_sq = grid.volume * np.sum(grid.k_squared ** 2 * power)
-        k = grid.wavenumbers
-        jac = np.fft.ifftn(np.stack([np.stack([1j * k[a] * c for a in range(d)])
-                                     for c in u.coeffs]) * norm,
-                           axes=tuple(range(2, d + 2))).real
+        a_sq = grid.volume * np.sum(k2 ** 2 * power)
+        jac = fa.inverse(fa.jacobian(c, grid), grid)
         weight = (np.ones_like(mag) if params.r == 1.0 else
                   np.where(mag > 0, np.where(mag > 0, mag, 1.0) ** (params.r - 1.0),
                            0.0))
         wgrad = np.sum(weight * np.sum(jac * jac, axis=(0, 1))) * grid.cell_volume
-    return BudgetRates(grid.volume * np.sum(grid.k_squared * power), damping_val,
+    return BudgetRates(grid.volume * np.sum(k2 * power), damping_val,
                        forcing_val, grid.volume * np.sum(power), a_sq, wgrad)
 
 
 def _reference_initialize(ic, params, config, forcing, extended):
-    u = SpectralField(grid=ic.grid, coeffs=leray_project(ic).coeffs
-                      * _reference_band(ic.grid, config.dealias, config.galerkin_n,
-                                        config.galerkin_shape),
-                      divergence_free=True)
+    grid = ic.grid
+    band = fa.band(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
+    u = SpectralField.from_full(grid, fa.project(ic.full(), grid) * band,
+                                divergence_free=True)
     rates = _reference_rates(u, 0.0, params, forcing, extended)
     return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
                            extended=extended)
@@ -279,21 +286,19 @@ def _reference_step(state, params, config, forcing):
     explicit term comes from the complex convective pipeline."""
     grid = state.u.grid
     dt = config.dt
-    lam = params.mu * grid.k_squared + params.alpha
-    mask = _reference_band(grid, config.dealias, config.galerkin_n,
-                           config.galerkin_shape)
+    lam = params.mu * fa.k_squared(grid) + params.alpha
+    mask = fa.band(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
 
     def explicit_term(coeffs):
-        out, _ = _reference_nonlinear(SpectralField(grid, coeffs), params,
-                                      config.dealias, config.galerkin_n,
-                                      config.galerkin_shape)
-        return out.coeffs
+        out, _ = _reference_nonlinear_full(coeffs, grid, params, config.dealias,
+                                           config.galerkin_n, config.galerkin_shape)
+        return out
 
     def forcing_at(t):
         f = forcing.at(t)
-        return 0.0 if f is None else f.coeffs * mask
+        return 0.0 if f is None else f.full() * mask
 
-    coeffs = state.u.coeffs
+    coeffs = state.u.full()
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         h = dt / config.substeps
         for s in range(config.substeps):
@@ -307,7 +312,7 @@ def _reference_step(state, params, config, forcing):
                        - (1.5 * nl - 0.5 * state.prev_nonlinear)))
         coeffs = rhs / (1.0 + 0.5 * dt * lam)
         prev = nl
-    u = SpectralField(grid, coeffs, divergence_free=True)
+    u = SpectralField.from_full(grid, coeffs, divergence_free=True)
     rates = _reference_rates(u, state.t + dt, params, forcing, state.extended)
     return SimulationState(
         t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
@@ -331,7 +336,7 @@ def _forcing(kind, grid):
     if kind == "steady":
         return Forcing.steady(f)
     if kind == "analytic":
-        return Forcing.analytic(lambda t: f * float(np.cos(3.0 * t)))
+        return Forcing.analytic(f, lambda t: np.cos(3.0 * t))
     return Forcing.zero()
 
 
@@ -389,13 +394,20 @@ def test_hand_built_state_matches_full_array_step(grid32):
     assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
 
 
-def test_dealiased_cnab2_step_expands_once(monkeypatch):
-    grid = TorusGrid(dim=2, n_points=16)
+@pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,extended,forcing_kind", [
+    (2, "imex_cnab2", 1, True, False, "steady"),
+    (3, "imex_cnab2", 1, True, True, "analytic"),
+    (2, "imex_euler", 2, False, True, "analytic"),
+], ids=["2d-cnab2-steady", "3d-cnab2-extended-analytic", "2d-euler-substeps-analytic"])
+def test_step_expands_nothing(monkeypatch, dim, scheme, substeps, apply_dealias,
+                              extended, forcing_kind):
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
-    config = SolverConfig(dt=1e-3, t_end=1.0)
-    forcing = _forcing("steady", grid)
-    state = initialize_state(random_band_limited(grid, seed=1, band_limit=4),
-                             params, config, forcing)
+    config = SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme, substeps=substeps,
+                          dealias=apply_dealias)
+    forcing = _forcing(forcing_kind, grid)
+    state = initialize_state(random_band_limited(grid, seed=1, band_limit=3),
+                             params, config, forcing, extended)
     state = step(state, params, config, forcing)
     calls = []
     original = fields.hermitian_expand
@@ -404,10 +416,9 @@ def test_dealiased_cnab2_step_expands_once(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (fields, operators):
-        monkeypatch.setattr(module, "hermitian_expand", counted)
+    monkeypatch.setattr(fields, "hermitian_expand", counted)
     step(state, params, config, forcing)
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_state_is_exactly_hermitian(tmp_path, grid32):
@@ -415,7 +426,7 @@ def test_state_is_exactly_hermitian(tmp_path, grid32):
     # Hermitian solver state.
     u = random_band_limited(grid32, seed=9, band_limit=8)
     noise = leray_project(SpectralField(
-        grid32, np.random.default_rng(3).standard_normal((2,) + grid32.shape)))
+        grid32, np.random.default_rng(3).standard_normal((2,) + grid32.half_shape)))
     path = tmp_path / "ic.snap"
     write_snapshot_file(path, u + 1e-12 * noise, 0.0, CbfParams())
     ic, _, _ = read_snapshot_file(path)

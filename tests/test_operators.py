@@ -140,7 +140,7 @@ def test_damping_pairing_is_lebesgue_norm(random_field):
 
 
 def test_damping_rejects_scalar_field(grid32):
-    scalar = SpectralField(grid32, np.zeros(grid32.shape, dtype=complex))
+    scalar = SpectralField(grid32, np.zeros(grid32.half_shape, dtype=complex))
     with pytest.raises(InvalidArgumentsError):
         damping(scalar, 3.0)
 

@@ -13,6 +13,8 @@ from cbftorus.solver import (Forcing, SolverConfig, apriori_bound,
                              energy_residual, initialize_state, run, step)
 from cbftorus.spectral import divergence_defect, l2_norm, leray_project
 
+from conftest import rel_diff
+
 NSE = CbfParams(mu=0.1, alpha=0.0, beta=0.0, r=3.0)
 DAMPED = CbfParams(mu=0.1, alpha=0.0, beta=1.0, r=4.0)
 
@@ -250,10 +252,49 @@ def test_forcing_is_projected(grid32):
     raw = single_mode(grid32, (1, 0), component=0)  # not divergence-free
     forcing = Forcing.steady(raw)
     assert divergence_defect(forcing.at(0.0)) < 1e-12
-    decaying = Forcing.analytic(lambda t: raw * float(np.exp(-t)))
+    decaying = Forcing.analytic(raw, lambda t: np.exp(-t))
     assert divergence_defect(decaying.at(0.3)) < 1e-12
     assert l2_norm(decaying.at(1.0)) == pytest.approx(
         np.exp(-1.0) * l2_norm(decaying.at(0.0)), rel=1e-12)
+
+
+class _ProjectedEachCall:
+    """Analytic forcing as it was: fn(t) Leray-projected on every call."""
+
+    is_zero = False
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def at(self, t):
+        return leray_project(self.fn(t))
+
+    def band_coeffs(self, t, mask):
+        coeffs = self.at(t).coeffs
+        return coeffs if mask is None else coeffs * mask
+
+
+@pytest.mark.parametrize("scheme,substeps,galerkin_n", [("imex_cnab2", 1, 0),
+                                                        ("imex_euler", 2, 6)])
+def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
+                                                       galerkin_n):
+    base = random_band_limited(grid32, seed=3, band_limit=6, project=False)
+    profile = lambda t: np.exp(-2.0 * t) * np.cos(5.0 * t)  # noqa: E731
+    new = Forcing.analytic(base, profile)
+    old = _ProjectedEachCall(lambda t: base * float(profile(t)))
+    mask = grid32.dealias_mask
+    for t in (0.0, 0.3, 1.7):
+        assert rel_diff(new.at(t).coeffs, old.at(t).coeffs) < 1e-12
+        assert rel_diff(new.band_coeffs(t, mask), old.band_coeffs(t, mask)) < 1e-12
+    config = SolverConfig(dt=2e-3, t_end=2e-2, scheme=scheme, substeps=substeps,
+                          galerkin_n=galerkin_n, diagnostics_every=2)
+    ic = random_band_limited(grid32, seed=4, band_limit=6)
+    _, got, _ = run(ic, DAMPED, config, new)
+    _, ref, _ = run(ic, DAMPED, config, old)
+    for a, b in zip(got, ref):
+        assert abs(a.energy - b.energy) <= 1e-12 * b.energy
+        assert abs(a.forcing_power - b.forcing_power) <= 1e-12 * abs(b.forcing_power)
+        assert abs(a.energy_residual - b.energy_residual) <= 1e-14 * ref[0].energy
 
 
 def test_config_validation():

@@ -6,7 +6,8 @@ import pytest
 from cbftorus.errors import (GridMismatchError, InvalidArgumentsError,
                              InvalidExponentError)
 from cbftorus.families import random_band_limited, single_mode
-from cbftorus.fields import PhysicalField, SpectralField, to_physical, to_spectral
+from cbftorus.fields import (PhysicalField, SpectralField, conj_mirror,
+                             to_physical, to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.spectral import (dealias, divergence, divergence_defect,
                                dual_norm, embed_modes, exp_filter, grad_norm,
@@ -108,15 +109,16 @@ def test_dealiased_product_matches_direct_convolution():
     for _ in range(2):
         raw = rng.standard_normal((1,) + grid.shape) \
             + 1j * rng.standard_normal((1,) + grid.shape)
-        mask = grid.mode_inf_norm <= band
+        m = np.abs(grid.modes)
+        mask = np.maximum(m[:, None], m[None, :]) <= band
         c = raw[0] * mask
-        c = 0.5 * (c + grid.conj_reflect(c))
-        fields.append(SpectralField(grid, c[np.newaxis]))
+        c = 0.5 * (c + conj_mirror(c, (0, 1)))
+        fields.append(SpectralField.from_full(grid, c[np.newaxis]))
     f, g = fields
     product = to_physical(f).data[0] * to_physical(g).data[0]
-    pseudo = dealias(scalar_field(grid, product)).coeffs[0]
+    pseudo = dealias(scalar_field(grid, product)).full()[0]
 
-    fc, gc = f.coeffs[0], g.coeffs[0]
+    fc, gc = f.full()[0], g.full()[0]
     n = grid.n_points
     exact = np.zeros(grid.shape, dtype=complex)
     idx = [(mx, my) for mx in range(-band, band + 1)
@@ -170,7 +172,7 @@ def test_ball_truncation_shape(grid32):
 def test_filter_nonexpansive_and_zero(random_field, grid32):
     for n in (1, 10, 1e3):
         assert l2_norm(exp_filter(random_field, n)) <= l2_norm(random_field)
-    assert l2_norm(exp_filter(SpectralField(grid32, np.zeros((2,) + grid32.shape)),
+    assert l2_norm(exp_filter(SpectralField(grid32, np.zeros((2,) + grid32.half_shape)),
                               10.0)) == 0.0
     with pytest.raises(InvalidArgumentsError):
         exp_filter(random_field, 0.0)
@@ -199,7 +201,8 @@ def test_filter_band_limit_bound(grid32):
     for c in u.coeffs:
         mult = np.where(grid32.k_squared < n * n,
                         1.0 - np.exp(-grid32.k_squared / n), 1.0)
-        expected_sq += grid32.volume * np.sum((mult * np.abs(c)) ** 2)
+        expected_sq += grid32.volume * np.sum(grid32.plancherel_weights
+                                              * (mult * np.abs(c)) ** 2)
     assert l2_norm(u - exp_filter(u, n)) ** 2 == pytest.approx(expected_sq,
                                                                rel=1e-12)
 
@@ -271,7 +274,8 @@ def test_gradient_of_vector_is_flattened_jacobian(random_field):
     grad = gradient(random_field)
     dim = random_field.grid.dim
     assert grad.ncomp == dim * dim
-    jac = jacobian(random_field).reshape((dim * dim,) + random_field.grid.shape)
+    jac = jacobian(random_field.coeffs, random_field.grid).reshape(
+        (dim * dim,) + random_field.grid.half_shape)
     assert np.array_equal(grad.coeffs, jac)
 
 
