@@ -259,7 +259,7 @@ def test_forcing_is_projected(grid32):
 
 
 class _ProjectedEachCall:
-    """Analytic forcing as it was: fn(t) Leray-projected on every call."""
+    """Reference analytic forcing: fn(t) Leray-projected on every call."""
 
     is_zero = False
 
