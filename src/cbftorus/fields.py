@@ -138,10 +138,8 @@ class SpectralField:
         takes over: columns 0 and N/2, each its own mirror image, are
         replaced in place by their Hermitian parts (c + conj(c(-m)))/2.  The
         constructor then runs the one finiteness check."""
-        half = np.ascontiguousarray(half, dtype=complex)
-        columns = half[..., ::grid.n_points // 2]  # 0 and N/2, as a view
-        columns[...] = 0.5 * (columns + conj_mirror(columns, _leading_axes(grid)))
-        return cls(grid, half, divergence_free)
+        return cls(grid, symmetrize_columns(
+            np.ascontiguousarray(half, dtype=complex), grid), divergence_free)
 
     def replace(self, coeffs, divergence_free=None):
         if divergence_free is None:
@@ -203,6 +201,15 @@ def _leading_axes(grid):
     return tuple(range(-grid.dim, -1))
 
 
+def symmetrize_columns(c, grid):
+    """Replace column 0 of half-spectrum or compact coefficients ``c``, and
+    column N/2 when ``c`` holds it, by its Hermitian part (c + conj(c(-m)))/2
+    in place: the only columns that hold both m and -m.  Returns ``c``."""
+    columns = c[..., ::grid.n_points // 2]  # a view
+    columns[...] = 0.5 * (columns + conj_mirror(columns, _leading_axes(grid)))
+    return c
+
+
 def conj_mirror(a, axes, out=None):
     """conj(a(-m)) over ``axes``, -m mod N: a flip followed by a roll by one."""
     return np.conjugate(np.roll(np.flip(a, axis=axes), 1, axis=axes), out=out)
@@ -217,6 +224,89 @@ def hermitian_expand(half, grid):
     conj_mirror(np.flip(half[..., 1:n - h + 1], axis=-1), _leading_axes(grid),
                  out=full[..., h:])
     return full
+
+
+# numpy >= 2 runs rfftn's passes over the leading axes last to first, numpy 1
+# first to last; ModeBox.forward follows it, to match rfftn to the bit.
+_FORWARD_ORDER = (reversed if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+                  else tuple)
+
+
+class ModeBox:
+    """The modes with every |m_i| <= R of the half spectrum, stored
+    compactly: rows 0..R and N-R..N-1 of each leading axis (a cyclic order
+    of length 2R+1) and columns 0..R; at R = N/2, the half as it is.
+    ``mask`` marks the band in the box (None: all of it)."""
+
+    def __init__(self, grid, radius, band_radius, ball_n):
+        n = grid.n_points
+        self.grid, self.radius, self.covers_half = grid, radius, radius == n // 2
+        self.rows = np.r_[0:radius + 1, n - radius:n]
+        self._index = (Ellipsis,) + np.ix_(*[self.rows] * (grid.dim - 1),
+                                           np.arange(radius + 1))
+        self.wavenumbers = tuple(self.gather(k) for k in grid.wavenumbers)
+        self.k_squared = self.gather(grid.k_squared)
+        self.inv_k_squared = self.gather(grid.inv_k_squared)
+        self.plancherel_weights = grid.plancherel_weights[:radius + 1]
+        mask = self.gather(grid.mode_inf_norm) <= band_radius
+        if ball_n > 0:
+            mask = mask & (self.gather(grid.mode_sq_norm) <= ball_n * ball_n)
+        self.mask = None if mask.all() else mask
+
+    def gather(self, half):
+        """Compact coefficients of a half-spectrum array (which may
+        broadcast); the array itself when the box covers the half."""
+        if self.covers_half:
+            return half
+        shape = half.shape[:-self.grid.dim] + self.grid.half_shape
+        return np.broadcast_to(half, shape)[self._index]
+
+    def expand(self, c):
+        """Half-spectrum array of compact coefficients, zero off the box."""
+        if self.covers_half:
+            return c
+        out = np.zeros(c.shape[:-self.grid.dim] + self.grid.half_shape, complex)
+        out[self._index] = c
+        return out
+
+    def inverse(self, c):
+        """Real samples of compact coefficients: the 1-D passes of irfftn in
+        its order, each on the lines that the box touches only."""
+        if self.covers_half:
+            return real_inverse(c, self.grid)
+        n, r = self.grid.n_points, self.radius
+        for axis in _leading_axes(self.grid):  # zero rows R+1..N-R-1 back in
+            c = np.fft.ifft(np.insert(c, [r + 1] * (n - 2 * r - 1), 0, axis=axis),
+                            axis=axis, norm="forward")
+        return np.fft.irfft(c, n=n, axis=-1, norm="forward")
+
+    def forward(self, samples):
+        """Compact coefficients fftn(samples)/N^d: the 1-D passes of rfftn in
+        its order, each keeping the box's columns or rows only."""
+        if self.covers_half:
+            return real_forward(samples, self.grid)
+        c = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.radius + 1]
+        for axis in _FORWARD_ORDER(_leading_axes(self.grid)):
+            c = np.take(np.fft.fft(c, axis=axis, norm="forward"), self.rows,
+                        axis=axis)
+        return c
+
+
+def band_box(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box",
+             whole=False):
+    """The box of the modes that 2/3-rule dealiasing and Galerkin truncation
+    (off at ``galerkin_n = 0``) keep, built once per grid and arguments;
+    with ``whole``, the half with that band as its mask.  Dealiasing keeps
+    |m_i| <= K = (N-1)//3: the aliases of a product of two such fields land
+    at |m_i| >= N - 2K > K, as 3K < N (which floor(N/3) breaks at 3 | N)."""
+    key = (apply_dealias, galerkin_n, galerkin_shape, whole)
+    if key not in grid.boxes:
+        n = grid.n_points
+        band = min([n // 2] + [(n - 1) // 3] * apply_dealias
+                   + [galerkin_n] * (galerkin_n > 0))
+        grid.boxes[key] = ModeBox(grid, n // 2 if whole else band, band,
+                                  galerkin_n if galerkin_shape == "ball" else 0)
+    return grid.boxes[key]
 
 
 def to_spectral(field: PhysicalField) -> SpectralField:

@@ -5,8 +5,8 @@ the torus and precomputes everything the spectral operators need, on the
 half spectrum that spectral fields store (last-axis modes 0..N/2): integer
 mode indices, derivative wavenumbers (with the unmatched Nyquist modes
 zeroed so that ik*u_hat stays Hermitian-symmetric), the squared-wavenumber
-multiplier of the Stokes operator, the 2/3-rule dealiasing mask, and the
-Plancherel weights of the half's columns.
+multiplier of the Stokes operator and the Plancherel weights of the half's
+columns; and it caches the compact mode boxes of ``fields.band_box``.
 """
 
 from dataclasses import dataclass
@@ -125,16 +125,6 @@ class TorusGrid:
         return out
 
     @cached_property
-    def dealias_mask(self):
-        """2/3-rule mask: True on modes with max_i |m_i| <= K = floor((N-1)/3).
-
-        A product of two fields in this band has |m_i| <= 2K; its aliases land
-        at |m_i| >= N - 2K > K, outside the band, because 3K < N.  The bound
-        floor(N/3) breaks this when 3 divides N.
-        """
-        return self.mode_inf_norm <= (self.n_points - 1) // 3
-
-    @cached_property
     def plancherel_weights(self):
         """Weight of each half-spectrum column in a Plancherel sum over the
         full spectrum: 2 on columns 1..N/2-1, whose mirror images -m are not
@@ -144,9 +134,9 @@ class TorusGrid:
         return weights
 
     @cached_property
-    def band_masks(self):
-        """Band masks by their arguments, filled once each by
-        ``spectral.band_mask``."""
+    def boxes(self):
+        """Mode boxes by their arguments, built once each by
+        ``fields.band_box``."""
         return {}
 
     def compatible(self, other):

@@ -7,11 +7,12 @@ The full operator applied to a divergence-free field u is
 with A the (negative) Laplacian restricted to divergence-free fields, B the
 Leray-projected advection and C_r the projected pointwise damping
 |u|^{r-1} u.  Nonlinear terms are evaluated pseudo-spectrally: physical-space
-products, forward transform, 2/3-rule dealiasing, then Leray projection, the
-last three in one place.  :func:`nonlinear_term` is the one kernel that the
-solver, :func:`cbf_operator` and :func:`recover_pressure` share; it takes and
-returns half-spectrum coefficients, the layout of every spectral field.
-:func:`advection` and :func:`damping` end in the same forward tail.
+products, then one forward tail: a transform onto the compact box of the
+modes that 2/3-rule dealiasing and Galerkin truncation keep
+(``fields.band_box``), then Leray projection.  :func:`nonlinear_term` is the
+one kernel, on the box, that the solver, :func:`cbf_operator` and
+:func:`recover_pressure` share; :func:`advection` and :func:`damping` end in
+the same forward tail.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,9 @@ import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, NotApplicableError)
-from .fields import (SpectralField, real_forward, real_inverse,
-                     require_same_grid, squared_magnitude, to_physical)
-from .spectral import (band_mask, dealias, divergence_defect, jacobian,
-                       project_coeffs)
+from .fields import (SpectralField, band_box, real_inverse, require_same_grid,
+                     squared_magnitude, to_physical)
+from .spectral import divergence_defect, jacobian, project_coeffs
 
 DIV_FREE_TOL = 1e-10
 
@@ -105,8 +105,9 @@ def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
     """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
     samples = damping_pointwise(to_physical(u).data, r)
-    return SpectralField(u.grid, _forward_half(
-        samples, u.grid, band_mask(u.grid, apply_dealias)), divergence_free=True)
+    box = band_box(u.grid, apply_dealias)
+    return SpectralField(u.grid, box.expand(_forward(samples, box)),
+                         divergence_free=True)
 
 
 def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
@@ -119,60 +120,57 @@ def physical_jacobian(v: SpectralField) -> np.ndarray:
     return real_inverse(jacobian(v.coeffs, v.grid), v.grid)
 
 
-def _rotational_samples(half, u_phys, grid):
+def _rotational_samples(coeffs, u_phys, box):
     """omega x u on samples, omega = curl u (its z-component alone in 2D)."""
-    k = grid.wavenumbers
+    k = box.wavenumbers
 
     def curl(i, j):
-        return 1j * (k[i] * half[j] - k[j] * half[i])
+        return 1j * (k[i] * coeffs[j] - k[j] * coeffs[i])
 
-    if grid.dim == 2:
-        w = real_inverse(curl(0, 1), grid)
+    if box.grid.dim == 2:
+        w = box.inverse(curl(0, 1))
         return np.stack([-w * u_phys[1], w * u_phys[0]])
-    w = real_inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]), grid)
+    w = box.inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]))
     return np.stack([w[1] * u_phys[2] - w[2] * u_phys[1],
                      w[2] * u_phys[0] - w[0] * u_phys[2],
                      w[0] * u_phys[1] - w[1] * u_phys[0]])
 
 
-def _forward_half(samples, grid, mask, project=True):
-    """Half-spectrum coefficients of the samples, restricted to ``mask`` (a
-    :func:`band_mask`) and Leray-projected."""
-    if project and len(samples) != grid.dim:
+def _forward(samples, box, project=True):
+    """Coefficients of the samples on ``box``, restricted to its mask and
+    Leray-projected."""
+    if project and len(samples) != box.grid.dim:
         raise InvalidArgumentsError("Leray projection needs a vector field")
-    out = real_forward(samples, grid)
-    if mask is not None:
-        out = out * mask
+    out = box.forward(samples)
+    if box.mask is not None:
+        out = out * box.mask
     if project:
-        out = project_coeffs(out, grid.wavenumbers, grid.inv_k_squared)
+        out = project_coeffs(out, box.wavenumbers, box.inv_k_squared)
     return out
 
 
-def nonlinear_term(half: np.ndarray, grid, params: CbfParams,
-                   apply_dealias: bool = True, galerkin_n: int = 0,
-                   galerkin_shape: str = "box", project: bool = True,
+def nonlinear_term(coeffs: np.ndarray, box, params: CbfParams,
+                   apply_dealias: bool = True, project: bool = True,
                    samples: Samples = None):
-    """(B(u) + beta*C_r(u), :class:`Samples` of u) for the u of half-spectrum
-    coefficients ``half``, both on the band of :func:`band_mask`; the result
-    is half-spectrum coefficients too.  Pass ``samples`` when they are known;
-    u must then lie in the band already.
+    """(B(u) + beta*C_r(u), :class:`Samples` of u) for the u of coefficients
+    ``coeffs`` on ``box`` (a ``fields.band_box``), restricted to its band;
+    the result is coefficients on the box too.  Pass ``samples`` when they
+    are known; u must then lie in the band already.
 
     Projected and dealiased, advection takes the rotational form omega x u,
     equal to (u.grad)u up to grad(|u|^2/2), which the projection removes;
     otherwise the convective form.
     """
-    mask = band_mask(grid, apply_dealias, galerkin_n, galerkin_shape)
     if samples is None:
-        if mask is not None:
-            half = half * mask
-        samples = pointwise_samples(real_inverse(half, grid), params.r)
+        if box.mask is not None:
+            coeffs = coeffs * box.mask
+        samples = pointwise_samples(box.inverse(coeffs), params.r)
     if apply_dealias and project:
-        term = _rotational_samples(half, samples.phys, grid)
+        term = _rotational_samples(coeffs, samples.phys, box)
     else:
-        term = advect_samples(samples.phys,
-                              real_inverse(jacobian(half, grid), grid))
+        term = advect_samples(samples.phys, box.inverse(jacobian(coeffs, box)))
     term = term + params.beta * samples.weight * samples.phys
-    return _forward_half(term, grid, mask, project), samples
+    return _forward(term, box, project), samples
 
 
 def advection(u: SpectralField, v: SpectralField = None,
@@ -182,11 +180,11 @@ def advection(u: SpectralField, v: SpectralField = None,
         v = u
     require_same_grid(u, v)
     _require_div_free(u, "advection")
-    if apply_dealias:
-        u, v = dealias(u), dealias(v)
-    term = advect_samples(to_physical(u).data, physical_jacobian(v))
-    return SpectralField(u.grid, _forward_half(
-        term, u.grid, band_mask(u.grid, apply_dealias)), divergence_free=True)
+    box = band_box(u.grid, apply_dealias)
+    term = advect_samples(box.inverse(box.gather(u.coeffs)),
+                          box.inverse(jacobian(box.gather(v.coeffs), box)))
+    return SpectralField(u.grid, box.expand(_forward(term, box)),
+                         divergence_free=True)
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -204,8 +202,9 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     """G(u) = mu*A u + B(u) + beta*C(u) + alpha*u."""
     _require_div_free(u, "cbf operator")
     grid = u.grid
-    nl, _ = nonlinear_term(u.coeffs, grid, params, apply_dealias)
-    coeffs = (params.mu * grid.k_squared + params.alpha) * u.coeffs + nl
+    box = band_box(grid, apply_dealias)
+    nl, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias)
+    coeffs = (params.mu * grid.k_squared + params.alpha) * u.coeffs + box.expand(nl)
     return SpectralField(grid, coeffs, divergence_free=True)
 
 
@@ -249,6 +248,9 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     _require_div_free(u, "pressure recovery")
     require_same_grid(u, f)
     grid = u.grid
-    rhs, _ = nonlinear_term(u.coeffs, grid, params, apply_dealias, project=False)
-    div = sum(1j * k * c for k, c in zip(grid.wavenumbers, f.coeffs - rhs))
+    box = band_box(grid, apply_dealias)
+    rhs, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias,
+                            project=False)
+    div = sum(1j * k * c for k, c in zip(grid.wavenumbers,
+                                         f.coeffs - box.expand(rhs)))
     return SpectralField(grid, -grid.inv_k_squared * div)

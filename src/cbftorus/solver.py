@@ -10,26 +10,27 @@ cumulative defect of the energy identity
     ||u(t)||^2 + 2 mu int ||grad u||^2 + 2 alpha int ||u||^2
               + 2 beta int ||u||_{r+1}^{r+1}  =  ||u0||^2 + 2 int <f, u>.
 
-The state and every step work on the half spectrum (last-axis modes
-0..N/2) that spectral fields store; the budget rates are Plancherel sums
-that weight the columns standing for their mirror images by 2.  |u|^2 is
-formed once per set of samples of u; the weight |u|^{r-1} taken from it
-gives both the damping rate and the next step's damping term.  The state's
-``u`` is exactly Hermitian: each step symmetrizes columns 0 and N/2 of the
-new half in place, and expands nothing.
+Each step works on the compact box of the modes that dealiasing and
+Galerkin truncation keep (``fields.band_box``): the explicit term, the IMEX
+update, the forcing and the budget rates, Plancherel sums that weight each
+column standing for its mirror image by 2.  It symmetrizes column 0 and
+expands the result once into the state's ``u``, an exactly Hermitian field
+on the half spectrum.  |u|^2 is formed once per set of samples of u; the
+weight |u|^{r-1} from it gives both the damping rate and the next step's
+damping term.
 """
 
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import SpectralField, real_inverse
-from .operators import (CbfParams, Samples, nonlinear_term, physical_jacobian,
-                        pointwise_samples)
-from .spectral import (band_mask, divergence_defect, dual_norm, l2_norm,
-                       l2_pairing, leray_project, power_spectrum,
+from .fields import SpectralField, band_box, symmetrize_columns
+from .operators import CbfParams, Samples, nonlinear_term, pointwise_samples
+from .spectral import (divergence_defect, dual_norm, jacobian, l2_norm,
+                       leray_project, mode_pairing, mode_power,
                        project_coeffs)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
@@ -65,17 +66,21 @@ class SolverConfig:
         if self.substeps > 1 and self.scheme != "imex_euler":
             raise InvalidArgumentsError(
                 "nonlinear sub-cycling is supported with imex_euler only")
+        if self.galerkin_n < 0 or self.galerkin_shape not in ("box", "ball"):
+            raise InvalidArgumentsError(
+                "galerkin_n must be >= 0 and galerkin_shape box or ball, got "
+                f"{self.galerkin_n} and {self.galerkin_shape!r}")
 
 
 class Forcing:
     """Right-hand side f(t) = profile(t) * P(base), with P the Leray
     projector: zero (no base), steady (no profile) or analytic.  The base is
-    projected once, and restricted to each band mask once."""
+    projected once, and gathered onto each mode box once."""
 
     def __init__(self, base: SpectralField = None, profile=None):
         self._base = None if base is None else leray_project(base)
         self._profile = profile
-        self._band = None  # (mask, base restricted to it)
+        self._gathered = {}  # mode box -> base gathered onto it
 
     @classmethod
     def zero(cls):
@@ -101,17 +106,15 @@ class Forcing:
             return self._base
         return self._base * float(self._profile(t))
 
-    def band_coeffs(self, t: float, mask):
-        """Coefficients of f(t) restricted to ``mask`` (None keeps every
-        mode), or 0.0 when f = 0."""
+    def box_coeffs(self, t: float, box):
+        """Coefficients of f(t) on the mode ``box``, or 0.0 when f = 0."""
         if self._base is None:
             return 0.0
-        if self._band is None or self._band[0] is not mask:
-            base = self._base.coeffs
-            self._band = (mask, base if mask is None else base * mask)
+        if box not in self._gathered:
+            self._gathered[box] = box.gather(self._base.coeffs)
         if self._profile is None:
-            return self._band[1]
-        return self._band[1] * float(self._profile(t))
+            return self._gathered[box]
+        return self._gathered[box] * float(self._profile(t))
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,11 @@ class Integrals:
 @dataclass(frozen=True)
 class SimulationState:
     """Solver state.  ``u`` is exactly Hermitian; ``prev_nonlinear`` is the
-    previous explicit term on the half spectrum.  ``samples`` caches u on
+    previous explicit term on the solver's mode box.  ``samples`` caches u on
     the grid with |u|^2 and |u|^{r-1} for the next nonlinear evaluation; only
     :func:`initialize_state` and :func:`step` set it, because they keep
-    ``u`` inside the solver's mode band."""
+    ``u`` inside the solver's mode band.  A state without it steps on the
+    whole half, so that its modes off the band persist."""
 
     t: float
     u: SpectralField
@@ -193,18 +197,25 @@ def compute_rates(u: SpectralField, t: float, params: CbfParams,
                   samples: Samples = None) -> BudgetRates:
     """Evaluate the budget integrands at one instant: Plancherel sums over
     the half spectrum, and ``samples`` of u (formed here when not given)."""
-    grid = u.grid
+    return _rates(u.coeffs, band_box(u.grid, False), t, params, forcing,
+                  extended, samples)
+
+
+def _rates(c, box, t, params, forcing, extended, samples=None):
+    """:func:`compute_rates` of the coefficients ``c`` on the mode box."""
+    grid = box.grid
     if samples is None:
-        samples = _samples(u, params.r)
-    power = power_spectrum(u)
-    k2 = grid.k_squared
+        samples = pointwise_samples(box.inverse(c), params.r)
+    weights = box.plancherel_weights * grid.volume
+    power = mode_power(c, weights)
+    k2 = box.k_squared
     damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
-    f = forcing.at(t)
-    forcing_val = 0.0 if f is None else l2_pairing(f, u)
+    forcing_val = (0.0 if forcing.is_zero else
+                   mode_pairing(forcing.box_coeffs(t, box), c, weights))
     a_sq = wgrad = 0.0
     if extended:
         a_sq = float(np.sum(k2 * k2 * power))
-        jac = physical_jacobian(u)
+        jac = box.inverse(jacobian(c, box))
         grad_sq = np.sum(jac * jac, axis=(0, 1))
         wgrad = float(np.sum(samples.weight * grad_sq) * grid.cell_volume)
     return BudgetRates(float(np.sum(k2 * power)), damping_val, forcing_val,
@@ -218,37 +229,34 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     grid = ic.grid
     if not ic.divergence_free and divergence_defect(ic) > 1e-10:
         warnings.warn("initial condition is not divergence-free; projecting")
-    half = project_coeffs(ic.coeffs, grid.wavenumbers, grid.inv_k_squared)
-    mask = _band(grid, config)
-    if mask is not None:
-        half = half * mask
-    u = SpectralField.from_half(grid, half, divergence_free=True)
-    samples = _samples(u, params.r)
-    rates = compute_rates(u, 0.0, params, forcing, extended, samples)
+    box = _box(grid, config)
+    c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
+    if box.mask is not None:
+        c = c * box.mask
+    symmetrize_columns(c, grid)
+    u = SpectralField(grid, box.expand(c), divergence_free=True)
+    samples = pointwise_samples(box.inverse(c), params.r)
+    rates = _rates(c, box, 0.0, params, forcing, extended, samples)
     return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
                            extended=extended, samples=samples)
 
 
-def _samples(u: SpectralField, r: float) -> Samples:
-    return pointwise_samples(real_inverse(u.coeffs, u.grid), r)
+def _box(grid, config: SolverConfig, whole=False):
+    return band_box(grid, config.dealias, config.galerkin_n,
+                    config.galerkin_shape, whole)
 
 
-def _band(grid, config: SolverConfig):
-    return band_mask(grid, config.dealias, config.galerkin_n,
-                     config.galerkin_shape)
+@lru_cache(maxsize=8)
+def _imex_multipliers(box, mu, alpha, dt, substeps):
+    """1 + h*lam for an Euler sub-step h = dt/substeps, and 1 - dt*lam/2 and
+    1 + dt*lam/2 for Crank-Nicolson, lam = mu*|k|^2 + alpha on ``box``."""
+    lam = mu * box.k_squared + alpha
+    return (1.0 + dt / substeps * lam, 1.0 - 0.5 * dt * lam,
+            1.0 + 0.5 * dt * lam)
 
 
-def _nonlinear(half, grid, params: CbfParams, config: SolverConfig,
-               samples=None):
-    """Explicit term B(u) + beta*C(u) on the half spectrum, plus the max
-    speed for the CFL check; ``samples`` are those of u when already known."""
-    out, samples = nonlinear_term(half, grid, params, config.dealias,
-                                  config.galerkin_n, config.galerkin_shape,
-                                  samples=samples)
-    return out, float(np.sqrt(np.max(samples.sq)))
-
-
-def _check_cfl(max_speed: float, grid, dt: float):
+def _check_cfl(samples: Samples, grid, dt: float):
+    max_speed = float(np.sqrt(np.max(samples.sq)))
     k_max = np.pi * grid.n_points / grid.period
     if dt * max_speed * k_max >= 1.0:
         warnings.warn(
@@ -268,36 +276,37 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
 def _advance(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
-    mask = _band(grid, config)
-    lam = params.mu * grid.k_squared + params.alpha
-    half = state.u.coeffs
+    box = _box(grid, config, whole=state.samples is None)
+    euler, explicit_cn, implicit_cn = _imex_multipliers(
+        box, params.mu, params.alpha, dt, config.substeps)
+    c = box.gather(state.u.coeffs)
+
+    def forcing_at(t):
+        f = forcing.box_coeffs(t, box)
+        return f if box.mask is None else f * box.mask
 
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h = dt / n_sub
-        coeffs = half
-        nl = max_speed = None
         for s in range(n_sub):
-            nl, max_speed = _nonlinear(coeffs, grid, params, config,
-                                       state.samples if s == 0 else None)
-            rhs = coeffs + h * (forcing.band_coeffs(state.t + s * h, mask) - nl)
-            coeffs = rhs / (1.0 + h * lam)
-        new_half = coeffs
+            nl, used = nonlinear_term(c, box, params, config.dealias,
+                                      samples=state.samples if s == 0 else None)
+            c = (c + h * (forcing_at(state.t + s * h) - nl)) / euler
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
-        nl, max_speed = _nonlinear(half, grid, params, config, state.samples)
+        nl, used = nonlinear_term(c, box, params, config.dealias,
+                                  samples=state.samples)
         explicit = 1.5 * nl - 0.5 * state.prev_nonlinear
-        f_mid = forcing.band_coeffs(state.t + 0.5 * dt, mask)
-        rhs = (1.0 - 0.5 * dt * lam) * half + dt * (f_mid - explicit)
-        new_half = rhs / (1.0 + 0.5 * dt * lam)
+        rhs = explicit_cn * c + dt * (forcing_at(state.t + 0.5 * dt) - explicit)
+        c = rhs / implicit_cn
         prev_nl = nl
 
-    new_u = SpectralField.from_half(grid, new_half, divergence_free=True)
-    _check_cfl(max_speed, grid, dt)
+    symmetrize_columns(c, grid)
+    new_u = SpectralField(grid, box.expand(c), divergence_free=True)
+    _check_cfl(used, grid, dt)
     new_t = state.t + dt
-    samples = _samples(new_u, params.r)
-    new_rates = compute_rates(new_u, new_t, params, forcing, state.extended,
-                              samples)
+    samples = pointwise_samples(box.inverse(c), params.r)
+    new_rates = _rates(c, box, new_t, params, forcing, state.extended, samples)
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(

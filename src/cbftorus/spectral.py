@@ -12,7 +12,8 @@ which weight each column that stands for its mirror image by 2
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
-from .fields import PhysicalField, SpectralField, require_same_grid, to_physical
+from .fields import (PhysicalField, SpectralField, band_box, require_same_grid,
+                     to_physical)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -73,39 +74,19 @@ def laplacian(u: SpectralField) -> SpectralField:
 
 def dealias(u: SpectralField) -> SpectralField:
     """Zero all modes with any |m_i| above the 2/3-rule band floor((N-1)/3)."""
-    return u.replace(u.coeffs * u.grid.dealias_mask)
+    box = band_box(u.grid)
+    return u.replace(box.expand(box.gather(u.coeffs)))
 
 
 def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralField:
     """Galerkin truncation to the index box [-n, n]^d (or ball |m| <= n)."""
-    return u.replace(u.coeffs * truncation_mask(u.grid, n, shape))
-
-
-def truncation_mask(grid, n: int, shape: str = "box"):
-    """True on the modes of the index box [-n, n]^d (or ball |m| <= n)."""
     if n < 0:
         raise InvalidArgumentsError("truncation radius must be >= 0")
     if shape == "box":
-        return grid.mode_inf_norm <= n
+        return u.replace(u.coeffs * (u.grid.mode_inf_norm <= n))
     if shape == "ball":
-        return grid.mode_sq_norm <= n * n
+        return u.replace(u.coeffs * (u.grid.mode_sq_norm <= n * n))
     raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
-
-
-def band_mask(grid, apply_dealias: bool = True, galerkin_n: int = 0,
-              galerkin_shape: str = "box"):
-    """Modes kept by 2/3-rule dealiasing and Galerkin truncation (off at
-    ``galerkin_n = 0``), or None when both are off; built once per grid and
-    arguments."""
-    key = (apply_dealias, galerkin_n, galerkin_shape)
-    masks = grid.band_masks
-    if key not in masks:
-        mask = grid.dealias_mask if apply_dealias else None
-        if galerkin_n > 0:
-            trunc = truncation_mask(grid, galerkin_n, galerkin_shape)
-            mask = trunc if mask is None else mask & trunc
-        masks[key] = mask
-    return masks[key]
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:
@@ -134,7 +115,18 @@ def _volume_weights(grid):
 def power_spectrum(u: SpectralField) -> np.ndarray:
     """L2 energy per half-spectrum mode, summed over components: its sum is
     ||u||^2, and with multiplier weights it gives the Sobolev norms."""
-    return _volume_weights(u.grid) * np.sum(abs_sq(u.coeffs), axis=0)
+    return mode_power(u.coeffs, _volume_weights(u.grid))
+
+
+def mode_power(coeffs, weights):
+    """Energy per mode, summed over components, given column ``weights``."""
+    return weights * np.sum(abs_sq(coeffs), axis=0)
+
+
+def mode_pairing(fc, uc, weights):
+    """Plancherel sum of f.u, given column ``weights``."""
+    return float(np.sum(weights * np.sum(fc.real * uc.real + fc.imag * uc.imag,
+                                         axis=0)))
 
 
 def l2_norm(u) -> float:
@@ -171,9 +163,7 @@ def lp_norm(u, p: float) -> float:
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:
     """Duality pairing <f, u> = integral of f.u, as a Plancherel sum."""
     require_same_grid(f, u)
-    fc, uc = f.coeffs, u.coeffs
-    return float(np.sum(_volume_weights(f.grid) * np.sum(
-        fc.real * uc.real + fc.imag * uc.imag, axis=0)))
+    return mode_pairing(f.coeffs, u.coeffs, _volume_weights(f.grid))
 
 
 def embed_modes(u: SpectralField, fine_grid) -> SpectralField:

@@ -1,6 +1,6 @@
 """Spectral fields store the half spectrum: every operation on the half
 against its full-array reference (``full_array``), and the discrete
-identities for every admissible N."""
+identities and the exact mode-box transforms for every admissible N."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 import full_array as fa
 from cbftorus.errors import SymmetryError
 from cbftorus.families import random_band_limited
-from cbftorus.fields import (PhysicalField, SpectralField, conj_mirror,
+from cbftorus.fields import (PhysicalField, SpectralField, band_box, conj_mirror,
+                             real_forward, real_inverse, symmetrize_columns,
                              to_physical, to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, physical_jacobian, stokes
@@ -213,3 +214,31 @@ def test_discrete_identities(grid):
         np.ix_(*([grid.modes % fine.n_points] * grid.dim))]
     assert rel_diff(got.full()[0], ref * fa.dealias_mask(grid)) < 1e-13
 
+
+def _boxes(grid):
+    """Mode boxes of radius (N-1)//3, 1, a Galerkin n below (N-1)//3, and the
+    whole half."""
+    k = (grid.n_points - 1) // 3
+    return [band_box(grid), band_box(grid, False, 1), band_box(grid, True, k - 1),
+            band_box(grid, False)]
+
+
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS,
+                         ids=lambda g: f"{g.dim}d-n{g.n_points}")
+def test_box_transforms_are_exact(grid):
+    # The box transforms run the 1-D passes of irfftn/rfftn on the lines the
+    # box touches only, so they agree with them to the bit.
+    for box in _boxes(grid):
+        h = _full_band(grid, 18).coeffs * (grid.mode_inf_norm <= box.radius)
+        c = box.gather(h)
+        if not box.covers_half:
+            assert c.shape[1:] == ((2 * box.radius + 1,) * (grid.dim - 1)
+                                   + (box.radius + 1,))
+        assert np.array_equal(box.expand(c), h)
+        assert np.array_equal(box.inverse(c), real_inverse(h, grid))
+        data = np.random.default_rng(19).standard_normal((grid.dim,) + grid.shape)
+        assert np.array_equal(box.forward(data), box.gather(real_forward(data, grid)))
+        # column 0 of the compact rows mirrors as on the half
+        sym = symmetrize_columns(c.copy(), grid)
+        assert np.array_equal(box.expand(sym),
+                              SpectralField.from_half(grid, h.copy()).coeffs)

@@ -1,7 +1,8 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
 it replaced, advection and damping against their full-array pipelines, exact
 2/3-rule dealiasing for every N, the solver's cache of physical samples, and
-the half-spectrum solver step against the full-array step it replaced."""
+the solver step on the mode box against the full-array and the half-spectrum
+steps it replaced."""
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ import pytest
 import full_array as fa
 from cbftorus import fields
 from cbftorus.families import random_band_limited
-from cbftorus.fields import PhysicalField, SpectralField, to_physical, to_spectral
+from cbftorus.fields import (PhysicalField, SpectralField, band_box, to_physical,
+                             to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, advect_samples, advection, damping,
                                 damping_pointwise, nonlinear_term,
+                                physical_jacobian, pointwise_samples,
                                 recover_pressure)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
                              SimulationState, SolverConfig, compute_rates,
                              initialize_state, sample_diagnostics, step)
-from cbftorus.spectral import dealias, embed_modes, l2_norm, leray_project
+from cbftorus.spectral import (dealias, embed_modes, jacobian, l2_norm,
+                               l2_pairing, leray_project, power_spectrum,
+                               project_coeffs)
 
 from conftest import rel_diff
 
@@ -67,9 +72,11 @@ GRIDS = [TorusGrid(dim=2, n_points=24), TorusGrid(dim=3, n_points=12)]
 def test_kernel_matches_convective_reference(grid, apply_dealias, galerkin, r):
     u = _full_band_field(grid, seed=5)
     params = CbfParams(mu=0.1, beta=0.7, r=r)
+    box = band_box(grid, apply_dealias, *galerkin)
     for project in (True, False):
-        got, samples = nonlinear_term(u.coeffs, grid, params,
-                                      apply_dealias, *galerkin, project=project)
+        got, samples = nonlinear_term(box.gather(u.coeffs), box, params,
+                                      apply_dealias, project=project)
+        got = box.expand(got)
         ref, ref_phys = _reference_nonlinear(u, params, apply_dealias,
                                              *galerkin, project=project)
         assert rel_diff(got, ref.coeffs) < 1e-12
@@ -79,10 +86,11 @@ def test_kernel_matches_convective_reference(grid, apply_dealias, galerkin, r):
 
 def test_kernel_uses_given_samples(grid3d):
     u = random_band_limited(grid3d, seed=3, band_limit=4)
-    half = u.coeffs
+    box = band_box(grid3d)
+    half = box.gather(u.coeffs)
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
-    fresh, samples = nonlinear_term(half, grid3d, params)
-    cached, same = nonlinear_term(half, grid3d, params, samples=samples)
+    fresh, samples = nonlinear_term(half, box, params)
+    cached, same = nonlinear_term(half, box, params, samples=samples)
     assert same is samples
     assert np.array_equal(cached, fresh)
 
@@ -230,14 +238,14 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, expected):
                              params, config, forcing)
     state = step(state, params, config, forcing)
     count = []
-    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
-        original = getattr(np.fft, name)
+    for name in ("inverse", "forward"):
+        original = getattr(fields.ModeBox, name)
 
-        def counted(a, *args, _original=original, **kwargs):
+        def counted(box, a, _original=original):
             count.append(int(np.prod(np.shape(a)[:-dim])))
-            return _original(a, *args, **kwargs)
+            return _original(box, a)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(fields.ModeBox, name, counted)
     step(state, params, config, forcing)
     assert sum(count) == expected
 
@@ -392,6 +400,161 @@ def test_hand_built_state_matches_full_array_step(grid32):
         ref = _reference_step(ref, params, config, forcing)
         _assert_same_diagnostics(state, ref, params, rates.darcy)
     assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# solver: the step on the mode box against the half-spectrum step it replaced
+
+
+def _half_band(grid, config):
+    """Band mask on the half spectrum, None when nothing is cut."""
+    if not config.dealias and config.galerkin_n == 0:
+        return None
+    full = fa.band(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
+    return full[..., :grid.n_points // 2 + 1]
+
+
+def _half_nonlinear(half, grid, params, config, samples=None):
+    """The half-spectrum kernel: restrict u to the band, rotational (dealiased)
+    or convective advection from rfftn/irfftn samples, restrict, project."""
+    mask = _half_band(grid, config)
+    if samples is None:
+        if mask is not None:
+            half = half * mask
+        samples = pointwise_samples(fields.real_inverse(half, grid), params.r)
+    u = samples.phys
+    if config.dealias:
+        k = grid.wavenumbers
+
+        def curl(i, j):
+            return 1j * (k[i] * half[j] - k[j] * half[i])
+
+        if grid.dim == 2:
+            w = fields.real_inverse(curl(0, 1), grid)
+            term = np.stack([-w * u[1], w * u[0]])
+        else:
+            w = fields.real_inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]),
+                                    grid)
+            term = np.stack([w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2],
+                             w[0] * u[1] - w[1] * u[0]])
+    else:
+        term = advect_samples(u, fields.real_inverse(jacobian(half, grid), grid))
+    out = fields.real_forward(term + params.beta * samples.weight * u, grid)
+    if mask is not None:
+        out = out * mask
+    return project_coeffs(out, grid.wavenumbers, grid.inv_k_squared), samples
+
+
+def _half_rates(u, t, params, forcing, extended, samples):
+    """Budget integrands as Plancherel sums over the half spectrum."""
+    grid = u.grid
+    power = power_spectrum(u)
+    k2 = grid.k_squared
+    damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
+    f = forcing.at(t)
+    forcing_val = 0.0 if f is None else l2_pairing(f, u)
+    a_sq = wgrad = 0.0
+    if extended:
+        a_sq = float(np.sum(k2 * k2 * power))
+        jac = physical_jacobian(u)
+        wgrad = float(np.sum(samples.weight * np.sum(jac * jac, axis=(0, 1)))
+                      * grid.cell_volume)
+    return BudgetRates(float(np.sum(k2 * power)), damping_val, forcing_val,
+                       float(np.sum(power)), a_sq, wgrad)
+
+
+def _half_samples(u, params):
+    return pointwise_samples(fields.real_inverse(u.coeffs, u.grid), params.r)
+
+
+def _half_initialize(ic, params, config, forcing, extended):
+    grid = ic.grid
+    half = project_coeffs(ic.coeffs, grid.wavenumbers, grid.inv_k_squared)
+    mask = _half_band(grid, config)
+    u = SpectralField.from_half(grid, half if mask is None else half * mask,
+                                divergence_free=True)
+    samples = _half_samples(u, params)
+    rates = _half_rates(u, 0.0, params, forcing, extended, samples)
+    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
+                           extended=extended, samples=samples)
+
+
+def _half_step(state, params, config, forcing):
+    """The half-spectrum IMEX update: every array holds the N^(d-1)(N/2+1)
+    modes of the half, the band masked where it applies."""
+    grid = state.u.grid
+    dt = config.dt
+    mask = _half_band(grid, config)
+    lam = params.mu * grid.k_squared + params.alpha
+    half = state.u.coeffs
+
+    def forcing_at(t):
+        f = forcing.at(t)
+        return 0.0 if f is None else (f.coeffs if mask is None else f.coeffs * mask)
+
+    if config.scheme == "imex_euler" or state.prev_nonlinear is None:
+        n_sub = config.substeps if config.scheme == "imex_euler" else 1
+        h = dt / n_sub
+        for s in range(n_sub):
+            nl, _ = _half_nonlinear(half, grid, params, config,
+                                    state.samples if s == 0 else None)
+            half = (half + h * (forcing_at(state.t + s * h) - nl)) / (1.0 + h * lam)
+        prev = nl if config.scheme == "imex_cnab2" else None
+    else:
+        nl, _ = _half_nonlinear(half, grid, params, config, state.samples)
+        rhs = ((1.0 - 0.5 * dt * lam) * half
+               + dt * (forcing_at(state.t + 0.5 * dt)
+                       - (1.5 * nl - 0.5 * state.prev_nonlinear)))
+        half = rhs / (1.0 + 0.5 * dt * lam)
+        prev = nl
+    u = SpectralField.from_half(grid, half, divergence_free=True)
+    samples = _half_samples(u, params)
+    rates = _half_rates(u, state.t + dt, params, forcing, state.extended, samples)
+    return SimulationState(
+        t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
+        rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
+        extended=state.extended,
+        samples=samples if state.samples is not None else None)
+
+
+@pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,galerkin,extended,"
+                         "forcing_kind,r", STEP_CASES)
+def test_step_matches_half_spectrum_step(dim, scheme, substeps, apply_dealias,
+                                         galerkin, extended, forcing_kind, r):
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
+    params = CbfParams(mu=0.1, alpha=0.2, beta=0.8, r=r)
+    config = SolverConfig(dt=2e-3, t_end=1.0, scheme=scheme, substeps=substeps,
+                          dealias=apply_dealias, galerkin_n=galerkin[0],
+                          galerkin_shape=galerkin[1])
+    forcing = _forcing(forcing_kind, grid)
+    ic = _full_band_field(grid, seed=4)
+    ic = ic * (1.0 / l2_norm(ic))
+    state = initialize_state(ic, params, config, forcing, extended)
+    ref = _half_initialize(ic, params, config, forcing, extended)
+    for _ in range(5):
+        assert np.array_equal(state.u.coeffs, ref.u.coeffs)
+        _assert_same_diagnostics(state, ref, params, ref.energy0)
+        state = step(state, params, config, forcing)
+        ref = _half_step(ref, params, config, forcing)
+    assert np.array_equal(state.u.coeffs, ref.u.coeffs)
+    _assert_same_diagnostics(state, ref, params, ref.energy0)
+
+
+def test_hand_built_state_matches_half_spectrum_step(grid32):
+    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
+    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
+    forcing = _forcing("steady", grid32)
+    u = leray_project(_full_band_field(grid32, seed=6))
+    u = u * (1.0 / l2_norm(u))
+    rates = compute_rates(u, 0.0, params, forcing)
+    state = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
+    ref = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=_half_rates(
+        u, 0.0, params, forcing, False, _half_samples(u, params)))
+    for _ in range(3):
+        state = step(state, params, config, forcing)
+        ref = _half_step(ref, params, config, forcing)
+        assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
+        _assert_same_diagnostics(state, ref, params, rates.darcy)
 
 
 @pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,extended,forcing_kind", [

@@ -6,7 +6,7 @@ import pytest
 from cbftorus.errors import BlowUpError, InvalidArgumentsError
 from cbftorus.families import (random_band_limited, single_mode, taylor_green,
                                taylor_green_exact)
-from cbftorus.fields import to_physical, zero_field
+from cbftorus.fields import band_box, to_physical, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
 from cbftorus.solver import (Forcing, SolverConfig, apriori_bound,
@@ -269,9 +269,8 @@ class _ProjectedEachCall:
     def at(self, t):
         return leray_project(self.fn(t))
 
-    def band_coeffs(self, t, mask):
-        coeffs = self.at(t).coeffs
-        return coeffs if mask is None else coeffs * mask
+    def box_coeffs(self, t, box):
+        return box.gather(self.at(t).coeffs)
 
 
 @pytest.mark.parametrize("scheme,substeps,galerkin_n", [("imex_cnab2", 1, 0),
@@ -282,10 +281,10 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
     profile = lambda t: np.exp(-2.0 * t) * np.cos(5.0 * t)  # noqa: E731
     new = Forcing.analytic(base, profile)
     old = _ProjectedEachCall(lambda t: base * float(profile(t)))
-    mask = grid32.dealias_mask
+    box = band_box(grid32)
     for t in (0.0, 0.3, 1.7):
         assert rel_diff(new.at(t).coeffs, old.at(t).coeffs) < 1e-12
-        assert rel_diff(new.band_coeffs(t, mask), old.band_coeffs(t, mask)) < 1e-12
+        assert rel_diff(new.box_coeffs(t, box), old.box_coeffs(t, box)) < 1e-12
     config = SolverConfig(dt=2e-3, t_end=2e-2, scheme=scheme, substeps=substeps,
                           galerkin_n=galerkin_n, diagnostics_every=2)
     ic = random_band_limited(grid32, seed=4, band_limit=6)
@@ -306,3 +305,12 @@ def test_config_validation():
         SolverConfig(scheme="rk4")
     with pytest.raises(InvalidArgumentsError):
         SolverConfig(diagnostics_every=0)
+
+
+@pytest.mark.parametrize("band", [dict(galerkin_n=-3), dict(galerkin_shape="cube")],
+                         ids=["negative-n", "unknown-shape"])
+def test_bad_galerkin_band_rejected(band):
+    # Both were accepted: n < 0 ran untruncated, an unknown shape failed
+    # only at the first step with n > 0.
+    with pytest.raises(InvalidArgumentsError):
+        SolverConfig(**band)
