@@ -239,46 +239,69 @@ class ModeBox:
     ``mask`` marks the band in the box (None: all of it)."""
 
     def __init__(self, grid, radius, band_radius, ball_n):
-        n = grid.n_points
-        self.grid, self.radius, self.covers_half = grid, radius, radius == n // 2
-        self.rows = np.r_[0:radius + 1, n - radius:n]
-        self._index = (Ellipsis,) + np.ix_(*[self.rows] * (grid.dim - 1),
-                                           np.arange(radius + 1))
+        self.grid, self.radius = grid, radius
+        self.covers_half = radius == grid.n_points // 2
         self.wavenumbers = tuple(self.gather(k) for k in grid.wavenumbers)
         self.k_squared = self.gather(grid.k_squared)
         self.inv_k_squared = self.gather(grid.inv_k_squared)
         self.plancherel_weights = grid.plancherel_weights[:radius + 1]
-        mask = self.gather(grid.mode_inf_norm) <= band_radius
+        masks = []
+        if band_radius < radius:
+            masks.append(self.gather(grid.mode_inf_norm) <= band_radius)
         if ball_n > 0:
-            mask = mask & (self.gather(grid.mode_sq_norm) <= ball_n * ball_n)
-        self.mask = None if mask.all() else mask
+            masks.append(self.gather(grid.mode_sq_norm) <= ball_n * ball_n)
+        self.mask = np.logical_and.reduce(masks) if masks else None
+
+    @staticmethod
+    def _on(axis, rows):
+        """Index of the slice ``rows`` on the (negative) ``axis``."""
+        return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
+
+    def _take_rows(self, a, axis):
+        """Rows 0..R and N-R..N-1 of ``a`` on ``axis``."""
+        n, r = self.grid.n_points, self.radius
+        return np.concatenate((a[self._on(axis, slice(0, r + 1))],
+                               a[self._on(axis, slice(n - r, n))]), axis=axis)
+
+    def _put_rows(self, c, axis, length):
+        """``c`` padded to ``length`` rows on ``axis`` by zeros after its row
+        R: rows 0..R and N-R..N-1 on a leading axis, columns 0..R last."""
+        gap = list(c.shape)
+        gap[axis] = length - c.shape[axis]
+        return np.concatenate((c[self._on(axis, slice(0, self.radius + 1))],
+                               np.zeros(gap, c.dtype),
+                               c[self._on(axis, slice(self.radius + 1, None))]),
+                              axis=axis)
 
     def gather(self, half):
-        """Compact coefficients of a half-spectrum array (which may
-        broadcast); the array itself when the box covers the half."""
+        """Compact coefficients of a half-spectrum array (axes of length 1,
+        as in broadcast multipliers, stay); the array itself when the box
+        covers the half."""
         if self.covers_half:
             return half
-        shape = half.shape[:-self.grid.dim] + self.grid.half_shape
-        return np.broadcast_to(half, shape)[self._index]
+        c = half[..., :self.radius + 1]
+        for axis in _leading_axes(self.grid):
+            if c.shape[axis] > 1:
+                c = self._take_rows(c, axis)
+        return c
 
     def expand(self, c):
         """Half-spectrum array of compact coefficients, zero off the box."""
         if self.covers_half:
             return c
-        out = np.zeros(c.shape[:-self.grid.dim] + self.grid.half_shape, complex)
-        out[self._index] = c
-        return out
+        for axis in _leading_axes(self.grid):
+            c = self._put_rows(c, axis, self.grid.n_points)
+        return self._put_rows(c, -1, self.grid.n_points // 2 + 1)
 
     def inverse(self, c):
         """Real samples of compact coefficients: the 1-D passes of irfftn in
         its order, each on the lines that the box touches only."""
         if self.covers_half:
             return real_inverse(c, self.grid)
-        n, r = self.grid.n_points, self.radius
-        for axis in _leading_axes(self.grid):  # zero rows R+1..N-R-1 back in
-            c = np.fft.ifft(np.insert(c, [r + 1] * (n - 2 * r - 1), 0, axis=axis),
+        for axis in _leading_axes(self.grid):
+            c = np.fft.ifft(self._put_rows(c, axis, self.grid.n_points),
                             axis=axis, norm="forward")
-        return np.fft.irfft(c, n=n, axis=-1, norm="forward")
+        return np.fft.irfft(c, n=self.grid.n_points, axis=-1, norm="forward")
 
     def forward(self, samples):
         """Compact coefficients fftn(samples)/N^d: the 1-D passes of rfftn in
@@ -287,8 +310,7 @@ class ModeBox:
             return real_forward(samples, self.grid)
         c = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.radius + 1]
         for axis in _FORWARD_ORDER(_leading_axes(self.grid)):
-            c = np.take(np.fft.fft(c, axis=axis, norm="forward"), self.rows,
-                        axis=axis)
+            c = self._take_rows(np.fft.fft(c, axis=axis, norm="forward"), axis)
         return c
 
 

@@ -247,16 +247,22 @@ def _box(grid, config: SolverConfig, whole=False):
 
 
 @lru_cache(maxsize=8)
-def _imex_multipliers(box, mu, alpha, dt, substeps):
-    """1 + h*lam for an Euler sub-step h = dt/substeps, and 1 - dt*lam/2 and
-    1 + dt*lam/2 for Crank-Nicolson, lam = mu*|k|^2 + alpha on ``box``."""
-    lam = mu * box.k_squared + alpha
-    return (1.0 + dt / substeps * lam, 1.0 - 0.5 * dt * lam,
-            1.0 + 0.5 * dt * lam)
+def _multiplier(box, params: CbfParams, a: float):
+    """1 + a*lam on ``box``, lam = mu*|k|^2 + alpha: the implicit multiplier
+    of an Euler step a = h and of Crank-Nicolson a = dt/2, and the explicit
+    one of Crank-Nicolson a = -dt/2."""
+    return 1.0 + a * (params.mu * box.k_squared + params.alpha)
 
 
-def _check_cfl(samples: Samples, grid, dt: float):
-    max_speed = float(np.sqrt(np.max(samples.sq)))
+def _nonlinear(c, box, params: CbfParams, config: SolverConfig, samples=None):
+    """Explicit term B(u) + beta*C(u) on the box, and the max speed for the
+    CFL check; ``samples`` are those of u when already known."""
+    out, samples = nonlinear_term(c, box, params, config.dealias,
+                                  samples=samples)
+    return out, float(np.sqrt(np.max(samples.sq)))
+
+
+def _check_cfl(max_speed: float, grid, dt: float):
     k_max = np.pi * grid.n_points / grid.period
     if dt * max_speed * k_max >= 1.0:
         warnings.warn(
@@ -277,8 +283,6 @@ def _advance(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
     box = _box(grid, config, whole=state.samples is None)
-    euler, explicit_cn, implicit_cn = _imex_multipliers(
-        box, params.mu, params.alpha, dt, config.substeps)
     c = box.gather(state.u.coeffs)
 
     def forcing_at(t):
@@ -289,21 +293,22 @@ def _advance(state, params, config, forcing):
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h = dt / n_sub
         for s in range(n_sub):
-            nl, used = nonlinear_term(c, box, params, config.dealias,
-                                      samples=state.samples if s == 0 else None)
-            c = (c + h * (forcing_at(state.t + s * h) - nl)) / euler
+            nl, max_speed = _nonlinear(c, box, params, config,
+                                       state.samples if s == 0 else None)
+            c = (c + h * (forcing_at(state.t + s * h) - nl)) / _multiplier(
+                box, params, h)
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
-        nl, used = nonlinear_term(c, box, params, config.dealias,
-                                  samples=state.samples)
+        nl, max_speed = _nonlinear(c, box, params, config, state.samples)
         explicit = 1.5 * nl - 0.5 * state.prev_nonlinear
-        rhs = explicit_cn * c + dt * (forcing_at(state.t + 0.5 * dt) - explicit)
-        c = rhs / implicit_cn
+        rhs = (_multiplier(box, params, -0.5 * dt) * c
+               + dt * (forcing_at(state.t + 0.5 * dt) - explicit))
+        c = rhs / _multiplier(box, params, 0.5 * dt)
         prev_nl = nl
 
     symmetrize_columns(c, grid)
     new_u = SpectralField(grid, box.expand(c), divergence_free=True)
-    _check_cfl(used, grid, dt)
+    _check_cfl(max_speed, grid, dt)
     new_t = state.t + dt
     samples = pointwise_samples(box.inverse(c), params.r)
     new_rates = _rates(c, box, new_t, params, forcing, state.extended, samples)
