@@ -300,7 +300,10 @@ def _advance(state, params, config, forcing):
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
         nl, max_speed = _nonlinear(c, box, params, config, state.samples)
-        explicit = 1.5 * nl - 0.5 * state.prev_nonlinear
+        prev = state.prev_nonlinear
+        if prev.shape != nl.shape:  # samples dropped after a step on the box
+            prev = _box(grid, config).expand(prev)
+        explicit = 1.5 * nl - 0.5 * prev
         rhs = (_multiplier(box, params, -0.5 * dt) * c
                + dt * (forcing_at(state.t + 0.5 * dt) - explicit))
         c = rhs / _multiplier(box, params, 0.5 * dt)

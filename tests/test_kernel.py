@@ -4,6 +4,8 @@ it replaced, advection and damping against their full-array pipelines, exact
 the solver step on the mode box against the full-array and the half-spectrum
 steps it replaced."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -555,6 +557,24 @@ def test_hand_built_state_matches_half_spectrum_step(grid32):
         ref = _half_step(ref, params, config, forcing)
         assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
         _assert_same_diagnostics(state, ref, params, rates.darcy)
+
+
+def test_state_without_samples_keeps_its_history(grid32):
+    # Dropping the cached samples of a stepped state moves the next step to
+    # the whole half, which takes the previous explicit term along.
+    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    forcing = _forcing("steady", grid32)
+    ic = random_band_limited(grid32, seed=5, band_limit=8)
+    state = initialize_state(ic, params, config, forcing)
+    ref = _half_initialize(ic, params, config, forcing, False)
+    for _ in range(2):
+        state = step(state, params, config, forcing)
+        ref = _half_step(ref, params, config, forcing)
+    state = step(dataclasses.replace(state, samples=None), params, config, forcing)
+    ref = _half_step(dataclasses.replace(ref, samples=None), params, config, forcing)
+    assert np.array_equal(state.u.coeffs, ref.u.coeffs)
+    _assert_same_diagnostics(state, ref, params, ref.energy0)
 
 
 @pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,extended,forcing_kind", [
