@@ -12,7 +12,8 @@ satisfy the Hermitian symmetry u_hat(-m) = conj(u_hat(m)), so a
 at the boundaries: :meth:`SpectralField.from_full` takes one in and runs the
 one Hermitian check (raising :class:`SymmetryError`), and
 :meth:`SpectralField.full` expands for output; snapshot files store the full
-array.
+array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
+keep more compactly still, and transforms only the lines they touch.
 """
 
 from dataclasses import dataclass
