@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentsError
+from .errors import ConfigError, InvalidArgumentsError, InvalidFieldError
 from .families import kolmogorov, random_band_limited, single_mode, taylor_green
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
@@ -167,9 +167,10 @@ class RunConfig:
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _family_field(self, grid, section):
-        """The [ic] or [forcing] family field; an argument a family rejects is
-        an error of that section."""
+        """The [ic] or [forcing] family field; an argument a family rejects,
+        or a field that overflows its finiteness check, is a section error."""
         spec = self.section(section)
         name = spec["family"]
         try:
@@ -186,7 +187,7 @@ class RunConfig:
                                    amplitude=spec["amplitude"], phase=spec["phase"])
             # kolmogorov, a [forcing] family only: its mode is one integer
             return kolmogorov(grid, mode=spec["mode"], amplitude=spec["amplitude"])
-        except InvalidArgumentsError as err:
+        except (InvalidArgumentsError, InvalidFieldError) as err:
             raise ConfigError(f"{section}: {err}") from None
 
     def _snapshot_field(self, section, grid):

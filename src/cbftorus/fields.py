@@ -16,6 +16,7 @@ array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,15 +134,6 @@ class SpectralField:
             raise SymmetryError("coefficients violate Hermitian symmetry")
         return cls(grid, full[..., :grid.n_points // 2 + 1], divergence_free)
 
-    @classmethod
-    def from_half(cls, grid, half, divergence_free=False):
-        """Exactly Hermitian field of half-spectrum coefficients, which it
-        takes over: columns 0 and N/2, each its own mirror image, are
-        replaced in place by their Hermitian parts (c + conj(c(-m)))/2.  The
-        constructor then runs the one finiteness check."""
-        return cls(grid, symmetrize_columns(
-            np.ascontiguousarray(half, dtype=complex), grid), divergence_free)
-
     def replace(self, coeffs, divergence_free=None):
         if divergence_free is None:
             divergence_free = self.divergence_free
@@ -167,8 +159,12 @@ class SpectralField:
 
 
 def squared_magnitude(data: np.ndarray) -> np.ndarray:
-    """Pointwise |u|^2 summed over the leading (component) axis."""
-    return np.sum(data * data, axis=0)
+    """Pointwise |u|^2 summed over the leading (component) axis in order,
+    in place: the sum that ``np.sum(data * data, axis=0)`` forms."""
+    out = data[0] * data[0]
+    for x in data[1:]:
+        out += x * x
+    return out
 
 
 def magnitude(data: np.ndarray) -> np.ndarray:
@@ -287,12 +283,17 @@ class ModeBox:
         return c
 
     def expand(self, c):
-        """Half-spectrum array of compact coefficients, zero off the box."""
+        """Half-spectrum array of compact coefficients, zero off the box: a
+        zero half with the box's blocks copied in."""
         if self.covers_half:
             return c
-        for axis in _leading_axes(self.grid):
-            c = self._put_rows(c, axis, self.grid.n_points)
-        return self._put_rows(c, -1, self.grid.n_points // 2 + 1)
+        n, r = self.grid.n_points, self.radius
+        out = np.zeros(c.shape[:-self.grid.dim] + self.grid.half_shape, c.dtype)
+        blocks = ((slice(0, r + 1),) * 2, (slice(r + 1, None), slice(n - r, n)))
+        for rows in itertools.product(blocks, repeat=self.grid.dim - 1):
+            box_rows, half_rows = zip(*rows)
+            out[(..., *half_rows, slice(0, r + 1))] = c[(..., *box_rows, slice(None))]
+        return out
 
     def inverse(self, c):
         """Real samples of compact coefficients: the 1-D passes of irfftn in

@@ -40,8 +40,14 @@ class TorusGrid:
         if self.n_points < 8 or self.n_points % 2 != 0:
             raise InvalidArgumentsError(
                 f"n_points must be even and >= 8, got {self.n_points}")
-        if not (self.period > 0 and np.isfinite(self.period)):
-            raise InvalidArgumentsError(f"period must be positive, got {self.period}")
+        try:  # a period of 0 divides by zero, a large one overflows
+            ok = all(0.0 < s < np.inf for s in (
+                self.volume, self.cell_volume, np.pi * self.n_points / self.period))
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise InvalidArgumentsError(f"grid period {self.period} gives a volume "
+                                        "or wavenumber that is not finite and positive")
 
     @property
     def shape(self):

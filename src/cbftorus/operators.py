@@ -72,6 +72,8 @@ def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
     """mag**p taken as 0 where mag = 0, and 1 everywhere for p = 0."""
     if p == 0.0:
         return np.ones_like(mag)
+    if p > 0.0:
+        return mag ** p  # 0**p = 0 already
     positive = mag > 0
     return np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0)
 
@@ -127,13 +129,18 @@ def _rotational_samples(coeffs, u_phys, box):
     def curl(i, j):
         return 1j * (k[i] * coeffs[j] - k[j] * coeffs[i])
 
+    out = np.empty_like(u_phys)
     if box.grid.dim == 2:
         w = box.inverse(curl(0, 1))
-        return np.stack([-w * u_phys[1], w * u_phys[0]])
+        np.multiply(np.negative(w), u_phys[1], out=out[0])
+        np.multiply(w, u_phys[0], out=out[1])
+        return out
     w = box.inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]))
-    return np.stack([w[1] * u_phys[2] - w[2] * u_phys[1],
-                     w[2] * u_phys[0] - w[0] * u_phys[2],
-                     w[0] * u_phys[1] - w[1] * u_phys[0]])
+    for i in range(3):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        np.multiply(w[a], u_phys[b], out=out[i])
+        out[i] -= w[b] * u_phys[a]
+    return out
 
 
 def _forward(samples, box, project=True):
@@ -169,7 +176,7 @@ def nonlinear_term(coeffs: np.ndarray, box, params: CbfParams,
         term = _rotational_samples(coeffs, samples.phys, box)
     else:
         term = advect_samples(samples.phys, box.inverse(jacobian(coeffs, box)))
-    term = term + params.beta * samples.weight * samples.phys
+    term += params.beta * samples.weight * samples.phys
     return _forward(term, box, project), samples
 
 

@@ -14,20 +14,20 @@ Each step works on the compact box of the modes that dealiasing and
 Galerkin truncation keep (``fields.band_box``): the explicit term, the IMEX
 update, the forcing and the budget rates, Plancherel sums that weight each
 column standing for its mirror image by 2.  It symmetrizes column 0 and
-expands the result once into the state's ``u``, an exactly Hermitian field
-on the half spectrum.  |u|^2 is formed once per set of samples of u; the
-weight |u|^{r-1} from it gives both the damping rate and the next step's
-damping term.
+keeps the result, compact, as the state; the state's ``u`` on the half
+spectrum is built on first read.  |u|^2 is formed once per set of samples of
+u; the weight |u|^{r-1} from it gives both the damping rate and the next
+step's damping term.
 """
 
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import SpectralField, band_box, symmetrize_columns
+from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
 from .operators import CbfParams, Samples, nonlinear_term, pointwise_samples
 from .spectral import (divergence_defect, dual_norm, jacobian, l2_norm,
                        leray_project, mode_pairing, mode_power,
@@ -147,23 +147,41 @@ class Integrals:
                            for f in fields(Integrals)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimulationState:
-    """Solver state.  ``u`` is exactly Hermitian; ``prev_nonlinear`` is the
-    previous explicit term on the solver's mode box.  ``samples`` caches u on
-    the grid with |u|^2 and |u|^{r-1} for the next nonlinear evaluation; only
-    :func:`initialize_state` and :func:`step` set it, because they keep
-    ``u`` inside the solver's mode band.  A state without it steps on the
-    whole half, so that its modes off the band persist."""
+    """Solver state: read-only ``coeffs`` on the mode ``box``, and ``u``, the
+    exactly Hermitian field on the half, given or built on first read.
+    ``prev_nonlinear`` is the previous explicit term on the box.  ``samples``
+    caches u on the grid with |u|^2 and |u|^{r-1}; only initialize_state and
+    step set it, as they keep u inside the solver's mode band.  A state
+    without it steps on the whole half, so its modes off the band persist."""
 
     t: float
-    u: SpectralField
+    coeffs: np.ndarray = field(repr=False, compare=False)
+    box: ModeBox = field(repr=False, compare=False)
     prev_nonlinear: np.ndarray = field(default=None, repr=False, compare=False)
     energy0: float = 0.0
     rates: BudgetRates = None
     integrals: Integrals = field(default_factory=Integrals)
     extended: bool = False
     samples: Samples = field(default=None, repr=False, compare=False)
+
+    def __init__(self, t, u=None, prev_nonlinear=None, energy0=0.0, rates=None,
+                 integrals=Integrals(), extended=False, samples=None,
+                 coeffs=None, box=None):
+        if u is not None:
+            coeffs, box = u.coeffs, band_box(u.grid, False)
+            self.__dict__["u"] = u
+        self.__dict__.update(
+            t=t, coeffs=coeffs, box=box, prev_nonlinear=prev_nonlinear,
+            energy0=energy0, rates=rates, integrals=integrals,
+            extended=extended, samples=samples)
+
+    @cached_property
+    def u(self) -> SpectralField:
+        """The state as an exactly Hermitian field on the half spectrum."""
+        return SpectralField(self.box.grid, self.box.expand(self.coeffs),
+                             divergence_free=True)
 
 
 @dataclass(frozen=True)
@@ -233,12 +251,20 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
     if box.mask is not None:
         c = c * box.mask
-    symmetrize_columns(c, grid)
-    u = SpectralField(grid, box.expand(c), divergence_free=True)
+    c = _settle(c, grid)
     samples = pointwise_samples(box.inverse(c), params.r)
     rates = _rates(c, box, 0.0, params, forcing, extended, samples)
-    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
-                           extended=extended, samples=samples)
+    return SimulationState(t=0.0, coeffs=c, box=box, energy0=rates.darcy,
+                           rates=rates, extended=extended, samples=samples)
+
+
+def _settle(c, grid):
+    """``c`` symmetrized in place, checked finite and made read-only."""
+    symmetrize_columns(c, grid)
+    if not np.all(np.isfinite(c)):
+        raise InvalidFieldError("non-finite coefficients")
+    c.setflags(write=False)
+    return c
 
 
 def _box(grid, config: SolverConfig, whole=False):
@@ -273,44 +299,46 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
          forcing: Forcing) -> SimulationState:
     """Advance one time step; divergence-free by construction.  Raises
     :class:`BlowUpError` when the state overflows or runs away."""
-    try:
-        return _advance(state, params, config, forcing)
-    except InvalidFieldError:
-        raise BlowUpError("non-finite state", last_valid_time=state.t) from None
-
-
-def _advance(state, params, config, forcing):
-    grid = state.u.grid
+    grid = state.box.grid
     dt = config.dt
     box = _box(grid, config, whole=state.samples is None)
-    c = box.gather(state.u.coeffs)
+
+    def on_box(a):  # an array of the state, on the step's box
+        return a if state.box is box else box.gather(state.box.expand(a))
+
+    c = on_box(state.coeffs)
 
     def forcing_at(t):
         f = forcing.box_coeffs(t, box)
         return f if box.mask is None else f * box.mask
 
+    # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
+    # ((1 - dt/2*lam)*c + dt*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam).
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h = dt / n_sub
         for s in range(n_sub):
             nl, max_speed = _nonlinear(c, box, params, config,
                                        state.samples if s == 0 else None)
-            c = (c + h * (forcing_at(state.t + s * h) - nl)) / _multiplier(
-                box, params, h)
+            new = np.subtract(forcing_at(state.t + s * h), nl)
+            np.multiply(h, new, out=new)
+            np.add(c, new, out=new)
+            c = np.divide(new, _multiplier(box, params, h), out=new)
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
         nl, max_speed = _nonlinear(c, box, params, config, state.samples)
-        prev = state.prev_nonlinear
-        if prev.shape != nl.shape:  # samples dropped after a step on the box
-            prev = _box(grid, config).expand(prev)
-        explicit = 1.5 * nl - 0.5 * prev
-        rhs = (_multiplier(box, params, -0.5 * dt) * c
-               + dt * (forcing_at(state.t + 0.5 * dt) - explicit))
-        c = rhs / _multiplier(box, params, 0.5 * dt)
+        new = np.multiply(1.5, nl)
+        new -= 0.5 * on_box(state.prev_nonlinear)
+        np.subtract(forcing_at(state.t + 0.5 * dt), new, out=new)
+        np.multiply(dt, new, out=new)
+        np.add(_multiplier(box, params, -0.5 * dt) * c, new, out=new)
+        c = np.divide(new, _multiplier(box, params, 0.5 * dt), out=new)
         prev_nl = nl
 
-    symmetrize_columns(c, grid)
-    new_u = SpectralField(grid, box.expand(c), divergence_free=True)
+    try:
+        c = _settle(c, grid)
+    except InvalidFieldError:
+        raise BlowUpError("non-finite state", last_valid_time=state.t) from None
     _check_cfl(max_speed, grid, dt)
     new_t = state.t + dt
     samples = pointwise_samples(box.inverse(c), params.r)
@@ -318,8 +346,8 @@ def _advance(state, params, config, forcing):
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(
-        t=new_t, u=new_u, prev_nonlinear=prev_nl, energy0=state.energy0,
-        rates=new_rates,
+        t=new_t, coeffs=c, box=box, prev_nonlinear=prev_nl,
+        energy0=state.energy0, rates=new_rates,
         integrals=state.integrals.advance(state.rates, new_rates, dt),
         extended=state.extended,
         samples=samples if state.samples is not None else None)

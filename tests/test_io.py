@@ -361,10 +361,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("ic", "family = random\namplitude = nan"),
     ("ic", "family = single_mode\nmode = 0, 99"),  # would alias at N = 64
     ("forcing", "kind = steady\nfamily = kolmogorov\nmode = 40"),
+    ("grid", "l = 1e300"),  # the volume overflows
+    ("grid", "l = 1e-320"),  # the wavenumbers overflow
+    ("forcing", "kind = steady\namplitude = 1e308"),  # its transform overflows
 ], ids=["t_end_inf", "component_5", "amplitude_nan", "mode_above_nyquist",
-        "forcing_mode_above_nyquist"])
+        "forcing_mode_above_nyquist", "period_1e300", "period_1e-320",
+        "forcing_amplitude_1e308"])
 def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
-    text = f"[grid]\ndim = 2\nn = 64\n\n[{section}]\n{entries}\n"
+    grid = "[grid]\ndim = 2\nn = 64\n"
+    text = (f"{grid}{entries}\n" if section == "grid"
+            else f"{grid}\n[{section}]\n{entries}\n")
     with pytest.raises(ConfigError, match=section):
         config = config_from_text(text)
         config.initial_condition()

@@ -1,8 +1,9 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
 it replaced, advection and damping against their full-array pipelines, exact
-2/3-rule dealiasing for every N, the solver's cache of physical samples, and
-the solver step on the mode box against the full-array and the half-spectrum
-steps it replaced."""
+2/3-rule dealiasing for every N, the solver's cache of physical samples, the
+solver step on the mode box against the full-array and the half-spectrum
+steps it replaced, and, to the byte, the state kept on the box with fused
+pointwise work against the step that expanded it each time."""
 
 import dataclasses
 
@@ -10,15 +11,15 @@ import numpy as np
 import pytest
 
 import full_array as fa
-from cbftorus import fields
+from cbftorus import fields, solver
 from cbftorus.families import random_band_limited
-from cbftorus.fields import (PhysicalField, SpectralField, band_box, to_physical,
-                             to_spectral)
+from cbftorus.fields import (PhysicalField, SpectralField, band_box,
+                             symmetrize_columns, to_physical, to_spectral)
 from cbftorus.grid import TorusGrid
-from cbftorus.operators import (CbfParams, advect_samples, advection, damping,
-                                damping_pointwise, nonlinear_term,
-                                physical_jacobian, pointwise_samples,
-                                recover_pressure)
+from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
+                                damping, damping_pointwise, nonlinear_term,
+                                physical_jacobian, pointwise_power,
+                                pointwise_samples, recover_pressure)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
                              SimulationState, SolverConfig, compute_rates,
@@ -473,8 +474,8 @@ def _half_initialize(ic, params, config, forcing, extended):
     grid = ic.grid
     half = project_coeffs(ic.coeffs, grid.wavenumbers, grid.inv_k_squared)
     mask = _half_band(grid, config)
-    u = SpectralField.from_half(grid, half if mask is None else half * mask,
-                                divergence_free=True)
+    u = SpectralField(grid, symmetrize_columns(
+        half if mask is None else half * mask, grid), divergence_free=True)
     samples = _half_samples(u, params)
     rates = _half_rates(u, 0.0, params, forcing, extended, samples)
     return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
@@ -509,7 +510,7 @@ def _half_step(state, params, config, forcing):
                        - (1.5 * nl - 0.5 * state.prev_nonlinear)))
         half = rhs / (1.0 + 0.5 * dt * lam)
         prev = nl
-    u = SpectralField.from_half(grid, half, divergence_free=True)
+    u = SpectralField(grid, symmetrize_columns(half, grid), divergence_free=True)
     samples = _half_samples(u, params)
     rates = _half_rates(u, state.t + dt, params, forcing, state.extended, samples)
     return SimulationState(
@@ -621,3 +622,237 @@ def test_state_is_exactly_hermitian(tmp_path, grid32):
     assert state.u.symmetry_defect() == 0.0
     state = step(state, params, config, forcing)
     assert state.u.symmetry_defect() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# solver: the state on the mode box against the step that expanded it
+
+
+def _guarded_samples(u_phys, r):
+    """Samples with |u|^2 by np.sum and the weight by the guarded power."""
+    sq = np.sum(u_phys * u_phys, axis=0)
+    p = 0.5 * (r - 1.0)
+    if p == 0.0:
+        weight = np.ones_like(sq)
+    else:
+        positive = sq > 0
+        weight = np.where(positive, np.where(positive, sq, 1.0) ** p, 0.0)
+    return Samples(u_phys, sq, weight)
+
+
+def _concatenated_expand(box, c):
+    """``ModeBox.expand`` as zero rows concatenated in, axis by axis."""
+    if box.covers_half:
+        return c
+    for axis in range(-box.grid.dim, -1):
+        c = box._put_rows(c, axis, box.grid.n_points)
+    return box._put_rows(c, -1, box.grid.n_points // 2 + 1)
+
+
+def _stacked_nonlinear(c, box, params, config, samples=None):
+    """The kernel on the box with stacked, out-of-place pointwise products."""
+    if samples is None:
+        if box.mask is not None:
+            c = c * box.mask
+        samples = _guarded_samples(box.inverse(c), params.r)
+    u = samples.phys
+    if config.dealias:
+        k = box.wavenumbers
+
+        def curl(i, j):
+            return 1j * (k[i] * c[j] - k[j] * c[i])
+
+        if box.grid.dim == 2:
+            w = box.inverse(curl(0, 1))
+            term = np.stack([-w * u[1], w * u[0]])
+        else:
+            w = box.inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]))
+            term = np.stack([w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2],
+                             w[0] * u[1] - w[1] * u[0]])
+    else:
+        term = advect_samples(u, box.inverse(jacobian(c, box)))
+    out = box.forward(term + params.beta * samples.weight * u)
+    if box.mask is not None:
+        out = out * box.mask
+    return project_coeffs(out, box.wavenumbers, box.inv_k_squared), samples
+
+
+def _expanding_initialize(ic, params, config, forcing, extended):
+    grid = ic.grid
+    box = solver._box(grid, config)
+    c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
+    if box.mask is not None:
+        c = c * box.mask
+    symmetrize_columns(c, grid)
+    u = SpectralField(grid, _concatenated_expand(box, c), divergence_free=True)
+    samples = _guarded_samples(box.inverse(c), params.r)
+    rates = solver._rates(c, box, 0.0, params, forcing, extended, samples)
+    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
+                           extended=extended, samples=samples)
+
+
+def _expanding_step(state, params, config, forcing):
+    """The step on the mode box with a half-spectrum state: it gathers u,
+    updates out of place and expands the result into a new field."""
+    grid = state.u.grid
+    dt = config.dt
+    box = solver._box(grid, config, whole=state.samples is None)
+    c = box.gather(state.u.coeffs)
+
+    def forcing_at(t):
+        f = forcing.box_coeffs(t, box)
+        return f if box.mask is None else f * box.mask
+
+    if config.scheme == "imex_euler" or state.prev_nonlinear is None:
+        n_sub = config.substeps if config.scheme == "imex_euler" else 1
+        h = dt / n_sub
+        for s in range(n_sub):
+            nl, _ = _stacked_nonlinear(c, box, params, config,
+                                       state.samples if s == 0 else None)
+            c = (c + h * (forcing_at(state.t + s * h) - nl)) / solver._multiplier(
+                box, params, h)
+        prev = nl if config.scheme == "imex_cnab2" else None
+    else:
+        nl, _ = _stacked_nonlinear(c, box, params, config, state.samples)
+        prev = state.prev_nonlinear
+        if prev.shape != nl.shape:
+            prev = _concatenated_expand(solver._box(grid, config), prev)
+        rhs = (solver._multiplier(box, params, -0.5 * dt) * c
+               + dt * (forcing_at(state.t + 0.5 * dt) - (1.5 * nl - 0.5 * prev)))
+        c = rhs / solver._multiplier(box, params, 0.5 * dt)
+        prev = nl
+    symmetrize_columns(c, grid)
+    u = SpectralField(grid, _concatenated_expand(box, c), divergence_free=True)
+    samples = _guarded_samples(box.inverse(c), params.r)
+    rates = solver._rates(c, box, state.t + dt, params, forcing, state.extended,
+                          samples)
+    return SimulationState(
+        t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
+        rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
+        extended=state.extended,
+        samples=samples if state.samples is not None else None)
+
+
+def _assert_same_bytes(state, ref):
+    assert state.t == ref.t and state.rates == ref.rates
+    assert state.integrals == ref.integrals
+    assert state.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+    assert (state.prev_nonlinear is None) == (ref.prev_nonlinear is None)
+    if state.prev_nonlinear is not None:
+        assert state.prev_nonlinear.shape == ref.prev_nonlinear.shape
+        assert state.prev_nonlinear.tobytes() == ref.prev_nonlinear.tobytes()
+    assert (state.samples is None) == (ref.samples is None)
+    for a, b in zip(state.samples or (), ref.samples or ()):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,galerkin,extended,"
+                         "forcing_kind,r", STEP_CASES)
+def test_step_matches_expanding_step_bytes(dim, scheme, substeps, apply_dealias,
+                                           galerkin, extended, forcing_kind, r):
+    # Two of the steps drop the cached samples, which moves them to the
+    # whole half with the previous explicit term expanded.
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
+    params = CbfParams(mu=0.1, alpha=0.2, beta=0.8, r=r)
+    config = SolverConfig(dt=2e-3, t_end=1.0, scheme=scheme, substeps=substeps,
+                          dealias=apply_dealias, galerkin_n=galerkin[0],
+                          galerkin_shape=galerkin[1])
+    forcing = _forcing(forcing_kind, grid)
+    ic = _full_band_field(grid, seed=4)
+    ic = ic * (1.0 / l2_norm(ic))
+    state = initialize_state(ic, params, config, forcing, extended)
+    ref = _expanding_initialize(ic, params, config, forcing, extended)
+    for m in range(6):
+        _assert_same_bytes(state, ref)
+        if m == 4:
+            state = dataclasses.replace(state, samples=None)
+            ref = dataclasses.replace(ref, samples=None)
+        state = step(state, params, config, forcing)
+        ref = _expanding_step(ref, params, config, forcing)
+    _assert_same_bytes(state, ref)
+
+
+def test_hand_built_state_matches_expanding_step_bytes(grid32):
+    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
+    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
+    forcing = _forcing("steady", grid32)
+    u = leray_project(_full_band_field(grid32, seed=6))
+    u = u * (1.0 / l2_norm(u))
+    rates = compute_rates(u, 0.0, params, forcing)
+    state = ref = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
+    for _ in range(3):
+        state = step(state, params, config, forcing)
+        ref = _expanding_step(ref, params, config, forcing)
+        _assert_same_bytes(state, ref)
+
+
+@pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,extended,forcing_kind", [
+    (2, "imex_cnab2", 1, True, False, "steady"),
+    (3, "imex_cnab2", 1, True, True, "analytic"),
+    (2, "imex_euler", 2, False, True, "analytic"),
+    (3, "imex_euler", 1, False, False, "zero"),
+], ids=["2d-cnab2-steady", "3d-cnab2-extended-analytic",
+        "2d-euler-substeps-analytic", "3d-euler-half"])
+def test_step_stays_on_the_box(monkeypatch, dim, scheme, substeps, apply_dealias,
+                               extended, forcing_kind):
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
+    params = CbfParams(mu=0.1, beta=1.0, r=4.0)
+    config = SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme, substeps=substeps,
+                          dealias=apply_dealias)
+    forcing = _forcing(forcing_kind, grid)
+    state = initialize_state(random_band_limited(grid, seed=1, band_limit=3),
+                             params, config, forcing, extended)
+    state = step(state, params, config, forcing)
+    calls = []
+    for cls, name in ((fields.ModeBox, "gather"), (fields.ModeBox, "expand"),
+                      (SpectralField, "__post_init__")):
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    state = step(state, params, config, forcing)
+    assert calls == []
+    assert not state.coeffs.flags.writeable
+
+
+def test_state_field_is_built_once(monkeypatch, grid32):
+    params = CbfParams(mu=0.1, beta=1.0, r=4.0)
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    forcing = Forcing.zero()
+    state = initialize_state(random_band_limited(grid32, seed=3, band_limit=8),
+                             params, config, forcing)
+    state = step(state, params, config, forcing)
+    built = []
+    original = SpectralField.__post_init__
+
+    def counted(field):
+        built.append(1)
+        original(field)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counted)
+    u = state.u
+    assert state.u is u and len(built) == 1
+    assert np.array_equal(u.coeffs, state.box.expand(state.coeffs))
+    hand_built = SimulationState(t=0.0, u=u)
+    assert hand_built.u is u and len(built) == 1
+
+
+@pytest.mark.parametrize("ncomp", range(1, 10))
+def test_squared_magnitude_is_the_ordered_sum(ncomp):
+    data = np.random.default_rng(ncomp).standard_normal((ncomp, 12, 10)) * 1e3
+    data[:, 0] = 0.0
+    got = fields.squared_magnitude(data)
+    assert got.tobytes() == np.sum(data * data, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, 1.25, 3.0])
+def test_pointwise_power_matches_the_guarded_formula(p):
+    mag = np.abs(np.random.default_rng(5).standard_normal((7, 9)))
+    mag[::2, 1::3] = 0.0
+    positive = mag > 0
+    ref = (np.ones_like(mag) if p == 0.0 else
+           np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0))
+    assert pointwise_power(mag, p).tobytes() == ref.tobytes()
