@@ -233,21 +233,18 @@ class ModeBox:
     """The modes with every |m_i| <= R of the half spectrum, stored
     compactly: rows 0..R and N-R..N-1 of each leading axis (a cyclic order
     of length 2R+1) and columns 0..R; at R = N/2, the half as it is.
-    ``mask`` marks the band in the box (None: all of it)."""
+    ``mask`` marks a Galerkin ball of radius ``ball_n`` in the box (None:
+    no ball, all of the box)."""
 
-    def __init__(self, grid, radius, band_radius, ball_n):
+    def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
         self.covers_half = radius == grid.n_points // 2
         self.wavenumbers = tuple(self.gather(k) for k in grid.wavenumbers)
         self.k_squared = self.gather(grid.k_squared)
         self.inv_k_squared = self.gather(grid.inv_k_squared)
         self.plancherel_weights = grid.plancherel_weights[:radius + 1]
-        masks = []
-        if band_radius < radius:
-            masks.append(self.gather(grid.mode_inf_norm) <= band_radius)
-        if ball_n > 0:
-            masks.append(self.gather(grid.mode_sq_norm) <= ball_n * ball_n)
-        self.mask = np.logical_and.reduce(masks) if masks else None
+        self.mask = (self.gather(grid.mode_sq_norm) <= ball_n * ball_n
+                     if ball_n > 0 else None)
 
     @staticmethod
     def _on(axis, rows):
@@ -316,19 +313,18 @@ class ModeBox:
         return c
 
 
-def band_box(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box",
-             whole=False):
+def band_box(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box"):
     """The box of the modes that 2/3-rule dealiasing and Galerkin truncation
-    (off at ``galerkin_n = 0``) keep, built once per grid and arguments;
-    with ``whole``, the half with that band as its mask.  Dealiasing keeps
-    |m_i| <= K = (N-1)//3: the aliases of a product of two such fields land
-    at |m_i| >= N - 2K > K, as 3K < N (which floor(N/3) breaks at 3 | N)."""
-    key = (apply_dealias, galerkin_n, galerkin_shape, whole)
+    (off at ``galerkin_n = 0``, whatever the shape) keep, built once per grid
+    and band.  Dealiasing keeps |m_i| <= K = (N-1)//3: the aliases of a
+    product of two such fields land at |m_i| >= N - 2K > K, as 3K < N (which
+    floor(N/3) breaks at 3 | N)."""
+    key = (apply_dealias, galerkin_n, galerkin_shape if galerkin_n else "box")
     if key not in grid.boxes:
         n = grid.n_points
         band = min([n // 2] + [(n - 1) // 3] * apply_dealias
                    + [galerkin_n] * (galerkin_n > 0))
-        grid.boxes[key] = ModeBox(grid, n // 2 if whole else band, band,
+        grid.boxes[key] = ModeBox(grid, band,
                                   galerkin_n if galerkin_shape == "ball" else 0)
     return grid.boxes[key]
 

@@ -15,6 +15,7 @@ one kernel, on the box, that the solver, :func:`cbf_operator` and
 the same forward tail.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,23 +124,17 @@ def physical_jacobian(v: SpectralField) -> np.ndarray:
 
 
 def _rotational_samples(coeffs, u_phys, box):
-    """omega x u on samples, omega = curl u (its z-component alone in 2D)."""
+    """omega x u on samples: each curl pair i < j, w = d_i u_j - d_j u_i,
+    adds -w u_j to component i and w u_i to component j."""
     k = box.wavenumbers
-
-    def curl(i, j):
-        return 1j * (k[i] * coeffs[j] - k[j] * coeffs[i])
-
-    out = np.empty_like(u_phys)
-    if box.grid.dim == 2:
-        w = box.inverse(curl(0, 1))
-        np.multiply(np.negative(w), u_phys[1], out=out[0])
-        np.multiply(w, u_phys[0], out=out[1])
-        return out
-    w = box.inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]))
-    for i in range(3):
-        a, b = (i + 1) % 3, (i + 2) % 3
-        np.multiply(w[a], u_phys[b], out=out[i])
-        out[i] -= w[b] * u_phys[a]
+    pairs = list(itertools.combinations(range(box.grid.dim), 2))
+    w = box.inverse(np.stack([1j * (k[i] * coeffs[j] - k[j] * coeffs[i])
+                              for i, j in pairs]))
+    out = np.zeros_like(u_phys)
+    for w_ij, (i, j) in zip(w, pairs):
+        out_i, out_j = out[i], out[j]  # views, updated in place: no write-back
+        out_i -= w_ij * u_phys[j]
+        out_j += w_ij * u_phys[i]
     return out
 
 

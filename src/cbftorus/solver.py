@@ -10,14 +10,14 @@ cumulative defect of the energy identity
     ||u(t)||^2 + 2 mu int ||grad u||^2 + 2 alpha int ||u||^2
               + 2 beta int ||u||_{r+1}^{r+1}  =  ||u0||^2 + 2 int <f, u>.
 
-Each step works on the compact box of the modes that dealiasing and
-Galerkin truncation keep (``fields.band_box``): the explicit term, the IMEX
-update, the forcing and the budget rates, Plancherel sums that weight each
-column standing for its mirror image by 2.  It symmetrizes column 0 and
-keeps the result, compact, as the state; the state's ``u`` on the half
-spectrum is built on first read.  |u|^2 is formed once per set of samples of
-u; the weight |u|^{r-1} from it gives both the damping rate and the next
-step's damping term.
+A state comes from :func:`initialize_state` or :func:`step` only and
+steps on its own box: the modes that dealiasing and Galerkin truncation keep
+(``fields.band_box``).  The explicit term, the IMEX update, the forcing and
+the budget rates, Plancherel sums that weight each column standing for its
+mirror image by 2, work there.  A step symmetrizes column 0 and keeps the
+result, compact, as the state; its ``u`` on the half is built on first
+read.  |u|^2 is formed once per set of samples of u; the weight |u|^{r-1}
+from it gives both the damping rate and the next step's damping term.
 """
 
 import warnings
@@ -54,6 +54,9 @@ class SolverConfig:
             raise InvalidArgumentsError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise InvalidArgumentsError(f"t_end must be >= 0, got {self.t_end}")
+        if not np.isfinite(self.t_end / self.dt):  # would overflow the step count
+            raise InvalidArgumentsError(f"solver step count t_end/dt = "
+                                        f"{self.t_end}/{self.dt} is not finite")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentsError(
                 f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -147,35 +150,23 @@ class Integrals:
                            for f in fields(Integrals)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SimulationState:
-    """Solver state: read-only ``coeffs`` on the mode ``box``, and ``u``, the
-    exactly Hermitian field on the half, given or built on first read.
-    ``prev_nonlinear`` is the previous explicit term on the box.  ``samples``
-    caches u on the grid with |u|^2 and |u|^{r-1}; only initialize_state and
-    step set it, as they keep u inside the solver's mode band.  A state
-    without it steps on the whole half, so its modes off the band persist."""
+    """Solver state, made by :func:`initialize_state` and :func:`step` only:
+    read-only ``coeffs`` on the mode ``box`` the state steps on, ``samples``
+    of u on the grid with |u|^2 and |u|^{r-1}, and ``prev_nonlinear``, the
+    previous explicit term on the box.  ``u``, the exactly Hermitian field on
+    the half, is built on first read."""
 
     t: float
     coeffs: np.ndarray = field(repr=False, compare=False)
     box: ModeBox = field(repr=False, compare=False)
+    samples: Samples = field(repr=False, compare=False)
+    rates: BudgetRates
+    energy0: float
     prev_nonlinear: np.ndarray = field(default=None, repr=False, compare=False)
-    energy0: float = 0.0
-    rates: BudgetRates = None
     integrals: Integrals = field(default_factory=Integrals)
     extended: bool = False
-    samples: Samples = field(default=None, repr=False, compare=False)
-
-    def __init__(self, t, u=None, prev_nonlinear=None, energy0=0.0, rates=None,
-                 integrals=Integrals(), extended=False, samples=None,
-                 coeffs=None, box=None):
-        if u is not None:
-            coeffs, box = u.coeffs, band_box(u.grid, False)
-            self.__dict__["u"] = u
-        self.__dict__.update(
-            t=t, coeffs=coeffs, box=box, prev_nonlinear=prev_nonlinear,
-            energy0=energy0, rates=rates, integrals=integrals,
-            extended=extended, samples=samples)
 
     @cached_property
     def u(self) -> SpectralField:
@@ -210,20 +201,11 @@ class DiagnosticsSample:
                         "int_a_norm_sq", "int_weighted_grad_sq")
 
 
-def compute_rates(u: SpectralField, t: float, params: CbfParams,
-                  forcing: Forcing, extended: bool = False,
-                  samples: Samples = None) -> BudgetRates:
-    """Evaluate the budget integrands at one instant: Plancherel sums over
-    the half spectrum, and ``samples`` of u (formed here when not given)."""
-    return _rates(u.coeffs, band_box(u.grid, False), t, params, forcing,
-                  extended, samples)
-
-
-def _rates(c, box, t, params, forcing, extended, samples=None):
-    """:func:`compute_rates` of the coefficients ``c`` on the mode box."""
+def _rates(c, box, t, params, forcing, extended, samples):
+    """Evaluate the budget integrands at one instant for the coefficients
+    ``c`` on the mode box: Plancherel sums over the box, and ``samples`` of
+    u."""
     grid = box.grid
-    if samples is None:
-        samples = pointwise_samples(box.inverse(c), params.r)
     weights = box.plancherel_weights * grid.volume
     power = mode_power(c, weights)
     k2 = box.k_squared
@@ -247,15 +229,16 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     grid = ic.grid
     if not ic.divergence_free and divergence_defect(ic) > 1e-10:
         warnings.warn("initial condition is not divergence-free; projecting")
-    box = _box(grid, config)
+    box = band_box(grid, config.dealias, config.galerkin_n,
+                   config.galerkin_shape)
     c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
     if box.mask is not None:
         c = c * box.mask
     c = _settle(c, grid)
     samples = pointwise_samples(box.inverse(c), params.r)
     rates = _rates(c, box, 0.0, params, forcing, extended, samples)
-    return SimulationState(t=0.0, coeffs=c, box=box, energy0=rates.darcy,
-                           rates=rates, extended=extended, samples=samples)
+    return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
+                           rates=rates, energy0=rates.darcy, extended=extended)
 
 
 def _settle(c, grid):
@@ -265,11 +248,6 @@ def _settle(c, grid):
         raise InvalidFieldError("non-finite coefficients")
     c.setflags(write=False)
     return c
-
-
-def _box(grid, config: SolverConfig, whole=False):
-    return band_box(grid, config.dealias, config.galerkin_n,
-                    config.galerkin_shape, whole)
 
 
 @lru_cache(maxsize=8)
@@ -298,15 +276,16 @@ def _check_cfl(max_speed: float, grid, dt: float):
 def step(state: SimulationState, params: CbfParams, config: SolverConfig,
          forcing: Forcing) -> SimulationState:
     """Advance one time step; divergence-free by construction.  Raises
-    :class:`BlowUpError` when the state overflows or runs away."""
-    grid = state.box.grid
+    :class:`BlowUpError` when the state overflows or runs away, and
+    :class:`InvalidArgumentsError` when ``config`` selects another mode band
+    than the state's."""
+    box, c = state.box, state.coeffs
+    grid = box.grid
     dt = config.dt
-    box = _box(grid, config, whole=state.samples is None)
-
-    def on_box(a):  # an array of the state, on the step's box
-        return a if state.box is box else box.gather(state.box.expand(a))
-
-    c = on_box(state.coeffs)
+    if band_box(grid, config.dealias, config.galerkin_n,
+                config.galerkin_shape) is not box:
+        raise InvalidArgumentsError(
+            "the solver config selects another mode band than the state's")
 
     def forcing_at(t):
         f = forcing.box_coeffs(t, box)
@@ -328,7 +307,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
     else:
         nl, max_speed = _nonlinear(c, box, params, config, state.samples)
         new = np.multiply(1.5, nl)
-        new -= 0.5 * on_box(state.prev_nonlinear)
+        new -= 0.5 * state.prev_nonlinear
         np.subtract(forcing_at(state.t + 0.5 * dt), new, out=new)
         np.multiply(dt, new, out=new)
         np.add(_multiplier(box, params, -0.5 * dt) * c, new, out=new)
@@ -346,11 +325,10 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(
-        t=new_t, coeffs=c, box=box, prev_nonlinear=prev_nl,
-        energy0=state.energy0, rates=new_rates,
+        t=new_t, coeffs=c, box=box, samples=samples, rates=new_rates,
+        energy0=state.energy0, prev_nonlinear=prev_nl,
         integrals=state.integrals.advance(state.rates, new_rates, dt),
-        extended=state.extended,
-        samples=samples if state.samples is not None else None)
+        extended=state.extended)
 
 
 def sample_diagnostics(state: SimulationState, params: CbfParams) -> DiagnosticsSample:

@@ -22,8 +22,8 @@ from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
                                 pointwise_samples, recover_pressure)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
-                             SimulationState, SolverConfig, compute_rates,
-                             initialize_state, sample_diagnostics, step)
+                             Integrals, SolverConfig, initialize_state,
+                             sample_diagnostics, step)
 from cbftorus.spectral import (dealias, embed_modes, jacobian, l2_norm,
                                l2_pairing, leray_project, power_spectrum,
                                project_coeffs)
@@ -219,18 +219,6 @@ def test_cached_samples_match_state(grid3d, scheme, substeps):
     assert np.array_equal(state.samples.phys, to_physical(state.u).data)
 
 
-def test_user_built_state_is_not_cached(grid32):
-    # Outside the solver's band, the samples of u are not the samples of the
-    # restricted u that the kernel needs, so no state built by hand caches.
-    params = CbfParams(mu=0.1, beta=1.0, r=4.0)
-    config = SolverConfig(dt=1e-3, t_end=1.0)
-    u = leray_project(_full_band_field(grid32, seed=6))
-    rates = compute_rates(u, 0.0, params, Forcing.zero())
-    state = SimulationState(t=0.0, u=u, rates=rates)
-    state = step(state, params, config, Forcing.zero())
-    assert state.samples is None
-
-
 @pytest.mark.parametrize("dim,expected", [(2, 5), (3, 9)])
 def test_transforms_per_cnab2_step(monkeypatch, dim, expected):
     grid = TorusGrid(dim=dim, n_points=16)
@@ -255,6 +243,21 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, expected):
 
 # ---------------------------------------------------------------------------
 # solver: the half-spectrum step against the full-array step it replaced
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefState:
+    """A reference stepper's state: u on the half spectrum, and what a step
+    carries to the next and ``sample_diagnostics`` reads."""
+
+    t: float
+    u: SpectralField
+    rates: BudgetRates
+    energy0: float
+    prev_nonlinear: np.ndarray = None
+    samples: Samples = None
+    integrals: Integrals = Integrals()
+    extended: bool = False
 
 
 def _reference_rates(u, t, params, forcing, extended):
@@ -288,8 +291,8 @@ def _reference_initialize(ic, params, config, forcing, extended):
     u = SpectralField.from_full(grid, fa.project(ic.full(), grid) * band,
                                 divergence_free=True)
     rates = _reference_rates(u, 0.0, params, forcing, extended)
-    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
-                           extended=extended)
+    return _RefState(t=0.0, u=u, rates=rates, energy0=rates.darcy,
+                     extended=extended)
 
 
 def _reference_step(state, params, config, forcing):
@@ -325,7 +328,7 @@ def _reference_step(state, params, config, forcing):
         prev = nl
     u = SpectralField.from_full(grid, coeffs, divergence_free=True)
     rates = _reference_rates(u, state.t + dt, params, forcing, state.extended)
-    return SimulationState(
+    return _RefState(
         t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
         rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
         extended=state.extended)
@@ -384,24 +387,6 @@ def test_step_matches_full_array_step(dim, scheme, substeps, apply_dealias,
         state = step(state, params, config, forcing)
         ref = _reference_step(ref, params, config, forcing)
     _assert_same_diagnostics(state, ref, params, ref.energy0)
-    assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
-
-
-def test_hand_built_state_matches_full_array_step(grid32):
-    # Outside the band, the state keeps its modes and the rates see them.
-    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
-    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
-    forcing = _forcing("steady", grid32)
-    u = leray_project(_full_band_field(grid32, seed=6))
-    u = u * (1.0 / l2_norm(u))
-    rates = compute_rates(u, 0.0, params, forcing)
-    state = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
-    ref = SimulationState(t=0.0, u=u, energy0=rates.darcy,
-                          rates=_reference_rates(u, 0.0, params, forcing, False))
-    for _ in range(3):
-        state = step(state, params, config, forcing)
-        ref = _reference_step(ref, params, config, forcing)
-        _assert_same_diagnostics(state, ref, params, rates.darcy)
     assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
 
 
@@ -478,8 +463,8 @@ def _half_initialize(ic, params, config, forcing, extended):
         half if mask is None else half * mask, grid), divergence_free=True)
     samples = _half_samples(u, params)
     rates = _half_rates(u, 0.0, params, forcing, extended, samples)
-    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
-                           extended=extended, samples=samples)
+    return _RefState(t=0.0, u=u, rates=rates, energy0=rates.darcy,
+                     samples=samples, extended=extended)
 
 
 def _half_step(state, params, config, forcing):
@@ -513,11 +498,10 @@ def _half_step(state, params, config, forcing):
     u = SpectralField(grid, symmetrize_columns(half, grid), divergence_free=True)
     samples = _half_samples(u, params)
     rates = _half_rates(u, state.t + dt, params, forcing, state.extended, samples)
-    return SimulationState(
+    return _RefState(
         t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
         rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
-        extended=state.extended,
-        samples=samples if state.samples is not None else None)
+        extended=state.extended, samples=samples)
 
 
 @pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,galerkin,extended,"
@@ -539,41 +523,6 @@ def test_step_matches_half_spectrum_step(dim, scheme, substeps, apply_dealias,
         _assert_same_diagnostics(state, ref, params, ref.energy0)
         state = step(state, params, config, forcing)
         ref = _half_step(ref, params, config, forcing)
-    assert np.array_equal(state.u.coeffs, ref.u.coeffs)
-    _assert_same_diagnostics(state, ref, params, ref.energy0)
-
-
-def test_hand_built_state_matches_half_spectrum_step(grid32):
-    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
-    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
-    forcing = _forcing("steady", grid32)
-    u = leray_project(_full_band_field(grid32, seed=6))
-    u = u * (1.0 / l2_norm(u))
-    rates = compute_rates(u, 0.0, params, forcing)
-    state = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
-    ref = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=_half_rates(
-        u, 0.0, params, forcing, False, _half_samples(u, params)))
-    for _ in range(3):
-        state = step(state, params, config, forcing)
-        ref = _half_step(ref, params, config, forcing)
-        assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
-        _assert_same_diagnostics(state, ref, params, rates.darcy)
-
-
-def test_state_without_samples_keeps_its_history(grid32):
-    # Dropping the cached samples of a stepped state moves the next step to
-    # the whole half, which takes the previous explicit term along.
-    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
-    config = SolverConfig(dt=1e-3, t_end=1.0)
-    forcing = _forcing("steady", grid32)
-    ic = random_band_limited(grid32, seed=5, band_limit=8)
-    state = initialize_state(ic, params, config, forcing)
-    ref = _half_initialize(ic, params, config, forcing, False)
-    for _ in range(2):
-        state = step(state, params, config, forcing)
-        ref = _half_step(ref, params, config, forcing)
-    state = step(dataclasses.replace(state, samples=None), params, config, forcing)
-    ref = _half_step(dataclasses.replace(ref, samples=None), params, config, forcing)
     assert np.array_equal(state.u.coeffs, ref.u.coeffs)
     _assert_same_diagnostics(state, ref, params, ref.energy0)
 
@@ -679,7 +628,7 @@ def _stacked_nonlinear(c, box, params, config, samples=None):
 
 def _expanding_initialize(ic, params, config, forcing, extended):
     grid = ic.grid
-    box = solver._box(grid, config)
+    box = band_box(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
     c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
     if box.mask is not None:
         c = c * box.mask
@@ -687,8 +636,8 @@ def _expanding_initialize(ic, params, config, forcing, extended):
     u = SpectralField(grid, _concatenated_expand(box, c), divergence_free=True)
     samples = _guarded_samples(box.inverse(c), params.r)
     rates = solver._rates(c, box, 0.0, params, forcing, extended, samples)
-    return SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates,
-                           extended=extended, samples=samples)
+    return _RefState(t=0.0, u=u, rates=rates, energy0=rates.darcy,
+                     samples=samples, extended=extended)
 
 
 def _expanding_step(state, params, config, forcing):
@@ -696,7 +645,7 @@ def _expanding_step(state, params, config, forcing):
     updates out of place and expands the result into a new field."""
     grid = state.u.grid
     dt = config.dt
-    box = solver._box(grid, config, whole=state.samples is None)
+    box = band_box(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
     c = box.gather(state.u.coeffs)
 
     def forcing_at(t):
@@ -714,11 +663,9 @@ def _expanding_step(state, params, config, forcing):
         prev = nl if config.scheme == "imex_cnab2" else None
     else:
         nl, _ = _stacked_nonlinear(c, box, params, config, state.samples)
-        prev = state.prev_nonlinear
-        if prev.shape != nl.shape:
-            prev = _concatenated_expand(solver._box(grid, config), prev)
         rhs = (solver._multiplier(box, params, -0.5 * dt) * c
-               + dt * (forcing_at(state.t + 0.5 * dt) - (1.5 * nl - 0.5 * prev)))
+               + dt * (forcing_at(state.t + 0.5 * dt)
+                       - (1.5 * nl - 0.5 * state.prev_nonlinear)))
         c = rhs / solver._multiplier(box, params, 0.5 * dt)
         prev = nl
     symmetrize_columns(c, grid)
@@ -726,11 +673,10 @@ def _expanding_step(state, params, config, forcing):
     samples = _guarded_samples(box.inverse(c), params.r)
     rates = solver._rates(c, box, state.t + dt, params, forcing, state.extended,
                           samples)
-    return SimulationState(
+    return _RefState(
         t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
         rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
-        extended=state.extended,
-        samples=samples if state.samples is not None else None)
+        extended=state.extended, samples=samples)
 
 
 def _assert_same_bytes(state, ref):
@@ -750,8 +696,6 @@ def _assert_same_bytes(state, ref):
                          "forcing_kind,r", STEP_CASES)
 def test_step_matches_expanding_step_bytes(dim, scheme, substeps, apply_dealias,
                                            galerkin, extended, forcing_kind, r):
-    # Two of the steps drop the cached samples, which moves them to the
-    # whole half with the previous explicit term expanded.
     grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
     params = CbfParams(mu=0.1, alpha=0.2, beta=0.8, r=r)
     config = SolverConfig(dt=2e-3, t_end=1.0, scheme=scheme, substeps=substeps,
@@ -762,28 +706,11 @@ def test_step_matches_expanding_step_bytes(dim, scheme, substeps, apply_dealias,
     ic = ic * (1.0 / l2_norm(ic))
     state = initialize_state(ic, params, config, forcing, extended)
     ref = _expanding_initialize(ic, params, config, forcing, extended)
-    for m in range(6):
+    for _ in range(6):
         _assert_same_bytes(state, ref)
-        if m == 4:
-            state = dataclasses.replace(state, samples=None)
-            ref = dataclasses.replace(ref, samples=None)
         state = step(state, params, config, forcing)
         ref = _expanding_step(ref, params, config, forcing)
     _assert_same_bytes(state, ref)
-
-
-def test_hand_built_state_matches_expanding_step_bytes(grid32):
-    params = CbfParams(mu=0.1, beta=1.0, r=3.5)
-    config = SolverConfig(dt=1e-3, t_end=1.0, galerkin_n=6)
-    forcing = _forcing("steady", grid32)
-    u = leray_project(_full_band_field(grid32, seed=6))
-    u = u * (1.0 / l2_norm(u))
-    rates = compute_rates(u, 0.0, params, forcing)
-    state = ref = SimulationState(t=0.0, u=u, energy0=rates.darcy, rates=rates)
-    for _ in range(3):
-        state = step(state, params, config, forcing)
-        ref = _expanding_step(ref, params, config, forcing)
-        _assert_same_bytes(state, ref)
 
 
 @pytest.mark.parametrize("dim,scheme,substeps,apply_dealias,extended,forcing_kind", [
@@ -836,8 +763,6 @@ def test_state_field_is_built_once(monkeypatch, grid32):
     u = state.u
     assert state.u is u and len(built) == 1
     assert np.array_equal(u.coeffs, state.box.expand(state.coeffs))
-    hand_built = SimulationState(t=0.0, u=u)
-    assert hand_built.u is u and len(built) == 1
 
 
 @pytest.mark.parametrize("ncomp", range(1, 10))

@@ -296,6 +296,20 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
         assert abs(a.energy_residual - b.energy_residual) <= 1e-14 * ref[0].energy
 
 
+@pytest.mark.parametrize("band", [dict(dealias=False), dict(galerkin_n=6),
+                                  dict(galerkin_n=10, galerkin_shape="ball")],
+                         ids=["dealias-off", "galerkin-box", "galerkin-ball"])
+def test_step_rejects_another_band(grid32, band):
+    # The state steps on its own box; a config that selects another band
+    # would be ignored without this check.
+    state = initialize_state(random_band_limited(grid32, seed=2, band_limit=6),
+                             DAMPED, SolverConfig(), Forcing.zero())
+    with pytest.raises(InvalidArgumentsError, match="mode band"):
+        step(state, DAMPED, SolverConfig(**band), Forcing.zero())
+    # Without a radius, a ball shape names the same band.
+    step(state, DAMPED, SolverConfig(galerkin_shape="ball"), Forcing.zero())
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgumentsError):
         SolverConfig(dt=0.0)
