@@ -6,6 +6,7 @@ malformed snapshot, 3 numerical blow-up.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -15,7 +16,7 @@ from . import verification as verif
 from .config import RunConfig, config_from_text, dump_config, load_config
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
-from .families import taylor_green_exact
+from .families import random_band_limited, taylor_green_exact
 from .fields import to_physical
 from .grid import TorusGrid
 from .snapshot import write_snapshot_file
@@ -76,18 +77,14 @@ def _ensure_outdir(path):
     return path
 
 
-def cmd_run(config: RunConfig, out_dir=None, extended=False) -> int:
-    grid = config.grid()
-    params = config.params()
-    solver_config = config.solver()
-    forcing = config.forcing(grid)
-    ic = config.initial_condition(grid)
-    extended = extended or config["output"]["extended_diagnostics"]
+def cmd_run(config: RunConfig, out_dir=None) -> int:
+    ic, params, solver_config, forcing = config.problem()
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     dump_config(config, os.path.join(out, "config_effective.ini"))
     try:
-        state, diagnostics, snapshots = run(ic, params, solver_config,
-                                            forcing, extended=extended)
+        state, diagnostics, snapshots = run(
+            ic, params, solver_config, forcing,
+            extended=config["output"]["extended_diagnostics"])
     except BlowUpError as err:
         write_diagnostics(err.diagnostics, os.path.join(out, "diagnostics.tsv"))
         print(f"blow-up at t = {err.last_valid_time:g}: {err}", file=sys.stderr)
@@ -118,7 +115,9 @@ def _sampled_context(config: RunConfig, seed_override=None):
     return sampler, v
 
 
-def _run_one_check(name, config: RunConfig, sampler, v):
+def _run_one_check(name, config: RunConfig, sampler, v, ic_diagnostics):
+    """Report of check ``name``; ``ic_diagnostics()`` gives the diagnostics
+    of the session's one extended run of [ic]."""
     params = config.params()
     n = v["samples"]
     tol = v["tolerance"]
@@ -152,25 +151,18 @@ def _run_one_check(name, config: RunConfig, sampler, v):
         return verif.check_operator_continuity(sampler, params, min(n, 20))
     if name == "gronwall":
         return verif.check_gronwall()
-    grid = config.grid()
-    solver_config = config.solver()
-    forcing = config.forcing(grid)
-    ic = config.initial_condition(grid)
+    ic, _, solver_config, forcing = config.problem()
     if name == "continuous_dependence":
-        seed = sampler.seed
-        delta = FieldSampler(grid=grid, seed=seed + 9001,
-                             band_limit=v["band_limit"],
-                             spectrum_slope=v["slope"],
-                             amplitude=v["perturbation"]).field_from_seed(seed + 9001)
+        delta = random_band_limited(ic.grid, seed=sampler.seed + 9001,
+                                    band_limit=v["band_limit"],
+                                    spectrum_slope=v["slope"],
+                                    amplitude=v["perturbation"])
         return verif.check_continuous_dependence(params, solver_config, ic,
                                                  delta, forcing)
     if name == "apriori":
-        _, diagnostics, _ = run(ic, params, solver_config, forcing)
-        return verif.check_apriori(diagnostics, params, forcing)
+        return verif.check_apriori(ic_diagnostics(), params, forcing)
     if name == "regularity":
-        _, diagnostics, _ = run(ic, params, solver_config, forcing,
-                                extended=True)
-        return verif.check_regularity(diagnostics, params, forcing)
+        return verif.check_regularity(ic_diagnostics(), params, forcing)
     raise ConfigError(f"unknown check {name!r}")
 
 
@@ -179,10 +171,13 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     names = v["checks"]
     if "all" in names:
         names = verif.CHECKS
+    # One extended run of [ic] serves apriori and regularity, this session only.
+    ic_diagnostics = functools.cache(
+        lambda: run(*config.problem(), extended=True)[1])
     blocks, failures = [], 0
     for name in names:
         try:
-            report = _run_one_check(name, config, sampler, v)
+            report = _run_one_check(name, config, sampler, v, ic_diagnostics)
         except RegimeError as err:
             blocks.append(f"check {name}\n  status       REGIME-SKIP ({err})")
             continue
@@ -207,30 +202,27 @@ def _taylor_green_error(state, params):
 
 
 def _convergence_errors_dt(config: RunConfig, metric, dts):
-    grid = config.grid()
-    params = config.params()
-    base = config.solver()
-    forcing = config.forcing(grid)
-    ic = config.initial_condition(grid)
+    ic, params, base, forcing = config.problem()
+    if metric == "taylor_green" and (params.beta != 0.0 or params.alpha != 0.0):
+        raise ConfigError("taylor_green metric needs beta = alpha = 0")
+    if metric == "single_mode":
+        if params.beta != 0.0:
+            raise ConfigError("single_mode metric needs beta = 0")
+        ic_spec = config.section("ic")
+        if ic_spec["family"] != "single_mode":
+            raise ConfigError("single_mode metric needs ic.family = single_mode")
+        k_sq = (sum(m * m for m in ic_spec["mode"])
+                * (2.0 * np.pi / ic.grid.period) ** 2)
+        u0 = leray_project(ic)
     errors = []
     for dt in dts:
         solver_config = dataclasses.replace(base, dt=dt, diagnostics_every=10 ** 9,
                                             snapshot_every=0)
         state, diagnostics, _ = run(ic, params, solver_config, forcing)
         if metric == "taylor_green":
-            if params.beta != 0.0 or params.alpha != 0.0:
-                raise ConfigError("taylor_green metric needs beta = alpha = 0")
             err = _taylor_green_error(state, params)
         elif metric == "single_mode":
-            if params.beta != 0.0:
-                raise ConfigError("single_mode metric needs beta = 0")
-            ic_spec = config.section("ic")
-            if ic_spec["family"] != "single_mode":
-                raise ConfigError("single_mode metric needs ic.family = single_mode")
-            k_sq = (sum(m * m for m in ic_spec["mode"])
-                    * (2.0 * np.pi / grid.period) ** 2)
             decay = np.exp(-(params.mu * k_sq + params.alpha) * state.t)
-            u0 = leray_project(config.initial_condition(grid))
             err = l2_norm(state.u - u0 * float(decay)) / l2_norm(u0)
         else:
             err = abs(diagnostics[-1].energy_residual)
@@ -239,18 +231,14 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
 
 
 def _convergence_errors_n(config: RunConfig, ns):
-    params = config.params()
-    base = config.solver()
     errors = []
     fine_grid = TorusGrid(dim=config["grid"]["dim"], n_points=max(ns),
                           period=config["grid"]["l"])
-    ref, _, _ = run(config.initial_condition(fine_grid), params, base,
-                    config.forcing(fine_grid))
+    ref, _, _ = run(*config.problem(fine_grid))
     for n in sorted(ns)[:-1]:
         grid = TorusGrid(dim=config["grid"]["dim"], n_points=n,
                          period=config["grid"]["l"])
-        state, _, _ = run(config.initial_condition(grid), params, base,
-                          config.forcing(grid))
+        state, _, _ = run(*config.problem(grid))
         errors.append(l2_norm(embed_modes(state.u, fine_grid) - ref.u))
     return errors
 
@@ -312,8 +300,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to INI config")
         p.add_argument("--out", default=None, help="output directory override")
-        if name == "run":
-            p.add_argument("--extended-diagnostics", action="store_true")
         if name == "verify":
             p.add_argument("--seed", type=int, default=None,
                            help="override verify seed")
@@ -329,8 +315,7 @@ def main(argv=None) -> int:
             return cmd_taylor_green(args.out)
         config = load_config(args.config)
         if args.command == "run":
-            return cmd_run(config, out_dir=args.out,
-                           extended=args.extended_diagnostics)
+            return cmd_run(config, out_dir=args.out)
         if args.command == "verify":
             return cmd_verify(config, out_dir=args.out, seed_override=args.seed)
         return cmd_convergence(config, out_dir=args.out)
@@ -348,12 +333,10 @@ def main(argv=None) -> int:
 def cmd_taylor_green(out_dir) -> int:
     """Canned benchmark: decaying Taylor-Green vortex against its closed form."""
     config = config_from_text(TAYLOR_GREEN_CONFIG)
-    grid = config.grid()
-    params = config.params()
+    ic, params, solver_config, forcing = config.problem()
     out = _ensure_outdir(out_dir)
     dump_config(config, os.path.join(out, "config_effective.ini"))
-    state, diagnostics, _ = run(config.initial_condition(grid), params,
-                                config.solver(), config.forcing(grid))
+    state, diagnostics, _ = run(ic, params, solver_config, forcing)
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     write_snapshot_file(os.path.join(out, "final_state.snap"),
                         state.u, state.t, params)

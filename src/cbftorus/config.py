@@ -218,6 +218,13 @@ class RunConfig:
         rate = spec["decay_rate"]
         return Forcing.analytic(base, lambda t: np.exp(-rate * t))
 
+    def problem(self, grid=None):
+        """``(ic, params, solver config, forcing)`` on one grid, [grid] by
+        default: the arguments of ``solver.run``, in its order."""
+        grid = grid if grid is not None else self.grid()
+        return (self.initial_condition(grid), self.params(), self.solver(),
+                self.forcing(grid))
+
     def dump(self) -> str:
         lines = []
         for section, entries in self.values:

@@ -26,11 +26,7 @@ class ContractViolationError(CbfError):
 
 
 class RegimeError(CbfError):
-    """The requested check does not apply in this parameter regime."""
-
-
-class NotApplicableError(CbfError):
-    """The requested constant is undefined in this parameter regime."""
+    """The requested check or constant does not apply in this regime."""
 
 
 class InvalidArgumentsError(CbfError):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
-                     InvalidExponentError, NotApplicableError)
+                     InvalidExponentError, RegimeError)
 from .fields import (SpectralField, band_box, real_inverse, require_same_grid,
                      squared_magnitude, to_physical)
 from .spectral import divergence_defect, jacobian, project_coeffs
@@ -224,7 +224,7 @@ def monotonicity_shift(params: CbfParams, variant: str = "theorem") -> float:
     if r <= 3.0:
         return 0.0
     if beta == 0.0:
-        raise NotApplicableError("monotonicity shift needs beta > 0")
+        raise RegimeError("monotonicity shift needs beta > 0")
     tail = (2.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))
     if variant == "theorem":
         return (r - 3.0) / (2.0 * mu * (r - 1.0)) * tail
@@ -237,9 +237,9 @@ def regularity_rate(params: CbfParams) -> float:
     """Exponential rate rho* in the gradient-norm a-priori bound (r > 3)."""
     r, mu, beta = params.r, params.mu, params.beta
     if r <= 3.0:
-        raise NotApplicableError("regularity rate is defined for r > 3 only")
+        raise RegimeError("regularity rate is defined for r > 3 only")
     if beta == 0.0:
-        raise NotApplicableError("regularity rate needs beta > 0")
+        raise RegimeError("regularity rate needs beta > 0")
     return (2.0 * (r - 3.0) / (mu * (r - 1.0))
             * (4.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0)))
 

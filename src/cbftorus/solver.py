@@ -110,11 +110,13 @@ class Forcing:
         return self._base * float(self._profile(t))
 
     def box_coeffs(self, t: float, box):
-        """Coefficients of f(t) on the mode ``box``, or 0.0 when f = 0."""
+        """Coefficients of f(t) on the mode ``box``, zero off its mask, or
+        0.0 when f = 0."""
         if self._base is None:
             return 0.0
         if box not in self._gathered:
-            self._gathered[box] = box.gather(self._base.coeffs)
+            base = box.gather(self._base.coeffs)
+            self._gathered[box] = base if box.mask is None else base * box.mask
         if self._profile is None:
             return self._gathered[box]
         return self._gathered[box] * float(self._profile(t))
@@ -122,32 +124,21 @@ class Forcing:
 
 @dataclass(frozen=True)
 class BudgetRates:
-    """Instantaneous values of the energy-budget integrands."""
+    """Values of the energy-budget integrands at one instant, or their
+    trapezoidal accumulations from t = 0 (a state's ``integrals``)."""
 
-    dissipation: float   # ||grad u||^2
-    damping: float       # ||u||_{r+1}^{r+1}
-    forcing: float       # <f, u>
-    darcy: float         # ||u||^2 (alpha term integrand)
-    a_norm_sq: float = 0.0        # ||A u||^2 (extended only)
+    dissipation: float = 0.0       # ||grad u||^2
+    damping: float = 0.0           # ||u||_{r+1}^{r+1}
+    forcing: float = 0.0           # <f, u>
+    darcy: float = 0.0             # ||u||^2 (alpha term integrand)
+    a_norm_sq: float = 0.0         # ||A u||^2 (extended only)
     weighted_grad_sq: float = 0.0  # int |u|^{r-1}|grad u|^2 (extended only)
 
-
-@dataclass(frozen=True)
-class Integrals:
-    """Trapezoidal accumulations of the budget integrands from t = 0."""
-
-    dissipation: float = 0.0
-    damping: float = 0.0
-    forcing: float = 0.0
-    darcy: float = 0.0
-    a_norm_sq: float = 0.0
-    weighted_grad_sq: float = 0.0
-
-    def advance(self, old: BudgetRates, new: BudgetRates, dt: float):
+    def advance(self, old, new, dt: float):
         half = 0.5 * dt
-        return Integrals(*(getattr(self, f.name)
-                           + half * (getattr(old, f.name) + getattr(new, f.name))
-                           for f in fields(Integrals)))
+        return BudgetRates(*(getattr(self, f.name)
+                             + half * (getattr(old, f.name) + getattr(new, f.name))
+                             for f in fields(BudgetRates)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,7 @@ class SimulationState:
     rates: BudgetRates
     energy0: float
     prev_nonlinear: np.ndarray = field(default=None, repr=False, compare=False)
-    integrals: Integrals = field(default_factory=Integrals)
+    integrals: BudgetRates = field(default_factory=BudgetRates)
     extended: bool = False
 
     @cached_property
@@ -287,10 +278,6 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         raise InvalidArgumentsError(
             "the solver config selects another mode band than the state's")
 
-    def forcing_at(t):
-        f = forcing.box_coeffs(t, box)
-        return f if box.mask is None else f * box.mask
-
     # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
     # ((1 - dt/2*lam)*c + dt*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam).
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
@@ -299,7 +286,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         for s in range(n_sub):
             nl, max_speed = _nonlinear(c, box, params, config,
                                        state.samples if s == 0 else None)
-            new = np.subtract(forcing_at(state.t + s * h), nl)
+            new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
             np.multiply(h, new, out=new)
             np.add(c, new, out=new)
             c = np.divide(new, _multiplier(box, params, h), out=new)
@@ -308,7 +295,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         nl, max_speed = _nonlinear(c, box, params, config, state.samples)
         new = np.multiply(1.5, nl)
         new -= 0.5 * state.prev_nonlinear
-        np.subtract(forcing_at(state.t + 0.5 * dt), new, out=new)
+        np.subtract(forcing.box_coeffs(state.t + 0.5 * dt, box), new, out=new)
         np.multiply(dt, new, out=new)
         np.add(_multiplier(box, params, -0.5 * dt) * c, new, out=new)
         c = np.divide(new, _multiplier(box, params, 0.5 * dt), out=new)
@@ -384,17 +371,6 @@ def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
                                           or m == n_steps):
             snapshots.append((state.t, state.u))
     return state, diagnostics, snapshots
-
-
-def energy_residual(sample_prev: DiagnosticsSample, sample_next: DiagnosticsSample,
-                    dt: float, params: CbfParams) -> float:
-    """Discrete energy-identity defect across one sample interval."""
-    def integrand(s):
-        return (params.mu * s.v_seminorm_sq + params.alpha * s.energy
-                + params.beta * s.lr1_norm - s.forcing_power)
-
-    return (sample_next.energy - sample_prev.energy
-            + 2.0 * dt * 0.5 * (integrand(sample_prev) + integrand(sample_next)))
 
 
 def apriori_bound(ic: SpectralField, params: CbfParams, forcing: Forcing,

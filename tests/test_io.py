@@ -319,6 +319,26 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert reloaded.solver().dt == 0.002
 
 
+def test_cli_run_extended_diagnostics_reproduce_from_effective_config(tmp_path):
+    cfg = _write(tmp_path, "ext.ini", RUN_INI
+                 + "\n[output]\nextended_diagnostics = true\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    effective = str(tmp_path / "a" / "config_effective.ini")
+    assert cli.main(["run", "--config", effective,
+                     "--out", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "diagnostics.tsv").read_bytes()
+    assert first.splitlines()[0].split(b"\t")[-1] == b"int_weighted_grad_sq"
+    assert (tmp_path / "b" / "diagnostics.tsv").read_bytes() == first
+
+
+def test_cli_run_has_no_extended_diagnostics_flag(tmp_path):
+    cfg = _write(tmp_path, "run.ini", RUN_INI)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--extended-diagnostics"])
+    assert exc.value.code == 2
+
+
 def test_cli_run_t_end_zero_initial_sample_only(tmp_path):
     cfg = _write(tmp_path, "zero.ini",
                  RUN_INI.replace("t_end = 0.05", "t_end = 0.0"))
@@ -517,6 +537,66 @@ band_limit = 6
     assert "check gronwall" in report and "check regularity" in report
 
 
+def test_cli_verify_navier_stokes_skips_beta_checks(tmp_path):
+    text = """
+[grid]
+dim = 2
+n = 16
+
+[params]
+mu = 0.5
+beta = 0.0
+r = 4.0
+
+[solver]
+dt = 0.002
+t_end = 0.01
+diagnostics_every = 5
+
+[ic]
+family = random
+band_limit = 4
+
+[verify]
+checks = all
+samples = 3
+n = 16
+band_limit = 4
+"""
+    cfg = _write(tmp_path, "ns.ini", text)
+    assert cli.main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "ns")]) == 0
+    blocks = (tmp_path / "ns" / "verify_report.txt").read_text().split("\n\n")
+    skipped = {b.splitlines()[0].split()[1] for b in blocks if "REGIME-SKIP" in b}
+    # beta = 0: the shift rho and the rate rho* do not exist; r = 4 != 3
+    assert skipped == {"monotone_shifted", "monotone_critical",
+                       "advection_splitting", "continuous_dependence",
+                       "regularity"}
+
+
+def test_cli_verify_one_trajectory_for_apriori_and_regularity(tmp_path,
+                                                              monkeypatch):
+    calls = []
+
+    def counted_run(*args, **kwargs):
+        calls.append(kwargs.get("extended"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted_run)
+    cfg = _write(tmp_path, "verify.ini", VERIFY_INI.replace(
+        "trilinear, interpolation, monotone_critical, continuous_dependence, "
+        "apriori", "apriori, regularity"))
+    assert cli.main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / "v")]) == 0
+    assert calls == [True]
+    report = (tmp_path / "v" / "verify_report.txt").read_text()
+    assert "check apriori" in report and "check regularity" in report
+    # a second session runs its own trajectory
+    assert cli.main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / "w")]) == 0
+    assert calls == [True, True]
+
+
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     failing = CheckReport("trilinear", 1, -1.0, 0, passed=False)
     monkeypatch.setattr(cli.verif, "check_trilinear",
@@ -559,6 +639,28 @@ def test_cli_convergence_single_mode_first_order(tmp_path, capsys):
     assert rows[0] == "dt\terror\torder"
     orders = [float(line.split("\t")[2]) for line in rows[2:]]
     assert all(0.9 < p < 1.1 for p in orders)
+
+
+@pytest.mark.parametrize("metric,ic", [
+    ("taylor_green", "family = taylor_green"),
+    ("single_mode", "family = single_mode\nmode = 0, 1"),
+])
+def test_cli_convergence_metric_checked_before_any_step(tmp_path, monkeypatch,
+                                                        metric, ic):
+    def no_run(*args, **kwargs):
+        raise AssertionError("stepped before the metric was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    config = config_from_text(MINIMAL + f"""
+[ic]
+{ic}
+
+[convergence]
+dts = 0.004, 0.002, 0.001
+metric = {metric}
+""")
+    with pytest.raises(ConfigError, match=f"{metric} metric needs beta"):
+        cli.cmd_convergence(config, out_dir=str(tmp_path / "c"))
 
 
 def test_cli_convergence_short_ladder_rejected(tmp_path, capsys):

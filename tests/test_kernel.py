@@ -22,7 +22,7 @@ from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
                                 pointwise_samples, recover_pressure)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
-                             Integrals, SolverConfig, initialize_state,
+                             SolverConfig, initialize_state,
                              sample_diagnostics, step)
 from cbftorus.spectral import (dealias, embed_modes, jacobian, l2_norm,
                                l2_pairing, leray_project, power_spectrum,
@@ -256,7 +256,7 @@ class _RefState:
     energy0: float
     prev_nonlinear: np.ndarray = None
     samples: Samples = None
-    integrals: Integrals = Integrals()
+    integrals: BudgetRates = BudgetRates()
     extended: bool = False
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftorus.errors import (ContractViolationError, InvalidArgumentsError,
-                             InvalidExponentError, NotApplicableError)
+                             InvalidExponentError, RegimeError)
 from cbftorus.families import single_mode, taylor_green
 from cbftorus.fields import (PhysicalField, SpectralField, to_physical, to_spectral,
                              zero_field)
@@ -229,7 +229,7 @@ def test_regularity_rate_values():
     p = CbfParams(mu=1, beta=1, r=5)
     assert regularity_rate(p) == pytest.approx(
         4.0 * monotonicity_shift(p) * 2.0 ** (2.0 / (p.r - 3.0)))
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(RegimeError):
         regularity_rate(CbfParams(mu=1, beta=1, r=3))
 
 

@@ -10,7 +10,7 @@ from cbftorus.fields import band_box, to_physical, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
 from cbftorus.solver import (Forcing, SolverConfig, apriori_bound,
-                             energy_residual, initialize_state, run, step)
+                             initialize_state, run, step)
 from cbftorus.spectral import divergence_defect, l2_norm, leray_project
 
 from conftest import rel_diff
@@ -112,12 +112,6 @@ def test_determinism_bitwise(grid32):
 
 # ---------------------------------------------------------------------------
 # energy bookkeeping
-
-
-def test_energy_residual_zero_state():
-    a = b = type("S", (), dict(energy=0.0, v_seminorm_sq=0.0, lr1_norm=0.0,
-                               forcing_power=0.0))
-    assert energy_residual(a, b, 1e-2, DAMPED) == 0.0
 
 
 def test_manufactured_steady_state_residual(grid32):
