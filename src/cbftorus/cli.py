@@ -16,7 +16,7 @@ from . import verification as verif
 from .config import RunConfig, config_from_text, dump_config, load_config
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
-from .families import random_band_limited, taylor_green_exact
+from .families import taylor_green_exact
 from .fields import to_physical
 from .grid import TorusGrid
 from .snapshot import write_snapshot_file
@@ -105,79 +105,62 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
     return EXIT_OK
 
 
-def _sampled_context(config: RunConfig, seed_override=None):
-    v = config["verify"]
-    seed = v["seed"] if seed_override is None else seed_override
-    grid = TorusGrid(dim=config["grid"]["dim"], n_points=v["n"],
-                     period=config["grid"]["l"])
-    sampler = FieldSampler(grid=grid, seed=seed, band_limit=v["band_limit"],
-                           spectrum_slope=v["slope"], amplitude=v["amplitude"])
-    return sampler, v
+class _Session:
+    """The inputs of one ``verify`` session's checks, under the names that
+    ``verification.CHECKS`` gives them.  The [ic] problem and its one
+    extended run are built on first use, once per session."""
+
+    def __init__(self, config: RunConfig, seed_override=None):
+        v = self.verify = config["verify"]
+        self.params = config.params()
+        self.problem = functools.cache(config.problem)
+        self.mu, self.r = self.params.mu, self.params.r
+        self.samples, self.tolerance = v["samples"], v["tolerance"]
+        self.s_exp, self.rho_exp, self.t_exp = v["interpolation_exponents"]
+        grid = TorusGrid(dim=config["grid"]["dim"], n_points=v["n"],
+                         period=config["grid"]["l"])
+        seed = v["seed"] if seed_override is None else seed_override
+        self.sampler = FieldSampler(
+            grid=grid, seed=seed, band_limit=v["band_limit"],
+            spectrum_slope=v["slope"], amplitude=v["amplitude"])
+
+    ic = property(lambda self: self.problem()[0])
+    solver = property(lambda self: self.problem()[2])
+    forcing = property(lambda self: self.problem()[3])
+
+    @functools.cached_property
+    def diagnostics(self):
+        return run(*self.problem(), extended=True)[1]
+
+    @property
+    def perturbation(self):
+        """The sampler's field of seed + 9001, on [grid] at amplitude
+        [verify] perturbation."""
+        sampler = dataclasses.replace(self.sampler, grid=self.ic.grid,
+                                      amplitude=self.verify["perturbation"])
+        return sampler.field_from_seed(sampler.seed + 9001)
 
 
-def _run_one_check(name, config: RunConfig, sampler, v, ic_diagnostics):
-    """Report of check ``name``; ``ic_diagnostics()`` gives the diagnostics
-    of the session's one extended run of [ic]."""
-    params = config.params()
-    n = v["samples"]
-    tol = v["tolerance"]
-    if name == "trilinear":
-        return verif.check_trilinear(sampler, n)
-    if name == "monotone_shifted":
-        return verif.check_monotone_shifted(sampler, params, n, tol)
-    if name == "monotone_critical":
-        return verif.check_monotone_critical(sampler, params, n, tol)
-    if name == "advection_splitting":
-        return verif.check_advection_splitting(sampler, params, n, tol)
-    if name == "local_2d":
-        return verif.check_local_bound_2d(sampler, params.mu, n, tol)
-    if name == "damping_monotone":
-        return verif.check_damping_monotone(sampler, params.r, n, tol)
-    if name == "damping_lipschitz":
-        return verif.check_damping_lipschitz(sampler, params.r, n, tol)
-    if name == "mvt":
-        return verif.check_pointwise_mvt(sampler, params.r, min(n, 200), tol)
-    if name == "dissipation_identity":
-        return verif.check_dissipation_identity(sampler, params.r, min(n, 200))
-    if name == "interpolation":
-        s_exp, rho_exp, t_exp = v["interpolation_exponents"]
-        return verif.check_interpolation(sampler, s_exp, rho_exp, t_exp, n, tol)
-    if name == "advection_bounds":
-        return verif.check_advection_bounds(sampler, params.r, n)
-    if name == "filter":
-        return verif.check_filter_props(sampler, (1, 10, 100, 1000, 10000),
-                                        min(n, 50))
-    if name == "operator_continuity":
-        return verif.check_operator_continuity(sampler, params, min(n, 20))
-    if name == "gronwall":
-        return verif.check_gronwall()
-    ic, _, solver_config, forcing = config.problem()
-    if name == "continuous_dependence":
-        delta = random_band_limited(ic.grid, seed=sampler.seed + 9001,
-                                    band_limit=v["band_limit"],
-                                    spectrum_slope=v["slope"],
-                                    amplitude=v["perturbation"])
-        return verif.check_continuous_dependence(params, solver_config, ic,
-                                                 delta, forcing)
-    if name == "apriori":
-        return verif.check_apriori(ic_diagnostics(), params, forcing)
-    if name == "regularity":
-        return verif.check_regularity(ic_diagnostics(), params, forcing)
-    raise ConfigError(f"unknown check {name!r}")
+def _run_one_check(name, session: _Session):
+    """Report of check ``name``, run as its row of ``verification.CHECKS``
+    says on the inputs of ``session``, its regime decided first."""
+    check, inputs, cap, regime = verif.CHECKS[name]
+    if regime is not None:
+        regime(session.params)
+    samples = session.samples if cap is None else min(session.samples, cap)
+    return check(*(samples if key == "samples" else getattr(session, key)
+                   for key in inputs.split()))
 
 
 def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
-    sampler, v = _sampled_context(config, seed_override)
-    names = v["checks"]
+    session = _Session(config, seed_override)
+    names = config["verify"]["checks"]
     if "all" in names:
         names = verif.CHECKS
-    # One extended run of [ic] serves apriori and regularity, this session only.
-    ic_diagnostics = functools.cache(
-        lambda: run(*config.problem(), extended=True)[1])
     blocks, failures = [], 0
     for name in names:
         try:
-            report = _run_one_check(name, config, sampler, v, ic_diagnostics)
+            report = _run_one_check(name, session)
         except RegimeError as err:
             blocks.append(f"check {name}\n  status       REGIME-SKIP ({err})")
             continue

@@ -18,7 +18,7 @@ from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
 from .solver import Forcing, SolverConfig
-from .verification import CHECKS
+from .verification import CHECKS, interpolation_theta
 
 
 def _positive(x):
@@ -293,10 +293,14 @@ def build_config(cp: configparser.ConfigParser, base_dir=".") -> RunConfig:
 
 
 def _cross_validate(config: RunConfig):
+    exps = config.section("verify")["interpolation_exponents"]
+    if len(exps) != 3:
+        raise ConfigError("verify.interpolation_exponents needs exactly 3 values")
     try:
         grid = config.grid()
         config.params()
         config.solver()
+        interpolation_theta(*exps)
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None
     ic = config.section("ic")
@@ -314,9 +318,6 @@ def _cross_validate(config: RunConfig):
     for name in config.section("verify")["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
-    exps = config.section("verify")["interpolation_exponents"]
-    if len(exps) != 3:
-        raise ConfigError("verify.interpolation_exponents needs exactly 3 values")
 
 
 def dump_config(config: RunConfig, path=None) -> str:

@@ -210,15 +210,11 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     return SpectralField(grid, coeffs, divergence_free=True)
 
 
-def monotonicity_shift(params: CbfParams, variant: str = "theorem") -> float:
-    """Shift rho making G + rho*I monotone for r > 3.
-
-    ``variant="theorem"`` (default) returns
-    (r-3)/(2 mu (r-1)) * (2/(beta mu (r-1)))^{2/(r-3)}.
-    ``variant="proof_step"`` exposes the alternative prefactor (r-3)/(r-1)
-    that appears in one derivation step; the two disagree and the default is
-    the one backed by the full estimate chain.  For r <= 3 the shift is 0
-    (global monotonicity regime when 2*beta*mu >= 1).
+def monotonicity_shift(params: CbfParams) -> float:
+    """Shift rho making G + rho*I monotone for r > 3:
+    (r-3)/(2 mu (r-1)) * (2/(beta mu (r-1)))^{2/(r-3)}, the prefactor the full
+    estimate chain backs.  For r <= 3 the shift is 0 (global monotonicity
+    regime when 2*beta*mu >= 1).
     """
     r, mu, beta = params.r, params.mu, params.beta
     if r <= 3.0:
@@ -226,11 +222,7 @@ def monotonicity_shift(params: CbfParams, variant: str = "theorem") -> float:
     if beta == 0.0:
         raise RegimeError("monotonicity shift needs beta > 0")
     tail = (2.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))
-    if variant == "theorem":
-        return (r - 3.0) / (2.0 * mu * (r - 1.0)) * tail
-    if variant == "proof_step":
-        return (r - 3.0) / (r - 1.0) * tail
-    raise InvalidArgumentsError(f"unknown variant {variant!r}")
+    return (r - 3.0) / (2.0 * mu * (r - 1.0)) * tail
 
 
 def regularity_rate(params: CbfParams) -> float:

@@ -11,6 +11,7 @@ asserted.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,7 @@ from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, l2_norm,
 
 DEFAULT_TOL = 1e-9
 TINY = 1e-300
-
-# The checks of ``cbftorus verify``, in report order.
-CHECKS = (
-    "trilinear", "monotone_shifted", "monotone_critical",
-    "advection_splitting", "local_2d", "damping_monotone",
-    "damping_lipschitz", "mvt", "dissipation_identity", "interpolation",
-    "advection_bounds", "filter", "operator_continuity", "gronwall",
-    "continuous_dependence", "apriori", "regularity",
-)
+SLACK = 1e-6  # relative slack of the trajectory checks' bounds
 
 
 @dataclass
@@ -141,8 +134,7 @@ def _damping_pairing(u_phys, v_phys, r, cell_volume):
 # trilinear form identities
 
 
-def check_trilinear(sampler: FieldSampler, n_samples: int = 100,
-                    tolerance: float = 1e-10) -> CheckReport:
+def check_trilinear(sampler: FieldSampler, n_samples: int = 100) -> CheckReport:
     """b(u,v,v) = 0, b(u,v,w) = -b(u,w,v), <B(u),u> = 0 for solenoidal u."""
     def margin(u, v, s):
         w = sampler.field_from_seed(s, stream=17)
@@ -151,7 +143,7 @@ def check_trilinear(sampler: FieldSampler, n_samples: int = 100,
                     abs(advection_form(u, v, w) + advection_form(u, w, v)),
                     abs(l2_pairing(advection(u), u)))
         return -worst / scale
-    return _sampled("trilinear", sampler, n_samples, margin, tolerance,
+    return _sampled("trilinear", sampler, n_samples, margin, 1e-10,
                     notes="antisymmetry and energy neutrality of advection")
 
 
@@ -375,9 +367,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
 
 
 def check_dissipation_identity(sampler: FieldSampler, r: float,
-                               n_samples: int = 200,
-                               rel_tolerance: float = 1e-6,
-                               chain_tolerance: float = DEFAULT_TOL) -> CheckReport:
+                               n_samples: int = 200) -> CheckReport:
     """Agreement of the three identity forms and the ordering chain
 
     0 <= int |grad u|^2 |u|^{r-1} <= <C(u), A u> <= r int |grad u|^2 |u|^{r-1}.
@@ -392,6 +382,7 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
     desk resolutions, and the check runs exploratory: margins are the
     report, nothing fails.
     """
+    rel_tolerance, chain_tolerance = 1e-6, DEFAULT_TOL
     exact_power = r == round(r) and round(r) % 2 == 1
     grid = sampler.grid
     degree_band = int(r + 1.0) * min(sampler.band_limit, (grid.n_points - 1) // 3)
@@ -422,17 +413,23 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
 # interpolation inequality
 
 
+def interpolation_theta(s_exp: float, rho_exp: float, t_exp: float) -> float:
+    """theta of ||u||_rho <= ||u||_s^theta ||u||_t^{1-theta}, which needs
+    1 <= s <= rho <= t < inf."""
+    if not (1.0 <= s_exp <= rho_exp <= t_exp) or not math.isfinite(t_exp):
+        raise InvalidArgumentsError(
+            "interpolation exponents need 1 <= s <= rho <= t < inf, got "
+            f"({s_exp}, {rho_exp}, {t_exp})")
+    if s_exp == t_exp:
+        return 0.5
+    return (1.0 / rho_exp - 1.0 / t_exp) / (1.0 / s_exp - 1.0 / t_exp)
+
+
 def check_interpolation(sampler: FieldSampler, s_exp: float, rho_exp: float,
                         t_exp: float, n_samples: int = 500,
                         tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Lebesgue interpolation ||u||_rho <= ||u||_s^theta ||u||_t^{1-theta}."""
-    if not (1.0 <= s_exp <= rho_exp <= t_exp) or not math.isfinite(t_exp):
-        raise InvalidArgumentsError(
-            f"need 1 <= s <= rho <= t < inf, got ({s_exp}, {rho_exp}, {t_exp})")
-    if s_exp == t_exp:
-        theta = 0.5
-    else:
-        theta = (1.0 / rho_exp - 1.0 / t_exp) / (1.0 / s_exp - 1.0 / t_exp)
+    theta = interpolation_theta(s_exp, rho_exp, t_exp)
     def margin(u, s):
         lhs = lp_norm(u, rho_exp)
         rhs = lp_norm(u, s_exp) ** theta * lp_norm(u, t_exp) ** (1.0 - theta)
@@ -447,8 +444,7 @@ def check_interpolation(sampler: FieldSampler, s_exp: float, rho_exp: float,
 
 
 def check_advection_bounds(sampler: FieldSampler, r: float,
-                           n_samples: int = 500,
-                           tolerance: float = 1e-8) -> CheckReport:
+                           n_samples: int = 500) -> CheckReport:
     """Holder bounds on the advection operator:
 
     ||B(u,v)||_{V'} <= ||u||_{r+1} ||v||_{2(r+1)/(r-1)}            (r >= 3)
@@ -458,6 +454,7 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
     """
     if r < 3.0:
         raise RegimeError("advection bounds require r >= 3")
+    tolerance = 1e-8
     q = 2.0 * (r + 1.0) / (r - 1.0)
     def margin(u, v, s):
         w = sampler.field_from_seed(s, stream=31)
@@ -482,15 +479,11 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
 # spectral filter properties
 
 
-def check_filter_props(sampler: FieldSampler, n_values,
-                       n_samples: int = 50,
-                       tolerance: float = 1e-13) -> CheckReport:
+def check_filter_props(sampler: FieldSampler, n_samples: int = 50) -> CheckReport:
     """Exponential-filter laws: non-expansiveness for every n, residual
     monotone decreasing along increasing n, and the band-limit bound
     ||(I - F_n)u|| <= (Lambda/n_max)||u|| for band limit Lambda = max|k|^2."""
-    n_values = list(n_values)
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise InvalidArgumentsError("n_values must be strictly increasing")
+    n_values = [1, 10, 100, 1000, 10000]
     grid = sampler.grid
     lam_max = float((2.0 * np.pi / grid.period) ** 2
                     * grid.dim * sampler.band_limit ** 2)
@@ -507,7 +500,7 @@ def check_filter_props(sampler: FieldSampler, n_values,
         bound = lam_max / n_values[-1] * norm_u
         ms.append((bound - residuals[-1]) / (bound + TINY))
         return min(ms)
-    return _sampled("filter", sampler, n_samples, margin, tolerance, pairs=False,
+    return _sampled("filter", sampler, n_samples, margin, 1e-13, pairs=False,
                     notes=f"n values {n_values}, band eigenvalue {lam_max:g}")
 
 
@@ -516,15 +509,14 @@ def check_filter_props(sampler: FieldSampler, n_values,
 
 
 def check_operator_continuity(sampler: FieldSampler, params: CbfParams,
-                              n_samples: int = 20,
-                              eps_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                              tolerance: float = 0.0) -> CheckReport:
+                              n_samples: int = 20) -> CheckReport:
     """First-order continuity of G under field perturbation:
 
     ||G(u + eps w) - G(u)|| shrinks to zero linearly in eps along random
     directions w (difference-to-eps ratio stays within 3x of its large-eps
     value and the difference itself decreases monotonically).
     """
+    eps_values = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     def margin(u, w, s):
         gu = cbf_operator(u, params)
         diffs = [l2_norm(cbf_operator(u + eps * w, params) - gu)
@@ -533,7 +525,7 @@ def check_operator_continuity(sampler: FieldSampler, params: CbfParams,
         ms = [(a - b) / (diffs[0] + TINY) for a, b in zip(diffs, diffs[1:])]
         ms.append((3.0 * ratios[0] - max(ratios)) / (ratios[0] + TINY))
         return min(ms)
-    return _sampled("operator_continuity", sampler, n_samples, margin, tolerance,
+    return _sampled("operator_continuity", sampler, n_samples, margin, 0.0,
                     notes=f"eps ladder {list(eps_values)}")
 
 
@@ -591,8 +583,7 @@ def nonlinear_gronwall_envelope(c: float, a_samples, b_samples,
     return core ** (1.0 / one)
 
 
-def check_gronwall(t_end: float = 1.0, n_points: int = 2001,
-                   tolerance: float = 1e-8) -> CheckReport:
+def check_gronwall() -> CheckReport:
     """Envelope domination over synthetic ODE trajectories.
 
     Linear: y' = f2 y + f1 (constant rates) against the linear envelope.
@@ -601,7 +592,8 @@ def check_gronwall(t_end: float = 1.0, n_points: int = 2001,
     coefficients keep the trapezoidal quadrature one-sided (convex
     integrands), so margins measure lemma slack, not quadrature noise.
     """
-    t = np.linspace(0.0, t_end, n_points)
+    tolerance = 1e-8
+    t = np.linspace(0.0, 1.0, 2001)
     margins = []
 
     a0, f1, f2 = 0.7, 0.8, 1.3
@@ -617,7 +609,7 @@ def check_gronwall(t_end: float = 1.0, n_points: int = 2001,
     margins.append(float(np.min((env * (1.0 + tolerance) - y) / env)))
 
     # alpha = 0 degeneracy against the linear lemma with f1 = b, a == 0.
-    b_var = 0.4 + 0.3 * np.sin(2.0 * np.pi * t / t_end) ** 2
+    b_var = 0.4 + 0.3 * np.sin(2.0 * np.pi * t) ** 2
     env_nl = nonlinear_gronwall_envelope(c, np.zeros_like(t), b_var, 0.0, t)
     env_lin = gronwall_envelope(c, b_var, np.zeros_like(t), t)
     mismatch = float(np.max(np.abs(env_nl - env_lin) / env_lin))
@@ -645,22 +637,26 @@ def _rk4_scalar(f, y0, t_grid):
 # trajectory checks
 
 
+def dependence_rate(params: CbfParams) -> float:
+    """rho of the continuous-dependence envelope e^{2 rho t}: the shift for
+    r > 3, 0 for r = 3 with 2*beta*mu >= 1; no other regime has one."""
+    if params.r > 3.0:
+        return monotonicity_shift(params)
+    if params.critical_regime:
+        return 0.0
+    raise RegimeError("continuous dependence is proven for r > 3, or "
+                      "r = 3 with 2*beta*mu >= 1")
+
+
 def check_continuous_dependence(params: CbfParams, config: SolverConfig,
                                 ic: SpectralField, perturbation: SpectralField,
-                                forcing: Forcing = None,
-                                slack: float = 1e-6) -> CheckReport:
+                                forcing: Forcing = None) -> CheckReport:
     """Two trajectories from ic and ic + perturbation:
 
     r > 3:  ||u1(t) - u2(t)||^2 <= ||d0||^2 e^{2 rho t} at every sample;
     r = 3 with 2*beta*mu >= 1: the distance is non-increasing (flat envelope).
     """
-    if params.r > 3.0:
-        rho = monotonicity_shift(params)
-    elif params.critical_regime:
-        rho = 0.0
-    else:
-        raise RegimeError("continuous dependence is proven for r > 3, or "
-                          "r = 3 with 2*beta*mu >= 1")
+    rho = dependence_rate(params)
     forcing = forcing if forcing is not None else Forcing.zero()
     s1 = initialize_state(ic, params, config, forcing)
     s2 = initialize_state(ic + perturbation, params, config, forcing)
@@ -669,7 +665,7 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
         return CheckReport("continuous_dependence", 1, 0.0, 0, True,
                            tolerance=0.0, notes="zero perturbation")
     n_steps = int(round(config.t_end / config.dt))
-    margins = [slack]
+    margins = [SLACK]
     prev_sq = d0_sq
     for m in range(1, n_steps + 1):
         s1 = step(s1, params, config, forcing)
@@ -677,12 +673,12 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
         if m % config.diagnostics_every == 0 or m == n_steps:
             d_sq = l2_norm(s2.u - s1.u) ** 2
             env = d0_sq * np.exp(2.0 * rho * s1.t)
-            margins.append((env * (1.0 + slack) - d_sq) / env)
+            margins.append((env * (1.0 + SLACK) - d_sq) / env)
             if rho == 0.0:
-                margins.append((prev_sq * (1.0 + slack) - d_sq) / d0_sq)
+                margins.append((prev_sq * (1.0 + SLACK) - d_sq) / d0_sq)
             prev_sq = d_sq
     seeds = list(range(len(margins)))
-    notes = (f"rho = {rho:.6g}, envelope slack {slack:g}"
+    notes = (f"rho = {rho:.6g}, envelope slack {SLACK:g}"
              + ("" if rho > 0 else "; monotone non-increase asserted"))
     return _report("continuous_dependence", margins, seeds, tolerance=0.0,
                    notes=notes)
@@ -695,8 +691,8 @@ def _forcing_integrals(forcing: Forcing, times, norm_fn):
     return _cumulative_trapezoid(vals, np.asarray(times))
 
 
-def check_apriori(diagnostics, params: CbfParams, forcing: Forcing = None,
-                  slack: float = 1e-6) -> CheckReport:
+def check_apriori(diagnostics, params: CbfParams,
+                  forcing: Forcing = None) -> CheckReport:
     """Energy estimate along a trajectory, pointwise in time:
 
     ||u(t)||^2 + mu int_0^t ||grad u||^2 + 2 beta int_0^t ||u||_{r+1}^{r+1}
@@ -712,30 +708,40 @@ def check_apriori(diagnostics, params: CbfParams, forcing: Forcing = None,
         lhs = (d.energy + params.mu * d.int_dissipation
                + 2.0 * params.beta * d.int_damping)
         rhs = e0 + fi / params.mu
-        margins.append((rhs * (1.0 + slack) - lhs) / (rhs + TINY))
+        margins.append((rhs * (1.0 + SLACK) - lhs) / (rhs + TINY))
     return _report("apriori", margins, list(range(len(margins))),
-                   tolerance=0.0, notes=f"relative slack {slack:g}")
+                   tolerance=0.0, notes=f"relative slack {SLACK:g}")
 
 
-def resolve_theta(params: CbfParams, theta: float = None) -> float:
-    """Splitting weight for the critical-exponent gradient bound.
+def resolve_theta(params: CbfParams) -> float:
+    """Splitting weight theta of the critical-exponent gradient bound.
 
-    Needs 1/(2 mu) <= theta <= beta, so the regime requirement is
-    2*beta*mu >= 1; default sits just above the lower end.
+    It needs 1/(2 mu) <= theta <= beta, so the regime requirement is
+    2*beta*mu >= 1; theta sits just above the lower end.
     """
     lo = 1.0 / (2.0 * params.mu)
     if params.beta < lo:
         raise RegimeError("gradient bound at r = 3 requires 2*beta*mu >= 1")
-    if theta is None:
-        theta = min(lo + 1e-6, params.beta)
-    if not (lo <= theta <= params.beta):
-        raise InvalidArgumentsError(
-            f"theta must lie in [{lo:g}, {params.beta:g}], got {theta}")
-    return theta
+    return min(lo + 1e-6, params.beta)
 
 
-def check_regularity(diagnostics, params: CbfParams, forcing: Forcing = None,
-                     theta: float = None, slack: float = 1e-6) -> CheckReport:
+def regularity_bound(params: CbfParams):
+    """(rate, coefficient of int ||A u||^2, coefficient of the weighted
+    gradient integral, notes) of the bound :func:`check_regularity` asserts,
+    which exists for r > 3, or r = 3 with 2*beta*mu >= 1."""
+    if params.r > 3.0:
+        rate = regularity_rate(params)
+        return rate, params.mu, params.beta, f"rate = {rate:.6g}"
+    if params.r == 3.0:
+        theta = resolve_theta(params)
+        return (0.0, params.mu - 1.0 / (2.0 * theta), params.beta - theta,
+                f"theta = {theta:.6g}")
+    raise RegimeError("gradient bound needs r > 3, or r = 3 with "
+                      "2*beta*mu >= 1")
+
+
+def check_regularity(diagnostics, params: CbfParams,
+                     forcing: Forcing = None) -> CheckReport:
     """Gradient-norm a-priori bound along a trajectory (extended diagnostics).
 
     r > 3:
@@ -746,22 +752,12 @@ def check_regularity(diagnostics, params: CbfParams, forcing: Forcing = None,
         + (beta - theta) int || |u| grad u ||^2
         <= ||grad u0||^2 + (2/mu) int ||f||^2.
     """
+    rate, coeff_a, coeff_w, notes = regularity_bound(params)
     if diagnostics[0].int_a_norm_sq is None:
         raise ConfigError("regularity check needs extended diagnostics")
     times = [d.t for d in diagnostics]
     f_int = _forcing_integrals(forcing, times, l2_norm)
     g0 = diagnostics[0].v_seminorm_sq
-    if params.r > 3.0:
-        rate = regularity_rate(params)
-        coeff_a, coeff_w = params.mu, params.beta
-    elif params.r == 3.0:
-        theta = resolve_theta(params, theta)
-        rate = 0.0
-        coeff_a = params.mu - 1.0 / (2.0 * theta)
-        coeff_w = params.beta - theta
-    else:
-        raise RegimeError("gradient bound needs r > 3, or r = 3 with "
-                          "2*beta*mu >= 1")
     margins = []
     for d, fi in zip(diagnostics, f_int):
         lhs = (d.v_seminorm_sq + coeff_a * d.int_a_norm_sq
@@ -770,8 +766,49 @@ def check_regularity(diagnostics, params: CbfParams, forcing: Forcing = None,
         # rate*t can overflow exp; the margin only needs lhs/envelope, and
         # exp(-rate*t) underflowing to zero is the correct limit.
         ratio = lhs / (base + TINY) * np.exp(-min(rate * d.t, 700.0))
-        margins.append(1.0 + slack - ratio)
-    notes = (f"rate = {rate:.6g}" if params.r > 3.0
-             else f"theta = {theta:.6g}")
+        margins.append(1.0 + SLACK - ratio)
     return _report("regularity", margins, list(range(len(margins))),
-                   tolerance=0.0, notes=notes + f", relative slack {slack:g}")
+                   tolerance=0.0, notes=notes + f", relative slack {SLACK:g}")
+
+
+# ---------------------------------------------------------------------------
+# the checks of ``cbftorus verify``
+
+
+Check = namedtuple("Check", "run inputs cap regime", defaults=(None, None))
+# Every check of ``cbftorus verify``, in report order, and how a session runs
+# it: ``run(*inputs)``, each input the one the session holds under that
+# name, where "samples" is [verify] samples, at most ``cap``, and "tolerance"
+# is [verify] tolerance.  Before it builds the inputs of a trajectory check,
+# the session calls ``regime(params)``, which raises RegimeError outside the
+# check's regime; a sampled check decides its own before its first draw.
+CHECKS = {
+    "trilinear": Check(check_trilinear, "sampler samples"),
+    "monotone_shifted": Check(check_monotone_shifted,
+                              "sampler params samples tolerance"),
+    "monotone_critical": Check(check_monotone_critical,
+                               "sampler params samples tolerance"),
+    "advection_splitting": Check(check_advection_splitting,
+                                 "sampler params samples tolerance"),
+    "local_2d": Check(check_local_bound_2d, "sampler mu samples tolerance"),
+    "damping_monotone": Check(check_damping_monotone,
+                              "sampler r samples tolerance"),
+    "damping_lipschitz": Check(check_damping_lipschitz,
+                               "sampler r samples tolerance"),
+    "mvt": Check(check_pointwise_mvt, "sampler r samples tolerance", 200),
+    "dissipation_identity": Check(check_dissipation_identity,
+                                  "sampler r samples", 200),
+    "interpolation": Check(check_interpolation,
+                           "sampler s_exp rho_exp t_exp samples tolerance"),
+    "advection_bounds": Check(check_advection_bounds, "sampler r samples"),
+    "filter": Check(check_filter_props, "sampler samples", 50),
+    "operator_continuity": Check(check_operator_continuity,
+                                 "sampler params samples", 20),
+    "gronwall": Check(check_gronwall, ""),
+    "continuous_dependence": Check(check_continuous_dependence,
+                                   "params solver ic perturbation forcing",
+                                   regime=dependence_rate),
+    "apriori": Check(check_apriori, "diagnostics params forcing"),
+    "regularity": Check(check_regularity, "diagnostics params forcing",
+                        regime=regularity_bound),
+}

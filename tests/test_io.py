@@ -2,13 +2,15 @@
 
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cbftorus import cli
+from cbftorus import cli, solver
+from cbftorus import verification as verif
 from cbftorus.config import config_from_text, dump_config, load_config
 from cbftorus.errors import ConfigError, SnapshotFormatError
 from cbftorus.families import random_band_limited
@@ -194,14 +196,22 @@ def corrupted_snapshots(draw, good):
     return bytes(data)
 
 
+@pytest.fixture(scope="module")
+def good_snapshot(tmp_path_factory):
+    return _snapshot_bytes(tmp_path_factory.mktemp("good"))
+
+
+# Every example writes a new file: truncating an existing one costs far more
+# than creating one on some file systems.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_snapshot_reader_fuzz_raises_only_format_error(tmp_path, data):
-    good = _snapshot_bytes(tmp_path)
-    blob = data.draw(corrupted_snapshots(good))
+def test_snapshot_reader_fuzz_raises_only_format_error(tmp_path, good_snapshot,
+                                                       data):
+    blob = data.draw(corrupted_snapshots(good_snapshot))
     path = tmp_path / "fuzz.snap"
+    path.unlink(missing_ok=True)
     path.write_bytes(blob)
     try:
         field, t, params = read_snapshot_file(path)
@@ -537,8 +547,8 @@ band_limit = 6
     assert "check gronwall" in report and "check regularity" in report
 
 
-def test_cli_verify_navier_stokes_skips_beta_checks(tmp_path):
-    text = """
+# The beta = 0 (Navier-Stokes) config that CI runs through the console script.
+NS_VERIFY_INI = """
 [grid]
 dim = 2
 n = 16
@@ -563,7 +573,10 @@ samples = 3
 n = 16
 band_limit = 4
 """
-    cfg = _write(tmp_path, "ns.ini", text)
+
+
+def test_cli_verify_navier_stokes_skips_beta_checks(tmp_path):
+    cfg = _write(tmp_path, "ns.ini", NS_VERIFY_INI)
     assert cli.main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "ns")]) == 0
     blocks = (tmp_path / "ns" / "verify_report.txt").read_text().split("\n\n")
@@ -572,6 +585,54 @@ band_limit = 4
     assert skipped == {"monotone_shifted", "monotone_critical",
                        "advection_splitting", "continuous_dependence",
                        "regularity"}
+
+
+# Each config, and the checks it reports as REGIME-SKIP.
+REGIME_SKIPS = {
+    "beta0": (NS_VERIFY_INI, {"monotone_shifted", "monotone_critical",
+                              "advection_splitting", "continuous_dependence",
+                              "regularity"}),
+    "r3_below_critical": (NS_VERIFY_INI.replace("beta = 0.0", "beta = 0.4")
+                          .replace("r = 4.0", "r = 3.0"),
+                          {"monotone_shifted", "advection_splitting",
+                           "continuous_dependence", "regularity"}),
+    "3d": (NS_VERIFY_INI.replace("dim = 2", "dim = 3")
+           .replace("n = 16", "n = 12").replace("beta = 0.0", "beta = 1.0")
+           .replace("band_limit = 4", "band_limit = 3"),
+           {"monotone_critical", "local_2d"}),
+}
+
+
+def _count_calls(monkeypatch, calls, fn):
+    """Count the calls of ``fn`` in ``calls``, through every reference to it
+    in the cbftorus modules."""
+    def counted(*args, **kwargs):
+        calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "cbftorus" or name.startswith("cbftorus."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+
+
+@pytest.mark.parametrize("case", sorted(REGIME_SKIPS))
+def test_regime_skip_comes_before_any_draw_or_step(tmp_path, monkeypatch,
+                                                   case):
+    text, expected = REGIME_SKIPS[case]
+    calls = {}
+    _count_calls(monkeypatch, calls, solver.step)
+    _count_calls(monkeypatch, calls, random_band_limited)
+    skipped = {}
+    for name in verif.CHECKS:
+        calls.clear()
+        config = config_from_text(text.replace("checks = all",
+                                               f"checks = {name}"))
+        cli.cmd_verify(config, out_dir=str(tmp_path / name))
+        if "REGIME-SKIP" in (tmp_path / name / "verify_report.txt").read_text():
+            skipped[name] = dict(calls)
+    # each session runs one check: a skip may follow no step and no draw
+    assert skipped == {name: {} for name in expected}
 
 
 def test_cli_verify_one_trajectory_for_apriori_and_regularity(tmp_path,
@@ -599,12 +660,28 @@ def test_cli_verify_one_trajectory_for_apriori_and_regularity(tmp_path,
 
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     failing = CheckReport("trilinear", 1, -1.0, 0, passed=False)
-    monkeypatch.setattr(cli.verif, "check_trilinear",
-                        lambda *a, **k: failing)
+    monkeypatch.setitem(cli.verif.CHECKS, "trilinear",
+                        cli.verif.CHECKS["trilinear"]._replace(
+                            run=lambda *a: failing))
     cfg = _write(tmp_path, "verify.ini", VERIFY_INI.replace(
         "trilinear, interpolation, monotone_critical", "trilinear"))
     assert cli.main(["verify", "--config", cfg, "--out",
                      str(tmp_path / "vf")]) == 1
+
+
+@pytest.mark.parametrize("exponents", ["4, 2, 6", "0.5, 2, 6", "2, 4"])
+def test_bad_interpolation_exponents_exit_2_before_any_check(tmp_path,
+                                                             monkeypatch,
+                                                             exponents):
+    ran = []
+    run_one_check = cli._run_one_check
+    monkeypatch.setattr(cli, "_run_one_check", lambda name, *args: (
+        ran.append(name) or run_one_check(name, *args)))
+    cfg = _write(tmp_path, "exps.ini", VERIFY_INI
+                 + f"interpolation_exponents = {exponents}\n")
+    assert cli.main(["verify", "--config", cfg, "--out",
+                     str(tmp_path / "v")]) == 2
+    assert ran == [] and not (tmp_path / "v").exists()
 
 
 CONV_INI = """

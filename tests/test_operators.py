@@ -213,14 +213,6 @@ def test_monotonicity_shift_values():
     assert monotonicity_shift(CbfParams(mu=1, beta=1, r=2)) == 0.0
 
 
-def test_monotonicity_shift_variant():
-    p = CbfParams(mu=1, beta=1, r=5)
-    # alternative prefactor (r-3)/(r-1) vs (r-3)/(2 mu (r-1))
-    assert monotonicity_shift(p, variant="proof_step") == pytest.approx(0.25)
-    with pytest.raises(InvalidArgumentsError):
-        monotonicity_shift(p, variant="bogus")
-
-
 def test_regularity_rate_values():
     assert regularity_rate(CbfParams(mu=1, beta=1, r=5)) == pytest.approx(1.0)
     expected_r7 = (8.0 / 6.0) * (4.0 / 6.0) ** 0.5

@@ -53,7 +53,7 @@ def test_sampler_deterministic_and_solenoidal(grid32):
 def test_readme_lists_the_checks_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("Verification check names:", 1)[1].split(".", 1)[0]
-    assert tuple(re.findall(r"`(\w+)`", listed)) == verif.CHECKS
+    assert re.findall(r"`(\w+)`", listed) == list(verif.CHECKS)
 
 
 def test_report_pass_rule():
@@ -79,7 +79,7 @@ SEED_ONLY_CHECKS = {
     "mvt": lambda s, n: check_pointwise_mvt(s, 3.5, n),
     "dissipation_identity": lambda s, n: check_dissipation_identity(s, 3.0, n),
     "interpolation": lambda s, n: check_interpolation(s, 2.0, 4.0, 6.0, n),
-    "filter": lambda s, n: check_filter_props(s, (1, 10, 100), n),
+    "filter": lambda s, n: check_filter_props(s, n),
     "operator_continuity": lambda s, n: check_operator_continuity(s, _R4, n),
 }
 
@@ -245,10 +245,8 @@ def test_advection_bounds_need_r3(sampler32):
 
 
 def test_filter_check(sampler32):
-    report = check_filter_props(sampler32, (1, 10, 100, 1000, 10000), 10)
+    report = check_filter_props(sampler32, 10)
     assert report.passed
-    with pytest.raises(InvalidArgumentsError):
-        check_filter_props(sampler32, (10, 10), 2)
 
 
 def test_operator_continuity_check(sampler32):
@@ -365,5 +363,3 @@ def test_resolve_theta():
     assert resolve_theta(boundary) == pytest.approx(0.5)
     with pytest.raises(RegimeError):
         resolve_theta(CbfParams(mu=1.0, beta=0.4, r=3.0))
-    with pytest.raises(InvalidArgumentsError):
-        resolve_theta(p, theta=2.0)
