@@ -1,11 +1,16 @@
-"""Named analytic field families used for initial conditions and forcing."""
+"""Named analytic field families used for initial conditions and forcing;
+the seeded random family draws on the full spectrum and computes on the
+rows that dealiasing keeps."""
+
+import functools
 
 import numpy as np
 
 from .errors import InvalidArgumentsError
-from .fields import PhysicalField, SpectralField, conj_mirror, to_spectral
+from .fields import (PhysicalField, SpectralField, band_box, conj_mirror,
+                     to_spectral)
 from .grid import TorusGrid, TWO_PI
-from .spectral import abs_sq, dealias, leray_project
+from .spectral import abs_sq, project_coeffs
 
 
 def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
@@ -62,32 +67,56 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     excluded so samples are mean-free.  The result is Leray-projected (unless
     ``project=False``), dealiased (which removes nothing when band_limit <=
     (N-1)//3), and normalized so its L2 norm equals ``amplitude``.  ``seed``
-    is an integer or a ``numpy.random.SeedSequence``.
+    is an integer or a ``numpy.random.SeedSequence``.  The draw covers the
+    full spectrum; the arithmetic after it, in its full-spectrum order, only
+    the rows |m_i| <= (N-1)//3 that dealiasing keeps, so the bytes match.
     """
     if band_limit < 1 or band_limit > grid.n_points // 2:
         raise InvalidArgumentsError("band_limit must be in [1, N/2]")
     rng = np.random.default_rng(seed)
     shape = (grid.dim,) + grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # The draw covers the full spectrum, and so do its weights.
-    modes = np.ix_(*([grid.modes] * grid.dim))
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    box, rows, half, mirror, mask, scale = _band_layout(grid, band_limit,
+                                                        spectrum_slope)
+    raw = (real[rows] + 1j * imag[rows]) * mask * scale
+    # Hermitian part of the raw draw gives a real-valued field.
+    c = (0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0)))))[
+        ..., :box.radius + 1]
+    if project:
+        c = project_coeffs(c, box.wavenumbers, box.inv_k_squared)
+    # |c|^2 summed over the full layout, in its order, so that a seed gives
+    # the same field to the bit whatever the layout of the norms; the half
+    # leaves out columns -1..-K, whose |c(-m)|^2 is |c(m)|^2.
+    power, sq = np.zeros(shape), abs_sq(c)
+    power[half], power[mirror] = sq, sq[..., 1:]
+    norm = float(np.sqrt(grid.volume * np.sum(power)))
+    if norm == 0.0:
+        raise InvalidArgumentsError("degenerate random field (zero norm)")
+    return SpectralField(grid, box.expand(c) * (amplitude / norm), project)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_layout(grid, band_limit, spectrum_slope):
+    """The dealias box; the index of its rows on every axis of the full
+    spectrum, of its half there and of the mirror -m of that half's columns
+    1..K; and there the band mask and the weight |m|^(-slope)."""
+    box = band_box(grid)
+    n, k = grid.n_points, box.radius
+    cube = np.r_[0:k + 1, n - k:n]
+    lead, mirror_lead = [cube] * (grid.dim - 1), [(-cube) % n] * (grid.dim - 1)
+    modes = np.ix_(*([grid.modes[cube]] * grid.dim))
     sq_norm = sum(m * m for m in modes)
     inf_norm = np.max(np.broadcast_arrays(*(np.abs(m) for m in modes)), axis=0)
     mask = (inf_norm <= band_limit) & (sq_norm > 0)
     weight = np.where(sq_norm > 0, np.asarray(sq_norm, dtype=float), 1.0)
-    raw = raw * mask * weight ** (-spectrum_slope / 2.0)
-    # Hermitian part of the raw draw gives a real-valued field.
-    full = 0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0))))
-    field = SpectralField(grid, full[..., :grid.n_points // 2 + 1])
-    if project:
-        field = leray_project(field)
-    field = dealias(field)
-    # Summed over the full array, in its order, so that a seed gives the
-    # same field to the bit whatever the layout of the norms.
-    norm = float(np.sqrt(grid.volume * np.sum(abs_sq(field.full()))))
-    if norm == 0.0:
-        raise InvalidArgumentsError("degenerate random field (zero norm)")
-    return field.replace(field.coeffs * (amplitude / norm))
+    return (box, _mesh(*lead, cube), _mesh(*lead, cube[:k + 1]),
+            _mesh(*mirror_lead, n - cube[1:k + 1]), mask,
+            weight ** (-spectrum_slope / 2.0))
+
+
+def _mesh(*rows):
+    """All components, and the open mesh of ``rows`` on the spatial axes."""
+    return (slice(None),) + np.ix_(*rows)
 
 
 def kolmogorov(grid: TorusGrid, mode: int = 1, amplitude: float = 1.0) -> SpectralField:

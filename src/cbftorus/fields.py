@@ -16,6 +16,7 @@ array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -203,8 +204,17 @@ def symmetrize_columns(c, grid):
     column N/2 when ``c`` holds it, by its Hermitian part (c + conj(c(-m)))/2
     in place: the only columns that hold both m and -m.  Returns ``c``."""
     columns = c[..., ::grid.n_points // 2]  # a view
-    columns[...] = 0.5 * (columns + conj_mirror(columns, _leading_axes(grid)))
+    mirror = _mirror_index(columns.shape[-grid.dim:-1])
+    columns[...] = 0.5 * (columns + np.conjugate(columns[mirror]))
     return c
+
+
+@functools.lru_cache(maxsize=16)
+def _mirror_index(lengths):
+    """Index of the rows -m mod L on leading axes of the given ``lengths``:
+    the permutation of :func:`conj_mirror`, cheaper on small arrays."""
+    rows = np.ix_(*((-np.arange(n)) % n for n in lengths))
+    return (Ellipsis,) + rows + (slice(None),)
 
 
 def conj_mirror(a, axes, out=None):
@@ -240,9 +250,10 @@ class ModeBox:
         self.grid, self.radius = grid, radius
         self.covers_half = radius == grid.n_points // 2
         self.wavenumbers = tuple(self.gather(k) for k in grid.wavenumbers)
+        self.ik = tuple(1j * k for k in self.wavenumbers)
         self.k_squared = self.gather(grid.k_squared)
         self.inv_k_squared = self.gather(grid.inv_k_squared)
-        self.plancherel_weights = grid.plancherel_weights[:radius + 1]
+        self.volume_weights = grid.plancherel_weights[:radius + 1] * grid.volume
         self.mask = (self.gather(grid.mode_sq_norm) <= ball_n * ball_n
                      if ball_n > 0 else None)
 
@@ -252,27 +263,32 @@ class ModeBox:
         return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
 
     def _take_rows(self, a, axis):
-        """Rows 0..R and N-R..N-1 of ``a`` on ``axis``."""
+        """Rows 0..R and N-R..N-1 of ``a`` on ``axis``; ``a`` itself when the
+        box covers the half."""
+        if self.covers_half:
+            return a
         n, r = self.grid.n_points, self.radius
         return np.concatenate((a[self._on(axis, slice(0, r + 1))],
                                a[self._on(axis, slice(n - r, n))]), axis=axis)
 
     def _put_rows(self, c, axis, length):
-        """``c`` padded to ``length`` rows on ``axis`` by zeros after its row
-        R: rows 0..R and N-R..N-1 on a leading axis, columns 0..R last."""
-        gap = list(c.shape)
-        gap[axis] = length - c.shape[axis]
-        return np.concatenate((c[self._on(axis, slice(0, self.radius + 1))],
-                               np.zeros(gap, c.dtype),
-                               c[self._on(axis, slice(self.radius + 1, None))]),
-                              axis=axis)
+        """``c`` copied into a zero array of ``length`` rows on ``axis``, its
+        rows after R at the end: rows 0..R and N-R..N-1 on a leading axis,
+        columns 0..R last; ``c`` itself when the box covers the half."""
+        if self.covers_half:
+            return c
+        shape, split = list(c.shape), self.radius + 1
+        shape[axis] = length
+        out = np.zeros(shape, c.dtype)
+        out[self._on(axis, slice(0, split))] = c[self._on(axis, slice(0, split))]
+        out[self._on(axis, slice(length - c.shape[axis] + split, None))] = c[
+            self._on(axis, slice(split, None))]
+        return out
 
     def gather(self, half):
         """Compact coefficients of a half-spectrum array (axes of length 1,
-        as in broadcast multipliers, stay); the array itself when the box
+        as in broadcast multipliers, stay); a view of all of it when the box
         covers the half."""
-        if self.covers_half:
-            return half
         c = half[..., :self.radius + 1]
         for axis in _leading_axes(self.grid):
             if c.shape[axis] > 1:
@@ -295,8 +311,6 @@ class ModeBox:
     def inverse(self, c):
         """Real samples of compact coefficients: the 1-D passes of irfftn in
         its order, each on the lines that the box touches only."""
-        if self.covers_half:
-            return real_inverse(c, self.grid)
         for axis in _leading_axes(self.grid):
             c = np.fft.ifft(self._put_rows(c, axis, self.grid.n_points),
                             axis=axis, norm="forward")
@@ -305,8 +319,6 @@ class ModeBox:
     def forward(self, samples):
         """Compact coefficients fftn(samples)/N^d: the 1-D passes of rfftn in
         its order, each keeping the box's columns or rows only."""
-        if self.covers_half:
-            return real_forward(samples, self.grid)
         c = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.radius + 1]
         for axis in _FORWARD_ORDER(_leading_axes(self.grid)):
             c = self._take_rows(np.fft.fft(c, axis=axis, norm="forward"), axis)

@@ -101,6 +101,11 @@ class TorusGrid:
         return tuple(out)
 
     @cached_property
+    def ik(self):
+        """i*k per axis: the multipliers of spectral differentiation."""
+        return tuple(1j * k for k in self.wavenumbers)
+
+    @cached_property
     def k_squared(self):
         """|k|^2 multiplier built from the derivative wavenumbers."""
         out = np.zeros(self.half_shape)

@@ -128,8 +128,12 @@ def _rotational_samples(coeffs, u_phys, box):
     adds -w u_j to component i and w u_i to component j."""
     k = box.wavenumbers
     pairs = list(itertools.combinations(range(box.grid.dim), 2))
-    w = box.inverse(np.stack([1j * (k[i] * coeffs[j] - k[j] * coeffs[i])
-                              for i, j in pairs]))
+    w = np.empty((len(pairs),) + coeffs.shape[1:], complex)
+    for w_ij, (i, j) in zip(w, pairs):  # 1j * (k_i c_j - k_j c_i), in place
+        np.subtract(np.multiply(k[i], coeffs[j], out=w_ij), k[j] * coeffs[i],
+                    out=w_ij)
+        np.multiply(1j, w_ij, out=w_ij)
+    w = box.inverse(w)
     out = np.zeros_like(u_phys)
     for w_ij, (i, j) in zip(w, pairs):
         out_i, out_j = out[i], out[j]  # views, updated in place: no write-back

@@ -21,7 +21,7 @@ from it gives both the damping rate and the next step's damping term.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -136,9 +136,9 @@ class BudgetRates:
 
     def advance(self, old, new, dt: float):
         half = 0.5 * dt
-        return BudgetRates(*(getattr(self, f.name)
-                             + half * (getattr(old, f.name) + getattr(new, f.name))
-                             for f in fields(BudgetRates)))
+        return BudgetRates(*(getattr(self, name)
+                             + half * (getattr(old, name) + getattr(new, name))
+                             for name in self.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -192,25 +192,38 @@ class DiagnosticsSample:
                         "int_a_norm_sq", "int_weighted_grad_sq")
 
 
-def _rates(c, box, t, params, forcing, extended, samples):
+def _rates(c, box, t, params, forcing, extended, samples, jac=None):
     """Evaluate the budget integrands at one instant for the coefficients
     ``c`` on the mode box: Plancherel sums over the box, and ``samples`` of
-    u."""
+    u and, when ``extended``, ``jac`` of its Jacobian (transformed here when
+    not given)."""
     grid = box.grid
-    weights = box.plancherel_weights * grid.volume
-    power = mode_power(c, weights)
+    power = mode_power(c, box.volume_weights)
     k2 = box.k_squared
-    damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
+    damping_val = float((samples.weight * samples.sq).sum() * grid.cell_volume)
     forcing_val = (0.0 if forcing.is_zero else
-                   mode_pairing(forcing.box_coeffs(t, box), c, weights))
+                   mode_pairing(forcing.box_coeffs(t, box), c, box.volume_weights))
     a_sq = wgrad = 0.0
     if extended:
-        a_sq = float(np.sum(k2 * k2 * power))
-        jac = box.inverse(jacobian(c, box))
-        grad_sq = np.sum(jac * jac, axis=(0, 1))
-        wgrad = float(np.sum(samples.weight * grad_sq) * grid.cell_volume)
-    return BudgetRates(float(np.sum(k2 * power)), damping_val, forcing_val,
-                       float(np.sum(power)), a_sq, wgrad)
+        a_sq = float((k2 * k2 * power).sum())
+        if jac is None:
+            jac = box.inverse(jacobian(c, box))
+        grad_sq = (jac * jac).sum(axis=(0, 1))
+        wgrad = float((samples.weight * grad_sq).sum() * grid.cell_volume)
+    return BudgetRates(float((k2 * power).sum()), damping_val, forcing_val,
+                       float(power.sum()), a_sq, wgrad)
+
+
+def _samples(c, box, r, extended):
+    """(:class:`Samples` of u, samples of its Jacobian when ``extended`` or
+    None) from one inverse transform of [c] or [c; grad c], stacked in place."""
+    d, shape = box.grid.dim, c.shape[1:]
+    stacked = np.empty((d + extended * d * d,) + shape, complex)
+    stacked[:d] = c
+    jacobian(c, box, out=stacked[d:].reshape((-1, d) + shape))
+    phys = box.inverse(stacked)
+    jac = phys[d:].reshape((d, d) + box.grid.shape) if extended else None
+    return pointwise_samples(phys[:d], r), jac
 
 
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
@@ -226,8 +239,8 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     if box.mask is not None:
         c = c * box.mask
     c = _settle(c, grid)
-    samples = pointwise_samples(box.inverse(c), params.r)
-    rates = _rates(c, box, 0.0, params, forcing, extended, samples)
+    samples, jac = _samples(c, box, params.r, extended)
+    rates = _rates(c, box, 0.0, params, forcing, extended, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
                            rates=rates, energy0=rates.darcy, extended=extended)
 
@@ -307,8 +320,9 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
     _check_cfl(max_speed, grid, dt)
     new_t = state.t + dt
-    samples = pointwise_samples(box.inverse(c), params.r)
-    new_rates = _rates(c, box, new_t, params, forcing, state.extended, samples)
+    samples, jac = _samples(c, box, params.r, state.extended)
+    new_rates = _rates(c, box, new_t, params, forcing, state.extended, samples,
+                       jac)
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(

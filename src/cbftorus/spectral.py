@@ -34,7 +34,10 @@ def project_coeffs(coeffs, k, inv_k2):
     """(I - k k^T/|k|^2) applied to a (dim, ...) coefficient array, given the
     wavenumbers and 1/|k|^2 broadcast to its modes."""
     factor = inv_k2 * sum(k[i] * coeffs[i] for i in range(len(k)))
-    return np.stack([coeffs[i] - k[i] * factor for i in range(len(k))])
+    out = np.empty(coeffs.shape, factor.dtype)
+    for i, out_i in enumerate(out):
+        np.subtract(coeffs[i], np.multiply(k[i], factor, out=out_i), out=out_i)
+    return out
 
 
 def divergence_defect(u: SpectralField) -> float:
@@ -45,11 +48,16 @@ def divergence_defect(u: SpectralField) -> float:
     return float(np.max(np.abs(divergence(u).coeffs))) / scale
 
 
-def jacobian(coeffs, grid) -> np.ndarray:
+def jacobian(coeffs, grid, out=None) -> np.ndarray:
     """Spectral partial derivatives i*k_a*c of a (ncomp, ...) coefficient
-    array, shape (ncomp, dim, ...)."""
-    return np.stack([np.stack([1j * k * c for k in grid.wavenumbers])
-                     for c in coeffs])
+    array, shape (ncomp, dim, ...), into ``out`` when given; ``grid`` is a
+    grid or a mode box, which cache i*k."""
+    if out is None:
+        out = np.empty((len(coeffs), len(grid.ik)) + coeffs.shape[1:], complex)
+    for c, out_c in zip(coeffs, out):
+        for ik, out_ca in zip(grid.ik, out_c):
+            np.multiply(ik, c, out=out_ca)
+    return out
 
 
 def gradient(u: SpectralField) -> SpectralField:
@@ -120,13 +128,13 @@ def power_spectrum(u: SpectralField) -> np.ndarray:
 
 def mode_power(coeffs, weights):
     """Energy per mode, summed over components, given column ``weights``."""
-    return weights * np.sum(abs_sq(coeffs), axis=0)
+    return weights * abs_sq(coeffs).sum(axis=0)
 
 
 def mode_pairing(fc, uc, weights):
     """Plancherel sum of f.u, given column ``weights``."""
-    return float(np.sum(weights * np.sum(fc.real * uc.real + fc.imag * uc.imag,
-                                         axis=0)))
+    return float((weights * (fc.real * uc.real + fc.imag * uc.imag).sum(
+        axis=0)).sum())
 
 
 def l2_norm(u) -> float:

@@ -73,12 +73,18 @@ def _sampled(name, sampler, n_samples, margin, tolerance, pairs=True, **report):
 
     Sample i is ``sampler.pair(i)``, passed as ``margin(u, v, s)``, or with
     ``pairs=False`` ``sampler.single(i)``, passed as ``margin(u, s)``.  One
-    sample is drawn at a time; ``report`` goes on to :func:`_report`.
+    sample is drawn at a time; ``report`` goes on to :func:`_report`.  A
+    sample that overflows is an :class:`InvalidArgumentsError` of [verify].
     """
     margins, seeds = [], []
     for i in range(n_samples):
-        *fields, s = sampler.pair(i) if pairs else sampler.single(i)
-        margins.append(margin(*fields, s))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                *fields, s = sampler.pair(i) if pairs else sampler.single(i)
+                margins.append(margin(*fields, s))
+        except FloatingPointError:
+            raise InvalidArgumentsError(f"[verify] amplitude {sampler.amplitude:g}"
+                                        f" overflows check {name}") from None
         seeds.append(s)
     return _report(name, margins, seeds, tolerance, **report)
 

@@ -1,8 +1,13 @@
 """Full-array references: the spectral operations on all N^d modes, written
 out with complex transforms and full-spectrum multipliers, as the package
-computed them before spectral fields stored the half spectrum."""
+computed them before spectral fields stored the half spectrum, and the
+random field family as it was drawn and weighted on the full spectrum."""
 
 import numpy as np
+
+from cbftorus.errors import InvalidArgumentsError
+from cbftorus.fields import SpectralField
+from cbftorus.spectral import abs_sq, dealias, leray_project
 
 
 def modes(grid):
@@ -76,3 +81,38 @@ def inverse(c, grid):
 def jacobian(c, grid):
     """i*k_a*c, shape (ncomp, dim, N, ..., N)."""
     return np.stack([np.stack([1j * k * ci for k in wavenumbers(grid)]) for ci in c])
+
+
+def conj_mirror(a, axes):
+    """conj(a(-m)) over ``axes``, -m mod N: a flip followed by a roll by one."""
+    return np.conjugate(np.roll(np.flip(a, axis=axes), 1, axis=axes))
+
+
+def random_band_limited(grid, seed, band_limit=8, spectrum_slope=2.0,
+                        amplitude=1.0, project=True):
+    """``families.random_band_limited`` with its arithmetic on the full
+    spectrum."""
+    if band_limit < 1 or band_limit > grid.n_points // 2:
+        raise InvalidArgumentsError("band_limit must be in [1, N/2]")
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + grid.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # The draw covers the full spectrum, and so do its weights.
+    modes = np.ix_(*([grid.modes] * grid.dim))
+    sq_norm = sum(m * m for m in modes)
+    inf_norm = np.max(np.broadcast_arrays(*(np.abs(m) for m in modes)), axis=0)
+    mask = (inf_norm <= band_limit) & (sq_norm > 0)
+    weight = np.where(sq_norm > 0, np.asarray(sq_norm, dtype=float), 1.0)
+    raw = raw * mask * weight ** (-spectrum_slope / 2.0)
+    # Hermitian part of the raw draw gives a real-valued field.
+    full = 0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0))))
+    field = SpectralField(grid, full[..., :grid.n_points // 2 + 1])
+    if project:
+        field = leray_project(field)
+    field = dealias(field)
+    # Summed over the full array, in its order, so that a seed gives the
+    # same field to the bit whatever the layout of the norms.
+    norm = float(np.sqrt(grid.volume * np.sum(abs_sq(field.full()))))
+    if norm == 0.0:
+        raise InvalidArgumentsError("degenerate random field (zero norm)")
+    return field.replace(field.coeffs * (amplitude / norm))

@@ -499,6 +499,25 @@ def test_cli_verify_report_and_regime_skip(tmp_path, capsys):
     assert "PASS" in report
 
 
+def test_cli_verify_overflowing_amplitude_exit_2(tmp_path, capsys):
+    """A [verify] amplitude whose samples overflow is an argument error: exit
+    2, and no numpy RuntimeWarning (which fails any test here)."""
+    cfg = _write(tmp_path, "amp.ini", """
+[grid]
+dim = 2
+n = 16
+
+[verify]
+checks = trilinear, continuous_dependence
+samples = 3
+n = 16
+band_limit = 4
+amplitude = 1e308
+""")
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "[verify] amplitude" in capsys.readouterr().err
+
+
 def test_cli_verify_seed_override_changes_report(tmp_path):
     cfg = _write(tmp_path, "verify.ini", VERIFY_INI)
     out1, out2, out3 = (str(tmp_path / d) for d in ("v1", "v2", "v3"))

@@ -1,6 +1,7 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
 it replaced, advection and damping against their full-array pipelines, exact
-2/3-rule dealiasing for every N, the solver's cache of physical samples, the
+2/3-rule dealiasing for every N, random fields against their full-spectrum
+arithmetic, the solver's cache of physical samples, the
 solver step on the mode box against the full-array and the half-spectrum
 steps it replaced, and, to the byte, the state kept on the box with fused
 pointwise work against the step that expanded it each time."""
@@ -202,6 +203,29 @@ def test_two_thirds_rule_is_exact(dim, n):
 
 
 # ---------------------------------------------------------------------------
+# random fields: arithmetic on the dealiased rows against the full spectrum
+
+
+@pytest.mark.parametrize("dim,n", [(d, n) for d in (2, 3)
+                                   for n in (8, 10, 16, 18, 32)])
+def test_random_field_matches_full_spectrum_bytes(dim, n):
+    """Every band limit with every slope; case i takes projection on or off
+    and an integer or SeedSequence seed by i mod 4, so that the twelve cases
+    of a grid meet each slope with each of those four ways once."""
+    grid = TorusGrid(dim=dim, n_points=n)
+    band_limits = (1, (n - 1) // 3, n // 2 - 1, n // 2)
+    for i, (band_limit, slope) in enumerate(
+            (b, s) for b in band_limits for s in (0.0, 2.0, 3.3)):
+        project, seed = i % 2 == 0, 3 + i
+        if i % 4 >= 2:
+            seed = np.random.SeedSequence(seed, spawn_key=(1,))
+        got = random_band_limited(grid, seed, band_limit, slope, 1.5, project)
+        ref = fa.random_band_limited(grid, seed, band_limit, slope, 1.5, project)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert got.divergence_free == ref.divergence_free == project
+
+
+# ---------------------------------------------------------------------------
 # solver: one inverse transform of u per step
 
 
@@ -219,26 +243,32 @@ def test_cached_samples_match_state(grid3d, scheme, substeps):
     assert np.array_equal(state.samples.phys, to_physical(state.u).data)
 
 
-@pytest.mark.parametrize("dim,expected", [(2, 5), (3, 9)])
-def test_transforms_per_cnab2_step(monkeypatch, dim, expected):
+@pytest.mark.parametrize("dim,extended,expected", [
+    pytest.param(2, False, 5, id="2-5"), pytest.param(3, False, 9, id="3-9"),
+    pytest.param(2, True, 9, id="2-9-extended"),
+    pytest.param(3, True, 18, id="3-18-extended")])
+def test_transforms_per_cnab2_step(monkeypatch, dim, extended, expected):
+    """Component transforms of a dealiased step; its two inverse calls
+    transform the curl omega, then u, stacked with grad u when extended."""
     grid = TorusGrid(dim=dim, n_points=16)
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
     config = SolverConfig(dt=1e-3, t_end=1.0)
     forcing = Forcing.zero()
     state = initialize_state(random_band_limited(grid, seed=1, band_limit=4),
-                             params, config, forcing)
+                             params, config, forcing, extended=extended)
     state = step(state, params, config, forcing)
-    count = []
-    for name in ("inverse", "forward"):
+    count = {"inverse": [], "forward": []}
+    for name, calls in count.items():
         original = getattr(fields.ModeBox, name)
 
-        def counted(box, a, _original=original):
-            count.append(int(np.prod(np.shape(a)[:-dim])))
+        def counted(box, a, _original=original, _calls=calls):
+            _calls.append(int(np.prod(np.shape(a)[:-dim])))
             return _original(box, a)
 
         monkeypatch.setattr(fields.ModeBox, name, counted)
     step(state, params, config, forcing)
-    assert sum(count) == expected
+    assert sum(count["inverse"] + count["forward"]) == expected
+    assert count["inverse"] == [dim * (dim - 1) // 2, dim + extended * dim * dim]
 
 
 # ---------------------------------------------------------------------------
