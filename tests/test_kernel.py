@@ -1,10 +1,10 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
 it replaced, advection and damping against their full-array pipelines, exact
 2/3-rule dealiasing for every N, random fields against their full-spectrum
-arithmetic, the solver's cache of physical samples, the
-solver step on the mode box against the full-array and the half-spectrum
-steps it replaced, and, to the byte, the state kept on the box with fused
-pointwise work against the step that expanded it each time."""
+arithmetic, the solver's cache of physical samples, the solver step on the
+mode box against the full-array and the half-spectrum steps it replaced, and,
+to the byte, the state kept on the box with fused pointwise work against the
+step that expanded it each time."""
 
 import dataclasses
 
