@@ -73,11 +73,11 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     """
     if band_limit < 1 or band_limit > grid.n_points // 2:
         raise InvalidArgumentsError("band_limit must be in [1, N/2]")
+    box, rows, half, mirror, mask, scale = _band_layout(grid, band_limit,
+                                                        spectrum_slope)
     rng = np.random.default_rng(seed)
     shape = (grid.dim,) + grid.shape
     real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
-    box, rows, half, mirror, mask, scale = _band_layout(grid, band_limit,
-                                                        spectrum_slope)
     raw = (real[rows] + 1j * imag[rows]) * mask * scale
     # Hermitian part of the raw draw gives a real-valued field.
     c = (0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0)))))[
