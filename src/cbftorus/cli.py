@@ -7,6 +7,7 @@ malformed snapshot, 3 numerical blow-up.
 import argparse
 import dataclasses
 import functools
+import itertools
 import os
 import sys
 
@@ -78,21 +79,23 @@ def _ensure_outdir(path):
 
 
 def cmd_run(config: RunConfig, out_dir=None) -> int:
-    ic, params, solver_config, forcing = config.problem()
+    params = config.params()
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     dump_config(config, os.path.join(out, "config_effective.ini"))
+    paths = (os.path.join(out, f"snap_{i:06d}.snap") for i in itertools.count())
     try:
-        state, diagnostics, snapshots = run(
-            ic, params, solver_config, forcing,
-            extended=config["output"]["extended_diagnostics"])
+        # The IC, a call temporary, is freed once the first state exists.
+        _, diagnostics = run(
+            config.initial_condition(), params, config.solver(),
+            config.forcing(),
+            extended=config["output"]["extended_diagnostics"],
+            snapshot=lambda t, field: write_snapshot_file(next(paths), field,
+                                                          t, params))
     except BlowUpError as err:
         write_diagnostics(err.diagnostics, os.path.join(out, "diagnostics.tsv"))
         print(f"blow-up at t = {err.last_valid_time:g}: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
-    for i, (t, field) in enumerate(snapshots):
-        write_snapshot_file(os.path.join(out, f"snap_{i:06d}.snap"),
-                            field, t, params)
     final = diagnostics[-1]
     max_residual = max(abs(d.energy_residual) for d in diagnostics)
     print(f"final t          {final.t:.6g}")
@@ -199,9 +202,9 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
         u0 = leray_project(ic)
     errors = []
     for dt in dts:
-        solver_config = dataclasses.replace(base, dt=dt, diagnostics_every=10 ** 9,
-                                            snapshot_every=0)
-        state, diagnostics, _ = run(ic, params, solver_config, forcing)
+        solver_config = dataclasses.replace(base, dt=dt,
+                                            diagnostics_every=10 ** 9)
+        state, diagnostics = run(ic, params, solver_config, forcing)
         if metric == "taylor_green":
             err = _taylor_green_error(state, params)
         elif metric == "single_mode":
@@ -217,11 +220,11 @@ def _convergence_errors_n(config: RunConfig, ns):
     errors = []
     fine_grid = TorusGrid(dim=config["grid"]["dim"], n_points=max(ns),
                           period=config["grid"]["l"])
-    ref, _, _ = run(*config.problem(fine_grid))
+    ref, _ = run(*config.problem(fine_grid))
     for n in sorted(ns)[:-1]:
         grid = TorusGrid(dim=config["grid"]["dim"], n_points=n,
                          period=config["grid"]["l"])
-        state, _, _ = run(*config.problem(grid))
+        state, _ = run(*config.problem(grid))
         errors.append(l2_norm(embed_modes(state.u, fine_grid) - ref.u))
     return errors
 
@@ -319,7 +322,7 @@ def cmd_taylor_green(out_dir) -> int:
     ic, params, solver_config, forcing = config.problem()
     out = _ensure_outdir(out_dir)
     dump_config(config, os.path.join(out, "config_effective.ini"))
-    state, diagnostics, _ = run(ic, params, solver_config, forcing)
+    state, diagnostics = run(ic, params, solver_config, forcing)
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     write_snapshot_file(os.path.join(out, "final_state.snap"),
                         state.u, state.t, params)

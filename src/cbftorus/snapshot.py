@@ -6,8 +6,9 @@ Layout (all little-endian):
   uint32    n_points
   float64   period, time, r, mu, alpha, beta
   then dim row-major complex128 coefficient arrays, one per component: the
-  full spectrum, which the writer expands from a field's half and the
-  reader checks for Hermitian symmetry before it keeps the half.
+  full spectrum, which the writer expands from a field's half one component
+  at a time, and the reader checks for Hermitian symmetry before it keeps
+  the half.
 
 The reader raises :class:`SnapshotFormatError` for every malformed file, and
 checks the size the header declares against the file before it reads on.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import (CbfError, InvalidFieldError, SnapshotFormatError,
                      SymmetryError)
-from .fields import SpectralField
+from .fields import SpectralField, hermitian_expand
 from .grid import TorusGrid
 from .operators import CbfParams
 
@@ -38,7 +39,9 @@ def write_snapshot_file(path, field: SpectralField, time: float,
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(field.full().astype("<c16", copy=False))
+        for component in field.coeffs:  # one full component at a time
+            full = hermitian_expand(component, grid)
+            fh.write(full.astype("<c16", copy=False))
 
 
 def read_snapshot_file(path):

@@ -159,11 +159,12 @@ class SimulationState:
     integrals: BudgetRates = field(default_factory=BudgetRates)
     extended: bool = False
 
-    @cached_property
-    def u(self) -> SpectralField:
-        """The state as an exactly Hermitian field on the half spectrum."""
+    def expand(self) -> SpectralField:
+        """The state as a new, exactly Hermitian field on the half spectrum."""
         return SpectralField(self.box.grid, self.box.expand(self.coeffs),
                              divergence_free=True)
+
+    u = cached_property(expand)  # built on first read, kept with the state
 
 
 @dataclass(frozen=True)
@@ -357,22 +358,26 @@ def sample_diagnostics(state: SimulationState, params: CbfParams) -> Diagnostics
 
 
 def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
-        forcing: Forcing = None, extended: bool = False):
-    """Advance to t_end; returns (final state, diagnostics list, snapshots).
+        forcing: Forcing = None, extended: bool = False, snapshot=None):
+    """Advance to t_end; returns (final state, diagnostics list).
 
-    Snapshots are (time, SpectralField) pairs at the configured cadence.
-    Deterministic for fixed inputs.  On blow-up the partial diagnostics ride
-    along on the raised :class:`BlowUpError`.
+    ``snapshot(t, field)``, when given and ``snapshot_every > 0``, gets a new
+    field, kept by nobody else, at t = 0, every ``snapshot_every`` steps and
+    the last step.  ``ic`` is dropped once the first state exists, so one
+    passed as a call temporary is freed then.  Deterministic for fixed
+    inputs.  On blow-up the partial diagnostics ride along on the raised
+    :class:`BlowUpError`.
     """
     forcing = forcing if forcing is not None else Forcing.zero()
     state = initialize_state(ic, params, config, forcing, extended)
+    del ic
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.dt, config.t_end):
         warnings.warn("t_end is not an integer number of steps; rounding")
+    every = config.snapshot_every if snapshot is not None else 0
     diagnostics = [sample_diagnostics(state, params)]
-    snapshots = []
-    if config.snapshot_every > 0:
-        snapshots.append((state.t, state.u))
+    if every:
+        snapshot(state.t, state.expand())
     for m in range(1, n_steps + 1):
         try:
             state = step(state, params, config, forcing)
@@ -381,10 +386,9 @@ def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
                               diagnostics) from None
         if m % config.diagnostics_every == 0 or m == n_steps:
             diagnostics.append(sample_diagnostics(state, params))
-        if config.snapshot_every > 0 and (m % config.snapshot_every == 0
-                                          or m == n_steps):
-            snapshots.append((state.t, state.u))
-    return state, diagnostics, snapshots
+        if every and (m % every == 0 or m == n_steps):
+            snapshot(state.t, state.expand())
+    return state, diagnostics
 
 
 def apriori_bound(ic: SpectralField, params: CbfParams, forcing: Forcing,

@@ -665,8 +665,13 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
     rho = dependence_rate(params)
     forcing = forcing if forcing is not None else Forcing.zero()
     s1 = initialize_state(ic, params, config, forcing)
-    s2 = initialize_state(ic + perturbation, params, config, forcing)
-    d0_sq = l2_norm(s2.u - s1.u) ** 2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            s2 = initialize_state(ic + perturbation, params, config, forcing)
+            d0_sq = l2_norm(s2.u - s1.u) ** 2
+    except FloatingPointError:
+        raise InvalidArgumentsError("[verify] perturbation overflows check "
+                                    "continuous_dependence at t = 0") from None
     if d0_sq == 0.0:
         return CheckReport("continuous_dependence", 1, 0.0, 0, True,
                            tolerance=0.0, notes="zero perturbation")

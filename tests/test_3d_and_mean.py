@@ -43,7 +43,7 @@ def test_3d_short_run_dissipates(grid3):
     params = CbfParams(mu=0.5, beta=1.0, r=3.0)
     config = SolverConfig(dt=2e-3, t_end=0.05, diagnostics_every=5)
     ic = random_band_limited(grid3, seed=64, band_limit=4)
-    state, diagnostics, _ = run(ic, params, config)
+    state, diagnostics = run(ic, params, config)
     assert divergence_defect(state.u) < 1e-10
     assert diagnostics[-1].energy < diagnostics[0].energy
     # budget defect is quadrature-limited at this stiffness: O((lambda*dt)^2)
@@ -61,7 +61,7 @@ def test_mean_mode_evolves_under_darcy_and_damping(grid32):
     dt, steps = 1e-2, 10
     config = SolverConfig(dt=dt, t_end=dt * steps, scheme="imex_euler",
                           diagnostics_every=steps)
-    state, _, _ = run(ic, params, config)
+    state, _ = run(ic, params, config)
     c = c0
     for _ in range(steps):
         c = (c - dt * params.beta * abs(c) ** (params.r - 1) * c) \
@@ -79,7 +79,7 @@ def test_mean_forcing_accumulates(grid32):
     params = CbfParams(mu=1.0, alpha=0.0, beta=1e-12, r=3.0)
     config = SolverConfig(dt=1e-2, t_end=0.1, scheme="imex_euler",
                           diagnostics_every=10)
-    state, _, _ = run(to_spectral(PhysicalField(grid32,
-                                                np.zeros((2,) + grid32.shape))),
-                      params, config, forcing)
+    state, _ = run(to_spectral(PhysicalField(grid32,
+                                             np.zeros((2,) + grid32.shape))),
+                   params, config, forcing)
     assert state.u.coeffs[1][0, 0].real == pytest.approx(0.25 * 0.1, rel=1e-6)

@@ -52,7 +52,7 @@ def taylor_green_run():
     config = SolverConfig(dt=1e-3, t_end=1.0, scheme="imex_cnab2",
                           diagnostics_every=100)
     start = time.perf_counter()
-    state, diagnostics, _ = run(taylor_green(GRID64), params, config)
+    state, diagnostics = run(taylor_green(GRID64), params, config)
     elapsed = time.perf_counter() - start
     return params, state, diagnostics, elapsed
 
@@ -169,7 +169,7 @@ def test_criterion_07_apriori_and_regularity(taylor_green_run,
     # dedicated r=5 Taylor-Green run with extended diagnostics
     params5 = CbfParams(mu=1.0, alpha=0.0, beta=1.0, r=5.0)
     config = SolverConfig(dt=1e-3, t_end=0.5, diagnostics_every=50)
-    _, diag5, _ = run(taylor_green(GRID64), params5, config, extended=True)
+    _, diag5 = run(taylor_green(GRID64), params5, config, extended=True)
     rep_a = check_apriori(diag5, params5)
     rep_r = check_regularity(diag5, params5)
     ok &= rep_a.passed and rep_r.passed
@@ -276,12 +276,12 @@ band_limit = 8
                             diagnostics_every=10 ** 9)
         half = SolverConfig(dt=1e-3, t_end=0.5, scheme=scheme,
                             diagnostics_every=10 ** 9)
-        s_full, _, _ = run(ic, params, full)
-        s_half, _, _ = run(ic, params, half)
+        s_full, _ = run(ic, params, full)
+        s_half, _ = run(ic, params, half)
         snap = tmp_path / f"{scheme}.snap"
         write_snapshot_file(snap, s_half.u, s_half.t, params)
         field, _, params_in = read_snapshot_file(snap)
-        s_resumed, _, _ = run(field, params_in, half)
+        s_resumed, _ = run(field, params_in, half)
         diff = l2_norm(s_resumed.u - s_full.u) / l2_norm(s_full.u)
         restart_ok &= diff <= tol
         details.append(f"{scheme} restart diff {diff:.2e} (tol {tol:g})")

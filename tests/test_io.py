@@ -3,6 +3,7 @@
 import os
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from cbftorus import cli, solver
 from cbftorus import verification as verif
-from cbftorus.config import config_from_text, dump_config, load_config
+from cbftorus.config import (RunConfig, config_from_text, dump_config,
+                             load_config)
 from cbftorus.errors import ConfigError, SnapshotFormatError
 from cbftorus.families import random_band_limited
 from cbftorus.grid import TorusGrid
@@ -259,7 +261,7 @@ def test_cli_malformed_snapshot_exit_code(tmp_path, capsys):
 def test_diagnostics_header_documented_order(tmp_path, grid32):
     ic = random_band_limited(grid32, seed=35, band_limit=6)
     config = SolverConfig(dt=1e-3, t_end=5e-3, diagnostics_every=1)
-    _, diagnostics, _ = run(ic, CbfParams(mu=0.5, beta=1.0, r=4.0), config)
+    _, diagnostics = run(ic, CbfParams(mu=0.5, beta=1.0, r=4.0), config)
     path = tmp_path / "diag.tsv"
     cli.write_diagnostics(diagnostics, path)
     header = path.read_text().splitlines()[0]
@@ -273,8 +275,8 @@ def test_diagnostics_header_documented_order(tmp_path, grid32):
 def test_extended_diagnostics_columns(tmp_path, grid32):
     ic = random_band_limited(grid32, seed=36, band_limit=6)
     config = SolverConfig(dt=1e-3, t_end=2e-3, diagnostics_every=1)
-    _, diagnostics, _ = run(ic, CbfParams(mu=0.5, beta=1.0, r=4.0), config,
-                            extended=True)
+    _, diagnostics = run(ic, CbfParams(mu=0.5, beta=1.0, r=4.0), config,
+                         extended=True)
     path = tmp_path / "diag.tsv"
     cli.write_diagnostics(diagnostics, path)
     header = path.read_text().splitlines()[0].split("\t")
@@ -327,6 +329,31 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     # effective config reloads to the same values
     reloaded = load_config(os.path.join(out, "config_effective.ini"))
     assert reloaded.solver().dt == 0.002
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the "
+                    "caller holds a call's arguments until it returns")
+def test_cli_run_frees_the_initial_condition(tmp_path, monkeypatch):
+    """cmd_run passes the initial condition as a call temporary and run drops
+    it after the first state: no snapshot is written while it is alive."""
+    refs, alive = [], []
+    initial_condition = RunConfig.initial_condition
+    write = cli.write_snapshot_file
+
+    def tracked(self, grid=None):
+        ic = initial_condition(self, grid)
+        refs.append(weakref.ref(ic))
+        return ic
+
+    def checked(path, field, t, params):
+        alive.append(refs[0]() is not None)
+        write(path, field, t, params)
+
+    monkeypatch.setattr(RunConfig, "initial_condition", tracked)
+    monkeypatch.setattr(cli, "write_snapshot_file", checked)
+    cfg = _write(tmp_path, "run.ini", RUN_INI)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert alive == [False] * 4  # t = 0, steps 10 and 20, step 25
 
 
 def test_cli_run_extended_diagnostics_reproduce_from_effective_config(tmp_path):
@@ -441,6 +468,45 @@ amplitude = 1000.0
     assert os.path.exists(os.path.join(out, "diagnostics.tsv"))
 
 
+def test_cli_blowup_keeps_the_snapshots_before_it(tmp_path, capsys):
+    """Snapshots are written as the run reaches them, so a run that blows up
+    leaves every snapshot it took beside the partial diagnostics."""
+    cfg = _write(tmp_path, "blow.ini", """
+[grid]
+dim = 2
+n = 16
+
+[params]
+mu = 0.01
+beta = 0.0
+r = 4.0
+
+[solver]
+dt = 0.05
+t_end = 5.0
+scheme = imex_euler
+dealias = false
+snapshot_every = 1
+diagnostics_every = 1
+
+[ic]
+family = random
+band_limit = 5
+amplitude = 200.0
+""")
+    out = tmp_path / "blow_out"
+    with pytest.warns(UserWarning, match="CFL"):
+        status = cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert status == 3
+    assert "energy runaway" in capsys.readouterr().err
+    rows = (out / "diagnostics.tsv").read_text().splitlines()[1:]
+    snaps = sorted(f for f in os.listdir(out) if f.startswith("snap_"))
+    assert snaps == [f"snap_{i:06d}.snap" for i in range(4)]
+    times = [read_snapshot_file(out / name)[1] for name in snaps]
+    assert times == pytest.approx([0.0, 0.05, 0.10, 0.15], abs=1e-12)
+    assert times == [float(row.split("\t")[0]) for row in rows]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_overflow_exits_as_blowup(tmp_path):
     text = """
@@ -516,6 +582,37 @@ amplitude = 1e308
 """)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "[verify] amplitude" in capsys.readouterr().err
+
+
+PERTURBATION_INI = """
+[grid]
+dim = 2
+n = 16
+
+[verify]
+checks = continuous_dependence
+samples = 3
+n = 16
+band_limit = 4
+perturbation = {}
+"""
+
+
+def test_cli_verify_overflowing_perturbation_exit_2(tmp_path, capsys):
+    """A [verify] perturbation that overflows the perturbed state at t = 0 is
+    an argument error naming it and the check: exit 2, no RuntimeWarning."""
+    cfg = _write(tmp_path, "pert.ini", PERTURBATION_INI.format("1e308"))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[verify] perturbation" in err and "continuous_dependence" in err
+
+
+def test_cli_verify_perturbation_finite_at_start_blows_up_later(tmp_path):
+    cfg = _write(tmp_path, "pert.ini", PERTURBATION_INI.format("1e20"))
+    with pytest.warns(UserWarning, match="CFL"):
+        status = cli.main(["verify", "--config", cfg,
+                           "--out", str(tmp_path / "o")])
+    assert status == 3
 
 
 def test_cli_verify_seed_override_changes_report(tmp_path):

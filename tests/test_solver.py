@@ -1,5 +1,8 @@
 """Time integration: scheme exactness, orders, budgets, blow-up handling."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ DAMPED = CbfParams(mu=0.1, alpha=0.0, beta=1.0, r=4.0)
 
 def test_zero_state_stays_zero(grid32):
     config = SolverConfig(dt=1e-2, t_end=5e-2, diagnostics_every=1)
-    state, diagnostics, _ = run(zero_field(grid32), DAMPED, config)
+    state, diagnostics = run(zero_field(grid32), DAMPED, config)
     assert l2_norm(state.u) == 0.0
     assert all(d.energy == 0.0 and d.energy_residual == 0.0
                for d in diagnostics)
@@ -29,7 +32,7 @@ def test_zero_state_stays_zero(grid32):
 
 def test_t_end_equal_dt_is_one_step(grid32):
     config = SolverConfig(dt=1e-2, t_end=1e-2, diagnostics_every=1)
-    state, diagnostics, _ = run(taylor_green(grid32), NSE, config)
+    state, diagnostics = run(taylor_green(grid32), NSE, config)
     assert state.t == pytest.approx(1e-2)
     assert len(diagnostics) == 2  # initial sample and the single step
 
@@ -40,7 +43,7 @@ def test_single_mode_euler_scalar_recurrence(grid32):
     dt, steps = 1e-2, 12
     config = SolverConfig(dt=dt, t_end=steps * dt, scheme="imex_euler",
                           diagnostics_every=steps)
-    state, _, _ = run(u0, params, config)
+    state, _ = run(u0, params, config)
     lam = params.mu * 4.0 * (2 * np.pi / grid32.period) ** 2 + params.alpha
     factor = (1.0 / (1.0 + dt * lam)) ** steps
     assert l2_norm(state.u) == pytest.approx(factor * l2_norm(u0), rel=1e-12)
@@ -49,7 +52,7 @@ def test_single_mode_euler_scalar_recurrence(grid32):
 def test_taylor_green_matches_analytic_solution(grid64):
     config = SolverConfig(dt=1e-3, t_end=0.25, scheme="imex_cnab2",
                           diagnostics_every=250)
-    state, _, _ = run(taylor_green(grid64), NSE, config)
+    state, _ = run(taylor_green(grid64), NSE, config)
     exact = taylor_green_exact(grid64, NSE.mu, state.t)
     err = np.max(np.abs(to_physical(state.u).data - exact.data))
     assert err < 1e-7 * np.max(np.abs(exact.data))
@@ -60,7 +63,7 @@ def test_cnab2_second_order_on_taylor_green(grid64):
     dts = (4e-3, 2e-3, 1e-3)
     for dt in dts:
         config = SolverConfig(dt=dt, t_end=0.2, diagnostics_every=10 ** 9)
-        state, _, _ = run(taylor_green(grid64), NSE, config)
+        state, _ = run(taylor_green(grid64), NSE, config)
         exact = taylor_green_exact(grid64, NSE.mu, state.t)
         errors.append(np.max(np.abs(to_physical(state.u).data - exact.data)))
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -75,7 +78,7 @@ def test_euler_first_order_on_single_mode(grid32):
     for dt in (4e-3, 2e-3, 1e-3):
         config = SolverConfig(dt=dt, t_end=0.2, scheme="imex_euler",
                               diagnostics_every=10 ** 9)
-        state, _, _ = run(u0, params, config)
+        state, _ = run(u0, params, config)
         exact = np.exp(-lam * state.t)
         errors.append(abs(l2_norm(state.u) / l2_norm(u0) - exact))
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -96,7 +99,7 @@ def test_euler_energy_monotone_without_forcing(grid32):
     ic = random_band_limited(grid32, seed=15, band_limit=8)
     config = SolverConfig(dt=1e-3, t_end=0.2, scheme="imex_euler",
                           diagnostics_every=5)
-    _, diagnostics, _ = run(ic, DAMPED, config)
+    _, diagnostics = run(ic, DAMPED, config)
     energies = [d.energy for d in diagnostics]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(energies, energies[1:]))
 
@@ -104,8 +107,8 @@ def test_euler_energy_monotone_without_forcing(grid32):
 def test_determinism_bitwise(grid32):
     ic = random_band_limited(grid32, seed=16, band_limit=8)
     config = SolverConfig(dt=1e-3, t_end=0.05, diagnostics_every=10)
-    s1, d1, _ = run(ic, DAMPED, config)
-    s2, d2, _ = run(ic, DAMPED, config)
+    s1, d1 = run(ic, DAMPED, config)
+    s2, d2 = run(ic, DAMPED, config)
     assert np.array_equal(s1.u.coeffs, s2.u.coeffs)
     assert all(a == b for a, b in zip(d1, d2))
 
@@ -120,7 +123,7 @@ def test_manufactured_steady_state_residual(grid32):
     params = CbfParams(mu=0.5, alpha=0.1, beta=1.0, r=4.0)
     forcing = Forcing.steady(cbf_operator(u_star, params))
     config = SolverConfig(dt=1e-3, t_end=0.2, diagnostics_every=20)
-    state, diagnostics, _ = run(u_star, params, config, forcing)
+    state, diagnostics = run(u_star, params, config, forcing)
     drift = l2_norm(state.u - u_star) / l2_norm(u_star)
     assert drift < 1e-5
     assert abs(diagnostics[-1].energy_residual) < 1e-7
@@ -131,7 +134,7 @@ def test_energy_residual_refines_at_second_order(grid32):
     defects = []
     for dt in (4e-3, 2e-3, 1e-3):
         config = SolverConfig(dt=dt, t_end=0.5, diagnostics_every=10 ** 9)
-        _, diagnostics, _ = run(ic, DAMPED, config)
+        _, diagnostics = run(ic, DAMPED, config)
         defects.append(abs(diagnostics[-1].energy_residual))
     orders = [np.log2(a / b) for a, b in zip(defects, defects[1:])]
     assert all(p > 1.9 for p in orders)
@@ -153,7 +156,7 @@ def test_apriori_bound_formulas(grid32):
 def test_apriori_bound_holds_along_run(grid32):
     ic = random_band_limited(grid32, seed=21, band_limit=8)
     config = SolverConfig(dt=1e-3, t_end=0.5, diagnostics_every=50)
-    _, diagnostics, _ = run(ic, DAMPED, config)
+    _, diagnostics = run(ic, DAMPED, config)
     for d in diagnostics:
         lhs = (d.energy + DAMPED.mu * d.int_dissipation
                + 2 * DAMPED.beta * d.int_damping)
@@ -192,7 +195,7 @@ def test_nonsolenoidal_ic_projected_with_warning(grid32):
     bad = single_mode(grid32, (1, 0), component=0)
     config = SolverConfig(dt=1e-3, t_end=1e-3, diagnostics_every=1)
     with pytest.warns(UserWarning, match="divergence-free"):
-        state, _, _ = run(bad, DAMPED, config)
+        state, _ = run(bad, DAMPED, config)
     assert divergence_defect(state.u) < 1e-12
 
 
@@ -209,7 +212,7 @@ def test_galerkin_truncation_confines_modes(grid32):
     ic = random_band_limited(grid32, seed=24, band_limit=8)
     config = SolverConfig(dt=1e-3, t_end=0.02, galerkin_n=4,
                           diagnostics_every=10)
-    state, _, _ = run(ic, DAMPED, config)
+    state, _ = run(ic, DAMPED, config)
     outside = state.u.coeffs * (grid32.mode_inf_norm > 4)
     assert np.max(np.abs(outside)) == 0.0
 
@@ -235,11 +238,71 @@ def test_substeps_consistency(grid32):
                         diagnostics_every=50)
     sub = SolverConfig(dt=1e-3, t_end=0.05, scheme="imex_euler",
                        diagnostics_every=50, substeps=4)
-    s1, _, _ = run(ic, DAMPED, base)
-    s2, _, _ = run(ic, DAMPED, sub)
+    s1, _ = run(ic, DAMPED, base)
+    s2, _ = run(ic, DAMPED, sub)
     assert l2_norm(s1.u - s2.u) < 1e-4 * l2_norm(s1.u)
     with pytest.raises(InvalidArgumentsError):
         SolverConfig(scheme="imex_cnab2", substeps=2)
+
+
+@pytest.mark.parametrize("dim,n,scheme,substeps,kind", [
+    (2, 32, "imex_cnab2", 1, "steady"), (3, 16, "imex_euler", 3, "zero")],
+    ids=["2d-dealiased-cnab2", "3d-euler-substeps"])
+def test_snapshot_sink_matches_stepped_states(dim, n, scheme, substeps, kind):
+    """The sink gets t = 0, every snapshot_every steps and the last step, the
+    bytes of ``state.u`` of the states that initialize_state/step give, as
+    new fields that the run keeps no reference to."""
+    grid = TorusGrid(dim=dim, n_points=n)
+    ic = random_band_limited(grid, seed=8, band_limit=4)
+    forcing = (Forcing.zero() if kind == "zero" else
+               Forcing.steady(random_band_limited(grid, seed=9, band_limit=3)))
+    config = SolverConfig(dt=1e-3, t_end=7e-3, scheme=scheme, substeps=substeps,
+                          diagnostics_every=2, snapshot_every=3)
+    got, refs = [], []
+
+    def sink(t, field):
+        got.append((t, field.coeffs.tobytes()))
+        refs.append(weakref.ref(field))
+
+    final, _ = run(ic, DAMPED, config, forcing, snapshot=sink)
+    state = initialize_state(ic, DAMPED, config, forcing)
+    want = [(state.t, state.u.coeffs.tobytes())]
+    for m in range(1, 8):
+        state = step(state, DAMPED, config, forcing)
+        if m % 3 == 0 or m == 7:
+            want.append((state.t, state.u.coeffs.tobytes()))
+    assert [t for t, _ in want] == pytest.approx([0.0, 3e-3, 6e-3, 7e-3])
+    assert got == want
+    assert final.coeffs.tobytes() == state.coeffs.tobytes()
+    assert all(ref() is None for ref in refs)
+    # no sink, no snapshot; snapshot_every = 0 takes none either
+    assert run(ic, DAMPED, config, forcing)[0].coeffs.tobytes() == \
+        state.coeffs.tobytes()
+    got.clear()
+    run(ic, DAMPED, SolverConfig(dt=1e-3, t_end=7e-3, scheme=scheme,
+                                 substeps=substeps), forcing, snapshot=sink)
+    assert got == []
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count(grid32):
+    """With a snapshot every step and a sink that drops its input, the traced
+    peak of a 50-step run exceeds that of a 5-step run by less than one
+    field: the run holds no snapshot."""
+    ic = random_band_limited(grid32, seed=5, band_limit=6)
+    field_bytes = ic.coeffs.nbytes
+
+    def peak(n_steps):
+        config = SolverConfig(dt=1e-3, t_end=n_steps * 1e-3,
+                              diagnostics_every=10 ** 9, snapshot_every=1)
+        tracemalloc.start()
+        try:
+            run(ic, DAMPED, config, snapshot=lambda t, field: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # fills the per-box caches
+    assert peak(50) - peak(5) < field_bytes
 
 
 def test_forcing_is_projected(grid32):
@@ -282,8 +345,8 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
     config = SolverConfig(dt=2e-3, t_end=2e-2, scheme=scheme, substeps=substeps,
                           galerkin_n=galerkin_n, diagnostics_every=2)
     ic = random_band_limited(grid32, seed=4, band_limit=6)
-    _, got, _ = run(ic, DAMPED, config, new)
-    _, ref, _ = run(ic, DAMPED, config, old)
+    _, got = run(ic, DAMPED, config, new)
+    _, ref = run(ic, DAMPED, config, old)
     for a, b in zip(got, ref):
         assert abs(a.energy - b.energy) <= 1e-12 * b.energy
         assert abs(a.forcing_power - b.forcing_power) <= 1e-12 * abs(b.forcing_power)

@@ -341,7 +341,7 @@ def test_apriori_and_regularity_checks(grid32):
     config = SolverConfig(dt=2e-3, t_end=0.2, diagnostics_every=20)
     forcing = Forcing.steady(random_band_limited(grid32, seed=54, band_limit=4,
                                                  amplitude=0.3))
-    _, diagnostics, _ = run(ic, params, config, forcing, extended=True)
+    _, diagnostics = run(ic, params, config, forcing, extended=True)
     assert check_apriori(diagnostics, params, forcing).passed
     assert check_regularity(diagnostics, params, forcing).passed
 
@@ -350,7 +350,7 @@ def test_regularity_requires_extended(grid32):
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=55, band_limit=6)
     config = SolverConfig(dt=2e-3, t_end=0.02, diagnostics_every=5)
-    _, diagnostics, _ = run(ic, params, config)
+    _, diagnostics = run(ic, params, config)
     with pytest.raises(ConfigError):
         check_regularity(diagnostics, params)
 
