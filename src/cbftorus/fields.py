@@ -13,7 +13,9 @@ at the boundaries: :meth:`SpectralField.from_full` takes one in and runs the
 one Hermitian check (raising :class:`SymmetryError`), and
 :meth:`SpectralField.full` expands for output; snapshot files store the full
 array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
-keep more compactly still, and transforms only the lines they touch.
+keep more compactly still, and transforms only the lines they touch; it is
+the one transform, and the box that covers the half serves
+:func:`to_physical` and :func:`to_spectral`.
 """
 
 import functools
@@ -184,17 +186,6 @@ def zero_field(grid, ncomp=None):
                          divergence_free=True)
 
 
-def real_inverse(half, grid):
-    """Real samples from half-spectrum coefficients over the trailing axes."""
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
-
-
-def real_forward(samples, grid):
-    """Half-spectrum coefficients fftn(samples)/N^d over the trailing axes."""
-    return np.fft.rfftn(samples, axes=tuple(range(-grid.dim, 0)), norm="forward")
-
-
 def _leading_axes(grid):
     return tuple(range(-grid.dim, -1))
 
@@ -343,10 +334,11 @@ def band_box(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box"):
 
 def to_spectral(field: PhysicalField) -> SpectralField:
     """Forward transform; coefficients are fftn(samples)/N^d per component,
-    on the half spectrum."""
-    return SpectralField(field.grid, real_forward(field.data, field.grid))
+    on the half spectrum: the passes of the box that covers it."""
+    return SpectralField(field.grid, band_box(field.grid, False).forward(field.data))
 
 
 def to_physical(field: SpectralField) -> PhysicalField:
-    """Inverse transform back to real samples."""
-    return PhysicalField(field.grid, real_inverse(field.coeffs, field.grid))
+    """Inverse transform back to real samples, by the box that covers the
+    half."""
+    return PhysicalField(field.grid, band_box(field.grid, False).inverse(field.coeffs))

@@ -11,8 +11,9 @@ products, then one forward tail: a transform onto the compact box of the
 modes that 2/3-rule dealiasing and Galerkin truncation keep
 (``fields.band_box``), then Leray projection.  :func:`nonlinear_term` is the
 one kernel, on the box, that the solver, :func:`cbf_operator` and
-:func:`recover_pressure` share; :func:`advection` and :func:`damping` end in
-the same forward tail.
+:func:`recover_pressure` share, and :func:`grid_samples` the one builder of
+the samples of u it reads; :func:`advection` and :func:`damping` end in the
+same forward tail.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, RegimeError)
-from .fields import (SpectralField, band_box, real_inverse, require_same_grid,
+from .fields import (SpectralField, band_box, require_same_grid,
                      squared_magnitude, to_physical)
 from .spectral import divergence_defect, jacobian, project_coeffs
 
@@ -98,6 +99,19 @@ def pointwise_samples(u_phys: np.ndarray, r: float) -> Samples:
     return Samples(u_phys, u_sq, damping_weight(u_sq, r))
 
 
+def grid_samples(c, box, r: float, with_jacobian: bool = False):
+    """(:class:`Samples` of the u of coefficients ``c`` on ``box``, samples
+    of its Jacobian when ``with_jacobian`` or None) from one inverse
+    transform of [c] or [c; grad c], stacked in place."""
+    d, shape = box.grid.dim, c.shape[1:]
+    stacked = np.empty((d + with_jacobian * d * d,) + shape, complex)
+    stacked[:d] = c
+    jacobian(c, box, out=stacked[d:].reshape((-1, d) + shape))
+    phys = box.inverse(stacked)
+    jac = phys[d:].reshape((d, d) + box.grid.shape) if with_jacobian else None
+    return pointwise_samples(phys[:d], r), jac
+
+
 def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
     """|u|^{r-1} u evaluated on samples, with |u|^{r-1}u := 0 where u = 0."""
     if r < 1:
@@ -120,7 +134,7 @@ def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
 
 def physical_jacobian(v: SpectralField) -> np.ndarray:
     """Partial derivatives of v evaluated on the grid, shape (ncomp, dim, ...)."""
-    return real_inverse(jacobian(v.coeffs, v.grid), v.grid)
+    return band_box(v.grid, False).inverse(jacobian(v.coeffs, v.grid))
 
 
 def _rotational_samples(coeffs, u_phys, box):
@@ -170,7 +184,7 @@ def nonlinear_term(coeffs: np.ndarray, box, params: CbfParams,
     if samples is None:
         if box.mask is not None:
             coeffs = coeffs * box.mask
-        samples = pointwise_samples(box.inverse(coeffs), params.r)
+        samples, _ = grid_samples(coeffs, box, params.r)
     if apply_dealias and project:
         term = _rotational_samples(coeffs, samples.phys, box)
     else:

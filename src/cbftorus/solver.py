@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
-from .operators import CbfParams, Samples, nonlinear_term, pointwise_samples
-from .spectral import (divergence_defect, dual_norm, jacobian, l2_norm,
-                       leray_project, mode_pairing, mode_power,
-                       project_coeffs)
+from .operators import CbfParams, Samples, grid_samples, nonlinear_term
+from .spectral import (divergence_defect, dual_norm, l2_norm, leray_project,
+                       mode_pairing, mode_power, project_coeffs)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -193,11 +192,11 @@ class DiagnosticsSample:
                         "int_a_norm_sq", "int_weighted_grad_sq")
 
 
-def _rates(c, box, t, params, forcing, extended, samples, jac=None):
+def _rates(c, box, t, forcing, samples, jac):
     """Evaluate the budget integrands at one instant for the coefficients
     ``c`` on the mode box: Plancherel sums over the box, and ``samples`` of
-    u and, when ``extended``, ``jac`` of its Jacobian (transformed here when
-    not given)."""
+    u and, in the extended rates, ``jac`` of its Jacobian (None: not
+    extended)."""
     grid = box.grid
     power = mode_power(c, box.volume_weights)
     k2 = box.k_squared
@@ -205,26 +204,12 @@ def _rates(c, box, t, params, forcing, extended, samples, jac=None):
     forcing_val = (0.0 if forcing.is_zero else
                    mode_pairing(forcing.box_coeffs(t, box), c, box.volume_weights))
     a_sq = wgrad = 0.0
-    if extended:
+    if jac is not None:
         a_sq = float((k2 * k2 * power).sum())
-        if jac is None:
-            jac = box.inverse(jacobian(c, box))
         grad_sq = (jac * jac).sum(axis=(0, 1))
         wgrad = float((samples.weight * grad_sq).sum() * grid.cell_volume)
     return BudgetRates(float((k2 * power).sum()), damping_val, forcing_val,
                        float(power.sum()), a_sq, wgrad)
-
-
-def _samples(c, box, r, extended):
-    """(:class:`Samples` of u, samples of its Jacobian when ``extended`` or
-    None) from one inverse transform of [c] or [c; grad c], stacked in place."""
-    d, shape = box.grid.dim, c.shape[1:]
-    stacked = np.empty((d + extended * d * d,) + shape, complex)
-    stacked[:d] = c
-    jacobian(c, box, out=stacked[d:].reshape((-1, d) + shape))
-    phys = box.inverse(stacked)
-    jac = phys[d:].reshape((d, d) + box.grid.shape) if extended else None
-    return pointwise_samples(phys[:d], r), jac
 
 
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
@@ -240,8 +225,8 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     if box.mask is not None:
         c = c * box.mask
     c = _settle(c, grid)
-    samples, jac = _samples(c, box, params.r, extended)
-    rates = _rates(c, box, 0.0, params, forcing, extended, samples, jac)
+    samples, jac = grid_samples(c, box, params.r, extended)
+    rates = _rates(c, box, 0.0, forcing, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
                            rates=rates, energy0=rates.darcy, extended=extended)
 
@@ -263,15 +248,9 @@ def _multiplier(box, params: CbfParams, a: float):
     return 1.0 + a * (params.mu * box.k_squared + params.alpha)
 
 
-def _nonlinear(c, box, params: CbfParams, config: SolverConfig, samples=None):
-    """Explicit term B(u) + beta*C(u) on the box, and the max speed for the
-    CFL check; ``samples`` are those of u when already known."""
-    out, samples = nonlinear_term(c, box, params, config.dealias,
-                                  samples=samples)
-    return out, float(np.sqrt(np.max(samples.sq)))
-
-
-def _check_cfl(max_speed: float, grid, dt: float):
+def _check_cfl(u_sq, grid, dt: float):
+    """Warn when dt*max|u|*k_max >= 1, given the samples of |u|^2."""
+    max_speed = float(np.sqrt(np.max(u_sq)))
     k_max = np.pi * grid.n_points / grid.period
     if dt * max_speed * k_max >= 1.0:
         warnings.warn(
@@ -294,19 +273,21 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
 
     # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
     # ((1 - dt/2*lam)*c + dt*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam).
+    samples = state.samples  # of u at the step's start
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h = dt / n_sub
         for s in range(n_sub):
-            nl, max_speed = _nonlinear(c, box, params, config,
-                                       state.samples if s == 0 else None)
+            nl, samples = nonlinear_term(c, box, params, config.dealias,
+                                         samples=None if s else samples)
             new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
             np.multiply(h, new, out=new)
             np.add(c, new, out=new)
             c = np.divide(new, _multiplier(box, params, h), out=new)
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
-        nl, max_speed = _nonlinear(c, box, params, config, state.samples)
+        nl, samples = nonlinear_term(c, box, params, config.dealias,
+                                     samples=samples)
         new = np.multiply(1.5, nl)
         new -= 0.5 * state.prev_nonlinear
         np.subtract(forcing.box_coeffs(state.t + 0.5 * dt, box), new, out=new)
@@ -319,11 +300,10 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         c = _settle(c, grid)
     except InvalidFieldError:
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
-    _check_cfl(max_speed, grid, dt)
+    _check_cfl(samples.sq, grid, dt)
     new_t = state.t + dt
-    samples, jac = _samples(c, box, params.r, state.extended)
-    new_rates = _rates(c, box, new_t, params, forcing, state.extended, samples,
-                       jac)
+    samples, jac = grid_samples(c, box, params.r, state.extended)
+    new_rates = _rates(c, box, new_t, forcing, samples, jac)
     if state.energy0 > 0 and new_rates.darcy > BLOWUP_FACTOR ** 2 * state.energy0:
         raise BlowUpError("energy runaway", last_valid_time=state.t)
     return SimulationState(

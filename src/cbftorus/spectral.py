@@ -115,15 +115,10 @@ def abs_sq(coeffs):
     return coeffs.real ** 2 + coeffs.imag ** 2
 
 
-def _volume_weights(grid):
-    """Plancherel weight of each half-spectrum column times the volume."""
-    return grid.plancherel_weights * grid.volume
-
-
 def power_spectrum(u: SpectralField) -> np.ndarray:
     """L2 energy per half-spectrum mode, summed over components: its sum is
     ||u||^2, and with multiplier weights it gives the Sobolev norms."""
-    return mode_power(u.coeffs, _volume_weights(u.grid))
+    return mode_power(u.coeffs, band_box(u.grid, False).volume_weights)
 
 
 def mode_power(coeffs, weights):
@@ -171,7 +166,7 @@ def lp_norm(u, p: float) -> float:
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:
     """Duality pairing <f, u> = integral of f.u, as a Plancherel sum."""
     require_same_grid(f, u)
-    return mode_pairing(f.coeffs, u.coeffs, _volume_weights(f.grid))
+    return mode_pairing(f.coeffs, u.coeffs, band_box(f.grid, False).volume_weights)
 
 
 def embed_modes(u: SpectralField, fine_grid) -> SpectralField:

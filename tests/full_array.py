@@ -78,6 +78,19 @@ def inverse(c, grid):
     return np.fft.ifftn(c * grid.n_points ** grid.dim, axes=axes).real
 
 
+def half_inverse(half, grid):
+    """Real samples of half-spectrum coefficients: numpy's irfftn over the
+    trailing axes."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+
+
+def half_forward(data, grid):
+    """Half-spectrum coefficients fftn(samples)/N^d: numpy's rfftn over the
+    trailing axes."""
+    return np.fft.rfftn(data, axes=tuple(range(-grid.dim, 0)), norm="forward")
+
+
 def jacobian(c, grid):
     """i*k_a*c, shape (ncomp, dim, N, ..., N)."""
     return np.stack([np.stack([1j * k * ci for k in wavenumbers(grid)]) for ci in c])

@@ -439,7 +439,7 @@ def _half_nonlinear(half, grid, params, config, samples=None):
     if samples is None:
         if mask is not None:
             half = half * mask
-        samples = pointwise_samples(fields.real_inverse(half, grid), params.r)
+        samples = pointwise_samples(fa.half_inverse(half, grid), params.r)
     u = samples.phys
     if config.dealias:
         k = grid.wavenumbers
@@ -448,16 +448,16 @@ def _half_nonlinear(half, grid, params, config, samples=None):
             return 1j * (k[i] * half[j] - k[j] * half[i])
 
         if grid.dim == 2:
-            w = fields.real_inverse(curl(0, 1), grid)
+            w = fa.half_inverse(curl(0, 1), grid)
             term = np.stack([-w * u[1], w * u[0]])
         else:
-            w = fields.real_inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]),
+            w = fa.half_inverse(np.stack([curl(1, 2), curl(2, 0), curl(0, 1)]),
                                     grid)
             term = np.stack([w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2],
                              w[0] * u[1] - w[1] * u[0]])
     else:
-        term = advect_samples(u, fields.real_inverse(jacobian(half, grid), grid))
-    out = fields.real_forward(term + params.beta * samples.weight * u, grid)
+        term = advect_samples(u, fa.half_inverse(jacobian(half, grid), grid))
+    out = fa.half_forward(term + params.beta * samples.weight * u, grid)
     if mask is not None:
         out = out * mask
     return project_coeffs(out, grid.wavenumbers, grid.inv_k_squared), samples
@@ -482,7 +482,7 @@ def _half_rates(u, t, params, forcing, extended, samples):
 
 
 def _half_samples(u, params):
-    return pointwise_samples(fields.real_inverse(u.coeffs, u.grid), params.r)
+    return pointwise_samples(fa.half_inverse(u.coeffs, u.grid), params.r)
 
 
 def _half_initialize(ic, params, config, forcing, extended):
@@ -619,6 +619,12 @@ def _guarded_samples(u_phys, r):
     return Samples(u_phys, sq, weight)
 
 
+def _separate_jacobian(c, box, extended):
+    """Samples of the Jacobian from an inverse of its own, None unless
+    ``extended``."""
+    return box.inverse(jacobian(c, box)) if extended else None
+
+
 def _concatenated_expand(box, c):
     """``ModeBox.expand`` as zero rows concatenated in, axis by axis."""
     if box.covers_half:
@@ -665,7 +671,8 @@ def _expanding_initialize(ic, params, config, forcing, extended):
     symmetrize_columns(c, grid)
     u = SpectralField(grid, _concatenated_expand(box, c), divergence_free=True)
     samples = _guarded_samples(box.inverse(c), params.r)
-    rates = solver._rates(c, box, 0.0, params, forcing, extended, samples)
+    rates = solver._rates(c, box, 0.0, forcing, samples,
+                          _separate_jacobian(c, box, extended))
     return _RefState(t=0.0, u=u, rates=rates, energy0=rates.darcy,
                      samples=samples, extended=extended)
 
@@ -701,8 +708,8 @@ def _expanding_step(state, params, config, forcing):
     symmetrize_columns(c, grid)
     u = SpectralField(grid, _concatenated_expand(box, c), divergence_free=True)
     samples = _guarded_samples(box.inverse(c), params.r)
-    rates = solver._rates(c, box, state.t + dt, params, forcing, state.extended,
-                          samples)
+    rates = solver._rates(c, box, state.t + dt, forcing, samples,
+                          _separate_jacobian(c, box, state.extended))
     return _RefState(
         t=state.t + dt, u=u, prev_nonlinear=prev, energy0=state.energy0,
         rates=rates, integrals=state.integrals.advance(state.rates, rates, dt),
