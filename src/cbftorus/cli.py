@@ -22,7 +22,7 @@ from .fields import to_physical
 from .grid import TorusGrid
 from .snapshot import write_snapshot_file
 from .solver import DiagnosticsSample, run
-from .spectral import embed_modes, l2_norm, leray_project
+from .spectral import embed_modes, l2_norm, leray_project, restrict_modes
 from .verification import FieldSampler
 
 EXIT_OK = 0
@@ -217,14 +217,19 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
 
 
 def _convergence_errors_n(config: RunConfig, ns):
+    """L2 distance of each coarser run to the finest, all of one problem:
+    the [ic] and [forcing] fields are built on the finest grid once, and
+    each coarser run starts from their modes restricted to its grid."""
     errors = []
     fine_grid = TorusGrid(dim=config["grid"]["dim"], n_points=max(ns),
                           period=config["grid"]["l"])
-    ref, _ = run(*config.problem(fine_grid))
+    ic, params, solver_config, forcing = config.problem(fine_grid)
+    ref, _ = run(ic, params, solver_config, forcing)
     for n in sorted(ns)[:-1]:
         grid = TorusGrid(dim=config["grid"]["dim"], n_points=n,
                          period=config["grid"]["l"])
-        state, _ = run(*config.problem(grid))
+        state, _ = run(restrict_modes(ic, grid), params, solver_config,
+                       forcing.restricted(grid))
         errors.append(l2_norm(embed_modes(state.u, fine_grid) - ref.u))
     return errors
 

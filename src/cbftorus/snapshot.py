@@ -10,8 +10,9 @@ Layout (all little-endian):
   at a time, and the reader checks for Hermitian symmetry before it keeps
   the half.
 
-The reader raises :class:`SnapshotFormatError` for every malformed file, and
-checks the size the header declares against the file before it reads on.
+The reader raises :class:`SnapshotFormatError` for every malformed file and
+every path it cannot open, and checks the size the header declares against
+the file before it reads on.
 """
 
 import os
@@ -46,7 +47,11 @@ def write_snapshot_file(path, field: SpectralField, time: float,
 
 def read_snapshot_file(path):
     """Returns (SpectralField, time, CbfParams)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:  # a directory, say
+        raise SnapshotFormatError(f"cannot read {path}: {err}") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r} in {path}")

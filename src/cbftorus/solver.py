@@ -30,7 +30,7 @@ from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
 from .operators import CbfParams, Samples, grid_samples, nonlinear_term
 from .spectral import (divergence_defect, dual_norm, l2_norm, leray_project,
-                       mode_pairing, mode_power, project_coeffs)
+                       mode_pairing, mode_power, project_coeffs, restrict_modes)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -101,6 +101,13 @@ class Forcing:
     @property
     def is_zero(self):
         return self._base is None
+
+    def restricted(self, grid):
+        """The same forcing with its base restricted to the modes of the
+        coarser ``grid`` (``spectral.restrict_modes``)."""
+        if self._base is None:
+            return self
+        return Forcing(restrict_modes(self._base, grid), self._profile)
 
     def at(self, t: float):
         """Projected forcing field at time t, or None when zero."""

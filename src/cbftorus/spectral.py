@@ -190,3 +190,17 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
     out[..., :h + 1] = c
     out[..., h] *= 0.5  # the last axis keeps +N/2, whose mirror is -N/2
     return SpectralField(fine_grid, out, u.divergence_free)
+
+
+def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:
+    """The modes of u with every |m_i| < N/2 on a coarser grid (same
+    period), N its points per axis: u truncated below the coarse Nyquist
+    modes, which stay zero."""
+    if coarse_grid.dim != u.grid.dim or coarse_grid.n_points > u.grid.n_points:
+        raise InvalidArgumentsError("target grid must coarsen the source grid")
+    h = coarse_grid.n_points // 2
+    c = u.coeffs[..., :h + 1]
+    for axis in range(1, u.grid.dim):  # the leading axes hold every mode
+        c = np.take(c, coarse_grid.modes % u.grid.n_points, axis=axis)
+    return SpectralField(coarse_grid, c * (coarse_grid.mode_inf_norm < h),
+                         u.divergence_free)

@@ -643,6 +643,16 @@ def _rk4_scalar(f, y0, t_grid):
 # trajectory checks
 
 
+def _trajectory_report(name, margins, notes):
+    """Report of the worst margin over the diagnostics rows after t = 0,
+    its seed the row index.  At t = 0 each bound is an equality by
+    construction, its margin the slack alone; a run with no step keeps
+    that row."""
+    first = min(1, len(margins) - 1)
+    return _report(name, margins[first:], range(first, len(margins)),
+                   tolerance=0.0, notes=notes)
+
+
 def dependence_rate(params: CbfParams) -> float:
     """rho of the continuous-dependence envelope e^{2 rho t}: the shift for
     r > 3, 0 for r = 3 with 2*beta*mu >= 1; no other regime has one."""
@@ -684,15 +694,14 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
         if m % config.diagnostics_every == 0 or m == n_steps:
             d_sq = l2_norm(s2.u - s1.u) ** 2
             env = d0_sq * np.exp(2.0 * rho * s1.t)
-            margins.append((env * (1.0 + SLACK) - d_sq) / env)
+            margin = (env * (1.0 + SLACK) - d_sq) / env
             if rho == 0.0:
-                margins.append((prev_sq * (1.0 + SLACK) - d_sq) / d0_sq)
+                margin = min(margin, (prev_sq * (1.0 + SLACK) - d_sq) / d0_sq)
+            margins.append(margin)
             prev_sq = d_sq
-    seeds = list(range(len(margins)))
     notes = (f"rho = {rho:.6g}, envelope slack {SLACK:g}"
              + ("" if rho > 0 else "; monotone non-increase asserted"))
-    return _report("continuous_dependence", margins, seeds, tolerance=0.0,
-                   notes=notes)
+    return _trajectory_report("continuous_dependence", margins, notes)
 
 
 def _forcing_integrals(forcing: Forcing, times, norm_fn):
@@ -720,8 +729,7 @@ def check_apriori(diagnostics, params: CbfParams,
                + 2.0 * params.beta * d.int_damping)
         rhs = e0 + fi / params.mu
         margins.append((rhs * (1.0 + SLACK) - lhs) / (rhs + TINY))
-    return _report("apriori", margins, list(range(len(margins))),
-                   tolerance=0.0, notes=f"relative slack {SLACK:g}")
+    return _trajectory_report("apriori", margins, f"relative slack {SLACK:g}")
 
 
 def resolve_theta(params: CbfParams) -> float:
@@ -778,8 +786,8 @@ def check_regularity(diagnostics, params: CbfParams,
         # exp(-rate*t) underflowing to zero is the correct limit.
         ratio = lhs / (base + TINY) * np.exp(-min(rate * d.t, 700.0))
         margins.append(1.0 + SLACK - ratio)
-    return _report("regularity", margins, list(range(len(margins))),
-                   tolerance=0.0, notes=notes + f", relative slack {SLACK:g}")
+    return _trajectory_report("regularity", margins,
+                              notes + f", relative slack {SLACK:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import full_array as fa
-from cbftorus.errors import SymmetryError
+from cbftorus.errors import InvalidArgumentsError, SymmetryError
 from cbftorus.families import random_band_limited
 from cbftorus.fields import (PhysicalField, SpectralField, band_box, conj_mirror,
                              symmetrize_columns, to_physical, to_spectral)
@@ -16,7 +16,8 @@ from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
 from cbftorus.spectral import (dealias, divergence, divergence_defect,
                                dual_norm, embed_modes, exp_filter, grad_norm,
                                gradient, h1_norm, l2_norm, l2_pairing,
-                               laplacian, leray_project, truncate_modes)
+                               laplacian, leray_project, restrict_modes,
+                               truncate_modes)
 
 from conftest import rel_diff
 
@@ -164,6 +165,19 @@ def test_embed_modes_splits_nyquist_modes(grid):
                     to_physical(u).data) < 1e-13
 
 
+@pytest.mark.parametrize("n_fine", [None, 2, 3])
+def test_restrict_modes_undoes_embed_modes(grid, n_fine):
+    # Restriction keeps the modes below the coarse Nyquist modes, which it
+    # zeroes, so it undoes an embedding up to them.
+    n = grid.n_points if n_fine is None else grid.n_points + 2 * n_fine
+    fine = TorusGrid(grid.dim, n, grid.period)
+    u = _full_band(grid, 20)
+    below = u.coeffs * (grid.mode_inf_norm < grid.n_points // 2)
+    assert np.array_equal(restrict_modes(embed_modes(u, fine), grid).coeffs, below)
+    with pytest.raises(InvalidArgumentsError):
+        restrict_modes(u, TorusGrid(grid.dim, grid.n_points + 2, grid.period))
+
+
 def test_snapshot_stores_the_full_array(tmp_path, grid):
     u = _full_band(grid, 12)
     path = tmp_path / "u.snap"
@@ -174,12 +188,30 @@ def test_snapshot_stores_the_full_array(tmp_path, grid):
 
 
 # ---------------------------------------------------------------------------
-# discrete identities for every admissible N: each residue of N mod 3 and
+# discrete identities for every admissible N: every even N from 8 to 40 in
+# 2D (3 | N at 12, 18, 24, 30 and 36), and in 3D each residue of N mod 3 and
 # both parities of N/2
 
 
-IDENTITY_GRIDS = [TorusGrid(d, n) for d in (2, 3)
-                  for n in (8, 10, 12, 14, 16, 18, 30, 32)]
+IDENTITY_GRIDS = ([TorusGrid(2, n) for n in range(8, 41, 2)]
+                  + [TorusGrid(3, n) for n in (8, 10, 12, 14, 16, 18, 30, 32)])
+
+
+def _block(u, k):
+    """Coefficients of the scalar u on the index block [-k, k]^d, centred."""
+    rows = np.arange(-k, k + 1) % u.grid.n_points
+    return u.full()[0][np.ix_(*([rows] * u.grid.dim))]
+
+
+def _direct_product(f, g):
+    """Coefficients on [-2k, 2k]^d of the product of two trigonometric
+    polynomials given on [-k, k]^d: the convolution sum, one shifted copy of
+    g per mode of f."""
+    n = f.shape[0]
+    out = np.zeros(tuple(2 * s - 1 for s in f.shape), complex)
+    for p in np.ndindex(f.shape):
+        out[tuple(slice(i, i + n) for i in p)] += f[p] * g
+    return out
 
 
 @pytest.mark.parametrize("grid", IDENTITY_GRIDS,
@@ -212,6 +244,10 @@ def test_discrete_identities(grid):
     ref = to_spectral(PhysicalField(fine, prod)).full()[0][
         np.ix_(*([grid.modes % fine.n_points] * grid.dim))]
     assert rel_diff(got.full()[0], ref * fa.dealias_mask(grid)) < 1e-13
+    # and against the convolution sum, on the modes -K..K of the product
+    k = (grid.n_points - 1) // 3
+    exact = _direct_product(_block(f, k), _block(g, k))
+    assert rel_diff(_block(got, k), exact[(slice(k, 3 * k + 1),) * grid.dim]) < 1e-13
 
 
 def _boxes(grid):

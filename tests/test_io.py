@@ -254,6 +254,26 @@ def test_cli_malformed_snapshot_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8",
+                                  "ic_snapshot_directory",
+                                  "forcing_snapshot_directory"])
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
+    (tmp_path / "adir").mkdir()
+    cfg = str(tmp_path / "adir")
+    if case == "config_not_utf8":
+        cfg = str(tmp_path / "latin1.ini")
+        with open(cfg, "wb") as fh:
+            fh.write("[grid]\nn = 16 ; \u00e9\n".encode("latin-1"))
+    elif case == "ic_snapshot_directory":
+        cfg = _write(tmp_path, "ic.ini", "[grid]\nn = 16\n"
+                     "[ic]\nfamily = snapshot\nsnapshot = adir\n")
+    elif case == "forcing_snapshot_directory":
+        cfg = _write(tmp_path, "f.ini", "[grid]\nn = 16\n"
+                     "[forcing]\nkind = steady\nsnapshot = adir\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diagnostics files
 
@@ -901,3 +921,40 @@ metric = energy_residual
     out = str(tmp_path / "cn")
     assert cli.main(["convergence", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "convergence_n.tsv"))
+
+
+def test_cli_convergence_n_ladder_compares_one_problem(tmp_path):
+    # A random [ic] and [forcing] are built once on the finest grid and
+    # restricted to the coarser ones, so the errors fall as N grows.  Drawn
+    # anew on each grid, one seed gives unrelated fields: errors near 1.
+    text = """
+[grid]
+n = 32
+
+[params]
+mu = 0.2
+beta = 1.0
+r = 4.0
+
+[solver]
+dt = 0.002
+t_end = 0.05
+
+[ic]
+family = random
+band_limit = 4
+
+[forcing]
+kind = steady
+family = random
+
+[convergence]
+ns = 16, 24, 32
+metric = energy_residual
+"""
+    cfg = _write(tmp_path, "convn.ini", text)
+    out = tmp_path / "cn"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "convergence_n.tsv").read_text().splitlines()[1:]
+    errors = [float(line.split("\t")[1]) for line in rows]
+    assert len(errors) == 2 and errors[1] < errors[0] < 1e-3

@@ -346,6 +346,33 @@ def test_apriori_and_regularity_checks(grid32):
     assert check_regularity(diagnostics, params, forcing).passed
 
 
+@pytest.mark.parametrize("r", [4.0, 3.0])
+def test_trajectory_checks_report_their_trajectory(grid32, r):
+    # At t = 0 each bound is an equality by construction, its margin the
+    # slack alone: the worst margin comes from a later row, whose index is
+    # the seed, and a run with no step keeps the t = 0 row.
+    params = CbfParams(mu=0.5, beta=1.0, r=r)
+    ic = random_band_limited(grid32, seed=56, band_limit=6)
+    delta = random_band_limited(grid32, seed=57, band_limit=6, amplitude=1e-3)
+    forcing = Forcing.steady(random_band_limited(grid32, seed=58, band_limit=4,
+                                                 amplitude=0.3))
+    for t_end in (0.04, 0.0):
+        config = SolverConfig(dt=2e-3, t_end=t_end, diagnostics_every=5)
+        _, diagnostics = run(ic, params, config, forcing, extended=True)
+        for report in (check_apriori(diagnostics, params, forcing),
+                       check_regularity(diagnostics, params, forcing),
+                       check_continuous_dependence(params, config, ic, delta,
+                                                   forcing)):
+            assert report.passed
+            if t_end == 0.0:
+                assert (report.samples, report.worst_case_seed) == (1, 0)
+                assert report.worst_margin == pytest.approx(verif.SLACK, abs=1e-12)
+            else:
+                assert report.samples == len(diagnostics) - 1 == 4
+                assert 1 <= report.worst_case_seed <= 4
+                assert report.worst_margin != verif.SLACK
+
+
 def test_regularity_requires_extended(grid32):
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=55, band_limit=6)
