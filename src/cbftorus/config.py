@@ -248,15 +248,13 @@ def _parse_value(section, key, parser, raw):
 
 def load_config(path) -> RunConfig:
     """Load, validate, and default-fill a configuration file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"parse error in {path}: {err}") from None
-    except (OSError, UnicodeDecodeError) as err:  # a directory, not UTF-8 text
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     return build_config(cp, base_dir=os.path.dirname(os.path.abspath(path)))
 

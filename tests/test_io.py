@@ -254,13 +254,15 @@ def test_cli_malformed_snapshot_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8",
-                                  "ic_snapshot_directory",
+@pytest.mark.parametrize("case", ["config_missing", "config_directory",
+                                  "config_not_utf8", "ic_snapshot_directory",
                                   "forcing_snapshot_directory"])
 def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
     (tmp_path / "adir").mkdir()
     cfg = str(tmp_path / "adir")
-    if case == "config_not_utf8":
+    if case == "config_missing":
+        cfg = str(tmp_path / "missing.ini")
+    elif case == "config_not_utf8":
         cfg = str(tmp_path / "latin1.ini")
         with open(cfg, "wb") as fh:
             fh.write("[grid]\nn = 16 ; \u00e9\n".encode("latin-1"))
