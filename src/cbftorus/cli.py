@@ -19,7 +19,6 @@ from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
 from .families import taylor_green_exact
 from .fields import to_physical
-from .grid import TorusGrid
 from .snapshot import write_snapshot_file
 from .solver import DiagnosticsSample, run
 from .spectral import embed_modes, l2_norm, leray_project, restrict_modes
@@ -120,8 +119,7 @@ class _Session:
         self.mu, self.r = self.params.mu, self.params.r
         self.samples, self.tolerance = v["samples"], v["tolerance"]
         self.s_exp, self.rho_exp, self.t_exp = v["interpolation_exponents"]
-        grid = TorusGrid(dim=config["grid"]["dim"], n_points=v["n"],
-                         period=config["grid"]["l"])
+        grid = dataclasses.replace(config.grid(), n_points=v["n"])
         seed = v["seed"] if seed_override is None else seed_override
         self.sampler = FieldSampler(
             grid=grid, seed=seed, band_limit=v["band_limit"],
@@ -221,13 +219,11 @@ def _convergence_errors_n(config: RunConfig, ns):
     the [ic] and [forcing] fields are built on the finest grid once, and
     each coarser run starts from their modes restricted to its grid."""
     errors = []
-    fine_grid = TorusGrid(dim=config["grid"]["dim"], n_points=max(ns),
-                          period=config["grid"]["l"])
+    fine_grid = dataclasses.replace(config.grid(), n_points=max(ns))
     ic, params, solver_config, forcing = config.problem(fine_grid)
     ref, _ = run(ic, params, solver_config, forcing)
     for n in sorted(ns)[:-1]:
-        grid = TorusGrid(dim=config["grid"]["dim"], n_points=n,
-                         period=config["grid"]["l"])
+        grid = dataclasses.replace(fine_grid, n_points=n)
         state, _ = run(restrict_modes(ic, grid), params, solver_config,
                        forcing.restricted(grid))
         errors.append(l2_norm(embed_modes(state.u, fine_grid) - ref.u))

@@ -8,11 +8,12 @@ identical effective configuration.
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentsError, InvalidFieldError
+from .errors import (ConfigError, InvalidArgumentsError, InvalidExponentError,
+                     InvalidFieldError)
 from .families import kolmogorov, random_band_limited, single_mode, taylor_green
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
@@ -56,30 +57,19 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# section -> key -> (parser, default, validator or None)
+def _rows(cls):
+    """Schema rows of a parameter dataclass: its fields in order, each parsed
+    by its type and defaulting to its default; the class checks the domain."""
+    return {f.name: (_bool if f.type is bool else f.type, f.default, None)
+            for f in fields(cls)}
+
+
+# section -> key -> (parser, default, validator or None); the [grid],
+# [params] and [solver] domains are checked by the objects they build.
 SCHEMA = {
-    "grid": {
-        "dim": (int, 2, lambda v: v in (2, 3)),
-        "n": (int, 64, lambda v: v >= 8 and v % 2 == 0),
-        "l": (float, TWO_PI, _positive),
-    },
-    "params": {
-        "mu": (float, 1.0, _positive),
-        "alpha": (float, 0.0, _non_negative),
-        "beta": (float, 1.0, _non_negative),
-        "r": (float, 3.0, lambda v: v >= 1),
-    },
-    "solver": {
-        "dt": (float, 1e-3, _positive),
-        "t_end": (float, 1.0, _non_negative),
-        "scheme": (str, "imex_cnab2", lambda v: v in ("imex_euler", "imex_cnab2")),
-        "galerkin_n": (int, 0, _non_negative),
-        "galerkin_shape": (str, "box", lambda v: v in ("box", "ball")),
-        "dealias": (_bool, True, None),
-        "diagnostics_every": (int, 10, _positive),
-        "snapshot_every": (int, 0, _non_negative),
-        "substeps": (int, 1, _positive),
-    },
+    "grid": {"dim": (int, 2, None), "n": (int, 64, None), "l": (float, TWO_PI, None)},
+    "params": _rows(CbfParams),
+    "solver": _rows(SolverConfig),
     "ic": {
         "family": (str, "taylor_green",
                    lambda v: v in ("taylor_green", "random", "single_mode",
@@ -293,13 +283,15 @@ def build_config(cp: configparser.ConfigParser, base_dir=".") -> RunConfig:
 
 
 def _cross_validate(config: RunConfig):
+    for section in ("grid", "params", "solver"):
+        try:
+            getattr(config, section)()
+        except (InvalidArgumentsError, InvalidExponentError) as err:
+            raise ConfigError(f"{section}.{err}") from None
     exps = config.section("verify")["interpolation_exponents"]
     if len(exps) != 3:
         raise ConfigError("verify.interpolation_exponents needs exactly 3 values")
     try:
-        grid = config.grid()
-        config.params()
-        config.solver()
         interpolation_theta(*exps)
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None
@@ -308,7 +300,7 @@ def _cross_validate(config: RunConfig):
         path = config._resolve(ic["snapshot"])
         if not ic["snapshot"] or not os.path.exists(path):
             raise ConfigError(f"ic.snapshot: path not resolvable: {path!r}")
-    if ic["family"] == "random" and ic["band_limit"] > grid.n_points // 2:
+    if ic["family"] == "random" and ic["band_limit"] > config["grid"]["n"] // 2:
         raise ConfigError("ic.band_limit exceeds grid Nyquist")
     forcing = config.section("forcing")
     if forcing["kind"] != "zero" and forcing["snapshot"]:

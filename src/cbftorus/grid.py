@@ -46,8 +46,8 @@ class TorusGrid:
         except ArithmeticError:
             ok = False
         if not ok:
-            raise InvalidArgumentsError(f"grid period {self.period} gives a volume "
-                                        "or wavenumber that is not finite and positive")
+            raise InvalidArgumentsError(f"period {self.period} gives a volume or "
+                                        "wavenumber that is not finite and positive")
 
     @property
     def shape(self):

@@ -229,14 +229,17 @@ def cbf_operator(u: SpectralField, params: CbfParams,
 
 
 def monotonicity_shift(params: CbfParams) -> float:
-    """Shift rho making G + rho*I monotone for r > 3:
-    (r-3)/(2 mu (r-1)) * (2/(beta mu (r-1)))^{2/(r-3)}, the prefactor the full
-    estimate chain backs.  For r <= 3 the shift is 0 (global monotonicity
-    regime when 2*beta*mu >= 1).
+    """Shift rho making G + rho*I monotone, in the regime the theorem covers:
+    (r-3)/(2 mu (r-1)) * (2/(beta mu (r-1)))^{2/(r-3)} for r > 3 with
+    beta > 0, the prefactor the full estimate chain backs, and 0 for r = 3
+    with 2*beta*mu >= 1.  Any other regime is a :class:`RegimeError`.
     """
     r, mu, beta = params.r, params.mu, params.beta
-    if r <= 3.0:
+    if params.critical_regime:
         return 0.0
+    if r <= 3.0:
+        raise RegimeError("monotonicity is proven for r > 3, or r = 3 with "
+                          "2*beta*mu >= 1")
     if beta == 0.0:
         raise RegimeError("monotonicity shift needs beta > 0")
     tail = (2.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))

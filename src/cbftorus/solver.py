@@ -54,20 +54,20 @@ class SolverConfig:
         if self.t_end < 0:
             raise InvalidArgumentsError(f"t_end must be >= 0, got {self.t_end}")
         if not np.isfinite(self.t_end / self.dt):  # would overflow the step count
-            raise InvalidArgumentsError(f"solver step count t_end/dt = "
-                                        f"{self.t_end}/{self.dt} is not finite")
+            raise InvalidArgumentsError(f"t_end/dt = {self.t_end}/{self.dt}, "
+                                        "the step count, is not finite")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentsError(
                 f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.diagnostics_every < 1:
-            raise InvalidArgumentsError("diagnostics cadence must be >= 1")
+            raise InvalidArgumentsError("diagnostics_every must be >= 1")
         if self.snapshot_every < 0:
-            raise InvalidArgumentsError("snapshot cadence must be >= 0")
+            raise InvalidArgumentsError("snapshot_every must be >= 0")
         if self.substeps < 1:
             raise InvalidArgumentsError("substeps must be >= 1")
         if self.substeps > 1 and self.scheme != "imex_euler":
             raise InvalidArgumentsError(
-                "nonlinear sub-cycling is supported with imex_euler only")
+                "substeps > 1 (nonlinear sub-cycling) needs scheme imex_euler")
         if self.galerkin_n < 0 or self.galerkin_shape not in ("box", "ball"):
             raise InvalidArgumentsError(
                 "galerkin_n must be >= 0 and galerkin_shape box or ball, got "

@@ -140,7 +140,7 @@ def _damping_pairing(u_phys, v_phys, r, cell_volume):
 # trilinear form identities
 
 
-def check_trilinear(sampler: FieldSampler, n_samples: int = 100) -> CheckReport:
+def check_trilinear(sampler: FieldSampler, n_samples: int) -> CheckReport:
     """b(u,v,v) = 0, b(u,v,w) = -b(u,w,v), <B(u),u> = 0 for solenoidal u."""
     def margin(u, v, s):
         w = sampler.field_from_seed(s, stream=17)
@@ -169,7 +169,7 @@ def _pair_quantities(u, v, params):
 
 
 def check_monotone_shifted(sampler: FieldSampler, params: CbfParams,
-                           n_samples: int = 500,
+                           n_samples: int,
                            tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Shifted monotonicity for r > 3:
 
@@ -188,7 +188,7 @@ def check_monotone_shifted(sampler: FieldSampler, params: CbfParams,
 
 
 def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
-                            n_samples: int = 500,
+                            n_samples: int,
                             tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Critical-exponent monotonicity (r = 3):
 
@@ -213,7 +213,7 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
 
 
 def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
-                              n_samples: int = 500,
+                              n_samples: int,
                               tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Young-inequality splitting of the advection cross term (r > 3):
 
@@ -238,7 +238,7 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
 
 
 def check_local_bound_2d(sampler: FieldSampler, mu: float,
-                         n_samples: int = 500,
+                         n_samples: int,
                          tolerance: float = DEFAULT_TOL) -> CheckReport:
     """2D local bound via Ladyzhenskaya's inequality (mean-free fields):
 
@@ -261,7 +261,7 @@ def check_local_bound_2d(sampler: FieldSampler, mu: float,
 
 
 def check_damping_monotone(sampler: FieldSampler, r: float,
-                           n_samples: int = 500,
+                           n_samples: int,
                            tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Strong monotonicity of the damping nonlinearity:
 
@@ -283,7 +283,7 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
 
 
 def check_damping_lipschitz(sampler: FieldSampler, r: float,
-                            n_samples: int = 500,
+                            n_samples: int,
                             tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Local Lipschitz upper bound for the damping pairing:
 
@@ -302,7 +302,7 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
 
 
 def check_pointwise_mvt(sampler: FieldSampler, r: float,
-                        n_samples: int = 200,
+                        n_samples: int,
                         tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Pointwise mean-value bound on the damping nonlinearity:
 
@@ -373,7 +373,7 @@ def dissipation_identity_forms(u: SpectralField, r: float):
 
 
 def check_dissipation_identity(sampler: FieldSampler, r: float,
-                               n_samples: int = 200) -> CheckReport:
+                               n_samples: int) -> CheckReport:
     """Agreement of the three identity forms and the ordering chain
 
     0 <= int |grad u|^2 |u|^{r-1} <= <C(u), A u> <= r int |grad u|^2 |u|^{r-1}.
@@ -432,7 +432,7 @@ def interpolation_theta(s_exp: float, rho_exp: float, t_exp: float) -> float:
 
 
 def check_interpolation(sampler: FieldSampler, s_exp: float, rho_exp: float,
-                        t_exp: float, n_samples: int = 500,
+                        t_exp: float, n_samples: int,
                         tolerance: float = DEFAULT_TOL) -> CheckReport:
     """Lebesgue interpolation ||u||_rho <= ||u||_s^theta ||u||_t^{1-theta}."""
     theta = interpolation_theta(s_exp, rho_exp, t_exp)
@@ -450,7 +450,7 @@ def check_interpolation(sampler: FieldSampler, s_exp: float, rho_exp: float,
 
 
 def check_advection_bounds(sampler: FieldSampler, r: float,
-                           n_samples: int = 500) -> CheckReport:
+                           n_samples: int) -> CheckReport:
     """Holder bounds on the advection operator:
 
     ||B(u,v)||_{V'} <= ||u||_{r+1} ||v||_{2(r+1)/(r-1)}            (r >= 3)
@@ -485,7 +485,7 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
 # spectral filter properties
 
 
-def check_filter_props(sampler: FieldSampler, n_samples: int = 50) -> CheckReport:
+def check_filter_props(sampler: FieldSampler, n_samples: int) -> CheckReport:
     """Exponential-filter laws: non-expansiveness for every n, residual
     monotone decreasing along increasing n, and the band-limit bound
     ||(I - F_n)u|| <= (Lambda/n_max)||u|| for band limit Lambda = max|k|^2."""
@@ -515,7 +515,7 @@ def check_filter_props(sampler: FieldSampler, n_samples: int = 50) -> CheckRepor
 
 
 def check_operator_continuity(sampler: FieldSampler, params: CbfParams,
-                              n_samples: int = 20) -> CheckReport:
+                              n_samples: int) -> CheckReport:
     """First-order continuity of G under field perturbation:
 
     ||G(u + eps w) - G(u)|| shrinks to zero linearly in eps along random
@@ -653,17 +653,6 @@ def _trajectory_report(name, margins, notes):
                    tolerance=0.0, notes=notes)
 
 
-def dependence_rate(params: CbfParams) -> float:
-    """rho of the continuous-dependence envelope e^{2 rho t}: the shift for
-    r > 3, 0 for r = 3 with 2*beta*mu >= 1; no other regime has one."""
-    if params.r > 3.0:
-        return monotonicity_shift(params)
-    if params.critical_regime:
-        return 0.0
-    raise RegimeError("continuous dependence is proven for r > 3, or "
-                      "r = 3 with 2*beta*mu >= 1")
-
-
 def check_continuous_dependence(params: CbfParams, config: SolverConfig,
                                 ic: SpectralField, perturbation: SpectralField,
                                 forcing: Forcing = None) -> CheckReport:
@@ -672,7 +661,7 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
     r > 3:  ||u1(t) - u2(t)||^2 <= ||d0||^2 e^{2 rho t} at every sample;
     r = 3 with 2*beta*mu >= 1: the distance is non-increasing (flat envelope).
     """
-    rho = dependence_rate(params)
+    rho = monotonicity_shift(params)
     forcing = forcing if forcing is not None else Forcing.zero()
     s1 = initialize_state(ic, params, config, forcing)
     try:
@@ -826,7 +815,7 @@ CHECKS = {
     "gronwall": Check(check_gronwall, ""),
     "continuous_dependence": Check(check_continuous_dependence,
                                    "params solver ic perturbation forcing",
-                                   regime=dependence_rate),
+                                   regime=monotonicity_shift),
     "apriori": Check(check_apriori, "diagnostics params forcing"),
     "regularity": Check(check_regularity, "diagnostics params forcing",
                         regime=regularity_bound),

@@ -1,5 +1,6 @@
 """Configuration, snapshot format, diagnostics files, and the CLI surface."""
 
+import dataclasses
 import os
 import struct
 import sys
@@ -53,6 +54,26 @@ def test_domain_violation_names_key():
         config_from_text("[params]\nmu = -1\n")
     with pytest.raises(ConfigError, match="solver.dt"):
         config_from_text("[solver]\ndt = 0\n")
+
+
+@pytest.mark.parametrize("text,name", [
+    ("[params]\nr = 0.5\n", "params.r"),  # an InvalidExponentError
+    ("[grid]\nn = 7\n", "grid.n_points"),
+    ("[grid]\nl = 0\n", "grid.period"),
+    ("[solver]\nsubsteps = 2\n", "solver.substeps"),
+    ("[solver]\ndiagnostics_every = 0\n", "solver.diagnostics_every"),
+    ("[solver]\nsnapshot_every = -1\n", "solver.snapshot_every"),
+])
+def test_object_domain_errors_name_section_and_field(text, name):
+    with pytest.raises(ConfigError, match=f"^{name} "):
+        config_from_text(text)
+
+
+def test_params_and_solver_keys_are_the_dataclass_fields():
+    config = config_from_text("")
+    for section, cls in (("params", CbfParams), ("solver", SolverConfig)):
+        assert list(config[section]) == [f.name for f in dataclasses.fields(cls)]
+    assert config.params() == CbfParams() and config.solver() == SolverConfig()
 
 
 def test_unknown_keys_and_sections_rejected():

@@ -210,7 +210,8 @@ def test_monotonicity_shift_values():
     assert monotonicity_shift(CbfParams(mu=1, beta=1, r=5)) == pytest.approx(0.125)
     assert monotonicity_shift(CbfParams(mu=1, beta=1, r=4)) == pytest.approx(2 / 27)
     assert monotonicity_shift(CbfParams(mu=1, beta=1, r=3)) == 0.0
-    assert monotonicity_shift(CbfParams(mu=1, beta=1, r=2)) == 0.0
+    with pytest.raises(RegimeError):
+        monotonicity_shift(CbfParams(mu=1, beta=1, r=2))
 
 
 def test_regularity_rate_values():
