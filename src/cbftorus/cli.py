@@ -73,7 +73,13 @@ def write_diagnostics(samples, path):
 
 
 def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    """Make the output directory; one that cannot be made (an empty path, an
+    existing file) is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {path!r}: "
+                          f"{err.strerror}") from None
     return path
 
 
@@ -155,6 +161,9 @@ def _run_one_check(name, session: _Session):
 
 def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     session = _Session(config, seed_override)
+    out = out_dir or config["output"]["directory"]  # empty: print only
+    if out:
+        _ensure_outdir(out)
     names = config["verify"]["checks"]
     if "all" in names:
         names = verif.CHECKS
@@ -170,9 +179,7 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
             failures += 1
     text = "\n\n".join(blocks) + "\n"
     print(text, end="")
-    out = out_dir or config["output"]["directory"]
     if out:
-        _ensure_outdir(out)
         with open(os.path.join(out, "verify_report.txt"), "w") as fh:
             fh.write(text)
     return EXIT_CHECK_FAILED if failures else EXIT_OK

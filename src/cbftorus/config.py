@@ -307,9 +307,18 @@ def _cross_validate(config: RunConfig):
         path = config._resolve(forcing["snapshot"])
         if not os.path.exists(path):
             raise ConfigError(f"forcing.snapshot: path not resolvable: {path!r}")
-    for name in config.section("verify")["checks"]:
+    verify = config.section("verify")
+    for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
+    # The sampler draws on [verify] n; continuous_dependence's perturbation
+    # is drawn on [grid].
+    sizes = [verify["n"]]
+    if {"all", "continuous_dependence"} & set(verify["checks"]):
+        sizes.append(config["grid"]["n"])
+    if verify["band_limit"] > min(sizes) // 2:
+        raise ConfigError(f"verify.band_limit {verify['band_limit']} exceeds "
+                          f"N/2 = {min(sizes) // 2}")
 
 
 def dump_config(config: RunConfig, path=None) -> str:

@@ -17,6 +17,7 @@ same forward tail.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,11 +229,25 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     return SpectralField(grid, coeffs, divergence_free=True)
 
 
+def finite_constant(name, value, **at):
+    """``value()``, a constant of a bound at the parameters ``at``, if it is
+    a finite float; a :class:`RegimeError` naming the overflow otherwise."""
+    try:
+        out = value()
+    except (OverflowError, ZeroDivisionError):
+        out = math.inf
+    if not math.isfinite(out):
+        where = ", ".join(f"{key} = {v:g}" for key, v in at.items())
+        raise RegimeError(f"{name} overflows a float at {where}")
+    return out
+
+
 def monotonicity_shift(params: CbfParams) -> float:
     """Shift rho making G + rho*I monotone, in the regime the theorem covers:
     (r-3)/(2 mu (r-1)) * (2/(beta mu (r-1)))^{2/(r-3)} for r > 3 with
     beta > 0, the prefactor the full estimate chain backs, and 0 for r = 3
-    with 2*beta*mu >= 1.  Any other regime is a :class:`RegimeError`.
+    with 2*beta*mu >= 1.  Any other regime, or a shift that overflows a
+    float, is a :class:`RegimeError`.
     """
     r, mu, beta = params.r, params.mu, params.beta
     if params.critical_regime:
@@ -242,19 +257,22 @@ def monotonicity_shift(params: CbfParams) -> float:
                           "2*beta*mu >= 1")
     if beta == 0.0:
         raise RegimeError("monotonicity shift needs beta > 0")
-    tail = (2.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))
-    return (r - 3.0) / (2.0 * mu * (r - 1.0)) * tail
+    return finite_constant("monotonicity shift", lambda: (
+        (r - 3.0) / (2.0 * mu * (r - 1.0))
+        * (2.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))), **vars(params))
 
 
 def regularity_rate(params: CbfParams) -> float:
-    """Exponential rate rho* in the gradient-norm a-priori bound (r > 3)."""
+    """Exponential rate rho* in the gradient-norm a-priori bound (r > 3);
+    a rate that overflows a float is a :class:`RegimeError`."""
     r, mu, beta = params.r, params.mu, params.beta
     if r <= 3.0:
         raise RegimeError("regularity rate is defined for r > 3 only")
     if beta == 0.0:
         raise RegimeError("regularity rate needs beta > 0")
-    return (2.0 * (r - 3.0) / (mu * (r - 1.0))
-            * (4.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0)))
+    return finite_constant("regularity rate", lambda: (
+        2.0 * (r - 3.0) / (mu * (r - 1.0))
+        * (4.0 / (beta * mu * (r - 1.0))) ** (2.0 / (r - 3.0))), **vars(params))
 
 
 def recover_pressure(u: SpectralField, f: SpectralField,

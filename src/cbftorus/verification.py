@@ -21,8 +21,8 @@ from .families import random_band_limited
 from .fields import SpectralField, magnitude, to_physical
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
-                        damping_pointwise, monotonicity_shift, physical_jacobian,
-                        pointwise_power, regularity_rate)
+                        damping_pointwise, finite_constant, monotonicity_shift,
+                        physical_jacobian, pointwise_power, regularity_rate)
 from .solver import (Forcing, SolverConfig, initialize_state, step)
 from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, l2_norm,
                        l2_pairing, laplacian, lp_norm)
@@ -246,12 +246,13 @@ def check_local_bound_2d(sampler: FieldSampler, mu: float,
     """
     if sampler.grid.dim != 2:
         raise RegimeError("local bound check is 2D only")
+    coeff = finite_constant("local bound constant 27/(16 mu^3)",
+                            lambda: 27.0 / (16.0 * mu ** 3), mu=mu)
     def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
         rhs = (0.5 * mu * grad_norm(delta) ** 2
-               + 27.0 / (16.0 * mu ** 3) * lp_norm(v, 4) ** 4
-               * l2_norm(delta) ** 2)
+               + coeff * lp_norm(v, 4) ** 4 * l2_norm(delta) ** 2)
         return (rhs - lhs) / (rhs + lhs + TINY)
     return _sampled("local_2d", sampler, n_samples, margin, tolerance)
 
@@ -682,8 +683,9 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
         s2 = step(s2, params, config, forcing)
         if m % config.diagnostics_every == 0 or m == n_steps:
             d_sq = l2_norm(s2.u - s1.u) ** 2
-            env = d0_sq * np.exp(2.0 * rho * s1.t)
-            margin = (env * (1.0 + SLACK) - d_sq) / env
+            # d^2 over the envelope d0^2 e^{2 rho t}, which can overflow;
+            # e^{-2 rho t} underflowing to zero is the correct limit.
+            margin = 1.0 + SLACK - d_sq / d0_sq * np.exp(-2.0 * rho * s1.t)
             if rho == 0.0:
                 margin = min(margin, (prev_sq * (1.0 + SLACK) - d_sq) / d0_sq)
             margins.append(margin)

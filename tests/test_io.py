@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import sys
 import weakref
@@ -106,6 +107,23 @@ def test_missing_snapshot_path_rejected(tmp_path):
 def test_unknown_check_rejected():
     with pytest.raises(ConfigError, match="unknown check"):
         config_from_text("[verify]\nchecks = bogus\n")
+
+
+@pytest.mark.parametrize("checks,n,band_limit,ok", [
+    ("trilinear", 16, 9, False),  # above N/2 of [verify] n
+    ("trilinear", 32, 9, True),  # [grid] n = 16 is not sampled
+    ("continuous_dependence", 32, 9, False),  # its perturbation is on [grid]
+    ("all", 32, 9, False),
+    ("all", 32, 8, True),
+])
+def test_verify_band_limit_checked_at_load(checks, n, band_limit, ok):
+    text = (f"[grid]\nn = 16\n\n[verify]\nchecks = {checks}\nn = {n}\n"
+            f"band_limit = {band_limit}\n")
+    if ok:
+        config_from_text(text)
+        return
+    with pytest.raises(ConfigError, match=r"^verify\.band_limit "):
+        config_from_text(text)
 
 
 def test_config_builders(tmp_path):
@@ -746,6 +764,30 @@ def test_cli_verify_navier_stokes_skips_beta_checks(tmp_path):
                        "regularity"}
 
 
+# Configs whose theorem constants overflow a float.
+OVERFLOW_VERIFY_INI = {
+    "r3.001": NS_VERIFY_INI.replace("mu = 0.5", "mu = 0.1")
+    .replace("beta = 0.0", "beta = 1.0").replace("r = 4.0", "r = 3.001"),
+    "mu1e-160": NS_VERIFY_INI.replace("mu = 0.5", "mu = 1e-160")
+    .replace("beta = 0.0", "beta = 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_VERIFY_INI))
+def test_cli_verify_overflowing_constants_skip(tmp_path, capsys, case):
+    """A shift, rate or constant that overflows a float is REGIME-SKIP with
+    its reason, and the rest of the session runs and exits 0."""
+    cfg = _write(tmp_path, "v.ini", OVERFLOW_VERIFY_INI[case])
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    report = (tmp_path / "v" / "verify_report.txt").read_text()
+    for name in ("monotone_shifted", "advection_splitting",
+                 "continuous_dependence", "regularity"):
+        assert re.search(f"check {name}\n  status       REGIME-SKIP "
+                         r"\(.* overflows a float at mu = ", report)
+    assert report.count("check ") == len(verif.CHECKS)
+    assert "FAIL" not in report
+
+
 # Each config, and the checks it reports as REGIME-SKIP.
 REGIME_SKIPS = {
     "beta0": (NS_VERIFY_INI, {"monotone_shifted", "monotone_critical",
@@ -754,6 +796,16 @@ REGIME_SKIPS = {
     "r3_below_critical": (NS_VERIFY_INI.replace("beta = 0.0", "beta = 0.4")
                           .replace("r = 4.0", "r = 3.0"),
                           {"monotone_shifted", "advection_splitting",
+                           "continuous_dependence", "regularity"}),
+    # the shift rho and the rate rho* overflow a float; at mu = 1e-160 so
+    # does local_2d's constant 27/(16 mu^3)
+    "r3.001_overflow": (OVERFLOW_VERIFY_INI["r3.001"],
+                        {"monotone_shifted", "monotone_critical",
+                         "advection_splitting", "continuous_dependence",
+                         "regularity"}),
+    "mu1e-160_overflow": (OVERFLOW_VERIFY_INI["mu1e-160"],
+                          {"monotone_shifted", "monotone_critical",
+                           "advection_splitting", "local_2d",
                            "continuous_dependence", "regularity"}),
     "3d": (NS_VERIFY_INI.replace("dim = 2", "dim = 3")
            .replace("n = 16", "n = 12").replace("beta = 0.0", "beta = 1.0")
@@ -841,6 +893,43 @@ def test_bad_interpolation_exponents_exit_2_before_any_check(tmp_path,
     assert cli.main(["verify", "--config", cfg, "--out",
                      str(tmp_path / "v")]) == 2
     assert ran == [] and not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "convergence",
+                                     "taylor-green"])
+def test_cli_out_naming_a_file_exit_2(tmp_path, capsys, monkeypatch, command):
+    """An --out that names a file exits 2 before the first step or check."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before making the output directory")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "_run_one_check", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [command, "--out", str(blocker)]
+    if command != "taylor-green":
+        text = {"run": RUN_INI, "verify": NS_VERIFY_INI, "convergence": CONV_INI}
+        args += ["--config", _write(tmp_path, "c.ini", text[command])]
+    assert cli.main(args) == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_cli_empty_output_directory_exit_2(tmp_path, capsys, command):
+    text = {"run": RUN_INI, "convergence": CONV_INI}[command]
+    cfg = _write(tmp_path, "c.ini", text + "\n[output]\ndirectory =\n")
+    assert cli.main([command, "--config", cfg]) == 2
+    assert "cannot make output directory ''" in capsys.readouterr().err
+
+
+def test_cli_verify_empty_output_directory_prints_only(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "v.ini", NS_VERIFY_INI.replace(
+        "checks = all", "checks = gronwall") + "\n[output]\ndirectory =\n")
+    assert cli.main(["verify", "--config", cfg]) == 0
+    assert "check gronwall" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == ["v.ini"]
 
 
 CONV_INI = """

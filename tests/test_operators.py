@@ -226,6 +226,14 @@ def test_regularity_rate_values():
         regularity_rate(CbfParams(mu=1, beta=1, r=3))
 
 
+@pytest.mark.parametrize("params", [CbfParams(mu=0.1, beta=1, r=3.001),
+                                    CbfParams(mu=1e-160, beta=1, r=4)])
+def test_constants_that_overflow_a_float_are_regime_errors(params):
+    for constant in (monotonicity_shift, regularity_rate):
+        with pytest.raises(RegimeError, match="overflows a float at mu = "):
+            constant(params)
+
+
 def test_params_validation():
     with pytest.raises(InvalidArgumentsError):
         CbfParams(mu=-1.0)

@@ -335,6 +335,20 @@ def test_continuous_dependence_r5_and_r3(grid32):
                                     ic, delta)
 
 
+def test_continuous_dependence_envelope_past_the_float_range():
+    """At r = 3.01, mu = 0.1 the shift is about 9e197, so d0^2 e^{2 rho t}
+    overflows a float; the margin divides d^2 by d0^2 and damps it by
+    e^{-2 rho t}, which underflows to its limit 0, and the bound holds."""
+    grid = TorusGrid(dim=2, n_points=16)
+    params = CbfParams(mu=0.1, beta=1.0, r=3.01)
+    assert monotonicity_shift(params) > 1e197
+    ic = random_band_limited(grid, seed=51, band_limit=4)
+    delta = random_band_limited(grid, seed=52, band_limit=4, amplitude=1e-3)
+    config = SolverConfig(dt=2e-3, t_end=0.01, diagnostics_every=5)
+    report = check_continuous_dependence(params, config, ic, delta)
+    assert report.passed and np.isfinite(report.worst_margin)
+
+
 def test_apriori_and_regularity_checks(grid32):
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=53, band_limit=6)
