@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import verification as verif
-from .config import RunConfig, config_from_text, dump_config, load_config
+from .config import (RunConfig, check_band_limit, config_from_text,
+                     dump_config, load_config)
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
 from .families import taylor_green_exact
@@ -161,12 +162,21 @@ def _run_one_check(name, session: _Session):
 
 def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     session = _Session(config, seed_override)
-    out = out_dir or config["output"]["directory"]  # empty: print only
-    if out:
-        _ensure_outdir(out)
     names = config["verify"]["checks"]
     if "all" in names:
         names = verif.CHECKS
+    if "continuous_dependence" in names:
+        # Its perturbation is drawn on [grid]; unless the check is a skip,
+        # the band must fit that grid before any check runs.
+        try:
+            verif.CHECKS["continuous_dependence"].regime(session.params)
+        except RegimeError:
+            pass
+        else:
+            check_band_limit(session.verify["band_limit"], config["grid"]["n"])
+    out = out_dir or config["output"]["directory"]  # empty: print only
+    if out:
+        _ensure_outdir(out)
     blocks, failures = [], 0
     for name in names:
         try:

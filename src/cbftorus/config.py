@@ -64,6 +64,9 @@ def _rows(cls):
             for f in fields(cls)}
 
 
+# TorusGrid field -> [grid] key; the [params] and [solver] keys are the fields.
+_GRID_KEYS = {"dim": "dim", "n_points": "n", "period": "l"}
+
 # section -> key -> (parser, default, validator or None); the [grid],
 # [params] and [solver] domains are checked by the objects they build.
 SCHEMA = {
@@ -146,7 +149,7 @@ class RunConfig:
 
     def grid(self) -> TorusGrid:
         g = self.section("grid")
-        return TorusGrid(dim=g["dim"], n_points=g["n"], period=g["l"])
+        return TorusGrid(**{f: g[key] for f, key in _GRID_KEYS.items()})
 
     def params(self) -> CbfParams:
         return CbfParams(**self.section("params"))
@@ -287,7 +290,9 @@ def _cross_validate(config: RunConfig):
         try:
             getattr(config, section)()
         except (InvalidArgumentsError, InvalidExponentError) as err:
-            raise ConfigError(f"{section}.{err}") from None
+            field, _, rest = str(err).partition(" ")  # messages lead with it
+            raise ConfigError(f"{section}.{_GRID_KEYS.get(field, field)} "
+                              f"{rest}") from None
     exps = config.section("verify")["interpolation_exponents"]
     if len(exps) != 3:
         raise ConfigError("verify.interpolation_exponents needs exactly 3 values")
@@ -311,14 +316,16 @@ def _cross_validate(config: RunConfig):
     for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
-    # The sampler draws on [verify] n; continuous_dependence's perturbation
-    # is drawn on [grid].
-    sizes = [verify["n"]]
-    if {"all", "continuous_dependence"} & set(verify["checks"]):
-        sizes.append(config["grid"]["n"])
-    if verify["band_limit"] > min(sizes) // 2:
-        raise ConfigError(f"verify.band_limit {verify['band_limit']} exceeds "
-                          f"N/2 = {min(sizes) // 2}")
+    # The sampler draws on [verify] n; continuous_dependence's perturbation,
+    # drawn on [grid], is checked by ``cli.cmd_verify`` before its checks.
+    check_band_limit(verify["band_limit"], verify["n"])
+
+
+def check_band_limit(band_limit, n):
+    """``[verify] band_limit`` against N/2 of a grid of ``n`` points."""
+    if band_limit > n // 2:
+        raise ConfigError(f"verify.band_limit {band_limit} exceeds "
+                          f"N/2 = {n // 2}")
 
 
 def dump_config(config: RunConfig, path=None) -> str:

@@ -46,8 +46,9 @@ class TorusGrid:
         except ArithmeticError:
             ok = False
         if not ok:
-            raise InvalidArgumentsError(f"period {self.period} gives a volume or "
-                                        "wavenumber that is not finite and positive")
+            raise InvalidArgumentsError(
+                "period must give a finite, positive volume, cell volume and "
+                f"largest wavenumber, got {self.period}")
 
     @property
     def shape(self):

@@ -68,10 +68,13 @@ class SolverConfig:
         if self.substeps > 1 and self.scheme != "imex_euler":
             raise InvalidArgumentsError(
                 "substeps > 1 (nonlinear sub-cycling) needs scheme imex_euler")
-        if self.galerkin_n < 0 or self.galerkin_shape not in ("box", "ball"):
+        if self.galerkin_n < 0:
             raise InvalidArgumentsError(
-                "galerkin_n must be >= 0 and galerkin_shape box or ball, got "
-                f"{self.galerkin_n} and {self.galerkin_shape!r}")
+                f"galerkin_n must be >= 0, got {self.galerkin_n}")
+        if self.galerkin_shape not in ("box", "ball"):
+            raise InvalidArgumentsError(
+                "galerkin_shape must be box or ball, got "
+                f"{self.galerkin_shape!r}")
 
 
 class Forcing:

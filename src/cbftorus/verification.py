@@ -654,6 +654,14 @@ def _trajectory_report(name, margins, notes):
                    tolerance=0.0, notes=notes)
 
 
+def _envelope_margin(ratio, rate, t):
+    """Margin of ``ratio``, a quantity over its bound at t = 0, under the
+    envelope ``e^{rate t}``: ``1 + SLACK - ratio e^{-rate t}``.  The envelope
+    itself can overflow, so the exponent is capped at 700, where
+    ``e^{-rate t}`` is already near its limit of zero."""
+    return 1.0 + SLACK - ratio * np.exp(-min(rate * t, 700.0))
+
+
 def check_continuous_dependence(params: CbfParams, config: SolverConfig,
                                 ic: SpectralField, perturbation: SpectralField,
                                 forcing: Forcing = None) -> CheckReport:
@@ -683,9 +691,7 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
         s2 = step(s2, params, config, forcing)
         if m % config.diagnostics_every == 0 or m == n_steps:
             d_sq = l2_norm(s2.u - s1.u) ** 2
-            # d^2 over the envelope d0^2 e^{2 rho t}, which can overflow;
-            # e^{-2 rho t} underflowing to zero is the correct limit.
-            margin = 1.0 + SLACK - d_sq / d0_sq * np.exp(-2.0 * rho * s1.t)
+            margin = _envelope_margin(d_sq / d0_sq, 2.0 * rho, s1.t)
             if rho == 0.0:
                 margin = min(margin, (prev_sq * (1.0 + SLACK) - d_sq) / d0_sq)
             margins.append(margin)
@@ -773,10 +779,7 @@ def check_regularity(diagnostics, params: CbfParams,
         lhs = (d.v_seminorm_sq + coeff_a * d.int_a_norm_sq
                + coeff_w * d.int_weighted_grad_sq)
         base = g0 + 2.0 / params.mu * fi
-        # rate*t can overflow exp; the margin only needs lhs/envelope, and
-        # exp(-rate*t) underflowing to zero is the correct limit.
-        ratio = lhs / (base + TINY) * np.exp(-min(rate * d.t, 700.0))
-        margins.append(1.0 + SLACK - ratio)
+        margins.append(_envelope_margin(lhs / (base + TINY), rate, d.t))
     return _trajectory_report("regularity", margins,
                               notes + f", relative slack {SLACK:g}")
 

@@ -59,8 +59,10 @@ def test_domain_violation_names_key():
 
 @pytest.mark.parametrize("text,name", [
     ("[params]\nr = 0.5\n", "params.r"),  # an InvalidExponentError
-    ("[grid]\nn = 7\n", "grid.n_points"),
-    ("[grid]\nl = 0\n", "grid.period"),
+    ("[grid]\nn = 7\n", "grid.n"),
+    ("[grid]\nl = 0\n", "grid.l"),
+    ("[solver]\ngalerkin_n = -1\n", "solver.galerkin_n"),
+    ("[solver]\ngalerkin_shape = cube\n", "solver.galerkin_shape"),
     ("[solver]\nsubsteps = 2\n", "solver.substeps"),
     ("[solver]\ndiagnostics_every = 0\n", "solver.diagnostics_every"),
     ("[solver]\nsnapshot_every = -1\n", "solver.snapshot_every"),
@@ -112,9 +114,10 @@ def test_unknown_check_rejected():
 @pytest.mark.parametrize("checks,n,band_limit,ok", [
     ("trilinear", 16, 9, False),  # above N/2 of [verify] n
     ("trilinear", 32, 9, True),  # [grid] n = 16 is not sampled
-    ("continuous_dependence", 32, 9, False),  # its perturbation is on [grid]
-    ("all", 32, 9, False),
     ("all", 32, 8, True),
+    # [grid] n bounds the band only when continuous_dependence runs, which
+    # ``verify`` checks before its first check (see the CLI tests).
+    ("all", 32, 9, True),
 ])
 def test_verify_band_limit_checked_at_load(checks, n, band_limit, ok):
     text = (f"[grid]\nn = 16\n\n[verify]\nchecks = {checks}\nn = {n}\n"
@@ -920,6 +923,59 @@ def test_cli_empty_output_directory_exit_2(tmp_path, capsys, command):
     cfg = _write(tmp_path, "c.ini", text + "\n[output]\ndirectory =\n")
     assert cli.main([command, "--config", cfg]) == 2
     assert "cannot make output directory ''" in capsys.readouterr().err
+
+
+def test_cli_run_on_the_smallest_grid_ignores_the_verify_band(tmp_path):
+    # [verify] band_limit defaults to 8, above N/2 of [grid] n = 8; only a
+    # verify session that draws on [grid] is bound by it.
+    cfg = _write(tmp_path, "n8.ini",
+                 "[grid]\nn = 8\n\n[solver]\ndt = 0.01\nt_end = 0.02\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+# [grid] n = 8 with the default [verify] band_limit = 8, above its N/2.
+N8_VERIFY_INI = """
+[grid]
+n = 8
+
+[params]
+mu = 0.5
+beta = {beta}
+r = 4.0
+
+[solver]
+dt = 0.002
+t_end = 0.01
+
+[ic]
+family = random
+band_limit = 4
+
+[verify]
+checks = {checks}
+samples = 3
+n = 16
+"""
+
+
+def test_cli_verify_band_above_grid_nyquist_exit_2_before_any_check(
+        tmp_path, capsys):
+    cfg = _write(tmp_path, "v.ini", N8_VERIFY_INI.format(beta=1.0, checks="all"))
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "verify.band_limit 8 exceeds N/2 = 4" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_verify_band_above_grid_nyquist_skipped_check_runs(tmp_path,
+                                                               capsys):
+    # beta = 0: continuous_dependence is a REGIME-SKIP and draws nothing.
+    cfg = _write(tmp_path, "v.ini", N8_VERIFY_INI.format(
+        beta=0.0, checks="continuous_dependence"))
+    assert cli.main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert "REGIME-SKIP" in capsys.readouterr().out
 
 
 def test_cli_verify_empty_output_directory_prints_only(tmp_path, capsys,
