@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from . import verification as verif
-from .config import (RunConfig, check_band_limit, config_from_text,
-                     dump_config, load_config)
+from .config import RunConfig, config_from_text, dump_config, load_config
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
-from .families import taylor_green_exact
+from .families import check_band_limit, taylor_green_exact
 from .fields import to_physical
 from .snapshot import write_snapshot_file
 from .solver import DiagnosticsSample, run
@@ -173,7 +172,7 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
         except RegimeError:
             pass
         else:
-            check_band_limit(session.verify["band_limit"], config["grid"]["n"])
+            check_band_limit(session.verify["band_limit"], config["grid"]["n"], "verify")
     out = out_dir or config["output"]["directory"]  # empty: print only
     if out:
         _ensure_outdir(out)

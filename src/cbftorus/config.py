@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentsError, InvalidExponentError,
                      InvalidFieldError)
-from .families import kolmogorov, random_band_limited, single_mode, taylor_green
+from .families import (check_band_limit, kolmogorov, random_band_limited,
+                       single_mode, taylor_green)
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
@@ -78,7 +79,7 @@ SCHEMA = {
                    lambda v: v in ("taylor_green", "random", "single_mode",
                                    "snapshot")),
         "amplitude": (float, 1.0, None),
-        "band_limit": (int, 8, _positive),
+        "band_limit": (int, 8, None),
         "slope": (float, 2.0, None),
         "seed": (int, 7, None),
         "mode": (_int_list, (0, 1), None),
@@ -92,7 +93,7 @@ SCHEMA = {
                    lambda v: v in ("taylor_green", "random", "kolmogorov")),
         "amplitude": (float, 1.0, None),
         "mode": (int, 1, None),
-        "band_limit": (int, 4, _positive),
+        "band_limit": (int, 4, None),
         "slope": (float, 2.0, None),
         "seed": (int, 11, None),
         "decay_rate": (float, 0.0, _non_negative),
@@ -107,7 +108,7 @@ SCHEMA = {
         "seed": (int, 42, None),
         "samples": (int, 100, _positive),
         "n": (int, 32, lambda v: v >= 8 and v % 2 == 0),
-        "band_limit": (int, 8, _positive),
+        "band_limit": (int, 8, None),
         "slope": (float, 2.0, None),
         "amplitude": (float, 1.0, _positive),
         "tolerance": (float, 1e-9, _positive),
@@ -305,8 +306,6 @@ def _cross_validate(config: RunConfig):
         path = config._resolve(ic["snapshot"])
         if not ic["snapshot"] or not os.path.exists(path):
             raise ConfigError(f"ic.snapshot: path not resolvable: {path!r}")
-    if ic["family"] == "random" and ic["band_limit"] > config["grid"]["n"] // 2:
-        raise ConfigError("ic.band_limit exceeds grid Nyquist")
     forcing = config.section("forcing")
     if forcing["kind"] != "zero" and forcing["snapshot"]:
         path = config._resolve(forcing["snapshot"])
@@ -316,16 +315,17 @@ def _cross_validate(config: RunConfig):
     for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
-    # The sampler draws on [verify] n; continuous_dependence's perturbation,
-    # drawn on [grid], is checked by ``cli.cmd_verify`` before its checks.
-    check_band_limit(verify["band_limit"], verify["n"])
-
-
-def check_band_limit(band_limit, n):
-    """``[verify] band_limit`` against N/2 of a grid of ``n`` points."""
-    if band_limit > n // 2:
-        raise ConfigError(f"verify.band_limit {band_limit} exceeds "
-                          f"N/2 = {n // 2}")
+    # The [ic] and [forcing] fields draw on [grid], the sampler on [verify] n;
+    # cli.cmd_verify checks the perturbation, drawn on [grid], before its checks.
+    try:
+        if ic["family"] == "random":
+            check_band_limit(ic["band_limit"], config["grid"]["n"], "ic")
+        if (forcing["kind"] != "zero" and forcing["family"] == "random"
+                and not forcing["snapshot"]):
+            check_band_limit(forcing["band_limit"], config["grid"]["n"], "forcing")
+        check_band_limit(verify["band_limit"], verify["n"], "verify")
+    except InvalidArgumentsError as err:
+        raise ConfigError(str(err)) from None
 
 
 def dump_config(config: RunConfig, path=None) -> str:

@@ -58,6 +58,14 @@ def single_mode(grid: TorusGrid, mode, component: int = 0,
     return SpectralField(grid, coeffs)
 
 
+def check_band_limit(band_limit, n_points, section=None):
+    """The band rule of a random field: 1 <= band_limit <= N/2 of ``n_points``."""
+    key = f"{section}.band_limit" if section else "band_limit"
+    if not 1 <= band_limit <= n_points // 2:
+        raise InvalidArgumentsError(f"{key} {band_limit} " + (
+            "is below 1" if band_limit < 1 else f"exceeds N/2 = {n_points // 2}"))
+
+
 def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
                         spectrum_slope: float = 2.0, amplitude: float = 1.0,
                         project: bool = True) -> SpectralField:
@@ -71,8 +79,7 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     full spectrum; the arithmetic after it, in its full-spectrum order, only
     the rows |m_i| <= (N-1)//3 that dealiasing keeps, so the bytes match.
     """
-    if band_limit < 1 or band_limit > grid.n_points // 2:
-        raise InvalidArgumentsError("band_limit must be in [1, N/2]")
+    check_band_limit(band_limit, grid.n_points)
     box, rows, half, mirror, mask, scale = _band_layout(grid, band_limit,
                                                         spectrum_slope)
     rng = np.random.default_rng(seed)

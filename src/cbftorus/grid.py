@@ -121,14 +121,6 @@ class TorusGrid:
         return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
     @cached_property
-    def mode_inf_norm(self):
-        """max_i |m_i| per mode (box radius of the index)."""
-        out = np.zeros(self.half_shape, dtype=int)
-        for m in self.mode_grids:
-            out = np.maximum(out, np.abs(m))
-        return out
-
-    @cached_property
     def mode_sq_norm(self):
         """sum_i m_i^2 per mode."""
         out = np.zeros(self.half_shape, dtype=int)

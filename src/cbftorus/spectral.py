@@ -12,8 +12,8 @@ which weight each column that stands for its mirror image by 2
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
-from .fields import (PhysicalField, SpectralField, band_box, require_same_grid,
-                     to_physical)
+from .fields import (ModeBox, PhysicalField, SpectralField, band_box,
+                     require_same_grid, to_physical)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -87,14 +87,13 @@ def dealias(u: SpectralField) -> SpectralField:
 
 
 def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralField:
-    """Galerkin truncation to the index box [-n, n]^d (or ball |m| <= n)."""
-    if n < 0:
-        raise InvalidArgumentsError("truncation radius must be >= 0")
-    if shape == "box":
-        return u.replace(u.coeffs * (u.grid.mode_inf_norm <= n))
-    if shape == "ball":
-        return u.replace(u.coeffs * (u.grid.mode_sq_norm <= n * n))
-    raise InvalidArgumentsError(f"unknown truncation shape {shape!r}")
+    """Galerkin truncation to the index box [-n, n]^d (or ball |m| <= n):
+    the gather and expansion of the mode box of radius n, masked to its ball."""
+    if n < 0 or shape not in ("box", "ball"):
+        raise InvalidArgumentsError(f"need n >= 0, box or ball: {n}, {shape!r}")
+    box = ModeBox(u.grid, min(n, u.grid.n_points // 2), n if shape == "ball" else 0)
+    c = box.gather(u.coeffs)
+    return u.replace(box.expand(c if box.mask is None else c * box.mask))
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:
@@ -193,14 +192,11 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
 
 
 def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:
-    """The modes of u with every |m_i| < N/2 on a coarser grid (same
-    period), N its points per axis: u truncated below the coarse Nyquist
-    modes, which stay zero."""
+    """The modes of u with every |m_i| < N/2 on a coarser grid (same period,
+    N points per axis): that box's gather on u's grid, expanded on the coarse."""
     if coarse_grid.dim != u.grid.dim or coarse_grid.n_points > u.grid.n_points:
         raise InvalidArgumentsError("target grid must coarsen the source grid")
-    h = coarse_grid.n_points // 2
-    c = u.coeffs[..., :h + 1]
-    for axis in range(1, u.grid.dim):  # the leading axes hold every mode
-        c = np.take(c, coarse_grid.modes % u.grid.n_points, axis=axis)
-    return SpectralField(coarse_grid, c * (coarse_grid.mode_inf_norm < h),
+    radius = coarse_grid.n_points // 2 - 1
+    c = band_box(u.grid, False, radius).gather(u.coeffs)
+    return SpectralField(coarse_grid, band_box(coarse_grid, False, radius).expand(c),
                          u.divergence_free)

@@ -45,6 +45,21 @@ def sq_norm(grid):
     return sum(m * m for m in modes(grid))
 
 
+def mode_inf_norm(grid):
+    """max_i |m_i| per mode of the half spectrum (box radius of the index)."""
+    out = np.zeros(grid.half_shape, dtype=int)
+    for m in grid.mode_grids:
+        out = np.maximum(out, np.abs(m))
+    return out
+
+
+def restrict(c, fine, coarse):
+    """The full coefficients ``c`` on ``fine`` at the modes of ``coarse``,
+    kept where every |m_i| < N/2 of ``coarse`` and zero on its Nyquist modes."""
+    rows = np.ix_(*([coarse.modes % fine.n_points] * fine.dim))
+    return c[(Ellipsis,) + rows] * (inf_norm(coarse) < coarse.n_points // 2)
+
+
 def dealias_mask(grid):
     return inf_norm(grid) <= (grid.n_points - 1) // 3
 

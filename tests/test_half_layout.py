@@ -172,7 +172,7 @@ def test_restrict_modes_undoes_embed_modes(grid, n_fine):
     n = grid.n_points if n_fine is None else grid.n_points + 2 * n_fine
     fine = TorusGrid(grid.dim, n, grid.period)
     u = _full_band(grid, 20)
-    below = u.coeffs * (grid.mode_inf_norm < grid.n_points // 2)
+    below = u.coeffs * (fa.mode_inf_norm(grid) < grid.n_points // 2)
     assert np.array_equal(restrict_modes(embed_modes(u, fine), grid).coeffs, below)
     with pytest.raises(InvalidArgumentsError):
         restrict_modes(u, TorusGrid(grid.dim, grid.n_points + 2, grid.period))
@@ -250,6 +250,35 @@ def test_discrete_identities(grid):
     assert rel_diff(_block(got, k), exact[(slice(k, 3 * k + 1),) * grid.dim]) < 1e-13
 
 
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS,
+                         ids=lambda g: f"{g.dim}d-n{g.n_points}")
+def test_truncate_modes_matches_mode_masks(grid):
+    # The mode box's gather and expansion keep the modes of the full-array
+    # masks max|m_i| <= n and |m|^2 <= n^2: only the mean at n = 0, every
+    # mode at n >= N/2 (the box), Nyquist modes included.
+    u = _full_band(grid, 21)
+    c, h = u.full(), grid.n_points // 2
+    for n in (0, 1, 2, h - 1, h, h + 3, 2 * h):
+        assert np.array_equal(truncate_modes(u, n).full(),
+                              c * (fa.inf_norm(grid) <= n))
+        assert np.array_equal(truncate_modes(u, n, "ball").full(),
+                              c * (fa.sq_norm(grid) <= n * n))
+
+
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS,
+                         ids=lambda g: f"{g.dim}d-n{g.n_points}")
+def test_restrict_modes_matches_mode_masks(grid):
+    # Restricted to each coarser grid (the same grid included), the modes
+    # with every |m_i| < N/2 of the coarse grid are copied and its Nyquist
+    # modes are zero.
+    u = _full_band(grid, 22)
+    for n in sorted({8, max(8, grid.n_points // 4 * 2), max(8, grid.n_points - 2),
+                     grid.n_points}):
+        coarse = TorusGrid(grid.dim, n, grid.period)
+        assert np.array_equal(restrict_modes(u, coarse).full(),
+                              fa.restrict(u.full(), grid, coarse))
+
+
 def _boxes(grid):
     """Mode boxes of radius (N-1)//3, 1, a Galerkin n below (N-1)//3, and the
     whole half."""
@@ -264,7 +293,7 @@ def test_box_transforms_are_exact(grid):
     # The box transforms run the 1-D passes of irfftn/rfftn on the lines the
     # box touches only, so they agree with them to the bit.
     for box in _boxes(grid):
-        h = _full_band(grid, 18).coeffs * (grid.mode_inf_norm <= box.radius)
+        h = _full_band(grid, 18).coeffs * (fa.mode_inf_norm(grid) <= box.radius)
         c = box.gather(h)
         if not box.covers_half:
             assert c.shape[1:] == ((2 * box.radius + 1,) * (grid.dim - 1)

@@ -968,6 +968,29 @@ def test_cli_verify_band_above_grid_nyquist_exit_2_before_any_check(
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command,section,text", [
+    ("run", "ic", "[ic]\nfamily = random\n"),
+    ("run", "forcing", "[forcing]\nkind = steady\nfamily = random\n"),
+    ("verify", "verify", "[verify]\nchecks = trilinear\n"),
+], ids=["ic", "forcing", "verify"])
+@pytest.mark.parametrize("band_limit,bound", [(17, "exceeds N/2 = 16"),
+                                              (0, "is below 1")],
+                         ids=["above", "below"])
+def test_cli_band_limit_checked_at_load(tmp_path, capsys, command, section, text,
+                                        band_limit, bound):
+    # One band rule for every random field, 1 <= band_limit <= N/2 of the
+    # grid it is drawn on ([grid] n = 32 here, [verify] n = 32 by default),
+    # checked at load: exit 2 naming the key, and no output directory.
+    text = MINIMAL + f"\n{text}band_limit = {band_limit}\n"
+    message = f"{section}.band_limit {band_limit} {bound}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_text(text)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
+
+
 def test_cli_verify_band_above_grid_nyquist_skipped_check_runs(tmp_path,
                                                                capsys):
     # beta = 0: continuous_dependence is a REGIME-SKIP and draws nothing.
