@@ -11,7 +11,7 @@ from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         damping, monotonicity_shift, recover_pressure,
                         regularity_rate, stokes)
 from .solver import (DiagnosticsSample, Forcing, SimulationState, SolverConfig,
-                     apriori_bound, run, step)
+                     run, step)
 from .spectral import (dealias, divergence, dual_norm, exp_filter, grad_norm,
                        gradient, h1_norm, l2_norm, l2_pairing, laplacian,
                        leray_project, lp_norm, truncate_modes)

@@ -265,8 +265,6 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
         raise InvalidArgumentsError("convergence needs a dt ladder or an N ladder")
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     if dts:
-        if len(dts) < 3:
-            raise InvalidArgumentsError("dt ladder must have at least 3 entries")
         errors = _convergence_errors_dt(config, conv["metric"], dts)
         rows = _order_table(dts, errors)
         path = os.path.join(out, "convergence_dt.tsv")
@@ -278,8 +276,6 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
         for dt, e, order in rows:
             print(f"{dt:.6g}\t{e:.6e}\t{order:.3f}")
     if ns:
-        if len(ns) < 3:
-            raise InvalidArgumentsError("N ladder must have at least 3 entries")
         errors = _convergence_errors_n(config, ns)
         path = os.path.join(out, "convergence_n.tsv")
         with open(path, "w", newline="\n") as fh:

@@ -315,6 +315,9 @@ def _cross_validate(config: RunConfig):
     for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
+    for key in ("dts", "ns"):  # a ladder, when given, of 3 sizes or more
+        if 0 < len(set(config["convergence"][key])) < 3:
+            raise ConfigError(f"convergence.{key} needs at least 3 distinct entries")
     # The [ic] and [forcing] fields draw on [grid], the sampler on [verify] n;
     # cli.cmd_verify checks the perturbation, drawn on [grid], before its checks.
     try:

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
 from .operators import CbfParams, Samples, grid_samples, nonlinear_term
-from .spectral import (divergence_defect, dual_norm, l2_norm, leray_project,
-                       mode_pairing, mode_power, project_coeffs, restrict_modes)
+from .spectral import (divergence_defect, leray_project, mode_pairing,
+                       mode_power, project_coeffs, restrict_modes)
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -380,14 +380,3 @@ def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
             snapshot(state.t, state.expand())
     return state, diagnostics
 
-
-def apriori_bound(ic: SpectralField, params: CbfParams, forcing: Forcing,
-                  t: float, n_quad: int = 512) -> float:
-    """Energy-estimate bound ||u0||^2 + (1/mu) int_0^t ||f(s)||_{V'}^2 ds."""
-    base = l2_norm(ic) ** 2
-    if forcing is None or forcing.is_zero or t == 0.0:
-        return base
-    times = np.linspace(0.0, t, n_quad + 1)
-    vals = np.array([dual_norm(forcing.at(s)) ** 2 for s in times])
-    trapezoid = float(np.sum(np.diff(times) * (vals[1:] + vals[:-1]) / 2.0))
-    return base + trapezoid / params.mu

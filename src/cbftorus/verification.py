@@ -335,8 +335,10 @@ def dissipation_identity_forms(u: SpectralField, r: float):
 
     For r >= 3 the composite gradients are assembled by the pointwise chain
     rule from the spectral Jacobian; the composite power itself is not
-    band-limited, so differentiating it spectrally would alias.
+    band-limited, so differentiating it spectrally would alias.  A constant
+    (r+1)^2 that overflows a float is a :class:`RegimeError`.
     """
+    r1_sq = finite_constant("identity constant (r+1)^2", lambda: (r + 1.0) ** 2, r=r)
     grid = u.grid
     cell = grid.cell_volume
     u_phys = to_physical(u).data
@@ -357,13 +359,13 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     if r >= 3.0:
         # |grad |u|^{(r+1)/2}|^2 = ((r+1)/2)^2 |u|^{r-3} |u.grad u|^2
         w = pointwise_power(mag, r - 3.0)
-        grad_pow_sq = (0.5 * (r + 1.0)) ** 2 * w * np.sum(half_grad_mag2 ** 2, axis=0)
+        grad_pow_sq = 0.25 * r1_sq * w * np.sum(half_grad_mag2 ** 2, axis=0)
     else:
         from .fields import PhysicalField, to_spectral
         pow_field = to_spectral(PhysicalField(grid, mag ** (0.5 * (r + 1.0))))
         grad_pow = physical_jacobian(pow_field)[0]
         grad_pow_sq = np.sum(grad_pow ** 2, axis=0)
-    i2 = mid + 4.0 * (r - 1.0) / (r + 1.0) ** 2 * float(np.sum(grad_pow_sq) * cell)
+    i2 = mid + 4.0 * (r - 1.0) / r1_sq * float(np.sum(grad_pow_sq) * cell)
 
     if r == 1.0:
         third = 0.0

@@ -791,6 +791,17 @@ def test_cli_verify_overflowing_constants_skip(tmp_path, capsys, case):
     assert "FAIL" not in report
 
 
+def test_cli_verify_huge_exponent_skips_dissipation_identity(tmp_path):
+    # (r+1)^2 of the identity's forms overflows a float at r = 1e300.
+    cfg = _write(tmp_path, "v.ini", NS_VERIFY_INI.replace("r = 4.0", "r = 1e300")
+                 .replace("checks = all", "checks = dissipation_identity"))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    report = (tmp_path / "v" / "verify_report.txt").read_text()
+    assert re.match(r"check dissipation_identity\n  status       REGIME-SKIP "
+                    r"\(identity constant \(r\+1\)\^2 overflows a float at r = 1e\+300\)",
+                    report)
+
+
 # Each config, and the checks it reports as REGIME-SKIP.
 REGIME_SKIPS = {
     "beta0": (NS_VERIFY_INI, {"monotone_shifted", "monotone_critical",
@@ -1072,6 +1083,21 @@ def test_cli_convergence_short_ladder_rejected(tmp_path, capsys):
                  CONV_INI.replace("0.004, 0.002, 0.001", "0.004, 0.002"))
     assert cli.main(["convergence", "--config", cfg,
                      "--out", str(tmp_path / "c2")]) == 2
+
+
+@pytest.mark.parametrize("key,ladder", [
+    ("ns", "8, 8, 8"), ("ns", "8, 12, 8, 12"), ("dts", "0.004, 0.002, 0.004"),
+])
+def test_cli_convergence_ladder_needs_3_distinct_entries(tmp_path, capsys, key,
+                                                         ladder):
+    # Repeated sizes compare a run with itself: a config error at load.
+    text = CONV_INI.replace("dts = 0.004, 0.002, 0.001", f"{key} = {ladder}")
+    with pytest.raises(ConfigError, match=f"^convergence.{key} needs at least 3 "):
+        config_from_text(text)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "conv.ini", text),
+                     "--out", str(out)]) == 2
+    assert f"convergence.{key}" in capsys.readouterr().err and not out.exists()
 
 
 def test_cli_taylor_green_subcommand(tmp_path, capsys):

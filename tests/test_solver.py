@@ -13,9 +13,10 @@ from cbftorus.families import (random_band_limited, single_mode, taylor_green,
 from cbftorus.fields import band_box, to_physical, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
-from cbftorus.solver import (Forcing, SolverConfig, apriori_bound,
+from cbftorus.solver import (DiagnosticsSample, Forcing, SolverConfig,
                              initialize_state, run, step)
-from cbftorus.spectral import divergence_defect, l2_norm, leray_project
+from cbftorus.spectral import divergence_defect, dual_norm, l2_norm, leray_project
+from cbftorus.verification import SLACK, _forcing_integrals, check_apriori
 
 from conftest import rel_diff
 
@@ -141,27 +142,35 @@ def test_energy_residual_refines_at_second_order(grid32):
     assert all(p > 1.9 for p in orders)
 
 
+def _energy_rows(times, energies):
+    """Diagnostics rows with the given energies and no dissipation,
+    damping or forcing integrals."""
+    return [DiagnosticsSample(t, e, *[0.0] * 8) for t, e in zip(times, energies)]
+
+
 def test_apriori_bound_formulas(grid32):
+    # check_apriori's right-hand side ||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2
+    # is ||u0||^2 with f = 0, and ||u0||^2 + (t/mu)||f||_{V'}^2 for steady f:
+    # rows whose left-hand side equals it have the slack alone as margin.
     ic = random_band_limited(grid32, seed=19, band_limit=8)
-    assert apriori_bound(ic, DAMPED, Forcing.zero(), 3.0) == pytest.approx(
-        l2_norm(ic) ** 2)
     f = random_band_limited(grid32, seed=20, band_limit=4, amplitude=0.5)
-    forcing = Forcing.steady(f)
-    from cbftorus.spectral import dual_norm
-    t = 2.0
-    expected = l2_norm(ic) ** 2 + t / DAMPED.mu * dual_norm(f) ** 2
-    assert apriori_bound(ic, DAMPED, forcing, t) == pytest.approx(expected,
-                                                                  rel=1e-12)
+    times, e0 = [0.0, 0.5, 2.0, 3.0], l2_norm(ic) ** 2
+    for forcing, f_sq in ((Forcing.zero(), 0.0),
+                          (Forcing.steady(f), dual_norm(f) ** 2)):
+        bound = [e0 + t / DAMPED.mu * f_sq for t in times]
+        f_int = _forcing_integrals(forcing, times, dual_norm)
+        assert e0 + f_int / DAMPED.mu == pytest.approx(bound, rel=1e-12)
+        report = check_apriori(_energy_rows(times, bound), DAMPED, forcing)
+        assert report.worst_margin == pytest.approx(SLACK, abs=1e-12)
 
 
 def test_apriori_bound_holds_along_run(grid32):
     ic = random_band_limited(grid32, seed=21, band_limit=8)
     config = SolverConfig(dt=1e-3, t_end=0.5, diagnostics_every=50)
     _, diagnostics = run(ic, DAMPED, config)
-    for d in diagnostics:
-        lhs = (d.energy + DAMPED.mu * d.int_dissipation
-               + 2 * DAMPED.beta * d.int_damping)
-        assert lhs <= apriori_bound(ic, DAMPED, Forcing.zero(), d.t) * (1 + 1e-6)
+    assert diagnostics[0].energy == pytest.approx(l2_norm(ic) ** 2, rel=1e-12)
+    report = check_apriori(diagnostics, DAMPED, Forcing.zero())
+    assert report.passed and report.samples == len(diagnostics) - 1
 
 
 # ---------------------------------------------------------------------------
