@@ -315,7 +315,7 @@ def _cross_validate(config: RunConfig):
     for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
-    for key in ("dts", "ns"):  # a ladder, when given, of 3 sizes or more
+    for key in ("dts", "ns"):  # a repeated size compares a run with itself
         if 0 < len(set(config["convergence"][key])) < 3:
             raise ConfigError(f"convergence.{key} needs at least 3 distinct entries")
     # The [ic] and [forcing] fields draw on [grid], the sampler on [verify] n;
