@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentsError, RegimeError)
 from .families import random_band_limited
-from .fields import SpectralField, magnitude, to_physical
+from .fields import SpectralField, band_box, squared_magnitude
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
-                        damping_pointwise, finite_constant, monotonicity_shift,
-                        physical_jacobian, pointwise_power, regularity_rate)
+                        finite_constant, grid_samples, monotonicity_shift,
+                        pointwise_power, regularity_rate)
 from .solver import (Forcing, SolverConfig, initialize_state, step)
-from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, l2_norm,
-                       l2_pairing, laplacian, lp_norm)
+from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, jacobian,
+                       l2_norm, l2_pairing, lp_norm)
 
 DEFAULT_TOL = 1e-9
 TINY = 1e-300
@@ -124,16 +124,22 @@ class FieldSampler:
         return self.field_from_seed(s), self.field_from_seed(s + 1), s
 
 
-def _weighted_l2_sq(weight_mag, diff_phys, cell_volume, half_power):
-    """|| |w|^half_power d ||_{L2}^2 = int |w|^{2*half_power} |d|^2 dx."""
-    w = pointwise_power(weight_mag, 2.0 * half_power)
-    return float(np.sum(w * np.sum(diff_phys * diff_phys, axis=0)) * cell_volume)
+def _samples(u: SpectralField, r: float = 1.0):
+    """:class:`~cbftorus.operators.Samples` of u, weight |u|^{r-1}: the
+    solver's builder on the box that covers the half (r = 1: weight 1)."""
+    return grid_samples(u.coeffs, band_box(u.grid, False), r)[0]
 
 
-def _damping_pairing(u_phys, v_phys, r, cell_volume):
-    """<C(u)-C(v), u-v> = int (|u|^{r-1}u - |v|^{r-1}v).(u-v) dx."""
-    return float(np.sum((damping_pointwise(u_phys, r) - damping_pointwise(v_phys, r))
-                        * (u_phys - v_phys)) * cell_volume)
+def _integral(values, cell_volume):
+    """Grid-point quadrature of ``values``."""
+    return float(np.sum(values) * cell_volume)
+
+
+def _damping_pairing(su, sv, cell_volume):
+    """<C(u)-C(v), u-v> = int (|u|^{r-1}u - |v|^{r-1}v).(u-v) dx from the
+    samples of u and v."""
+    return _integral((su.weight * su.phys - sv.weight * sv.phys)
+                     * (su.phys - sv.phys), cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +208,7 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
     cell = sampler.grid.cell_volume
     def margin(u, v, s):
         delta, pairing, scale = _pair_quantities(u, v, params)
-        v_mag = to_physical(v).magnitude()
-        d_phys = to_physical(delta).data
-        lower = coeff * _weighted_l2_sq(v_mag, d_phys, cell, 1.0)
+        lower = coeff * _integral(_samples(v).sq * _samples(delta).sq, cell)
         return (pairing - lower) / scale
     notes = "2*beta*mu < 1: no proven bound, margins reported only" \
         if exploratory else f"lower-bound coefficient {coeff:.6g}"
@@ -227,12 +231,9 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
     def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
-        v_mag = to_physical(v).magnitude()
-        d_phys = to_physical(delta).data
+        weighted = _integral(_samples(v, params.r).weight * _samples(delta).sq, cell)
         rhs = (0.5 * params.mu * grad_norm(delta) ** 2
-               + 0.5 * params.beta
-               * _weighted_l2_sq(v_mag, d_phys, cell, 0.5 * (params.r - 1.0))
-               + rho * l2_norm(delta) ** 2)
+               + 0.5 * params.beta * weighted + rho * l2_norm(delta) ** 2)
         return (rhs - lhs) / (rhs + lhs + TINY)
     return _sampled("advection_splitting", sampler, n_samples, margin, tolerance)
 
@@ -270,14 +271,12 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
                        + (1/2)|| |v|^{(r-1)/2}(u-v) ||^2  (>= 0).
     """
     cell = sampler.grid.cell_volume
-    expo = 0.5 * (r - 1.0)
     def margin(u, v, s):
-        u_phys = to_physical(u).data
-        v_phys = to_physical(v).data
-        d_phys = u_phys - v_phys
-        pairing = _damping_pairing(u_phys, v_phys, r, cell)
-        rhs = 0.5 * (_weighted_l2_sq(magnitude(u_phys), d_phys, cell, expo)
-                     + _weighted_l2_sq(magnitude(v_phys), d_phys, cell, expo))
+        su, sv = _samples(u, r), _samples(v, r)
+        d_sq = squared_magnitude(su.phys - sv.phys)
+        pairing = _damping_pairing(su, sv, cell)
+        rhs = 0.5 * (_integral(su.weight * d_sq, cell)
+                     + _integral(sv.weight * d_sq, cell))
         scale = abs(pairing) + rhs + TINY
         return min(pairing - rhs, pairing) / scale
     return _sampled("damping_monotone", sampler, n_samples, margin, tolerance)
@@ -292,11 +291,10 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
     """
     cell = sampler.grid.cell_volume
     def margin(u, v, s):
-        u_phys = to_physical(u).data
-        v_phys = to_physical(v).data
-        pairing = _damping_pairing(u_phys, v_phys, r, cell)
-        diff_lp = float(np.sum(magnitude(u_phys - v_phys) ** (r + 1.0))
-                        * cell) ** (2.0 / (r + 1.0))
+        su, sv = _samples(u, r), _samples(v, r)
+        pairing = _damping_pairing(su, sv, cell)
+        diff_lp = _integral(np.sqrt(squared_magnitude(su.phys - sv.phys))
+                            ** (r + 1.0), cell) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
         return (rhs - pairing) / (abs(pairing) + rhs + TINY)
     return _sampled("damping_lipschitz", sampler, n_samples, margin, tolerance)
@@ -311,10 +309,10 @@ def check_pointwise_mvt(sampler: FieldSampler, r: float,
     grid point of each sampled pair.
     """
     def margin(u, v, s):
-        y = to_physical(u).data
-        z = to_physical(v).data
-        lhs = magnitude(damping_pointwise(y, r) - damping_pointwise(z, r))
-        rhs = r * (magnitude(y) + magnitude(z)) ** (r - 1.0) * magnitude(y - z)
+        y, z = _samples(u, r), _samples(v, r)
+        lhs = np.sqrt(squared_magnitude(y.weight * y.phys - z.weight * z.phys))
+        rhs = (r * (np.sqrt(y.sq) + np.sqrt(z.sq)) ** (r - 1.0)
+               * np.sqrt(squared_magnitude(y.phys - z.phys)))
         scale = float(np.max(rhs)) + TINY
         return float(np.min(rhs - lhs)) / scale
     return _sampled("pointwise_mvt", sampler, n_samples, margin, tolerance)
@@ -339,38 +337,26 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     (r+1)^2 that overflows a float is a :class:`RegimeError`.
     """
     r1_sq = finite_constant("identity constant (r+1)^2", lambda: (r + 1.0) ** 2, r=r)
-    grid = u.grid
-    cell = grid.cell_volume
-    u_phys = to_physical(u).data
-    jac = physical_jacobian(u)
-    mag = magnitude(u_phys)
-    neg_lap = to_physical(laplacian(u) * -1.0).data
-    c_phys = damping_pointwise(u_phys, r)
-    i1 = float(np.sum(neg_lap * c_phys) * cell)
-
-    grad_sq = np.sum(jac * jac, axis=(0, 1))
-    weight = pointwise_power(mag, r - 1.0)
-    mid = float(np.sum(weight * grad_sq) * cell)
+    cell = u.grid.cell_volume
+    box = band_box(u.grid, False)
+    s, jac = grid_samples(u.coeffs, box, r, True)
+    neg_lap = box.inverse(box.k_squared * u.coeffs)
+    i1 = _integral(neg_lap * (s.weight * s.phys), cell)
+    mid = _integral(s.weight * np.sum(jac * jac, axis=(0, 1)), cell)
 
     # grad(|u|^2) = 2 sum_i u_i grad u_i, exact for band-limited u.
-    half_grad_mag2 = np.einsum("i...,ia...->a...", u_phys, jac)
-    grad_mag2_sq = 4.0 * np.sum(half_grad_mag2 ** 2, axis=0)
+    half_grad_sq = np.sum(np.einsum("i...,ia...->a...", s.phys, jac) ** 2, axis=0)
+    w = pointwise_power(s.sq, 0.5 * (r - 3.0))  # |u|^{r-3}
 
     if r >= 3.0:
         # |grad |u|^{(r+1)/2}|^2 = ((r+1)/2)^2 |u|^{r-3} |u.grad u|^2
-        w = pointwise_power(mag, r - 3.0)
-        grad_pow_sq = 0.25 * r1_sq * w * np.sum(half_grad_mag2 ** 2, axis=0)
+        grad_pow_sq = 0.25 * r1_sq * w * half_grad_sq
     else:
-        from .fields import PhysicalField, to_spectral
-        pow_field = to_spectral(PhysicalField(grid, mag ** (0.5 * (r + 1.0))))
-        grad_pow = physical_jacobian(pow_field)[0]
-        grad_pow_sq = np.sum(grad_pow ** 2, axis=0)
-    i2 = mid + 4.0 * (r - 1.0) / r1_sq * float(np.sum(grad_pow_sq) * cell)
+        pow_coeffs = box.forward(s.sq[np.newaxis] ** (0.25 * (r + 1.0)))
+        grad_pow_sq = squared_magnitude(box.inverse(jacobian(pow_coeffs, box))[0])
+    i2 = mid + 4.0 * (r - 1.0) / r1_sq * _integral(grad_pow_sq, cell)
 
-    if r == 1.0:
-        third = 0.0
-    else:
-        third = float(np.sum(pointwise_power(mag, r - 3.0) * grad_mag2_sq) * cell)
+    third = 0.0 if r == 1.0 else _integral(4.0 * w * half_grad_sq, cell)
     i3 = mid + 0.25 * (r - 1.0) * third
     return i1, i2, i3, mid
 
@@ -467,19 +453,15 @@ def check_advection_bounds(sampler: FieldSampler, r: float,
     q = 2.0 * (r + 1.0) / (r - 1.0)
     def margin(u, v, s):
         w = sampler.field_from_seed(s, stream=31)
-        ms = []
-        lhs = dual_norm(advection(u, v))
-        rhs = lp_norm(u, r + 1.0) * lp_norm(v, q)
-        ms.append((rhs * (1.0 + tolerance) - lhs) / (rhs + TINY))
-        lhs = abs(advection_form(u, v, w))
-        rhs = lp_norm(u, r + 1.0) * lp_norm(v, q) * grad_norm(w)
-        ms.append((rhs * (1.0 + tolerance) - lhs) / (rhs + TINY))
+        u_r1, v_q = lp_norm(u, r + 1.0), lp_norm(v, q)
+        bounds = [(dual_norm(advection(u, v)), u_r1 * v_q),
+                  (abs(advection_form(u, v, w)), u_r1 * v_q * grad_norm(w))]
         if r > 3.0:
-            lhs = abs(advection_form(u, u, v))
-            rhs = (lp_norm(u, r + 1.0) ** ((r + 1.0) / (r - 1.0))
-                   * l2_norm(u) ** ((r - 3.0) / (r - 1.0)) * grad_norm(v))
-            ms.append((rhs * (1.0 + tolerance) - lhs) / (rhs + TINY))
-        return min(ms)
+            bounds.append((abs(advection_form(u, u, v)),
+                           u_r1 ** ((r + 1.0) / (r - 1.0))
+                           * l2_norm(u) ** ((r - 3.0) / (r - 1.0)) * grad_norm(v)))
+        return min((rhs * (1.0 + tolerance) - lhs) / (rhs + TINY)
+                   for lhs, rhs in bounds)
     return _sampled("advection_bounds", sampler, n_samples, margin, 0.0,
                     notes=f"relative slack {tolerance:g} folded into margins")
 
