@@ -201,17 +201,23 @@ def _taylor_green_error(state, params):
     return np.max(np.abs(num.data - exact.data)) / np.max(np.abs(exact.data))
 
 
+def _check_ladders(config: RunConfig, metric, dts, ns):
+    """The dt ladder's metric rule, and the band of each random field on the
+    N ladder's finest grid, where it is drawn: checked before anything is made."""
+    params, family = config.params(), config["ic"]["family"]
+    if dts and metric == "taylor_green" and (params.beta or params.alpha):
+        raise ConfigError("taylor_green metric needs beta = alpha = 0")
+    if dts and metric == "single_mode" and (params.beta or family != "single_mode"):
+        raise ConfigError("single_mode metric needs beta = 0 and "
+                          "ic.family = single_mode")
+    if ns:
+        config.check_bands(max(ns))
+
+
 def _convergence_errors_dt(config: RunConfig, metric, dts):
     ic, params, base, forcing = config.problem()
-    if metric == "taylor_green" and (params.beta != 0.0 or params.alpha != 0.0):
-        raise ConfigError("taylor_green metric needs beta = alpha = 0")
     if metric == "single_mode":
-        if params.beta != 0.0:
-            raise ConfigError("single_mode metric needs beta = 0")
-        ic_spec = config.section("ic")
-        if ic_spec["family"] != "single_mode":
-            raise ConfigError("single_mode metric needs ic.family = single_mode")
-        k_sq = (sum(m * m for m in ic_spec["mode"])
+        k_sq = (sum(m * m for m in config["ic"]["mode"])
                 * (2.0 * np.pi / ic.grid.period) ** 2)
         u0 = leray_project(ic)
     errors = []
@@ -263,6 +269,7 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
     dts, ns = conv["dts"], conv["ns"]
     if not dts and not ns:
         raise InvalidArgumentsError("convergence needs a dt ladder or an N ladder")
+    _check_ladders(config, conv["metric"], dts, ns)
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     if dts:
         errors = _convergence_errors_dt(config, conv["metric"], dts)

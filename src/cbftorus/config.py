@@ -8,7 +8,7 @@ identical effective configuration.
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ SCHEMA = {
         "checks": (_str_list, ("all",), None),
         "seed": (int, 42, None),
         "samples": (int, 100, _positive),
-        "n": (int, 32, lambda v: v >= 8 and v % 2 == 0),
+        "n": (int, 32, None),
         "band_limit": (int, 8, None),
         "slope": (float, 2.0, None),
         "amplitude": (float, 1.0, _positive),
@@ -157,6 +157,15 @@ class RunConfig:
 
     def solver(self) -> SolverConfig:
         return SolverConfig(**self.section("solver"))
+
+    def check_bands(self, n_points):
+        """The band rule of the random [ic] and [forcing] fields on N = n_points."""
+        ic, forcing = self["ic"], self["forcing"]
+        if ic["family"] == "random":
+            check_band_limit(ic["band_limit"], n_points, "ic")
+        if (forcing["kind"] != "zero" and forcing["family"] == "random"
+                and not forcing["snapshot"]):
+            check_band_limit(forcing["band_limit"], n_points, "forcing")
 
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
@@ -315,17 +324,24 @@ def _cross_validate(config: RunConfig):
     for name in verify["checks"]:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
+    conv = config["convergence"]
     for key in ("dts", "ns"):  # a repeated size compares a run with itself
-        if 0 < len(set(config["convergence"][key])) < 3:
+        if 0 < len(set(conv[key])) < 3:
             raise ConfigError(f"convergence.{key} needs at least 3 distinct entries")
+    # Each entry that replaces [grid] n or [solver] dt must build its object.
+    grid, solver = config.grid(), config.solver()
+    for key, base, field, values in (("verify.n", grid, "n_points", [verify["n"]]),
+                                     ("convergence.ns", grid, "n_points", conv["ns"]),
+                                     ("convergence.dts", solver, "dt", conv["dts"])):
+        try:
+            for value in values:
+                replace(base, **{field: value})
+        except InvalidArgumentsError as err:
+            raise ConfigError(f"{key}: {err}") from None
     # The [ic] and [forcing] fields draw on [grid], the sampler on [verify] n;
-    # cli.cmd_verify checks the perturbation, drawn on [grid], before its checks.
+    # the verify perturbation and an N ladder's fields are checked by the cli.
     try:
-        if ic["family"] == "random":
-            check_band_limit(ic["band_limit"], config["grid"]["n"], "ic")
-        if (forcing["kind"] != "zero" and forcing["family"] == "random"
-                and not forcing["snapshot"]):
-            check_band_limit(forcing["band_limit"], config["grid"]["n"], "forcing")
+        config.check_bands(config["grid"]["n"])
         check_band_limit(verify["band_limit"], verify["n"], "verify")
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None

@@ -130,16 +130,16 @@ def _samples(u: SpectralField, r: float = 1.0):
     return grid_samples(u.coeffs, band_box(u.grid, False), r)[0]
 
 
-def _integral(values, cell_volume):
-    """Grid-point quadrature of ``values``."""
-    return float(np.sum(values) * cell_volume)
+def _integral(values, grid):
+    """Grid-point quadrature of ``values`` on ``grid``."""
+    return float(np.sum(values) * grid.cell_volume)
 
 
-def _damping_pairing(su, sv, cell_volume):
+def _damping_pairing(su, sv, grid):
     """<C(u)-C(v), u-v> = int (|u|^{r-1}u - |v|^{r-1}v).(u-v) dx from the
     samples of u and v."""
     return _integral((su.weight * su.phys - sv.weight * sv.phys)
-                     * (su.phys - sv.phys), cell_volume)
+                     * (su.phys - sv.phys), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +205,9 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
         raise RegimeError("critical monotonicity requires r = 3")
     exploratory = not params.critical_regime
     coeff = 0.5 * (params.beta - 1.0 / (2.0 * params.mu))
-    cell = sampler.grid.cell_volume
     def margin(u, v, s):
         delta, pairing, scale = _pair_quantities(u, v, params)
-        lower = coeff * _integral(_samples(v).sq * _samples(delta).sq, cell)
+        lower = coeff * _integral(_samples(v).sq * _samples(delta).sq, u.grid)
         return (pairing - lower) / scale
     notes = "2*beta*mu < 1: no proven bound, margins reported only" \
         if exploratory else f"lower-bound coefficient {coeff:.6g}"
@@ -227,11 +226,10 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
     if params.r <= 3.0:
         raise RegimeError("advection splitting bound requires r > 3")
     rho = monotonicity_shift(params)
-    cell = sampler.grid.cell_volume
     def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
-        weighted = _integral(_samples(v, params.r).weight * _samples(delta).sq, cell)
+        weighted = _integral(_samples(v, params.r).weight * _samples(delta).sq, u.grid)
         rhs = (0.5 * params.mu * grad_norm(delta) ** 2
                + 0.5 * params.beta * weighted + rho * l2_norm(delta) ** 2)
         return (rhs - lhs) / (rhs + lhs + TINY)
@@ -270,13 +268,12 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
     <C(u)-C(v), u-v> >= (1/2)|| |u|^{(r-1)/2}(u-v) ||^2
                        + (1/2)|| |v|^{(r-1)/2}(u-v) ||^2  (>= 0).
     """
-    cell = sampler.grid.cell_volume
     def margin(u, v, s):
         su, sv = _samples(u, r), _samples(v, r)
         d_sq = squared_magnitude(su.phys - sv.phys)
-        pairing = _damping_pairing(su, sv, cell)
-        rhs = 0.5 * (_integral(su.weight * d_sq, cell)
-                     + _integral(sv.weight * d_sq, cell))
+        pairing = _damping_pairing(su, sv, u.grid)
+        rhs = 0.5 * (_integral(su.weight * d_sq, u.grid)
+                     + _integral(sv.weight * d_sq, u.grid))
         scale = abs(pairing) + rhs + TINY
         return min(pairing - rhs, pairing) / scale
     return _sampled("damping_monotone", sampler, n_samples, margin, tolerance)
@@ -289,12 +286,11 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
 
     <C(u)-C(v), u-v> <= r (||u||_{r+1} + ||v||_{r+1})^{r-1} ||u-v||_{r+1}^2.
     """
-    cell = sampler.grid.cell_volume
     def margin(u, v, s):
         su, sv = _samples(u, r), _samples(v, r)
-        pairing = _damping_pairing(su, sv, cell)
+        pairing = _damping_pairing(su, sv, u.grid)
         diff_lp = _integral(np.sqrt(squared_magnitude(su.phys - sv.phys))
-                            ** (r + 1.0), cell) ** (2.0 / (r + 1.0))
+                            ** (r + 1.0), u.grid) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
         return (rhs - pairing) / (abs(pairing) + rhs + TINY)
     return _sampled("damping_lipschitz", sampler, n_samples, margin, tolerance)
@@ -337,12 +333,11 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     (r+1)^2 that overflows a float is a :class:`RegimeError`.
     """
     r1_sq = finite_constant("identity constant (r+1)^2", lambda: (r + 1.0) ** 2, r=r)
-    cell = u.grid.cell_volume
     box = band_box(u.grid, False)
     s, jac = grid_samples(u.coeffs, box, r, True)
     neg_lap = box.inverse(box.k_squared * u.coeffs)
-    i1 = _integral(neg_lap * (s.weight * s.phys), cell)
-    mid = _integral(s.weight * np.sum(jac * jac, axis=(0, 1)), cell)
+    i1 = _integral(neg_lap * (s.weight * s.phys), u.grid)
+    mid = _integral(s.weight * np.sum(jac * jac, axis=(0, 1)), u.grid)
 
     # grad(|u|^2) = 2 sum_i u_i grad u_i, exact for band-limited u.
     half_grad_sq = np.sum(np.einsum("i...,ia...->a...", s.phys, jac) ** 2, axis=0)
@@ -354,9 +349,9 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     else:
         pow_coeffs = box.forward(s.sq[np.newaxis] ** (0.25 * (r + 1.0)))
         grad_pow_sq = squared_magnitude(box.inverse(jacobian(pow_coeffs, box))[0])
-    i2 = mid + 4.0 * (r - 1.0) / r1_sq * _integral(grad_pow_sq, cell)
+    i2 = mid + 4.0 * (r - 1.0) / r1_sq * _integral(grad_pow_sq, u.grid)
 
-    third = 0.0 if r == 1.0 else _integral(4.0 * w * half_grad_sq, cell)
+    third = 0.0 if r == 1.0 else _integral(4.0 * w * half_grad_sq, u.grid)
     i3 = mid + 0.25 * (r - 1.0) * third
     return i1, i2, i3, mid
 

@@ -1100,6 +1100,99 @@ def test_cli_convergence_ladder_needs_3_distinct_entries(tmp_path, capsys, key,
     assert f"convergence.{key}" in capsys.readouterr().err and not out.exists()
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("stepped a config that should exit 2")
+
+
+# A random [ic] of band 4 on [grid] n = 16, for the ladder tests below.
+LADDER_INI = """
+[grid]
+n = 16
+
+[solver]
+dt = 0.002
+t_end = 0.01
+
+[ic]
+family = random
+band_limit = 4
+
+[convergence]
+metric = energy_residual
+"""
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("ns = 8, 10, 7", "convergence.ns: n_points must be even and >= 8, got 7"),
+    ("ns = 8, 12, 6", "convergence.ns: n_points must be even and >= 8, got 6"),
+    ("dts = 0.004, 0.002, -0.001", "convergence.dts: dt must be positive, got -0.001"),
+    ("dts = 0.004, 0.002, 0", "convergence.dts: dt must be positive, got 0.0"),
+])
+def test_cli_convergence_ladder_entries_checked_at_load(tmp_path, capsys,
+                                                        monkeypatch, entry,
+                                                        message):
+    # Each N entry is built as a grid and each dt entry as a solver config
+    # at load, so no rung runs and no output directory is made.
+    text = LADDER_INI + entry + "\n"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_text(text)
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("n", [7, 6])
+def test_verify_n_is_checked_as_a_grid(tmp_path, capsys, monkeypatch, n):
+    text = MINIMAL + f"\n[verify]\nchecks = trilinear\nn = {n}\n"
+    message = f"verify.n: n_points must be even and >= 8, got {n}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_text(text)
+    monkeypatch.setattr(cli, "_run_one_check", _no_run)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", _write(tmp_path, "v.ini", text),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("metric,message", [
+    ("taylor_green", "taylor_green metric needs beta = alpha = 0"),
+    ("single_mode", "single_mode metric needs beta = 0 and ic.family = single_mode"),
+])
+def test_cli_convergence_metric_checked_before_its_directory(
+        tmp_path, capsys, monkeypatch, metric, message):
+    # beta = 1 by default, and [ic] is random: exit 2, nothing made or run.
+    text = LADDER_INI.replace("energy_residual", metric) + "dts = 0.004, 0.002, 0.001\n"
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("section,text", [
+    ("ic", "[ic]\nfamily = random\nband_limit = 8\n"),
+    ("forcing", "[forcing]\nkind = steady\nfamily = random\nband_limit = 8\n"),
+])
+def test_cli_convergence_band_checked_on_the_finest_ladder_grid(
+        tmp_path, capsys, monkeypatch, section, text):
+    # [grid] n = 16 admits band 8, the N ladder's finest grid, n = 12, where
+    # the field is drawn, does not: convergence exits 2 before it makes or
+    # runs anything. The config still loads, and run draws on [grid].
+    text = ("[grid]\nn = 16\n\n[solver]\ndt = 0.002\nt_end = 0.004\n\n" + text
+            + "\n[convergence]\nns = 8, 10, 12\nmetric = energy_residual\n")
+    cfg = _write(tmp_path, "c.ini", text)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    message = f"{section}.band_limit 8 exceeds N/2 = 6"
+    assert message in capsys.readouterr().err and not out.exists() and runs == []
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert len(runs) == 1
+
+
 def test_cli_taylor_green_subcommand(tmp_path, capsys):
     out = str(tmp_path / "tg")
     assert cli.main(["taylor-green", "--out", out]) == 0

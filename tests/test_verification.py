@@ -10,12 +10,15 @@ import pytest
 import full_array as fa
 from cbftorus.errors import (ConfigError, InvalidArgumentsError, RegimeError)
 from cbftorus.families import random_band_limited, single_mode
-from cbftorus.fields import zero_field
+from cbftorus.fields import magnitude, to_physical, zero_field
 from cbftorus.grid import TorusGrid
-from cbftorus.operators import CbfParams, cbf_operator, monotonicity_shift
+from cbftorus.operators import (CbfParams, advection, advection_form,
+                                cbf_operator, damping_pointwise,
+                                monotonicity_shift, physical_jacobian,
+                                pointwise_power)
 from cbftorus.solver import Forcing, SolverConfig, run
-from cbftorus.spectral import (divergence_defect, grad_norm, l2_norm,
-                               l2_pairing, lp_norm)
+from cbftorus.spectral import (divergence_defect, dual_norm, grad_norm,
+                               l2_norm, l2_pairing, laplacian, lp_norm)
 from cbftorus import verification as verif
 from cbftorus.verification import (CheckReport, FieldSampler,
                                    check_advection_bounds,
@@ -405,3 +408,110 @@ def test_resolve_theta():
     assert resolve_theta(boundary) == pytest.approx(0.5)
     with pytest.raises(RegimeError):
         resolve_theta(CbfParams(mu=1.0, beta=0.4, r=3.0))
+
+
+# ---------------------------------------------------------------------------
+# the certifier's samples against pointwise references
+
+
+def _ref_weighted_l2_sq(weight_mag, diff_phys, cell, half_power):
+    """|| |w|^half_power d ||^2 with the power taken of |w| itself."""
+    w = pointwise_power(weight_mag, 2.0 * half_power)
+    return float(np.sum(w * np.sum(diff_phys * diff_phys, axis=0)) * cell)
+
+
+def _ref_damping_pairing(u_phys, v_phys, r, cell):
+    """<C(u)-C(v), u-v> on samples of u and v."""
+    return float(np.sum((damping_pointwise(u_phys, r) - damping_pointwise(v_phys, r))
+                        * (u_phys - v_phys)) * cell)
+
+
+def _ref_margins(u, v, w, params, cell):
+    """The pointwise margins of the certifier, from full transforms of each
+    field (``to_physical``, ``physical_jacobian``) and weights powered from
+    |u|: name -> margin of the pair (u, v), w the third field of
+    ``advection_bounds``."""
+    r, mu, beta = params.r, params.mu, params.beta
+    up, vp = to_physical(u).data, to_physical(v).data
+    delta = u - v
+    dp = to_physical(delta).data
+    pairing = _ref_damping_pairing(up, vp, r, cell)
+    out = {}
+    if r == 3.0:
+        gu, gv = cbf_operator(u, params), cbf_operator(v, params)
+        full = l2_pairing(gu - gv, delta)
+        scale = (abs(l2_pairing(gu, delta)) + abs(l2_pairing(gv, delta))
+                 + mu * grad_norm(delta) ** 2 + l2_norm(delta) ** 2 + verif.TINY)
+        lower = 0.5 * (beta - 1.0 / (2.0 * mu)) * _ref_weighted_l2_sq(
+            magnitude(vp), dp, cell, 1.0)
+        out["monotone_critical"] = (full - lower) / scale
+    else:
+        lhs = abs(advection_form(delta, delta, v))
+        rhs = (0.5 * mu * grad_norm(delta) ** 2
+               + 0.5 * beta * _ref_weighted_l2_sq(magnitude(vp), dp, cell,
+                                                  0.5 * (r - 1.0))
+               + monotonicity_shift(params) * l2_norm(delta) ** 2)
+        out["advection_splitting"] = (rhs - lhs) / (rhs + lhs + verif.TINY)
+    d_phys = up - vp
+    rhs = 0.5 * (_ref_weighted_l2_sq(magnitude(up), d_phys, cell, 0.5 * (r - 1.0))
+                 + _ref_weighted_l2_sq(magnitude(vp), d_phys, cell, 0.5 * (r - 1.0)))
+    out["damping_monotone"] = (min(pairing - rhs, pairing)
+                               / (abs(pairing) + rhs + verif.TINY))
+    diff_lp = float(np.sum(magnitude(d_phys) ** (r + 1.0)) * cell) ** (2.0 / (r + 1.0))
+    rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
+    out["damping_lipschitz"] = (rhs - pairing) / (abs(pairing) + rhs + verif.TINY)
+    lhs = magnitude(damping_pointwise(up, r) - damping_pointwise(vp, r))
+    rhs = r * (magnitude(up) + magnitude(vp)) ** (r - 1.0) * magnitude(d_phys)
+    out["mvt"] = float(np.min(rhs - lhs)) / (float(np.max(rhs)) + verif.TINY)
+    q = 2.0 * (r + 1.0) / (r - 1.0)
+    bounds = [(dual_norm(advection(u, v)), lp_norm(u, r + 1.0) * lp_norm(v, q)),
+              (abs(advection_form(u, v, w)),
+               lp_norm(u, r + 1.0) * lp_norm(v, q) * grad_norm(w))]
+    if r > 3.0:
+        bounds.append((abs(advection_form(u, u, v)),
+                       lp_norm(u, r + 1.0) ** ((r + 1.0) / (r - 1.0))
+                       * l2_norm(u) ** ((r - 3.0) / (r - 1.0)) * grad_norm(v)))
+    out["advection_bounds"] = min((rhs * (1.0 + 1e-8) - lhs) / (rhs + verif.TINY)
+                                  for lhs, rhs in bounds)
+    return out
+
+
+def _ref_identity_forms(u, r):
+    """(I1, I2, I3, mid) of ``dissipation_identity_forms`` for r >= 3."""
+    cell = u.grid.cell_volume
+    up, jac = to_physical(u).data, physical_jacobian(u)
+    mag = magnitude(up)
+    neg_lap = to_physical(laplacian(u) * -1.0).data
+    i1 = float(np.sum(neg_lap * damping_pointwise(up, r)) * cell)
+    mid = float(np.sum(pointwise_power(mag, r - 1.0) * np.sum(jac * jac, axis=(0, 1)))
+                * cell)
+    half_grad_sq = np.sum(np.einsum("i...,ia...->a...", up, jac) ** 2, axis=0)
+    w = pointwise_power(mag, r - 3.0)
+    i2 = mid + 4.0 * (r - 1.0) / (r + 1.0) ** 2 * float(
+        np.sum(0.25 * (r + 1.0) ** 2 * w * half_grad_sq) * cell)
+    i3 = mid + 0.25 * (r - 1.0) * float(np.sum(w * 4.0 * half_grad_sq) * cell)
+    return i1, i2, i3, mid
+
+
+@pytest.mark.parametrize("dim,n,band", [(2, 16, 5), (3, 8, 3)], ids=["2d", "3d"])
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 5.0])
+def test_certifier_margins_match_pointwise_references(dim, n, band, r):
+    # Each margin, read from the solver's samples (|u|^{r-1} formed from
+    # |u|^2, grad u from one stacked inverse), against the same margin from
+    # full transforms of each field and powers of |u|: one sample per check
+    # (its worst margin) at each of three seeds.
+    grid = TorusGrid(dim=dim, n_points=n)
+    params = CbfParams(mu=0.5, beta=2.0, r=r)  # at r = 3, a lower bound > 0
+    for seed in (3, 11, 20):
+        sampler = FieldSampler(grid=grid, seed=seed, band_limit=band)
+        u, v = sampler.field_from_seed(seed), sampler.field_from_seed(seed + 1)
+        ref = _ref_margins(u, v, sampler.field_from_seed(seed, stream=31), params,
+                           grid.cell_volume)
+        inputs = {"sampler": sampler, "params": params, "r": r, "samples": 1,
+                  "tolerance": verif.DEFAULT_TOL}
+        for name, margin in ref.items():
+            check, keys = verif.CHECKS[name][:2]
+            got = check(*(inputs[key] for key in keys.split())).worst_margin
+            assert abs(got - margin) <= 1e-13 * abs(margin), (name, seed)
+        for got, want in zip(dissipation_identity_forms(u, r), _ref_identity_forms(u, r)):
+            assert abs(got - want) <= 1e-13 * abs(want), seed
