@@ -14,8 +14,9 @@ one Hermitian check (raising :class:`SymmetryError`), and
 :meth:`SpectralField.full` expands for output; snapshot files store the full
 array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch; it is
-the one transform, and the box that covers the half serves
-:func:`to_physical` and :func:`to_spectral`.
+the one transform and the one owner of the spectral multipliers, and the
+box that covers the half serves :func:`to_physical`, :func:`to_spectral`
+and every operation on whole half-spectrum fields.
 """
 
 import functools
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidFieldError, SymmetryError
-from .grid import TorusGrid
+from .grid import TWO_PI, TorusGrid
 
 SYMMETRY_TOL = 1e-10
 
@@ -115,7 +116,8 @@ class SpectralField:
     def scale(self):
         """Coefficient norm ||c||_2 over the full spectrum, used to normalize
         tolerances; a Plancherel sum of the half."""
-        return _norm(np.abs(self.coeffs), self.grid.plancherel_weights)
+        return _norm(np.abs(self.coeffs),
+                     band_box(self.grid, False).plancherel_weights)
 
     def full(self):
         """The full coefficient array (ncomp, N, ..., N), a new array."""
@@ -233,20 +235,36 @@ _FORWARD_ORDER = (reversed if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 class ModeBox:
     """The modes with every |m_i| <= R of the half spectrum, stored
     compactly: rows 0..R and N-R..N-1 of each leading axis (a cyclic order
-    of length 2R+1) and columns 0..R; at R = N/2, the half as it is.
-    ``mask`` marks a Galerkin ball of radius ``ball_n`` in the box (None:
-    no ball, all of the box)."""
+    of length 2R+1) and columns 0..R; at R = N/2, the half as it is.  It
+    owns the multipliers on them: the wavenumbers 2*pi*m/L with the
+    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2,
+    1/|k|^2 (0 at k = 0), the columns' Plancherel weights (1 on columns 0
+    and N/2, their own mirrors, 2 elsewhere) and, times the volume,
+    ``volume_weights``; ``mask`` marks a Galerkin ball of radius ``ball_n``
+    (None: no ball, all of the box)."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
-        self.covers_half = radius == grid.n_points // 2
-        self.wavenumbers = tuple(self.gather(k) for k in grid.wavenumbers)
+        n = grid.n_points
+        self.covers_half = radius == n // 2
+        modes = [self.gather(m) for m in grid.mode_grids]
+        self.wavenumbers = tuple(np.where(np.abs(m) == n // 2, 0.0,
+                                          m * (TWO_PI / grid.period)) for m in modes)
         self.ik = tuple(1j * k for k in self.wavenumbers)
-        self.k_squared = self.gather(grid.k_squared)
-        self.inv_k_squared = self.gather(grid.inv_k_squared)
-        self.volume_weights = grid.plancherel_weights[:radius + 1] * grid.volume
-        self.mask = (self.gather(grid.mode_sq_norm) <= ball_n * ball_n
+        self.k_squared = sum(k * k for k in self.wavenumbers)
+        self.inv_k_squared = np.divide(1.0, self.k_squared, where=self.k_squared > 0,
+                                       out=np.zeros_like(self.k_squared))
+        columns = modes[-1].ravel()
+        self.plancherel_weights = np.where((columns == 0) | (columns == n // 2),
+                                           1.0, 2.0)
+        self.volume_weights = self.plancherel_weights * grid.volume
+        self.mask = (sum(m * m for m in modes) <= ball_n * ball_n
                      if ball_n > 0 else None)
+
+    def masked(self, c):
+        """Coefficients ``c`` on the box zeroed off its Galerkin ball: a new
+        array, or ``c`` itself when the box has no ball."""
+        return c if self.mask is None else c * self.mask
 
     @staticmethod
     def _on(axis, rows):

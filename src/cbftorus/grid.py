@@ -1,12 +1,10 @@
-"""Periodic computational domain and its wavenumber machinery.
+"""Periodic computational domain: geometry and storage layout.
 
 A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
-the torus and precomputes everything the spectral operators need, on the
-half spectrum that spectral fields store (last-axis modes 0..N/2): integer
-mode indices, derivative wavenumbers (with the unmatched Nyquist modes
-zeroed so that ik*u_hat stays Hermitian-symmetric), the squared-wavenumber
-multiplier of the Stokes operator and the Plancherel weights of the half's
-columns; and it caches the compact mode boxes of ``fields.band_box``.
+the torus, the sample and half-spectrum shapes (the half that ``rfftn``
+keeps: last-axis modes 0..N/2), the volumes, the grid coordinates and the
+integer mode indices; and it caches the compact mode boxes of
+``fields.band_box``, which own every spectral multiplier built from them.
 """
 
 from dataclasses import dataclass
@@ -90,52 +88,6 @@ class TorusGrid:
         return tuple(np.reshape(self.modes if a < self.dim - 1 else last,
                                 [-1 if b == a else 1 for b in range(self.dim)])
                      for a in range(self.dim))
-
-    @cached_property
-    def wavenumbers(self):
-        """Derivative wavenumbers 2*pi*m/L per axis, Nyquist entries zeroed."""
-        out = []
-        for m in self.mode_grids:
-            k = m.astype(float) * (TWO_PI / self.period)
-            k[np.abs(m) == self.n_points // 2] = 0.0
-            out.append(k)
-        return tuple(out)
-
-    @cached_property
-    def ik(self):
-        """i*k per axis: the multipliers of spectral differentiation."""
-        return tuple(1j * k for k in self.wavenumbers)
-
-    @cached_property
-    def k_squared(self):
-        """|k|^2 multiplier built from the derivative wavenumbers."""
-        out = np.zeros(self.half_shape)
-        for k in self.wavenumbers:
-            out = out + k * k
-        return out
-
-    @cached_property
-    def inv_k_squared(self):
-        """1/|k|^2, and 0 on the modes with k = 0."""
-        k2 = self.k_squared
-        return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
-
-    @cached_property
-    def mode_sq_norm(self):
-        """sum_i m_i^2 per mode."""
-        out = np.zeros(self.half_shape, dtype=int)
-        for m in self.mode_grids:
-            out = out + m * m
-        return out
-
-    @cached_property
-    def plancherel_weights(self):
-        """Weight of each half-spectrum column in a Plancherel sum over the
-        full spectrum: 2 on columns 1..N/2-1, whose mirror images -m are not
-        stored, and 1 on columns 0 and N/2, which are their own mirrors."""
-        weights = np.full(self.n_points // 2 + 1, 2.0)
-        weights[[0, -1]] = 1.0
-        return weights
 
     @cached_property
     def boxes(self):

@@ -68,7 +68,7 @@ def _require_div_free(u: SpectralField, what: str):
 def stokes(u: SpectralField) -> SpectralField:
     """A u = -P(Laplacian u): multiplier |k|^2 on divergence-free fields."""
     _require_div_free(u, "stokes operator")
-    return u.replace(u.grid.k_squared * u.coeffs)
+    return u.replace(band_box(u.grid, False).k_squared * u.coeffs)
 
 
 def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
@@ -135,7 +135,8 @@ def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
 
 def physical_jacobian(v: SpectralField) -> np.ndarray:
     """Partial derivatives of v evaluated on the grid, shape (ncomp, dim, ...)."""
-    return band_box(v.grid, False).inverse(jacobian(v.coeffs, v.grid))
+    half = band_box(v.grid, False)
+    return half.inverse(jacobian(v.coeffs, half))
 
 
 def _rotational_samples(coeffs, u_phys, box):
@@ -162,9 +163,7 @@ def _forward(samples, box, project=True):
     Leray-projected."""
     if project and len(samples) != box.grid.dim:
         raise InvalidArgumentsError("Leray projection needs a vector field")
-    out = box.forward(samples)
-    if box.mask is not None:
-        out = out * box.mask
+    out = box.masked(box.forward(samples))
     if project:
         out = project_coeffs(out, box.wavenumbers, box.inv_k_squared)
     return out
@@ -183,8 +182,7 @@ def nonlinear_term(coeffs: np.ndarray, box, params: CbfParams,
     otherwise the convective form.
     """
     if samples is None:
-        if box.mask is not None:
-            coeffs = coeffs * box.mask
+        coeffs = box.masked(coeffs)
         samples, _ = grid_samples(coeffs, box, params.r)
     if apply_dealias and project:
         term = _rotational_samples(coeffs, samples.phys, box)
@@ -225,7 +223,8 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     grid = u.grid
     box = band_box(grid, apply_dealias)
     nl, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias)
-    coeffs = (params.mu * grid.k_squared + params.alpha) * u.coeffs + box.expand(nl)
+    lam = params.mu * band_box(grid, False).k_squared + params.alpha
+    coeffs = lam * u.coeffs + box.expand(nl)
     return SpectralField(grid, coeffs, divergence_free=True)
 
 
@@ -284,6 +283,7 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     box = band_box(grid, apply_dealias)
     rhs, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias,
                             project=False)
-    div = sum(1j * k * c for k, c in zip(grid.wavenumbers,
+    half = band_box(grid, False)
+    div = sum(1j * k * c for k, c in zip(half.wavenumbers,
                                          f.coeffs - box.expand(rhs)))
-    return SpectralField(grid, -grid.inv_k_squared * div)
+    return SpectralField(grid, -half.inv_k_squared * div)

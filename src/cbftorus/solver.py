@@ -124,8 +124,7 @@ class Forcing:
         if self._base is None:
             return 0.0
         if box not in self._gathered:
-            base = box.gather(self._base.coeffs)
-            self._gathered[box] = base if box.mask is None else base * box.mask
+            self._gathered[box] = box.masked(box.gather(self._base.coeffs))
         if self._profile is None:
             return self._gathered[box]
         return self._gathered[box] * float(self._profile(t))
@@ -231,10 +230,8 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
         warnings.warn("initial condition is not divergence-free; projecting")
     box = band_box(grid, config.dealias, config.galerkin_n,
                    config.galerkin_shape)
-    c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
-    if box.mask is not None:
-        c = c * box.mask
-    c = _settle(c, grid)
+    c = _settle(box.masked(project_coeffs(box.gather(ic.coeffs), box.wavenumbers,
+                                          box.inv_k_squared)), grid)
     samples, jac = grid_samples(c, box, params.r, extended)
     rates = _rates(c, box, 0.0, forcing, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
@@ -267,6 +264,17 @@ def _check_cfl(u_sq, grid, dt: float):
             f"CFL sanity violated: dt*max|u|*k_max = {dt * max_speed * k_max:.3g} >= 1")
 
 
+def _check_damping(weight, params: CbfParams, h: float, limit: float):
+    """Warn when h*beta*r*max|u|^{r-1}, the explicit damping's rate times the
+    step, reaches the stability ``limit`` of the update that ran (2 for an
+    Euler step of size h, 1 for Adams-Bashforth-2), given the samples of
+    |u|^{r-1}."""
+    stiffness = h * params.beta * params.r * float(np.max(weight))
+    if stiffness >= limit:
+        warnings.warn(f"explicit damping is stiff: h*beta*r*max|u|^(r-1) = "
+                      f"{stiffness:.3g} >= {limit:g}")
+
+
 def step(state: SimulationState, params: CbfParams, config: SolverConfig,
          forcing: Forcing) -> SimulationState:
     """Advance one time step; divergence-free by construction.  Raises
@@ -286,7 +294,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
     samples = state.samples  # of u at the step's start
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
-        h = dt / n_sub
+        h, limit = dt / n_sub, 2.0
         for s in range(n_sub):
             nl, samples = nonlinear_term(c, box, params, config.dealias,
                                          samples=None if s else samples)
@@ -296,6 +304,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
             c = np.divide(new, _multiplier(box, params, h), out=new)
         prev_nl = nl if config.scheme == "imex_cnab2" else None
     else:
+        h, limit = dt, 1.0
         nl, samples = nonlinear_term(c, box, params, config.dealias,
                                      samples=samples)
         new = np.multiply(1.5, nl)
@@ -311,6 +320,7 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
     except InvalidFieldError:
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
     _check_cfl(samples.sq, grid, dt)
+    _check_damping(samples.weight, params, h, limit)
     new_t = state.t + dt
     samples, jac = grid_samples(c, box, params.r, state.extended)
     new_rates = _rates(c, box, new_t, forcing, samples, jac)

@@ -1,12 +1,12 @@
 """Spectral calculus: projection, differentiation, filtering, norms.
 
 Every operation acts on the half spectrum that a :class:`SpectralField`
-stores.  Every multiplier here is built from the grid's derivative
-wavenumbers (with the unmatched Nyquist entries zeroed), which keeps the
-discrete identities exact: the Leray projector annihilates discrete
-gradients, <Au,u> equals the quadrature of |grad u|^2, and Plancherel sums,
-which weight each column that stands for its mirror image by 2
-(``grid.plancherel_weights``), match physical quadrature to rounding.
+stores, with the multipliers of the box that covers it.  They are built
+from derivative wavenumbers with the unmatched Nyquist entries zeroed, which
+keeps the discrete identities exact: the Leray projector annihilates
+discrete gradients, <Au,u> equals the quadrature of |grad u|^2, and
+Plancherel sums, which weight each column that stands for its mirror image
+by 2, match physical quadrature to rounding.
 """
 
 import numpy as np
@@ -23,11 +23,11 @@ def leray_project(u: SpectralField) -> SpectralField:
     mode, and Nyquist-only indices under the zeroed-derivative convention)
     pass through unchanged.
     """
-    grid = u.grid
     if not u.is_vector:
         raise InvalidArgumentsError("Leray projection needs a vector field")
-    coeffs = project_coeffs(u.coeffs, grid.wavenumbers, grid.inv_k_squared)
-    return SpectralField(grid, coeffs, divergence_free=True)
+    half = band_box(u.grid, False)
+    coeffs = project_coeffs(u.coeffs, half.wavenumbers, half.inv_k_squared)
+    return SpectralField(u.grid, coeffs, divergence_free=True)
 
 
 def project_coeffs(coeffs, k, inv_k2):
@@ -48,14 +48,14 @@ def divergence_defect(u: SpectralField) -> float:
     return float(np.max(np.abs(divergence(u).coeffs))) / scale
 
 
-def jacobian(coeffs, grid, out=None) -> np.ndarray:
+def jacobian(coeffs, box, out=None) -> np.ndarray:
     """Spectral partial derivatives i*k_a*c of a (ncomp, ...) coefficient
-    array, shape (ncomp, dim, ...), into ``out`` when given; ``grid`` is a
-    grid or a mode box, which cache i*k."""
+    array on the mode ``box``, shape (ncomp, dim, ...), into ``out`` when
+    given."""
     if out is None:
-        out = np.empty((len(coeffs), len(grid.ik)) + coeffs.shape[1:], complex)
+        out = np.empty((len(coeffs), len(box.ik)) + coeffs.shape[1:], complex)
     for c, out_c in zip(coeffs, out):
-        for ik, out_ca in zip(grid.ik, out_c):
+        for ik, out_ca in zip(box.ik, out_c):
             np.multiply(ik, c, out=out_ca)
     return out
 
@@ -63,7 +63,7 @@ def jacobian(coeffs, grid, out=None) -> np.ndarray:
 def gradient(u: SpectralField) -> SpectralField:
     """Gradient of a scalar field (or flattened Jacobian of a vector)."""
     grid = u.grid
-    return SpectralField(grid, jacobian(u.coeffs, grid).reshape(
+    return SpectralField(grid, jacobian(u.coeffs, band_box(grid, False)).reshape(
         (-1,) + grid.half_shape))
 
 
@@ -72,12 +72,13 @@ def divergence(u: SpectralField) -> SpectralField:
     grid = u.grid
     if not u.is_vector:
         raise InvalidArgumentsError("divergence needs a vector field")
-    out = sum(1j * grid.wavenumbers[i] * u.coeffs[i] for i in range(grid.dim))
+    k = band_box(grid, False).wavenumbers
+    out = sum(1j * k[i] * u.coeffs[i] for i in range(grid.dim))
     return SpectralField(grid, out[np.newaxis])
 
 
 def laplacian(u: SpectralField) -> SpectralField:
-    return u.replace(-u.grid.k_squared * u.coeffs)
+    return u.replace(-band_box(u.grid, False).k_squared * u.coeffs)
 
 
 def dealias(u: SpectralField) -> SpectralField:
@@ -92,8 +93,7 @@ def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralFiel
     if n < 0 or shape not in ("box", "ball"):
         raise InvalidArgumentsError(f"need n >= 0, box or ball: {n}, {shape!r}")
     box = ModeBox(u.grid, min(n, u.grid.n_points // 2), n if shape == "ball" else 0)
-    c = box.gather(u.coeffs)
-    return u.replace(box.expand(c if box.mask is None else c * box.mask))
+    return u.replace(box.expand(box.masked(box.gather(u.coeffs))))
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:
@@ -104,7 +104,7 @@ def exp_filter(u: SpectralField, n: float) -> SpectralField:
     """
     if not n > 0:
         raise InvalidArgumentsError("filter parameter must be positive")
-    lam = u.grid.k_squared
+    lam = band_box(u.grid, False).k_squared
     mult = np.where(lam < n * n, np.exp(-lam / n), 0.0)
     return u.replace(mult * u.coeffs)
 
@@ -140,17 +140,20 @@ def l2_norm(u) -> float:
 
 def grad_norm(u: SpectralField) -> float:
     """Gradient seminorm ||grad u||_{L2}, computed spectrally."""
-    return float(np.sqrt(np.sum(u.grid.k_squared * power_spectrum(u))))
+    k2 = band_box(u.grid, False).k_squared
+    return float(np.sqrt(np.sum(k2 * power_spectrum(u))))
 
 
 def h1_norm(u: SpectralField) -> float:
     """Full H1 norm (sum of squared L2 norm and gradient seminorm)."""
-    return float(np.sqrt(np.sum((1.0 + u.grid.k_squared) * power_spectrum(u))))
+    k2 = band_box(u.grid, False).k_squared
+    return float(np.sqrt(np.sum((1.0 + k2) * power_spectrum(u))))
 
 
 def dual_norm(u: SpectralField) -> float:
     """H1-dual norm: coefficients weighted by (1 + |k|^2)^{-1/2}."""
-    return float(np.sqrt(np.sum(power_spectrum(u) / (1.0 + u.grid.k_squared))))
+    k2 = band_box(u.grid, False).k_squared
+    return float(np.sqrt(np.sum(power_spectrum(u) / (1.0 + k2))))
 
 
 def lp_norm(u, p: float) -> float:

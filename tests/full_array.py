@@ -37,6 +37,13 @@ def inv_k_squared(grid):
     return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
 
+def plancherel_weights(grid):
+    """Full-spectrum columns that each half-spectrum column j stands for:
+    j and its mirror N - j, one column where they coincide (j = 0, N/2)."""
+    j = np.arange(grid.n_points // 2 + 1)
+    return np.where(j == (grid.n_points - j) % grid.n_points, 1.0, 2.0)
+
+
 def inf_norm(grid):
     return np.max(np.broadcast_arrays(*(np.abs(m) for m in modes(grid))), axis=0)
 

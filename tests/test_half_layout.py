@@ -307,3 +307,36 @@ def test_box_transforms_are_exact(grid):
         sym = symmetrize_columns(c.copy(), grid)
         assert np.array_equal(box.expand(sym),
                               symmetrize_columns(h.copy(), grid))
+
+
+def _gathered(box, full):
+    """A full-spectrum reference array, or a multiplier broadcast to it,
+    cut to the half and gathered onto ``box``."""
+    return box.gather(full[..., :box.grid.n_points // 2 + 1])
+
+
+@pytest.mark.parametrize("grid", IDENTITY_GRIDS,
+                         ids=lambda g: f"{g.dim}d-n{g.n_points}")
+def test_box_multipliers_match_full_array(grid):
+    # Each box builds its multipliers on its own modes; they equal the
+    # full-array references gathered onto it, to the bit, on the covering,
+    # dealiasing, Galerkin-box and Galerkin-ball boxes.
+    g = max(1, grid.n_points // 4)
+    boxes = [band_box(grid, False), band_box(grid), band_box(grid, False, g),
+             band_box(grid, False, g, "ball"), band_box(grid, True, g, "ball")]
+    assert boxes[0].covers_half and not any(b.covers_half for b in boxes[1:])
+    k_ref = fa.wavenumbers(grid)
+    for box in boxes:
+        for k, ik, ref in zip(box.wavenumbers, box.ik, k_ref):
+            assert np.array_equal(k, _gathered(box, ref))
+            assert np.array_equal(ik, 1j * _gathered(box, ref))
+        assert np.array_equal(box.k_squared, _gathered(box, fa.k_squared(grid)))
+        assert np.array_equal(box.inv_k_squared,
+                              _gathered(box, fa.inv_k_squared(grid)))
+        weights = fa.plancherel_weights(grid)[:box.radius + 1]
+        assert np.array_equal(box.plancherel_weights, weights)
+        assert np.array_equal(box.volume_weights, weights * grid.volume)
+    for box in boxes[:3]:
+        assert box.mask is None
+    for box in boxes[3:]:
+        assert np.array_equal(box.mask, _gathered(box, fa.sq_norm(grid) <= g * g))

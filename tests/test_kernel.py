@@ -441,8 +441,9 @@ def _half_nonlinear(half, grid, params, config, samples=None):
             half = half * mask
         samples = pointwise_samples(fa.half_inverse(half, grid), params.r)
     u = samples.phys
+    cover = band_box(grid, False)
     if config.dealias:
-        k = grid.wavenumbers
+        k = cover.wavenumbers
 
         def curl(i, j):
             return 1j * (k[i] * half[j] - k[j] * half[i])
@@ -456,18 +457,18 @@ def _half_nonlinear(half, grid, params, config, samples=None):
             term = np.stack([w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2],
                              w[0] * u[1] - w[1] * u[0]])
     else:
-        term = advect_samples(u, fa.half_inverse(jacobian(half, grid), grid))
+        term = advect_samples(u, fa.half_inverse(jacobian(half, cover), grid))
     out = fa.half_forward(term + params.beta * samples.weight * u, grid)
     if mask is not None:
         out = out * mask
-    return project_coeffs(out, grid.wavenumbers, grid.inv_k_squared), samples
+    return project_coeffs(out, cover.wavenumbers, cover.inv_k_squared), samples
 
 
 def _half_rates(u, t, params, forcing, extended, samples):
     """Budget integrands as Plancherel sums over the half spectrum."""
     grid = u.grid
     power = power_spectrum(u)
-    k2 = grid.k_squared
+    k2 = band_box(grid, False).k_squared
     damping_val = float(np.sum(samples.weight * samples.sq) * grid.cell_volume)
     f = forcing.at(t)
     forcing_val = 0.0 if f is None else l2_pairing(f, u)
@@ -487,7 +488,8 @@ def _half_samples(u, params):
 
 def _half_initialize(ic, params, config, forcing, extended):
     grid = ic.grid
-    half = project_coeffs(ic.coeffs, grid.wavenumbers, grid.inv_k_squared)
+    cover = band_box(grid, False)
+    half = project_coeffs(ic.coeffs, cover.wavenumbers, cover.inv_k_squared)
     mask = _half_band(grid, config)
     u = SpectralField(grid, symmetrize_columns(
         half if mask is None else half * mask, grid), divergence_free=True)
@@ -503,7 +505,7 @@ def _half_step(state, params, config, forcing):
     grid = state.u.grid
     dt = config.dt
     mask = _half_band(grid, config)
-    lam = params.mu * grid.k_squared + params.alpha
+    lam = params.mu * band_box(grid, False).k_squared + params.alpha
     half = state.u.coeffs
 
     def forcing_at(t):

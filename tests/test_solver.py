@@ -1,6 +1,7 @@
 """Time integration: scheme exactness, orders, budgets, blow-up handling."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -216,6 +217,25 @@ def test_cfl_warning(grid32):
     state = initialize_state(ic, NSE, config, forcing)
     with pytest.warns(UserWarning, match="CFL"):
         step(state, NSE, config, forcing)
+
+
+def test_stiff_damping_warning(grid32):
+    # r = 6 at amplitude 40: dt*beta*r*max|u|^5 is about 11 at t = 0, past
+    # the limit 2 of the first (Euler) step, and still past the limit 1 of
+    # the Adams-Bashforth-2 step after it; the CFL number stays below 1.
+    params = CbfParams(mu=0.1, beta=1.0, r=6.0)
+    ic = random_band_limited(grid32, seed=7, band_limit=8, amplitude=40.0)
+    config = SolverConfig(dt=1e-5, t_end=2e-5, scheme="imex_cnab2")
+    with pytest.warns(UserWarning, match="explicit damping is stiff") as record:
+        run(ic, params, config)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert messages[0].endswith(">= 2") and messages[1].endswith(">= 1")
+    # At amplitude 1 the same run is far from the limit and silent.
+    quiet = random_band_limited(grid32, seed=7, band_limit=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        run(quiet, params, config)
 
 
 def test_galerkin_truncation_confines_modes(grid32):
