@@ -19,8 +19,7 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
     Divergence-free; under pure viscous decay it evolves as
     amplitude * e^{-2 mu t} on the unit torus scale 2*pi/L.
     """
-    field = to_spectral(taylor_green_exact(grid, 0.0, 0.0, amplitude))
-    return SpectralField(grid, field.coeffs, divergence_free=True)
+    return to_spectral(taylor_green_exact(grid, 0.0, 0.0, amplitude))
 
 
 def taylor_green_exact(grid: TorusGrid, mu: float, t: float,
@@ -99,7 +98,7 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     norm = float(np.sqrt(grid.volume * np.sum(power)))
     if norm == 0.0:
         raise InvalidArgumentsError("degenerate random field (zero norm)")
-    return SpectralField(grid, box.expand(c) * (amplitude / norm), project)
+    return SpectralField(grid, box.expand(c) * (amplitude / norm))
 
 
 @functools.lru_cache(maxsize=16)

@@ -2,7 +2,9 @@
 
 Both field types are immutable snapshots: the wrapped arrays are marked
 read-only and every operation returns a new field, so values are safe to
-share across threads.
+share across threads.  A field is its grid and its samples or coefficients
+and carries no other claim: whether it is divergence-free is measured
+where that matters (``operators``), not stored.
 
 Spectral coefficients follow the convention u(x) = sum_m u_hat(m) e^{i k_m.x}
 with k_m = 2*pi*m/L, i.e. ``fftn(samples) / N^d``.  Real-valued fields
@@ -84,7 +86,6 @@ class SpectralField:
 
     grid: TorusGrid
     coeffs: np.ndarray
-    divergence_free: bool = False
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -124,7 +125,7 @@ class SpectralField:
         return hermitian_expand(self.coeffs, self.grid)
 
     @classmethod
-    def from_full(cls, grid, full, divergence_free=False):
+    def from_full(cls, grid, full):
         """Field of a full coefficient array (ncomp, N, ..., N), which keeps
         its half.  Raises :class:`InvalidFieldError` unless the array is
         finite, and :class:`SymmetryError` unless it is Hermitian symmetric
@@ -137,25 +138,18 @@ class SpectralField:
             full, tuple(range(-grid.dim, 0))))))
         if defect > SYMMETRY_TOL * max(_norm(np.abs(full)), 1e-300):
             raise SymmetryError("coefficients violate Hermitian symmetry")
-        return cls(grid, full[..., :grid.n_points // 2 + 1], divergence_free)
-
-    def replace(self, coeffs, divergence_free=None):
-        if divergence_free is None:
-            divergence_free = self.divergence_free
-        return SpectralField(self.grid, coeffs, divergence_free)
+        return cls(grid, full[..., :grid.n_points // 2 + 1])
 
     def __add__(self, other):
         require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.divergence_free and other.divergence_free)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             self.divergence_free and other.divergence_free)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * float(scalar), self.divergence_free)
+        return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -184,8 +178,7 @@ def require_same_grid(a, b):
 
 def zero_field(grid, ncomp=None):
     ncomp = grid.dim if ncomp is None else ncomp
-    return SpectralField(grid, np.zeros((ncomp,) + grid.half_shape, dtype=complex),
-                         divergence_free=True)
+    return SpectralField(grid, np.zeros((ncomp,) + grid.half_shape, dtype=complex))
 
 
 def _leading_axes(grid):

@@ -6,14 +6,16 @@ The full operator applied to a divergence-free field u is
 
 with A the (negative) Laplacian restricted to divergence-free fields, B the
 Leray-projected advection and C_r the projected pointwise damping
-|u|^{r-1} u.  Nonlinear terms are evaluated pseudo-spectrally: physical-space
-products, then one forward tail: a transform onto the compact box of the
-modes that 2/3-rule dealiasing and Galerkin truncation keep
-(``fields.band_box``), then Leray projection.  :func:`nonlinear_term` is the
-one kernel, on the box, that the solver, :func:`cbf_operator` and
-:func:`recover_pressure` share, and :func:`grid_samples` the one builder of
-the samples of u it reads; :func:`advection` and :func:`damping` end in the
-same forward tail.
+|u|^{r-1} u.  A, B, G and pressure recovery measure the relative divergence
+defect of their input on every call and raise
+:class:`ContractViolationError` above ``DIV_FREE_TOL``.  Nonlinear terms
+are evaluated pseudo-spectrally: physical-space products, then one forward
+tail: a transform onto the compact box of the modes that 2/3-rule
+dealiasing and Galerkin truncation keep (``fields.band_box``), then Leray
+projection.  :func:`nonlinear_term` is the one kernel, on the box, that the
+solver, :func:`cbf_operator` and :func:`recover_pressure` share, and
+:func:`grid_samples` the one builder of the samples of u it reads;
+:func:`advection` and :func:`damping` end in the same forward tail.
 """
 
 import itertools
@@ -59,8 +61,6 @@ class CbfParams:
 
 
 def _require_div_free(u: SpectralField, what: str):
-    if u.divergence_free:
-        return
     if divergence_defect(u) > DIV_FREE_TOL:
         raise ContractViolationError(f"{what} requires a divergence-free field")
 
@@ -68,7 +68,7 @@ def _require_div_free(u: SpectralField, what: str):
 def stokes(u: SpectralField) -> SpectralField:
     """A u = -P(Laplacian u): multiplier |k|^2 on divergence-free fields."""
     _require_div_free(u, "stokes operator")
-    return u.replace(band_box(u.grid, False).k_squared * u.coeffs)
+    return SpectralField(u.grid, band_box(u.grid, False).k_squared * u.coeffs)
 
 
 def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
@@ -124,8 +124,7 @@ def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralF
     """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
     samples = damping_pointwise(to_physical(u).data, r)
     box = band_box(u.grid, apply_dealias)
-    return SpectralField(u.grid, box.expand(_forward(samples, box)),
-                         divergence_free=True)
+    return SpectralField(u.grid, box.expand(_forward(samples, box)))
 
 
 def advect_samples(u_phys: np.ndarray, v_jac_phys: np.ndarray) -> np.ndarray:
@@ -202,8 +201,7 @@ def advection(u: SpectralField, v: SpectralField = None,
     box = band_box(u.grid, apply_dealias)
     term = advect_samples(box.inverse(box.gather(u.coeffs)),
                           box.inverse(jacobian(box.gather(v.coeffs), box)))
-    return SpectralField(u.grid, box.expand(_forward(term, box)),
-                         divergence_free=True)
+    return SpectralField(u.grid, box.expand(_forward(term, box)))
 
 
 def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
@@ -225,7 +223,7 @@ def cbf_operator(u: SpectralField, params: CbfParams,
     nl, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias)
     lam = params.mu * band_box(grid, False).k_squared + params.alpha
     coeffs = lam * u.coeffs + box.expand(nl)
-    return SpectralField(grid, coeffs, divergence_free=True)
+    return SpectralField(grid, coeffs)
 
 
 def finite_constant(name, value, **at):

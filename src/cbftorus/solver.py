@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
-from .operators import CbfParams, Samples, grid_samples, nonlinear_term
+from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
+                        nonlinear_term)
 from .spectral import (divergence_defect, leray_project, mode_pairing,
                        mode_power, project_coeffs, restrict_modes)
 
@@ -53,9 +54,11 @@ class SolverConfig:
             raise InvalidArgumentsError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise InvalidArgumentsError(f"t_end must be >= 0, got {self.t_end}")
-        if not np.isfinite(self.t_end / self.dt):  # would overflow the step count
+        # Past 2**53 steps the clock t + dt rounds back to t before t_end.
+        if not self.t_end / self.dt <= 2.0 ** 53:
             raise InvalidArgumentsError(f"t_end/dt = {self.t_end}/{self.dt}, "
-                                        "the step count, is not finite")
+                                        "the step count, is not finite or "
+                                        "exceeds 2**53")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentsError(
                 f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -169,8 +172,7 @@ class SimulationState:
 
     def expand(self) -> SpectralField:
         """The state as a new, exactly Hermitian field on the half spectrum."""
-        return SpectralField(self.box.grid, self.box.expand(self.coeffs),
-                             divergence_free=True)
+        return SpectralField(self.box.grid, self.box.expand(self.coeffs))
 
     u = cached_property(expand)  # built on first read, kept with the state
 
@@ -226,7 +228,7 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     """Project and restrict the initial condition, and prime the budget
     rates; the state is exactly Hermitian."""
     grid = ic.grid
-    if not ic.divergence_free and divergence_defect(ic) > 1e-10:
+    if divergence_defect(ic) > DIV_FREE_TOL:
         warnings.warn("initial condition is not divergence-free; projecting")
     box = band_box(grid, config.dealias, config.galerkin_n,
                    config.galerkin_shape)

@@ -27,7 +27,7 @@ def leray_project(u: SpectralField) -> SpectralField:
         raise InvalidArgumentsError("Leray projection needs a vector field")
     half = band_box(u.grid, False)
     coeffs = project_coeffs(u.coeffs, half.wavenumbers, half.inv_k_squared)
-    return SpectralField(u.grid, coeffs, divergence_free=True)
+    return SpectralField(u.grid, coeffs)
 
 
 def project_coeffs(coeffs, k, inv_k2):
@@ -78,13 +78,13 @@ def divergence(u: SpectralField) -> SpectralField:
 
 
 def laplacian(u: SpectralField) -> SpectralField:
-    return u.replace(-band_box(u.grid, False).k_squared * u.coeffs)
+    return SpectralField(u.grid, -band_box(u.grid, False).k_squared * u.coeffs)
 
 
 def dealias(u: SpectralField) -> SpectralField:
     """Zero all modes with any |m_i| above the 2/3-rule band floor((N-1)/3)."""
     box = band_box(u.grid)
-    return u.replace(box.expand(box.gather(u.coeffs)))
+    return SpectralField(u.grid, box.expand(box.gather(u.coeffs)))
 
 
 def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralField:
@@ -93,7 +93,7 @@ def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralFiel
     if n < 0 or shape not in ("box", "ball"):
         raise InvalidArgumentsError(f"need n >= 0, box or ball: {n}, {shape!r}")
     box = ModeBox(u.grid, min(n, u.grid.n_points // 2), n if shape == "ball" else 0)
-    return u.replace(box.expand(box.masked(box.gather(u.coeffs))))
+    return SpectralField(u.grid, box.expand(box.masked(box.gather(u.coeffs))))
 
 
 def exp_filter(u: SpectralField, n: float) -> SpectralField:
@@ -106,7 +106,7 @@ def exp_filter(u: SpectralField, n: float) -> SpectralField:
         raise InvalidArgumentsError("filter parameter must be positive")
     lam = band_box(u.grid, False).k_squared
     mult = np.where(lam < n * n, np.exp(-lam / n), 0.0)
-    return u.replace(mult * u.coeffs)
+    return SpectralField(u.grid, mult * u.coeffs)
 
 
 def abs_sq(coeffs):
@@ -180,7 +180,7 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
         raise InvalidArgumentsError("target grid must refine the source grid")
     n, n_fine, h = u.grid.n_points, fine_grid.n_points, u.grid.n_points // 2
     if n_fine == n:
-        return SpectralField(fine_grid, u.coeffs, u.divergence_free)
+        return SpectralField(fine_grid, u.coeffs)
     c = u.coeffs
     for axis in range(1, u.grid.dim):  # the leading axes hold every mode
         c = np.moveaxis(c, axis, 0)
@@ -191,7 +191,7 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
     out = np.zeros((u.ncomp,) + fine_grid.half_shape, dtype=complex)
     out[..., :h + 1] = c
     out[..., h] *= 0.5  # the last axis keeps +N/2, whose mirror is -N/2
-    return SpectralField(fine_grid, out, u.divergence_free)
+    return SpectralField(fine_grid, out)
 
 
 def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:
@@ -201,5 +201,4 @@ def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:
         raise InvalidArgumentsError("target grid must coarsen the source grid")
     radius = coarse_grid.n_points // 2 - 1
     c = band_box(u.grid, False, radius).gather(u.coeffs)
-    return SpectralField(coarse_grid, band_box(coarse_grid, False, radius).expand(c),
-                         u.divergence_free)
+    return SpectralField(coarse_grid, band_box(coarse_grid, False, radius).expand(c))

@@ -375,7 +375,7 @@ def check_dissipation_identity(sampler: FieldSampler, r: float,
     rel_tolerance, chain_tolerance = 1e-6, DEFAULT_TOL
     exact_power = r == round(r) and round(r) % 2 == 1
     grid = sampler.grid
-    degree_band = int(r + 1.0) * min(sampler.band_limit, (grid.n_points - 1) // 3)
+    degree_band = int(r + 1.0) * min(sampler.band_limit, band_box(grid).radius)
     fine = None
     if exact_power and degree_band >= grid.n_points:
         fine = TorusGrid(grid.dim, degree_band + 1 + (degree_band + 1) % 2, grid.period)

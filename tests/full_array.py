@@ -150,4 +150,4 @@ def random_band_limited(grid, seed, band_limit=8, spectrum_slope=2.0,
     norm = float(np.sqrt(grid.volume * np.sum(abs_sq(field.full()))))
     if norm == 0.0:
         raise InvalidArgumentsError("degenerate random field (zero norm)")
-    return field.replace(field.coeffs * (amplitude / norm))
+    return SpectralField(grid, field.coeffs * (amplitude / norm))

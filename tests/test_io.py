@@ -479,6 +479,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("section,entries", [
     ("solver", "t_end = inf"),
     ("solver", "dt = 1e-320"),  # t_end/dt, the step count, overflows
+    # Finite, but past 2**53 steps t + dt rounds back to t before t_end.
+    ("solver", "dt = 1e-300"),
     ("ic", "family = single_mode\ncomponent = 5"),
     ("ic", "family = random\namplitude = nan"),
     ("ic", "family = single_mode\nmode = 0, 99"),  # would alias at N = 64
@@ -486,7 +488,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("grid", "l = 1e300"),  # the volume overflows
     ("grid", "l = 1e-320"),  # the wavenumbers overflow
     ("forcing", "kind = steady\namplitude = 1e308"),  # its transform overflows
-], ids=["t_end_inf", "dt_1e-320", "component_5", "amplitude_nan",
+], ids=["t_end_inf", "dt_1e-320", "dt_1e-300", "component_5", "amplitude_nan",
         "mode_above_nyquist", "forcing_mode_above_nyquist", "period_1e300",
         "period_1e-320", "forcing_amplitude_1e308"])
 def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):

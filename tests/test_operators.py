@@ -14,8 +14,9 @@ from cbftorus.operators import (CbfParams, advection, advection_form,
                                 cbf_operator, damping, damping_pointwise,
                                 monotonicity_shift, physical_jacobian,
                                 recover_pressure, regularity_rate, stokes)
-from cbftorus.spectral import (grad_norm, l2_norm, l2_pairing, leray_project,
-                               lp_norm)
+from cbftorus.grid import TorusGrid
+from cbftorus.spectral import (divergence_defect, embed_modes, grad_norm,
+                               l2_norm, l2_pairing, leray_project, lp_norm)
 
 FINITE = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -54,6 +55,21 @@ def test_stokes_rejects_divergent_input(grid32):
     u = single_mode(grid32, (1, 0), component=0)  # k parallel to component
     with pytest.raises(ContractViolationError):
         stokes(u)
+
+
+def test_operator_measures_embedded_nyquist_field():
+    # Splitting a Nyquist mode onto the fine grid's -N/2 and +N/2 breaks
+    # solenoidality there, whatever the coarse field's defect: the contract
+    # measures the field it is given.
+    grid = TorusGrid(dim=2, n_points=16)
+    rng = np.random.default_rng(0)
+    u = leray_project(to_spectral(PhysicalField(grid, rng.standard_normal(
+        (2,) + grid.shape))))
+    assert divergence_defect(u) < 1e-12
+    embedded = embed_modes(u, TorusGrid(dim=2, n_points=32))
+    assert divergence_defect(embedded) > 1e-10
+    with pytest.raises(ContractViolationError):
+        cbf_operator(embedded, CbfParams())
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,12 @@ def test_step_rejects_another_band(grid32, band):
     step(state, DAMPED, SolverConfig(galerkin_shape="ball"), Forcing.zero())
 
 
+def test_step_count_bound_is_2_53():
+    SolverConfig(dt=1.0, t_end=2.0 ** 53)
+    with pytest.raises(InvalidArgumentsError, match="exceeds 2"):
+        SolverConfig(dt=1.0, t_end=2.0 ** 54)
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgumentsError):
         SolverConfig(dt=0.0)

@@ -43,7 +43,6 @@ def test_projection_idempotent_and_divergence_free(grid32):
     u = to_spectral(PhysicalField(grid32, data))
     pu = leray_project(u)
     assert divergence_defect(pu) < 1e-12
-    assert pu.divergence_free
     ppu = leray_project(pu)
     assert np.max(np.abs(ppu.coeffs - pu.coeffs)) < 1e-14 * l2_norm(u)
 
