@@ -84,15 +84,17 @@ def _ensure_outdir(path):
 
 
 def cmd_run(config: RunConfig, out_dir=None) -> int:
-    params = config.params()
+    # The problem is built before anything is written; the IC is held only
+    # by ``ics``, so that, popped into the call, it is freed once the first
+    # state exists.
+    ics = [None]
+    ics[0], params, solver_config, forcing = config.problem()
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     dump_config(config, os.path.join(out, "config_effective.ini"))
     paths = (os.path.join(out, f"snap_{i:06d}.snap") for i in itertools.count())
     try:
-        # The IC, a call temporary, is freed once the first state exists.
         _, diagnostics = run(
-            config.initial_condition(), params, config.solver(),
-            config.forcing(),
+            ics.pop(), params, solver_config, forcing,
             extended=config["output"]["extended_diagnostics"],
             snapshot=lambda t, field: write_snapshot_file(next(paths), field,
                                                           t, params))

@@ -230,11 +230,11 @@ class ModeBox:
     compactly: rows 0..R and N-R..N-1 of each leading axis (a cyclic order
     of length 2R+1) and columns 0..R; at R = N/2, the half as it is.  It
     owns the multipliers on them: the wavenumbers 2*pi*m/L with the
-    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2,
-    1/|k|^2 (0 at k = 0), the columns' Plancherel weights (1 on columns 0
-    and N/2, their own mirrors, 2 elsewhere) and, times the volume,
-    ``volume_weights``; ``mask`` marks a Galerkin ball of radius ``ball_n``
-    (None: no ball, all of the box)."""
+    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2 and
+    1/|k|^2 (0 at k = 0), both built on first read, the columns' Plancherel
+    weights (1 on columns 0 and N/2, their own mirrors, 2 elsewhere) and,
+    times the volume, ``volume_weights``; ``mask`` marks a Galerkin ball of
+    radius ``ball_n`` (None: no ball, all of the box)."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
@@ -244,15 +244,21 @@ class ModeBox:
         self.wavenumbers = tuple(np.where(np.abs(m) == n // 2, 0.0,
                                           m * (TWO_PI / grid.period)) for m in modes)
         self.ik = tuple(1j * k for k in self.wavenumbers)
-        self.k_squared = sum(k * k for k in self.wavenumbers)
-        self.inv_k_squared = np.divide(1.0, self.k_squared, where=self.k_squared > 0,
-                                       out=np.zeros_like(self.k_squared))
         columns = modes[-1].ravel()
         self.plancherel_weights = np.where((columns == 0) | (columns == n // 2),
                                            1.0, 2.0)
         self.volume_weights = self.plancherel_weights * grid.volume
         self.mask = (sum(m * m for m in modes) <= ball_n * ball_n
                      if ball_n > 0 else None)
+
+    @functools.cached_property
+    def k_squared(self):
+        return sum(k * k for k in self.wavenumbers)
+
+    @functools.cached_property
+    def inv_k_squared(self):
+        return np.divide(1.0, self.k_squared, where=self.k_squared > 0,
+                         out=np.zeros_like(self.k_squared))
 
     def masked(self, c):
         """Coefficients ``c`` on the box zeroed off its Galerkin ball: a new

@@ -10,14 +10,15 @@ cumulative defect of the energy identity
     ||u(t)||^2 + 2 mu int ||grad u||^2 + 2 alpha int ||u||^2
               + 2 beta int ||u||_{r+1}^{r+1}  =  ||u0||^2 + 2 int <f, u>.
 
-A state comes from :func:`initialize_state` or :func:`step` only and
-steps on its own box: the modes that dealiasing and Galerkin truncation keep
-(``fields.band_box``).  The explicit term, the IMEX update, the forcing and
-the budget rates, Plancherel sums that weight each column standing for its
-mirror image by 2, work there.  A step symmetrizes column 0 and keeps the
-result, compact, as the state; its ``u`` on the half is built on first
-read.  |u|^2 is formed once per set of samples of u; the weight |u|^{r-1}
-from it gives both the damping rate and the next step's damping term.
+A state comes from :func:`initialize_state` or :func:`step` only, carries
+its problem (params, solver config, forcing) and steps on its own box: the
+modes that dealiasing and Galerkin truncation keep (``fields.band_box``).
+The explicit term, the IMEX update, the forcing and the budget rates,
+Plancherel sums that weight each column standing for its mirror image by 2,
+work there.  A step symmetrizes column 0 and keeps the result, compact, as
+the state; its ``u`` on the half is built on first read.  |u|^2 is formed
+once per set of samples of u; the weight |u|^{r-1} from it gives both the
+damping rate and the next step's damping term.
 """
 
 import warnings
@@ -27,7 +28,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import ModeBox, SpectralField, band_box, symmetrize_columns
+from .fields import (ModeBox, SpectralField, band_box, require_same_grid,
+                     symmetrize_columns)
 from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
                         nonlinear_term)
 from .spectral import (divergence_defect, leray_project, mode_pairing,
@@ -123,10 +125,11 @@ class Forcing:
 
     def box_coeffs(self, t: float, box):
         """Coefficients of f(t) on the mode ``box``, zero off its mask, or
-        0.0 when f = 0."""
+        0.0 when f = 0; a base on another grid is a GridMismatchError."""
         if self._base is None:
             return 0.0
         if box not in self._gathered:
+            require_same_grid(box, self._base)
             self._gathered[box] = box.masked(box.gather(self._base.coeffs))
         if self._profile is None:
             return self._gathered[box]
@@ -154,11 +157,11 @@ class BudgetRates:
 
 @dataclass(frozen=True)
 class SimulationState:
-    """Solver state, made by :func:`initialize_state` and :func:`step` only:
-    read-only ``coeffs`` on the mode ``box`` the state steps on, ``samples``
-    of u on the grid with |u|^2 and |u|^{r-1}, and ``prev_nonlinear``, the
-    previous explicit term on the box.  ``u``, the exactly Hermitian field on
-    the half, is built on first read."""
+    """State of one trajectory of ``params``, ``config`` and ``forcing``,
+    made by :func:`initialize_state` and :func:`step` only: read-only
+    ``coeffs`` on the mode ``box`` it steps on, ``samples`` of u with |u|^2
+    and |u|^{r-1}, and ``prev_nonlinear``, the previous explicit term on the
+    box.  ``u``, the Hermitian field on the half, is built on first read."""
 
     t: float
     coeffs: np.ndarray = field(repr=False, compare=False)
@@ -166,6 +169,9 @@ class SimulationState:
     samples: Samples = field(repr=False, compare=False)
     rates: BudgetRates
     energy0: float
+    params: CbfParams = field(repr=False, compare=False)
+    config: SolverConfig = field(repr=False, compare=False)
+    forcing: Forcing = field(repr=False, compare=False)
     prev_nonlinear: np.ndarray = field(default=None, repr=False, compare=False)
     integrals: BudgetRates = field(default_factory=BudgetRates)
     extended: bool = False
@@ -237,7 +243,8 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     samples, jac = grid_samples(c, box, params.r, extended)
     rates = _rates(c, box, 0.0, forcing, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
-                           rates=rates, energy0=rates.darcy, extended=extended)
+                           rates=rates, energy0=rates.darcy, extended=extended,
+                           params=params, config=config, forcing=forcing)
 
 
 def _settle(c, grid):
@@ -277,19 +284,13 @@ def _check_damping(weight, params: CbfParams, h: float, limit: float):
                       f"{stiffness:.3g} >= {limit:g}")
 
 
-def step(state: SimulationState, params: CbfParams, config: SolverConfig,
-         forcing: Forcing) -> SimulationState:
-    """Advance one time step; divergence-free by construction.  Raises
-    :class:`BlowUpError` when the state overflows or runs away, and
-    :class:`InvalidArgumentsError` when ``config`` selects another mode band
-    than the state's."""
+def step(state: SimulationState) -> SimulationState:
+    """Advance the state's trajectory one step, divergence-free by
+    construction.  Raises :class:`BlowUpError` on overflow or runaway."""
     box, c = state.box, state.coeffs
+    params, config, forcing = state.params, state.config, state.forcing
     grid = box.grid
     dt = config.dt
-    if band_box(grid, config.dealias, config.galerkin_n,
-                config.galerkin_shape) is not box:
-        raise InvalidArgumentsError(
-            "the solver config selects another mode band than the state's")
 
     # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
     # ((1 - dt/2*lam)*c + dt*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam).
@@ -332,13 +333,12 @@ def step(state: SimulationState, params: CbfParams, config: SolverConfig,
         t=new_t, coeffs=c, box=box, samples=samples, rates=new_rates,
         energy0=state.energy0, prev_nonlinear=prev_nl,
         integrals=state.integrals.advance(state.rates, new_rates, dt),
-        extended=state.extended)
+        extended=state.extended, params=params, config=config, forcing=forcing)
 
 
-def sample_diagnostics(state: SimulationState, params: CbfParams) -> DiagnosticsSample:
+def sample_diagnostics(state: SimulationState) -> DiagnosticsSample:
     """Diagnostics row for the current state, including the cumulative defect."""
-    r = state.rates
-    ints = state.integrals
+    params, r, ints = state.params, state.rates, state.integrals
     energy = r.darcy
     residual = (energy
                 + 2.0 * params.mu * ints.dissipation
@@ -377,17 +377,17 @@ def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(config.dt, config.t_end):
         warnings.warn("t_end is not an integer number of steps; rounding")
     every = config.snapshot_every if snapshot is not None else 0
-    diagnostics = [sample_diagnostics(state, params)]
+    diagnostics = [sample_diagnostics(state)]
     if every:
         snapshot(state.t, state.expand())
     for m in range(1, n_steps + 1):
         try:
-            state = step(state, params, config, forcing)
+            state = step(state)
         except BlowUpError as err:
             raise BlowUpError(str(err), err.last_valid_time,
                               diagnostics) from None
         if m % config.diagnostics_every == 0 or m == n_steps:
-            diagnostics.append(sample_diagnostics(state, params))
+            diagnostics.append(sample_diagnostics(state))
         if every and (m % every == 0 or m == n_steps):
             snapshot(state.t, state.expand())
     return state, diagnostics

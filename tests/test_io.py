@@ -502,6 +502,7 @@ def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
     cfg = _write(tmp_path, "bad.ini", text)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):
@@ -886,7 +887,7 @@ def test_cli_verify_one_trajectory_for_apriori_and_regularity(tmp_path,
 
 
 def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
-    failing = CheckReport("trilinear", 1, -1.0, 0, passed=False)
+    failing = CheckReport("trilinear", 1, -1.0, 0)
     monkeypatch.setitem(cli.verif.CHECKS, "trilinear",
                         cli.verif.CHECKS["trilinear"]._replace(
                             run=lambda *a: failing))

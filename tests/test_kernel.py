@@ -239,7 +239,7 @@ def test_cached_samples_match_state(grid3d, scheme, substeps):
                              params, config, forcing)
     for _ in range(3):
         assert np.array_equal(state.samples.phys, to_physical(state.u).data)
-        state = step(state, params, config, forcing)
+        state = step(state)
     assert np.array_equal(state.samples.phys, to_physical(state.u).data)
 
 
@@ -256,7 +256,7 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, extended, expected):
     forcing = Forcing.zero()
     state = initialize_state(random_band_limited(grid, seed=1, band_limit=4),
                              params, config, forcing, extended=extended)
-    state = step(state, params, config, forcing)
+    state = step(state)
     count = {"inverse": [], "forward": []}
     for name, calls in count.items():
         original = getattr(fields.ModeBox, name)
@@ -266,7 +266,7 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, extended, expected):
             return _original(box, a)
 
         monkeypatch.setattr(fields.ModeBox, name, counted)
-    step(state, params, config, forcing)
+    step(state)
     assert sum(count["inverse"] + count["forward"]) == expected
     assert count["inverse"] == [dim * (dim - 1) // 2, dim + extended * dim * dim]
 
@@ -288,6 +288,7 @@ class _RefState:
     samples: Samples = None
     integrals: BudgetRates = BudgetRates()
     extended: bool = False
+    params: CbfParams = None
 
 
 def _reference_rates(u, t, params, forcing, extended):
@@ -364,7 +365,8 @@ def _reference_step(state, params, config, forcing):
 
 
 def _assert_same_diagnostics(got, ref, params, energy0):
-    a, b = sample_diagnostics(got, params), sample_diagnostics(ref, params)
+    a = sample_diagnostics(got)
+    b = sample_diagnostics(dataclasses.replace(ref, params=params))
     for name in DiagnosticsSample.BASE_COLUMNS + DiagnosticsSample.EXTENDED_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         if name == "energy_residual":
@@ -413,7 +415,7 @@ def test_step_matches_full_array_step(dim, scheme, substeps, apply_dealias,
     ref = _reference_initialize(ic, params, config, forcing, extended)
     for _ in range(5):
         _assert_same_diagnostics(state, ref, params, ref.energy0)
-        state = step(state, params, config, forcing)
+        state = step(state)
         ref = _reference_step(ref, params, config, forcing)
     _assert_same_diagnostics(state, ref, params, ref.energy0)
     assert rel_diff(state.u.coeffs, ref.u.coeffs) < 1e-12
@@ -552,7 +554,7 @@ def test_step_matches_half_spectrum_step(dim, scheme, substeps, apply_dealias,
     for _ in range(5):
         assert np.array_equal(state.u.coeffs, ref.u.coeffs)
         _assert_same_diagnostics(state, ref, params, ref.energy0)
-        state = step(state, params, config, forcing)
+        state = step(state)
         ref = _half_step(ref, params, config, forcing)
     assert np.array_equal(state.u.coeffs, ref.u.coeffs)
     _assert_same_diagnostics(state, ref, params, ref.energy0)
@@ -572,7 +574,7 @@ def test_step_expands_nothing(monkeypatch, dim, scheme, substeps, apply_dealias,
     forcing = _forcing(forcing_kind, grid)
     state = initialize_state(random_band_limited(grid, seed=1, band_limit=3),
                              params, config, forcing, extended)
-    state = step(state, params, config, forcing)
+    state = step(state)
     calls = []
     original = fields.hermitian_expand
 
@@ -581,7 +583,7 @@ def test_step_expands_nothing(monkeypatch, dim, scheme, substeps, apply_dealias,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fields, "hermitian_expand", counted)
-    step(state, params, config, forcing)
+    step(state)
     assert calls == []
 
 
@@ -600,7 +602,7 @@ def test_state_is_exactly_hermitian(tmp_path, grid32):
     forcing = _forcing("steady", grid32)
     state = initialize_state(ic, params, config, forcing)
     assert state.u.symmetry_defect() == 0.0
-    state = step(state, params, config, forcing)
+    state = step(state)
     assert state.u.symmetry_defect() == 0.0
 
 
@@ -746,7 +748,7 @@ def test_step_matches_expanding_step_bytes(dim, scheme, substeps, apply_dealias,
     ref = _expanding_initialize(ic, params, config, forcing, extended)
     for _ in range(6):
         _assert_same_bytes(state, ref)
-        state = step(state, params, config, forcing)
+        state = step(state)
         ref = _expanding_step(ref, params, config, forcing)
     _assert_same_bytes(state, ref)
 
@@ -767,7 +769,7 @@ def test_step_stays_on_the_box(monkeypatch, dim, scheme, substeps, apply_dealias
     forcing = _forcing(forcing_kind, grid)
     state = initialize_state(random_band_limited(grid, seed=1, band_limit=3),
                              params, config, forcing, extended)
-    state = step(state, params, config, forcing)
+    state = step(state)
     calls = []
     for cls, name in ((fields.ModeBox, "gather"), (fields.ModeBox, "expand"),
                       (SpectralField, "__post_init__")):
@@ -778,7 +780,7 @@ def test_step_stays_on_the_box(monkeypatch, dim, scheme, substeps, apply_dealias
             return _original(*args)
 
         monkeypatch.setattr(cls, name, counted)
-    state = step(state, params, config, forcing)
+    state = step(state)
     assert calls == []
     assert not state.coeffs.flags.writeable
 
@@ -789,7 +791,7 @@ def test_state_field_is_built_once(monkeypatch, grid32):
     forcing = Forcing.zero()
     state = initialize_state(random_band_limited(grid32, seed=3, band_limit=8),
                              params, config, forcing)
-    state = step(state, params, config, forcing)
+    state = step(state)
     built = []
     original = SpectralField.__post_init__
 

@@ -1,5 +1,6 @@
 """Time integration: scheme exactness, orders, budgets, blow-up handling."""
 
+import dataclasses
 import tracemalloc
 import warnings
 import weakref
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import full_array as fa
-from cbftorus.errors import BlowUpError, InvalidArgumentsError
-from cbftorus.families import (random_band_limited, single_mode, taylor_green,
-                               taylor_green_exact)
+from cbftorus.errors import BlowUpError, GridMismatchError, InvalidArgumentsError
+from cbftorus.families import (kolmogorov, random_band_limited, single_mode,
+                               taylor_green, taylor_green_exact)
 from cbftorus.fields import band_box, to_physical, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
@@ -94,7 +95,7 @@ def test_divergence_free_preserved(grid32):
     forcing = Forcing.zero()
     state = initialize_state(ic, DAMPED, config, forcing)
     for _ in range(25):
-        state = step(state, DAMPED, config, forcing)
+        state = step(state)
         assert divergence_defect(state.u) < 1e-10
 
 
@@ -198,7 +199,7 @@ def test_overflow_is_reported_as_blowup():
     ic = random_band_limited(grid, seed=1, band_limit=4, amplitude=1e30)
     state = initialize_state(ic, params, config, Forcing.zero())
     with pytest.raises(BlowUpError, match="non-finite") as err:
-        step(state, params, config, Forcing.zero())
+        step(state)
     assert err.value.last_valid_time == 0.0
 
 
@@ -216,7 +217,7 @@ def test_cfl_warning(grid32):
     forcing = Forcing.zero()
     state = initialize_state(ic, NSE, config, forcing)
     with pytest.warns(UserWarning, match="CFL"):
-        step(state, NSE, config, forcing)
+        step(state)
 
 
 def test_stiff_damping_warning(grid32):
@@ -298,7 +299,7 @@ def test_snapshot_sink_matches_stepped_states(dim, n, scheme, substeps, kind):
     state = initialize_state(ic, DAMPED, config, forcing)
     want = [(state.t, state.u.coeffs.tobytes())]
     for m in range(1, 8):
-        state = step(state, DAMPED, config, forcing)
+        state = step(state)
         if m % 3 == 0 or m == 7:
             want.append((state.t, state.u.coeffs.tobytes()))
     assert [t for t, _ in want] == pytest.approx([0.0, 3e-3, 6e-3, 7e-3])
@@ -384,17 +385,43 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
 
 
 @pytest.mark.parametrize("band", [dict(dealias=False), dict(galerkin_n=6),
-                                  dict(galerkin_n=10, galerkin_shape="ball")],
-                         ids=["dealias-off", "galerkin-box", "galerkin-ball"])
-def test_step_rejects_another_band(grid32, band):
-    # The state steps on its own box; a config that selects another band
-    # would be ignored without this check.
+                                  dict(galerkin_n=10, galerkin_shape="ball"),
+                                  dict(galerkin_shape="ball")],
+                         ids=["dealias-off", "galerkin-box", "galerkin-ball",
+                              "ball-without-radius"])
+def test_state_steps_on_its_band_and_keeps_its_problem(grid32, band):
+    # The state is the one owner of its trajectory's problem: each step runs
+    # on the band its config selects and hands the problem on.
+    config = SolverConfig(**band)
+    forcing = Forcing.steady(random_band_limited(grid32, seed=3, band_limit=4))
     state = initialize_state(random_band_limited(grid32, seed=2, band_limit=6),
-                             DAMPED, SolverConfig(), Forcing.zero())
-    with pytest.raises(InvalidArgumentsError, match="mode band"):
-        step(state, DAMPED, SolverConfig(**band), Forcing.zero())
-    # Without a radius, a ball shape names the same band.
-    step(state, DAMPED, SolverConfig(galerkin_shape="ball"), Forcing.zero())
+                             DAMPED, config, forcing)
+    states = [state]
+    for _ in range(3):
+        states.append(step(states[-1]))
+    box = band_box(grid32, config.dealias, config.galerkin_n,
+                   config.galerkin_shape)
+    for s in states:
+        assert s.box is box and s.params is DAMPED
+        assert s.config is config and s.forcing is forcing
+    if band == dict(galerkin_shape="ball"):
+        # Without a radius, a ball shape names the default box.
+        assert box is band_box(grid32)
+
+
+@pytest.mark.parametrize("forcing_grid", [dict(n_points=64), dict(period=1.0)],
+                         ids=["other-n", "other-period"])
+def test_forcing_on_another_grid_rejected(grid32, forcing_grid):
+    # The state's box would gather the forcing's coefficients as if they
+    # were on the initial condition's grid.
+    other = dataclasses.replace(grid32, **forcing_grid)
+    forcing = Forcing.steady(kolmogorov(other))
+    with pytest.raises(GridMismatchError):
+        initialize_state(random_band_limited(grid32, seed=2, band_limit=6),
+                         DAMPED, SolverConfig(), forcing)
+    with pytest.raises(GridMismatchError):
+        run(random_band_limited(grid32, seed=2, band_limit=6), DAMPED,
+            SolverConfig(dt=1e-3, t_end=1e-3), forcing)
 
 
 def test_step_count_bound_is_2_53():

@@ -61,10 +61,15 @@ def test_readme_lists_the_checks_in_order():
 
 
 def test_report_pass_rule():
-    good = CheckReport("x", 3, -5e-10, 0, passed=True, tolerance=1e-9)
+    good = CheckReport("x", 3, -5e-10, 0, tolerance=1e-9)
     assert good.passed == (good.worst_margin >= -good.tolerance)
-    text = str(CheckReport("x", 3, -5e-10, 7, passed=True, tolerance=1e-9))
+    text = str(CheckReport("x", 3, -5e-10, 7, tolerance=1e-9))
     assert "worst_seed   7" in text and "PASS" in text
+    bad = CheckReport("x", 3, -2e-9, 4, tolerance=1e-9)
+    assert not bad.passed and "FAIL" in str(bad)
+    # An exploratory check asserts nothing: it passes at any margin.
+    explored = CheckReport("x", 3, -2e-9, 4, tolerance=1e-9, exploratory=True)
+    assert explored.passed and "EXPLORATORY" in str(explored)
 
 
 _R4 = CbfParams(mu=0.5, beta=1.0, r=4.0)
