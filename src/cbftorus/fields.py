@@ -1,7 +1,8 @@
 """Vector fields on the torus in physical and spectral representation.
 
-Both field types are immutable snapshots: the wrapped arrays are marked
-read-only and every operation returns a new field, so values are safe to
+Both field types, and the solver's states, keep one array contract
+(``_settled``): finite, C-contiguous and read-only, of their grid's or mode
+box's shape.  Every operation returns a new field, so values are safe to
 share across threads.  A field is its grid and its samples or coefficients
 and carries no other claim: whether it is divergence-free is measured
 where that matters (``operators``), not stored.
@@ -33,10 +34,20 @@ from .grid import TWO_PI, TorusGrid
 SYMMETRY_TOL = 1e-10
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+def _settled(a, dtype, shape, what):
+    """``a`` under the one array contract of fields and states: a
+    C-contiguous, read-only array of ``dtype``, a component axis added to a
+    single component.  Raises :class:`InvalidFieldError`, naming ``what``
+    (samples or coefficients), unless it is finite of shape (ncomp,) +
+    ``shape``."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.ndim == len(shape):
+        a = a[np.newaxis]
+    if a.shape[1:] != shape or not np.all(np.isfinite(a)):
+        raise InvalidFieldError(f"need finite {what} of shape (ncomp,) + "
+                                f"{shape}, got {a.shape}")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -47,15 +58,8 @@ class PhysicalField:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim == self.grid.dim:
-            data = data[np.newaxis]
-        if data.shape[1:] != self.grid.shape:
-            raise InvalidFieldError(
-                f"sample shape {data.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidFieldError("non-finite samples")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _settled(
+            self.data, float, self.grid.shape, "samples"))
 
     @property
     def ncomp(self):
@@ -88,16 +92,8 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.ndim == self.grid.dim:
-            coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] != self.grid.half_shape:
-            raise InvalidFieldError(
-                f"coefficient shape {coeffs.shape} does not match the half "
-                f"spectrum {self.grid.half_shape} of grid {self.grid.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidFieldError("non-finite coefficients")
-        object.__setattr__(self, "coeffs", _freeze(coeffs))
+        object.__setattr__(self, "coeffs", _settled(
+            self.coeffs, complex, self.grid.half_shape, "coefficients"))
 
     @property
     def ncomp(self):
@@ -227,20 +223,22 @@ _FORWARD_ORDER = (reversed if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 class ModeBox:
     """The modes with every |m_i| <= R of the half spectrum, stored
-    compactly: rows 0..R and N-R..N-1 of each leading axis (a cyclic order
-    of length 2R+1) and columns 0..R; at R = N/2, the half as it is.  It
-    owns the multipliers on them: the wavenumbers 2*pi*m/L with the
-    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2 and
-    1/|k|^2 (0 at k = 0), both built on first read, the columns' Plancherel
-    weights (1 on columns 0 and N/2, their own mirrors, 2 elsewhere) and,
-    times the volume, ``volume_weights``; ``mask`` marks a Galerkin ball of
-    radius ``ball_n`` (None: no ball, all of the box)."""
+    compactly, in an array of ``shape``: rows 0..R and N-R..N-1 of each
+    leading axis (a cyclic order of length 2R+1) and columns 0..R; at
+    R = N/2, the half as it is.  It owns the multipliers on them: the
+    wavenumbers 2*pi*m/L with the unmatched Nyquist entries zeroed (so ik*c
+    stays Hermitian), |k|^2 and 1/|k|^2 (0 at k = 0), both built on first
+    read, the columns' Plancherel weights (1 on columns 0 and N/2, their
+    own mirrors, 2 elsewhere) and, times the volume, ``volume_weights``;
+    ``mask`` marks a Galerkin ball of radius ``ball_n`` (None: no ball, all
+    of the box)."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
         n = grid.n_points
         self.covers_half = radius == n // 2
         modes = [self.gather(m) for m in grid.mode_grids]
+        self.shape = np.broadcast_shapes(*(m.shape for m in modes))
         self.wavenumbers = tuple(np.where(np.abs(m) == n // 2, 0.0,
                                           m * (TWO_PI / grid.period)) for m in modes)
         self.ik = tuple(1j * k for k in self.wavenumbers)

@@ -45,14 +45,18 @@ class CbfParams:
     r: float = 3.0
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise InvalidArgumentsError(f"mu must be positive, got {self.mu}")
-        if self.beta < 0:
-            raise InvalidArgumentsError(f"beta must be >= 0, got {self.beta}")
-        if self.alpha < 0:
-            raise InvalidArgumentsError(f"alpha must be >= 0, got {self.alpha}")
-        if self.r < 1:
-            raise InvalidExponentError(f"r must be >= 1, got {self.r}")
+        if not 0 < self.mu < math.inf:
+            raise InvalidArgumentsError(
+                f"mu must be finite and > 0, got {self.mu}")
+        if not 0 <= self.beta < math.inf:
+            raise InvalidArgumentsError(
+                f"beta must be finite and >= 0, got {self.beta}")
+        if not 0 <= self.alpha < math.inf:
+            raise InvalidArgumentsError(
+                f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 1 <= self.r < math.inf:
+            raise InvalidExponentError(
+                f"r must be finite and >= 1, got {self.r}")
 
     @property
     def critical_regime(self) -> bool:
@@ -282,6 +286,5 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     rhs, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias,
                             project=False)
     half = band_box(grid, False)
-    div = sum(1j * k * c for k, c in zip(half.wavenumbers,
-                                         f.coeffs - box.expand(rhs)))
+    div = sum(ik * c for ik, c in zip(half.ik, f.coeffs - box.expand(rhs)))
     return SpectralField(grid, -half.inv_k_squared * div)

@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import (ModeBox, SpectralField, band_box, require_same_grid,
-                     symmetrize_columns)
+from .fields import (ModeBox, SpectralField, _settled, band_box,
+                     require_same_grid, symmetrize_columns)
 from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
                         nonlinear_term)
 from .spectral import (divergence_defect, leray_project, mode_pairing,
@@ -233,13 +233,12 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
     """Project and restrict the initial condition, and prime the budget
     rates; the state is exactly Hermitian."""
-    grid = ic.grid
     if divergence_defect(ic) > DIV_FREE_TOL:
         warnings.warn("initial condition is not divergence-free; projecting")
-    box = band_box(grid, config.dealias, config.galerkin_n,
+    box = band_box(ic.grid, config.dealias, config.galerkin_n,
                    config.galerkin_shape)
     c = _settle(box.masked(project_coeffs(box.gather(ic.coeffs), box.wavenumbers,
-                                          box.inv_k_squared)), grid)
+                                          box.inv_k_squared)), box)
     samples, jac = grid_samples(c, box, params.r, extended)
     rates = _rates(c, box, 0.0, forcing, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
@@ -247,13 +246,11 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                            params=params, config=config, forcing=forcing)
 
 
-def _settle(c, grid):
-    """``c`` symmetrized in place, checked finite and made read-only."""
-    symmetrize_columns(c, grid)
-    if not np.all(np.isfinite(c)):
-        raise InvalidFieldError("non-finite coefficients")
-    c.setflags(write=False)
-    return c
+def _settle(c, box):
+    """``c`` symmetrized in place and held to the array contract of fields:
+    finite, read-only coefficients on ``box``."""
+    return _settled(symmetrize_columns(c, box.grid), complex, box.shape,
+                    "coefficients")
 
 
 @lru_cache(maxsize=8)
@@ -319,7 +316,7 @@ def step(state: SimulationState) -> SimulationState:
         prev_nl = nl
 
     try:
-        c = _settle(c, grid)
+        c = _settle(c, box)
     except InvalidFieldError:
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
     _check_cfl(samples.sq, grid, dt)

@@ -69,12 +69,10 @@ def gradient(u: SpectralField) -> SpectralField:
 
 def divergence(u: SpectralField) -> SpectralField:
     """Divergence of a vector field (scalar output)."""
-    grid = u.grid
     if not u.is_vector:
         raise InvalidArgumentsError("divergence needs a vector field")
-    k = band_box(grid, False).wavenumbers
-    out = sum(1j * k[i] * u.coeffs[i] for i in range(grid.dim))
-    return SpectralField(grid, out[np.newaxis])
+    return SpectralField(u.grid, sum(
+        ik * c for ik, c in zip(band_box(u.grid, False).ik, u.coeffs)))
 
 
 def laplacian(u: SpectralField) -> SpectralField:
@@ -158,8 +156,8 @@ def dual_norm(u: SpectralField) -> float:
 
 def lp_norm(u, p: float) -> float:
     """L^p norm of the pointwise magnitude, by grid-point quadrature."""
-    if p < 1:
-        raise InvalidExponentError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
     phys = u if isinstance(u, PhysicalField) else to_physical(u)
     mag = phys.magnitude()
     return float(np.sum(mag ** p) * phys.grid.cell_volume) ** (1.0 / p)
@@ -172,26 +170,21 @@ def l2_pairing(f: SpectralField, u: SpectralField) -> float:
 
 
 def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
-    """The same trigonometric polynomial on a finer grid (same period):
-    coefficients copied by mode index, each Nyquist mode split evenly onto
-    the fine grid's -N/2 and +N/2, so that the fine field is real and equals
-    u at the coarse grid points."""
+    """The same trigonometric polynomial on a finer grid (same period): the
+    coarse modes, each Nyquist mode split evenly onto -N/2 and +N/2, as
+    compact coefficients of the fine grid's box of radius N/2, so that the
+    fine field is real and equals u at the coarse grid points."""
     if fine_grid.dim != u.grid.dim or fine_grid.n_points < u.grid.n_points:
         raise InvalidArgumentsError("target grid must refine the source grid")
-    n, n_fine, h = u.grid.n_points, fine_grid.n_points, u.grid.n_points // 2
-    if n_fine == n:
+    n, h = u.grid.n_points, u.grid.n_points // 2
+    if fine_grid.n_points == n:
         return SpectralField(fine_grid, u.coeffs)
-    c = u.coeffs
-    for axis in range(1, u.grid.dim):  # the leading axes hold every mode
-        c = np.moveaxis(c, axis, 0)
-        out = np.zeros((n_fine,) + c.shape[1:], dtype=complex)
-        out[u.grid.modes % n_fine] = c
-        out[h] = out[n_fine - h] = 0.5 * c[h]
-        c = np.moveaxis(out, 0, axis)
-    out = np.zeros((u.ncomp,) + fine_grid.half_shape, dtype=complex)
-    out[..., :h + 1] = c
-    out[..., h] *= 0.5  # the last axis keeps +N/2, whose mirror is -N/2
-    return SpectralField(fine_grid, out)
+    rows = np.r_[:h + 1, h:n]  # modes 0..N/2, then -N/2..-1: N/2 taken twice
+    split = np.where(rows == h, 0.5, 1.0)
+    c = u.coeffs * split[:h + 1]  # column +N/2 stands for -N/2 too
+    for axis in range(-u.grid.dim, -1):
+        c = np.take(c, rows, axis) * split.reshape((-1,) + (1,) * (-axis - 1))
+    return SpectralField(fine_grid, band_box(fine_grid, False, h).expand(c))
 
 
 def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:

@@ -690,6 +690,15 @@ def _forcing_integrals(forcing: Forcing, times, norm_fn):
     return _cumulative_trapezoid(vals, np.asarray(times))
 
 
+def _times_from_zero(diagnostics):
+    """The times of ``diagnostics``, whose first row must be the initial
+    value, at t = 0: the bounds along a trajectory compare every row with it."""
+    times = [d.t for d in diagnostics]
+    if times[0] != 0.0:
+        raise InvalidArgumentsError("diagnostics must start at t = 0")
+    return times
+
+
 def check_apriori(diagnostics, params: CbfParams,
                   forcing: Forcing = None) -> CheckReport:
     """Energy estimate along a trajectory, pointwise in time:
@@ -697,9 +706,7 @@ def check_apriori(diagnostics, params: CbfParams,
     ||u(t)||^2 + mu int_0^t ||grad u||^2 + 2 beta int_0^t ||u||_{r+1}^{r+1}
         <= ||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2.
     """
-    times = [d.t for d in diagnostics]
-    if times[0] != 0.0:
-        raise InvalidArgumentsError("diagnostics must start at t = 0")
+    times = _times_from_zero(diagnostics)
     f_int = _forcing_integrals(forcing, times, dual_norm)
     e0 = diagnostics[0].energy
     margins = []
@@ -753,7 +760,7 @@ def check_regularity(diagnostics, params: CbfParams,
     rate, coeff_a, coeff_w, notes = regularity_bound(params)
     if diagnostics[0].int_a_norm_sq is None:
         raise ConfigError("regularity check needs extended diagnostics")
-    times = [d.t for d in diagnostics]
+    times = _times_from_zero(diagnostics)
     f_int = _forcing_integrals(forcing, times, l2_norm)
     g0 = diagnostics[0].v_seminorm_sq
     margins = []

@@ -1,5 +1,7 @@
 """Transform correctness: round trips, symmetry, and the DFT definition."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from cbftorus.families import random_band_limited, single_mode
 from cbftorus.fields import (PhysicalField, SpectralField, to_physical,
                              to_spectral, zero_field)
 from cbftorus.grid import TWO_PI, TorusGrid
+from cbftorus.operators import CbfParams
+from cbftorus.solver import Forcing, SolverConfig, initialize_state, step
 from cbftorus.spectral import divergence_defect
 
 
@@ -108,11 +112,18 @@ def test_grid_compatibility_is_exact():
     assert not grid.compatible(TorusGrid(dim=2, n_points=18))
 
 
+# Each field type with its array's shape and the other type's.
+FIELD_TYPES = [(PhysicalField, "shape", "half_shape"),
+               (SpectralField, "half_shape", "shape")]
+
+
 def test_non_finite_samples_rejected(grid32):
-    data = np.zeros((2,) + grid32.shape)
-    data[0][0, 0] = np.nan
-    with pytest.raises(InvalidFieldError):
-        PhysicalField(grid32, data)
+    for (field_type, shape, _), bad in itertools.product(
+            FIELD_TYPES, [np.nan, np.inf, -np.inf]):
+        data = np.zeros((2,) + getattr(grid32, shape))
+        data[0][0, 0] = bad
+        with pytest.raises(InvalidFieldError):
+            field_type(grid32, data)
 
 
 def test_fields_are_immutable(random_field):
@@ -121,11 +132,32 @@ def test_fields_are_immutable(random_field):
     phys = to_physical(random_field)
     with pytest.raises(ValueError):
         phys.data[0, 0, 0] = 1.0
+    # A stepped state's array keeps the same contract, and Fortran-ordered
+    # input is copied to C order.
+    grid = random_field.grid
+    state = step(initialize_state(random_field, CbfParams(),
+                                  SolverConfig(dt=1e-3, t_end=1e-3),
+                                  Forcing.zero()))
+    for a in (phys.data, random_field.coeffs, state.coeffs,
+              PhysicalField(grid, np.asfortranarray(phys.data)).data,
+              SpectralField(grid, np.asfortranarray(random_field.coeffs)).coeffs):
+        assert a.flags.c_contiguous and not a.flags.writeable
 
 
 def test_component_count_must_match_grid(grid32):
-    with pytest.raises(InvalidFieldError):
-        PhysicalField(grid32, np.zeros((2, 8, 8)))
+    # The other type's shape: a full spectrum given as coefficients, or the
+    # half spectrum's shape given as samples.
+    for field_type, _, other in FIELD_TYPES:
+        for bad in ((2, 8, 8), (2,) + getattr(grid32, other)):
+            with pytest.raises(InvalidFieldError):
+                field_type(grid32, np.zeros(bad))
+
+
+def test_single_component_gains_its_axis(grid32):
+    for field_type, shape, _ in FIELD_TYPES:
+        field = field_type(grid32, np.ones(getattr(grid32, shape)))
+        array = field.data if field_type is PhysicalField else field.coeffs
+        assert array.shape == (1,) + getattr(grid32, shape)
 
 
 def test_field_arithmetic(random_field, random_field_b):

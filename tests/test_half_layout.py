@@ -145,9 +145,13 @@ def _embed_reference(u, fine):
     return out
 
 
-@pytest.mark.parametrize("n_fine", [None, 2, 3])
+@pytest.mark.parametrize("n_fine", [None, 2, 3, "2N", "3N"])
 def test_embed_modes_matches_full_array(grid, n_fine):
-    n = grid.n_points if n_fine is None else grid.n_points + 2 * n_fine
+    # n_fine: None keeps N, an integer j adds 2j points, "jN" multiplies by j.
+    if isinstance(n_fine, str):
+        n = int(n_fine[0]) * grid.n_points
+    else:
+        n = grid.n_points if n_fine is None else grid.n_points + 2 * n_fine
     fine = TorusGrid(grid.dim, n, grid.period)
     u = random_band_limited(grid, seed=10, band_limit=grid.n_points // 2 - 1)
     assert np.array_equal(embed_modes(u, fine).full(), _embed_reference(u, fine))

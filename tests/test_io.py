@@ -676,10 +676,13 @@ def test_cli_verify_overflowing_perturbation_exit_2(tmp_path, capsys):
 
 def test_cli_verify_perturbation_finite_at_start_blows_up_later(tmp_path):
     cfg = _write(tmp_path, "pert.ini", PERTURBATION_INI.format("1e20"))
-    with pytest.warns(UserWarning, match="CFL"):
+    with pytest.warns(UserWarning) as record:
         status = cli.main(["verify", "--config", cfg,
                            "--out", str(tmp_path / "o")])
     assert status == 3
+    # The blown-up step breaks both the CFL and the damping-stiffness limits.
+    messages = " ".join(str(w.message) for w in record)
+    assert "CFL" in messages and "stiff" in messages
 
 
 def test_cli_verify_seed_override_changes_report(tmp_path):

@@ -250,6 +250,15 @@ def test_constants_that_overflow_a_float_are_regime_errors(params):
             constant(params)
 
 
+@pytest.mark.parametrize("field", ["mu", "alpha", "beta", "r"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_params_must_be_finite(field, value):
+    # The message leads with the field, which a config error names.
+    with pytest.raises((InvalidArgumentsError, InvalidExponentError),
+                       match=f"^{field} must be finite"):
+        CbfParams(**{field: value})
+
+
 def test_params_validation():
     with pytest.raises(InvalidArgumentsError):
         CbfParams(mu=-1.0)

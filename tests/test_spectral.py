@@ -231,8 +231,14 @@ def test_lp_norm_sin_fourth_power(grid32):
     u = single_mode(grid32, (1, 0), component=0, phase=-np.pi / 2)  # sin(x)
     exact = (3.0 / 8.0) * grid32.volume
     assert lp_norm(u, 4) ** 4 == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+def test_lp_norm_needs_finite_p_at_least_one(grid32, p):
+    # Quadrature of mag**p answers neither max|u| at p = inf nor anything
+    # at p = nan.
     with pytest.raises(InvalidExponentError):
-        lp_norm(u, 0.5)
+        lp_norm(random_band_limited(grid32, seed=1, band_limit=4), p)
 
 
 def test_plancherel_consistency(random_field):

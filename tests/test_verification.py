@@ -396,6 +396,20 @@ def test_trajectory_checks_report_their_trajectory(grid32, r):
                 assert report.worst_margin != verif.SLACK
 
 
+def test_trajectory_bounds_need_diagnostics_from_t0():
+    # Both bounds compare every row with the first as the initial value, so
+    # diagnostics cut after t = 0 are an argument error, not a weaker bound.
+    grid = TorusGrid(dim=2, n_points=16)
+    params = CbfParams(mu=0.5, beta=1.0, r=4.0)
+    config = SolverConfig(dt=2e-3, t_end=0.02, diagnostics_every=2)
+    _, diagnostics = run(random_band_limited(grid, 1, 4), params, config,
+                         extended=True)
+    for check in (check_apriori, check_regularity):
+        assert check(diagnostics, params).passed
+        with pytest.raises(InvalidArgumentsError, match="t = 0"):
+            check(diagnostics[3:], params)
+
+
 def test_regularity_requires_extended(grid32):
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=55, band_limit=6)
