@@ -321,7 +321,11 @@ def _cross_validate(config: RunConfig):
         if not os.path.exists(path):
             raise ConfigError(f"forcing.snapshot: path not resolvable: {path!r}")
     verify = config.section("verify")
-    for name in verify["checks"]:
+    checks = verify["checks"]
+    if not checks or len(set(checks)) < len(checks):
+        raise ConfigError("verify.checks needs one or more distinct checks, "
+                          f"got {', '.join(checks) or 'none'}")
+    for name in checks:
         if name != "all" and name not in CHECKS:
             raise ConfigError(f"verify.checks: unknown check {name!r}")
     conv = config["convergence"]

@@ -107,16 +107,15 @@ def _band_layout(grid, band_limit, spectrum_slope):
     spectrum, of its half there and of the mirror -m of that half's columns
     1..K; and there the band mask and the weight |m|^(-slope)."""
     box = band_box(grid)
-    n, k = grid.n_points, box.radius
-    cube = np.r_[0:k + 1, n - k:n]
-    lead, mirror_lead = [cube] * (grid.dim - 1), [(-cube) % n] * (grid.dim - 1)
-    modes = np.ix_(*([grid.modes[cube]] * grid.dim))
+    n, k, rows = grid.n_points, box.radius, box.rows
+    lead, mirror_lead = [rows] * (grid.dim - 1), [(-rows) % n] * (grid.dim - 1)
+    modes = np.ix_(*([grid.modes[rows]] * grid.dim))
     sq_norm = sum(m * m for m in modes)
     inf_norm = np.max(np.broadcast_arrays(*(np.abs(m) for m in modes)), axis=0)
     mask = (inf_norm <= band_limit) & (sq_norm > 0)
     weight = np.where(sq_norm > 0, np.asarray(sq_norm, dtype=float), 1.0)
-    return (box, _mesh(*lead, cube), _mesh(*lead, cube[:k + 1]),
-            _mesh(*mirror_lead, n - cube[1:k + 1]), mask,
+    return (box, _mesh(*lead, rows), _mesh(*lead, rows[:k + 1]),
+            _mesh(*mirror_lead, n - rows[1:k + 1]), mask,
             weight ** (-spectrum_slope / 2.0))
 
 

@@ -17,13 +17,13 @@ one Hermitian check (raising :class:`SymmetryError`), and
 :meth:`SpectralField.full` expands for output; snapshot files store the full
 array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch; it is
-the one transform and the one owner of the spectral multipliers, and the
-box that covers the half serves :func:`to_physical`, :func:`to_spectral`
-and every operation on whole half-spectrum fields.
+the one transform and the one owner of the spectral multipliers and of the
+row layout, one index of its rows and one of their mirror, and the box
+that covers the half serves :func:`to_physical`, :func:`to_spectral` and
+every operation on whole half-spectrum fields.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,24 +181,6 @@ def _leading_axes(grid):
     return tuple(range(-grid.dim, -1))
 
 
-def symmetrize_columns(c, grid):
-    """Replace column 0 of half-spectrum or compact coefficients ``c``, and
-    column N/2 when ``c`` holds it, by its Hermitian part (c + conj(c(-m)))/2
-    in place: the only columns that hold both m and -m.  Returns ``c``."""
-    columns = c[..., ::grid.n_points // 2]  # a view
-    mirror = _mirror_index(columns.shape[-grid.dim:-1])
-    columns[...] = 0.5 * (columns + np.conjugate(columns[mirror]))
-    return c
-
-
-@functools.lru_cache(maxsize=16)
-def _mirror_index(lengths):
-    """Index of the rows -m mod L on leading axes of the given ``lengths``:
-    the permutation of :func:`conj_mirror`, cheaper on small arrays."""
-    rows = np.ix_(*((-np.arange(n)) % n for n in lengths))
-    return (Ellipsis,) + rows + (slice(None),)
-
-
 def conj_mirror(a, axes, out=None):
     """conj(a(-m)) over ``axes``, -m mod N: a flip followed by a roll by one."""
     return np.conjugate(np.roll(np.flip(a, axis=axes), 1, axis=axes), out=out)
@@ -223,20 +205,25 @@ _FORWARD_ORDER = (reversed if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 class ModeBox:
     """The modes with every |m_i| <= R of the half spectrum, stored
-    compactly, in an array of ``shape``: rows 0..R and N-R..N-1 of each
-    leading axis (a cyclic order of length 2R+1) and columns 0..R; at
-    R = N/2, the half as it is.  It owns the multipliers on them: the
-    wavenumbers 2*pi*m/L with the unmatched Nyquist entries zeroed (so ik*c
-    stays Hermitian), |k|^2 and 1/|k|^2 (0 at k = 0), both built on first
-    read, the columns' Plancherel weights (1 on columns 0 and N/2, their
-    own mirrors, 2 elsewhere) and, times the volume, ``volume_weights``;
-    ``mask`` marks a Galerkin ball of radius ``ball_n`` (None: no ball, all
-    of the box)."""
+    compactly, in an array of ``shape``: the rows ``rows`` of each leading
+    axis, 0..R and N-R..N-1 (a cyclic order of length 2R+1), and columns
+    0..R; at R = N/2, the half as it is, ``rows`` all N.  ``mirror`` indexes
+    the rows -m of those rows m on every leading axis.  It owns the
+    multipliers on them: the wavenumbers 2*pi*m/L with the unmatched Nyquist
+    entries zeroed (so ik*c stays Hermitian), |k|^2 and 1/|k|^2 (0 at
+    k = 0), both built on first read, the columns' Plancherel weights (1 on
+    columns 0 and N/2, their own mirrors, 2 elsewhere) and, times the
+    volume, ``volume_weights``; ``mask`` marks a Galerkin ball of radius
+    ``ball_n`` (None: no ball, all of the box)."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
         n = grid.n_points
         self.covers_half = radius == n // 2
+        self.rows = (np.arange(n) if self.covers_half
+                     else np.r_[0:radius + 1, n - radius:n])
+        mirror = -np.arange(len(self.rows)) % len(self.rows)
+        self.mirror = (Ellipsis, *np.ix_(*[mirror] * (grid.dim - 1)), slice(None))
         modes = [self.gather(m) for m in grid.mode_grids]
         self.shape = np.broadcast_shapes(*(m.shape for m in modes))
         self.wavenumbers = tuple(np.where(np.abs(m) == n // 2, 0.0,
@@ -263,32 +250,28 @@ class ModeBox:
         array, or ``c`` itself when the box has no ball."""
         return c if self.mask is None else c * self.mask
 
-    @staticmethod
-    def _on(axis, rows):
-        """Index of the slice ``rows`` on the (negative) ``axis``."""
-        return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
+    def symmetrize(self, c):
+        """Replace column 0 of coefficients ``c`` on the box, and column N/2
+        when the box holds it, by its Hermitian part (c + conj(c(-m)))/2 in
+        place: the only columns that hold both m and -m.  Returns ``c``."""
+        columns = c[..., ::self.grid.n_points // 2]  # a view
+        columns[...] = 0.5 * (columns + np.conjugate(columns[self.mirror]))
+        return c
 
     def _take_rows(self, a, axis):
-        """Rows 0..R and N-R..N-1 of ``a`` on ``axis``; ``a`` itself when the
-        box covers the half."""
-        if self.covers_half:
-            return a
-        n, r = self.grid.n_points, self.radius
-        return np.concatenate((a[self._on(axis, slice(0, r + 1))],
-                               a[self._on(axis, slice(n - r, n))]), axis=axis)
+        """The box's rows of ``a`` on a leading ``axis``; ``a`` itself when
+        the box covers the half."""
+        return a if self.covers_half else np.take(a, self.rows, axis)
 
-    def _put_rows(self, c, axis, length):
-        """``c`` copied into a zero array of ``length`` rows on ``axis``, its
-        rows after R at the end: rows 0..R and N-R..N-1 on a leading axis,
-        columns 0..R last; ``c`` itself when the box covers the half."""
+    def _put_rows(self, c, axis):
+        """``c`` copied into a zero array of N rows on a leading ``axis``, at
+        the box's rows; ``c`` itself when the box covers the half."""
         if self.covers_half:
             return c
-        shape, split = list(c.shape), self.radius + 1
-        shape[axis] = length
+        shape = list(c.shape)
+        shape[axis] = self.grid.n_points
         out = np.zeros(shape, c.dtype)
-        out[self._on(axis, slice(0, split))] = c[self._on(axis, slice(0, split))]
-        out[self._on(axis, slice(length - c.shape[axis] + split, None))] = c[
-            self._on(axis, slice(split, None))]
+        out[(Ellipsis, self.rows) + (slice(None),) * (-axis - 1)] = c
         return out
 
     def gather(self, half):
@@ -302,24 +285,19 @@ class ModeBox:
         return c
 
     def expand(self, c):
-        """Half-spectrum array of compact coefficients, zero off the box: a
-        zero half with the box's blocks copied in."""
+        """Half-spectrum array of compact coefficients, zero off the box."""
         if self.covers_half:
             return c
-        n, r = self.grid.n_points, self.radius
         out = np.zeros(c.shape[:-self.grid.dim] + self.grid.half_shape, c.dtype)
-        blocks = ((slice(0, r + 1),) * 2, (slice(r + 1, None), slice(n - r, n)))
-        for rows in itertools.product(blocks, repeat=self.grid.dim - 1):
-            box_rows, half_rows = zip(*rows)
-            out[(..., *half_rows, slice(0, r + 1))] = c[(..., *box_rows, slice(None))]
+        out[(Ellipsis, *np.ix_(*[self.rows] * (self.grid.dim - 1)),
+             slice(0, self.radius + 1))] = c
         return out
 
     def inverse(self, c):
         """Real samples of compact coefficients: the 1-D passes of irfftn in
         its order, each on the lines that the box touches only."""
         for axis in _leading_axes(self.grid):
-            c = np.fft.ifft(self._put_rows(c, axis, self.grid.n_points),
-                            axis=axis, norm="forward")
+            c = np.fft.ifft(self._put_rows(c, axis), axis=axis, norm="forward")
         return np.fft.irfft(c, n=self.grid.n_points, axis=-1, norm="forward")
 
     def forward(self, samples):

@@ -119,8 +119,8 @@ def grid_samples(c, box, r: float, with_jacobian: bool = False):
 
 def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
     """|u|^{r-1} u evaluated on samples, with |u|^{r-1}u := 0 where u = 0."""
-    if r < 1:
-        raise InvalidExponentError(f"r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise InvalidExponentError(f"r must be finite and >= 1, got {r}")
     return damping_weight(squared_magnitude(data), r) * data
 
 

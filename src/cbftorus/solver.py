@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
 from .fields import (ModeBox, SpectralField, _settled, band_box,
-                     require_same_grid, symmetrize_columns)
+                     require_same_grid)
 from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
                         nonlinear_term)
 from .spectral import (divergence_defect, leray_project, mode_pairing,
@@ -232,7 +232,8 @@ def _rates(c, box, t, forcing, samples, jac):
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
     """Project and restrict the initial condition, and prime the budget
-    rates; the state is exactly Hermitian."""
+    rates; the state is exactly Hermitian.  ``forcing`` None is unforced."""
+    forcing = Forcing.zero() if forcing is None else forcing
     if divergence_defect(ic) > DIV_FREE_TOL:
         warnings.warn("initial condition is not divergence-free; projecting")
     box = band_box(ic.grid, config.dealias, config.galerkin_n,
@@ -249,7 +250,7 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
 def _settle(c, box):
     """``c`` symmetrized in place and held to the array contract of fields:
     finite, read-only coefficients on ``box``."""
-    return _settled(symmetrize_columns(c, box.grid), complex, box.shape,
+    return _settled(box.symmetrize(c), complex, box.shape,
                     "coefficients")
 
 
@@ -367,7 +368,6 @@ def run(ic: SpectralField, params: CbfParams, config: SolverConfig,
     inputs.  On blow-up the partial diagnostics ride along on the raised
     :class:`BlowUpError`.
     """
-    forcing = forcing if forcing is not None else Forcing.zero()
     state = initialize_state(ic, params, config, forcing, extended)
     del ic
     n_steps = int(round(config.t_end / config.dt))

@@ -653,7 +653,6 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
     r = 3 with 2*beta*mu >= 1: the distance is non-increasing (flat envelope).
     """
     rho = monotonicity_shift(params)
-    forcing = forcing if forcing is not None else Forcing.zero()
     s1 = initialize_state(ic, params, config, forcing)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -694,7 +693,7 @@ def _times_from_zero(diagnostics):
     """The times of ``diagnostics``, whose first row must be the initial
     value, at t = 0: the bounds along a trajectory compare every row with it."""
     times = [d.t for d in diagnostics]
-    if times[0] != 0.0:
+    if not times or times[0] != 0.0:
         raise InvalidArgumentsError("diagnostics must start at t = 0")
     return times
 
@@ -758,9 +757,9 @@ def check_regularity(diagnostics, params: CbfParams,
         <= ||grad u0||^2 + (2/mu) int ||f||^2.
     """
     rate, coeff_a, coeff_w, notes = regularity_bound(params)
+    times = _times_from_zero(diagnostics)
     if diagnostics[0].int_a_norm_sq is None:
         raise ConfigError("regularity check needs extended diagnostics")
-    times = _times_from_zero(diagnostics)
     f_int = _forcing_integrals(forcing, times, l2_norm)
     g0 = diagnostics[0].v_seminorm_sq
     margins = []

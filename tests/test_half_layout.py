@@ -8,8 +8,8 @@ import pytest
 import full_array as fa
 from cbftorus.errors import InvalidArgumentsError, SymmetryError
 from cbftorus.families import random_band_limited
-from cbftorus.fields import (PhysicalField, SpectralField, band_box, conj_mirror,
-                             symmetrize_columns, to_physical, to_spectral)
+from cbftorus.fields import (ModeBox, PhysicalField, SpectralField, band_box,
+                             conj_mirror, to_physical, to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, physical_jacobian, stokes
 from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
@@ -114,7 +114,7 @@ def test_symmetry_defect_matches_full_scan(grid):
 def test_from_half_is_exactly_hermitian(grid):
     half = _full_band(grid, 7).coeffs + 1e-9 * np.random.default_rng(8).standard_normal(
         (grid.dim,) + grid.half_shape)
-    field = SpectralField(grid, symmetrize_columns(half.copy(), grid))
+    field = SpectralField(grid, band_box(grid, False).symmetrize(half.copy()))
     c = field.full()
     assert np.array_equal(c, conj_mirror(c, tuple(range(-grid.dim, 0))))
     inner = slice(1, grid.n_points // 2)
@@ -284,11 +284,15 @@ def test_restrict_modes_matches_mode_masks(grid):
 
 
 def _boxes(grid):
-    """Mode boxes of radius (N-1)//3, 1, a Galerkin n below (N-1)//3, and the
-    whole half."""
-    k = (grid.n_points - 1) // 3
+    """Mode boxes of radius (N-1)//3, 1, a Galerkin n below (N-1)//3, the
+    whole half, and the edges of the row index: radius 0 (as
+    ``truncate_modes(u, 0)`` builds it) and N/2 - 1, whose rows N/2 + 1..N-1
+    follow the Nyquist row it leaves out."""
+    n = grid.n_points
+    k = (n - 1) // 3
     return [band_box(grid), band_box(grid, False, 1), band_box(grid, True, k - 1),
-            band_box(grid, False)]
+            band_box(grid, False), ModeBox(grid, 0, 0),
+            band_box(grid, False, n // 2 - 1)]
 
 
 @pytest.mark.parametrize("grid", IDENTITY_GRIDS,
@@ -308,9 +312,8 @@ def test_box_transforms_are_exact(grid):
         assert np.array_equal(box.forward(data),
                               box.gather(fa.half_forward(data, grid)))
         # column 0 of the compact rows mirrors as on the half
-        sym = symmetrize_columns(c.copy(), grid)
-        assert np.array_equal(box.expand(sym),
-                              symmetrize_columns(h.copy(), grid))
+        assert np.array_equal(box.expand(box.symmetrize(c.copy())),
+                              band_box(grid, False).symmetrize(h.copy()))
 
 
 def _gathered(box, full):

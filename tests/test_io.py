@@ -488,9 +488,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("grid", "l = 1e300"),  # the volume overflows
     ("grid", "l = 1e-320"),  # the wavenumbers overflow
     ("forcing", "kind = steady\namplitude = 1e308"),  # its transform overflows
+    ("verify", "checks ="),  # a session that checks nothing
+    ("verify", "checks = trilinear, trilinear"),
 ], ids=["t_end_inf", "dt_1e-320", "dt_1e-300", "component_5", "amplitude_nan",
         "mode_above_nyquist", "forcing_mode_above_nyquist", "period_1e300",
-        "period_1e-320", "forcing_amplitude_1e308"])
+        "period_1e-320", "forcing_amplitude_1e308", "checks_empty",
+        "checks_repeated"])
 def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
     grid = "[grid]\ndim = 2\nn = 64\n"
     text = (f"{grid}{entries}\n" if section == "grid"

@@ -14,8 +14,8 @@ import pytest
 import full_array as fa
 from cbftorus import fields, solver
 from cbftorus.families import random_band_limited
-from cbftorus.fields import (PhysicalField, SpectralField, band_box,
-                             symmetrize_columns, to_physical, to_spectral)
+from cbftorus.fields import (PhysicalField, SpectralField, band_box, to_physical,
+                             to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
                                 damping, damping_pointwise, nonlinear_term,
@@ -492,8 +492,8 @@ def _half_initialize(ic, params, config, forcing, extended):
     cover = band_box(grid, False)
     half = project_coeffs(ic.coeffs, cover.wavenumbers, cover.inv_k_squared)
     mask = _half_band(grid, config)
-    u = SpectralField(grid, symmetrize_columns(
-        half if mask is None else half * mask, grid))
+    u = SpectralField(grid, cover.symmetrize(
+        half if mask is None else half * mask))
     samples = _half_samples(u, params)
     rates = _half_rates(u, 0.0, params, forcing, extended, samples)
     return _RefState(t=0.0, u=u, rates=rates, energy0=rates.darcy,
@@ -528,7 +528,7 @@ def _half_step(state, params, config, forcing):
                        - (1.5 * nl - 0.5 * state.prev_nonlinear)))
         half = rhs / (1.0 + 0.5 * dt * lam)
         prev = nl
-    u = SpectralField(grid, symmetrize_columns(half, grid))
+    u = SpectralField(grid, band_box(grid, False).symmetrize(half))
     samples = _half_samples(u, params)
     rates = _half_rates(u, state.t + dt, params, forcing, state.extended, samples)
     return _RefState(
@@ -629,12 +629,14 @@ def _separate_jacobian(c, box, extended):
 
 
 def _concatenated_expand(box, c):
-    """``ModeBox.expand`` as zero rows concatenated in, axis by axis."""
+    """``ModeBox.expand`` axis by axis: the inverse transform's zero rows put
+    in on each leading axis, then zero columns concatenated."""
     if box.covers_half:
         return c
     for axis in range(-box.grid.dim, -1):
-        c = box._put_rows(c, axis, box.grid.n_points)
-    return box._put_rows(c, -1, box.grid.n_points // 2 + 1)
+        c = box._put_rows(c, axis)
+    pad = np.zeros(c.shape[:-1] + (box.grid.n_points // 2 - box.radius,), c.dtype)
+    return np.concatenate((c, pad), axis=-1)
 
 
 def _stacked_nonlinear(c, box, params, config, samples=None):
@@ -671,7 +673,7 @@ def _expanding_initialize(ic, params, config, forcing, extended):
     c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
     if box.mask is not None:
         c = c * box.mask
-    symmetrize_columns(c, grid)
+    box.symmetrize(c)
     u = SpectralField(grid, _concatenated_expand(box, c))
     samples = _guarded_samples(box.inverse(c), params.r)
     rates = solver._rates(c, box, 0.0, forcing, samples,
@@ -708,7 +710,7 @@ def _expanding_step(state, params, config, forcing):
                        - (1.5 * nl - 0.5 * state.prev_nonlinear)))
         c = rhs / solver._multiplier(box, params, 0.5 * dt)
         prev = nl
-    symmetrize_columns(c, grid)
+    box.symmetrize(c)
     u = SpectralField(grid, _concatenated_expand(box, c))
     samples = _guarded_samples(box.inverse(c), params.r)
     rates = solver._rates(c, box, state.t + dt, forcing, samples,

@@ -162,8 +162,13 @@ def test_damping_rejects_scalar_field(grid32):
 
 
 def test_damping_invalid_exponent(random_field):
-    with pytest.raises(InvalidExponentError):
-        damping(random_field, 0.5)
+    # The domain of CbfParams, 1 <= r < inf: at r = nan the samples were all
+    # NaN, at r = inf all zero.
+    for r in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidExponentError):
+            damping(random_field, r)
+        with pytest.raises(InvalidExponentError):
+            damping_pointwise(to_physical(random_field).data, r)
 
 
 @settings(max_examples=200, deadline=None)

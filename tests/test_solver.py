@@ -409,6 +409,20 @@ def test_state_steps_on_its_band_and_keeps_its_problem(grid32, band):
         assert box is band_box(grid32)
 
 
+def test_no_forcing_is_spelled_none_everywhere(grid32):
+    # None is the unforced problem wherever a forcing is taken, and the same
+    # trajectory as Forcing.zero().
+    ic = random_band_limited(grid32, seed=2, band_limit=6)
+    config = SolverConfig(dt=1e-3, t_end=3e-3)
+    states = [initialize_state(ic, DAMPED, config, f)
+              for f in (None, Forcing.zero())]
+    assert states[0].forcing.is_zero
+    for _ in range(3):
+        states = [step(s) for s in states]
+    assert np.array_equal(states[0].coeffs, states[1].coeffs)
+    assert run(ic, DAMPED, config, None)[1] == run(ic, DAMPED, config)[1]
+
+
 @pytest.mark.parametrize("forcing_grid", [dict(n_points=64), dict(period=1.0)],
                          ids=["other-n", "other-period"])
 def test_forcing_on_another_grid_rejected(grid32, forcing_grid):

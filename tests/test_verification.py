@@ -406,8 +406,9 @@ def test_trajectory_bounds_need_diagnostics_from_t0():
                          extended=True)
     for check in (check_apriori, check_regularity):
         assert check(diagnostics, params).passed
-        with pytest.raises(InvalidArgumentsError, match="t = 0"):
-            check(diagnostics[3:], params)
+        for cut in (diagnostics[3:], []):
+            with pytest.raises(InvalidArgumentsError, match="t = 0"):
+                check(cut, params)
 
 
 def test_regularity_requires_extended(grid32):
