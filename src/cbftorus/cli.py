@@ -1,12 +1,13 @@
 """Command-line surface: run, verify, convergence, taylor-green.
 
-Exit status contract: 0 all good, 1 check failure, 2 usage/config error or
-malformed snapshot, 3 numerical blow-up.
+Exit status contract: 0 all good, 1 check failure, 2 usage/config error,
+malformed snapshot or unwritable output file, 3 numerical blow-up.
 """
 
 import argparse
 import dataclasses
 import functools
+import inspect
 import itertools
 import os
 import sys
@@ -55,16 +56,12 @@ def _fmt(x):
     return f"{x:.17e}"
 
 
-def diagnostics_columns(samples):
-    cols = list(DiagnosticsSample.BASE_COLUMNS)
-    if samples and samples[0].a_norm_sq is not None:
-        cols += list(DiagnosticsSample.EXTENDED_COLUMNS)
-    return cols
-
-
 def write_diagnostics(samples, path):
-    """Tab-delimited diagnostics table with a fixed, documented column order."""
-    cols = diagnostics_columns(samples)
+    """Tab-delimited table of the fields of ``DiagnosticsSample`` that the run
+    kept (not None), in field order; of no samples, the ten with no default."""
+    kept = samples[0] if samples else None
+    cols = [f.name for f in dataclasses.fields(DiagnosticsSample)
+            if (f.default if kept is None else getattr(kept, f.name)) is not None]
     lines = ["\t".join(cols)]
     for s in samples:
         lines.append("\t".join(_fmt(getattr(s, c)) for c in cols))
@@ -116,16 +113,16 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
 
 
 class _Session:
-    """The inputs of one ``verify`` session's checks, under the names that
-    ``verification.CHECKS`` gives them.  The [ic] problem and its one
-    extended run are built on first use, once per session."""
+    """The inputs of one ``verify`` session's checks, each under the name of
+    the check parameters it fills.  The [ic] problem and its one extended
+    run are built on first use, once per session."""
 
     def __init__(self, config: RunConfig, seed_override=None):
         v = self.verify = config["verify"]
         self.params = config.params()
         self.problem = functools.cache(config.problem)
         self.mu, self.r = self.params.mu, self.params.r
-        self.samples, self.tolerance = v["samples"], v["tolerance"]
+        self.n_samples, self.tolerance = v["samples"], v["tolerance"]
         self.s_exp, self.rho_exp, self.t_exp = v["interpolation_exponents"]
         grid = dataclasses.replace(config.grid(), n_points=v["n"])
         seed = v["seed"] if seed_override is None else seed_override
@@ -134,7 +131,7 @@ class _Session:
             spectrum_slope=v["slope"], amplitude=v["amplitude"])
 
     ic = property(lambda self: self.problem()[0])
-    solver = property(lambda self: self.problem()[2])
+    config = property(lambda self: self.problem()[2])
     forcing = property(lambda self: self.problem()[3])
 
     @functools.cached_property
@@ -151,14 +148,17 @@ class _Session:
 
 
 def _run_one_check(name, session: _Session):
-    """Report of check ``name``, run as its row of ``verification.CHECKS``
-    says on the inputs of ``session``, its regime decided first."""
-    check, inputs, cap, regime = verif.CHECKS[name]
+    """Report of check ``name`` of ``verification.CHECKS``, its regime
+    decided first: each parameter of its ``run`` is the input of ``session``
+    of that name, ``n_samples`` at most the row's ``cap``."""
+    check, cap, regime = verif.CHECKS[name]
     if regime is not None:
         regime(session.params)
-    samples = session.samples if cap is None else min(session.samples, cap)
-    return check(*(samples if key == "samples" else getattr(session, key)
-                   for key in inputs.split()))
+    inputs = {key: getattr(session, key)
+              for key in inspect.signature(check).parameters}
+    if cap is not None:
+        inputs["n_samples"] = min(inputs["n_samples"], cap)
+    return check(**inputs)
 
 
 def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
@@ -327,7 +327,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir=args.out, seed_override=args.seed)
         return cmd_convergence(config, out_dir=args.out)
-    except (ConfigError, InvalidArgumentsError, SnapshotFormatError) as err:
+    except (ConfigError, InvalidArgumentsError, SnapshotFormatError,
+            OSError) as err:  # OSError: an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as err:

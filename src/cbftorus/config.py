@@ -142,21 +142,18 @@ class RunConfig:
     values: tuple  # nested ((section, ((key, value), ...)), ...)
     base_dir: str = "."
 
-    def section(self, name):
+    def __getitem__(self, name):
         return dict(dict(self.values)[name])
 
-    def __getitem__(self, name):
-        return self.section(name)
-
     def grid(self) -> TorusGrid:
-        g = self.section("grid")
+        g = self["grid"]
         return TorusGrid(**{f: g[key] for f, key in _GRID_KEYS.items()})
 
     def params(self) -> CbfParams:
-        return CbfParams(**self.section("params"))
+        return CbfParams(**self["params"])
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(**self.section("solver"))
+        return SolverConfig(**self["solver"])
 
     def check_bands(self, n_points):
         """The band rule of the random [ic] and [forcing] fields on N = n_points."""
@@ -174,7 +171,7 @@ class RunConfig:
     def _family_field(self, grid, section):
         """The [ic] or [forcing] family field; an argument a family rejects,
         or a field that overflows its finiteness check, is a section error."""
-        spec = self.section(section)
+        spec = self[section]
         name = spec["family"]
         try:
             if name == "taylor_green":
@@ -194,7 +191,7 @@ class RunConfig:
             raise ConfigError(f"{section}: {err}") from None
 
     def _snapshot_field(self, section, grid):
-        path = self._resolve(self.section(section)["snapshot"])
+        path = self._resolve(self[section]["snapshot"])
         field, _, _ = read_snapshot_file(path)
         if not field.grid.compatible(grid):
             raise ConfigError(f"{section}.snapshot grid does not match [grid]")
@@ -202,14 +199,14 @@ class RunConfig:
 
     def initial_condition(self, grid=None):
         grid = grid if grid is not None else self.grid()
-        spec = self.section("ic")
+        spec = self["ic"]
         if spec["family"] == "snapshot":
             return self._snapshot_field("ic", grid)
         return self._family_field(grid, "ic")
 
     def forcing(self, grid=None) -> Forcing:
         grid = grid if grid is not None else self.grid()
-        spec = self.section("forcing")
+        spec = self["forcing"]
         if spec["kind"] == "zero":
             return Forcing.zero()
         if spec["snapshot"]:
@@ -227,16 +224,6 @@ class RunConfig:
         grid = grid if grid is not None else self.grid()
         return (self.initial_condition(grid), self.params(), self.solver(),
                 self.forcing(grid))
-
-    def dump(self) -> str:
-        lines = []
-        for section, entries in self.values:
-            lines.append(f"[{section}]")
-            for key, value in entries:
-                parser = SCHEMA[section][key][0]
-                lines.append(f"{key} = {_FORMATTERS[parser](value)}")
-            lines.append("")
-        return "\n".join(lines)
 
 
 def _parse_value(section, key, parser, raw):
@@ -303,24 +290,24 @@ def _cross_validate(config: RunConfig):
             field, _, rest = str(err).partition(" ")  # messages lead with it
             raise ConfigError(f"{section}.{_GRID_KEYS.get(field, field)} "
                               f"{rest}") from None
-    exps = config.section("verify")["interpolation_exponents"]
+    exps = config["verify"]["interpolation_exponents"]
     if len(exps) != 3:
         raise ConfigError("verify.interpolation_exponents needs exactly 3 values")
     try:
         interpolation_theta(*exps)
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None
-    ic = config.section("ic")
+    ic = config["ic"]
     if ic["family"] == "snapshot":
         path = config._resolve(ic["snapshot"])
         if not ic["snapshot"] or not os.path.exists(path):
             raise ConfigError(f"ic.snapshot: path not resolvable: {path!r}")
-    forcing = config.section("forcing")
+    forcing = config["forcing"]
     if forcing["kind"] != "zero" and forcing["snapshot"]:
         path = config._resolve(forcing["snapshot"])
         if not os.path.exists(path):
             raise ConfigError(f"forcing.snapshot: path not resolvable: {path!r}")
-    verify = config.section("verify")
+    verify = config["verify"]
     checks = verify["checks"]
     if not checks or len(set(checks)) < len(checks):
         raise ConfigError("verify.checks needs one or more distinct checks, "
@@ -352,7 +339,14 @@ def _cross_validate(config: RunConfig):
 
 
 def dump_config(config: RunConfig, path=None) -> str:
-    text = config.dump()
+    lines = []
+    for section, entries in config.values:
+        lines.append(f"[{section}]")
+        for key, value in entries:
+            parser = SCHEMA[section][key][0]
+            lines.append(f"{key} = {_FORMATTERS[parser](value)}")
+        lines.append("")
+    text = "\n".join(lines)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

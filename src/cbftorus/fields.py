@@ -18,9 +18,10 @@ one Hermitian check (raising :class:`SymmetryError`), and
 array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch; it is
 the one transform and the one owner of the spectral multipliers and of the
-row layout, one index of its rows and one of their mirror, and the box
-that covers the half serves :func:`to_physical`, :func:`to_spectral` and
-every operation on whole half-spectrum fields.
+row layout, one index of its rows (from which it builds its modes) and one
+of their mirror, and the box that covers the half serves
+:func:`to_physical`, :func:`to_spectral` and every operation on whole
+half-spectrum fields.
 """
 
 import functools
@@ -224,7 +225,8 @@ class ModeBox:
                      else np.r_[0:radius + 1, n - radius:n])
         mirror = -np.arange(len(self.rows)) % len(self.rows)
         self.mirror = (Ellipsis, *np.ix_(*[mirror] * (grid.dim - 1)), slice(None))
-        modes = [self.gather(m) for m in grid.mode_grids]
+        modes = np.ix_(*[grid.modes[self.rows]] * (grid.dim - 1),
+                       np.arange(radius + 1))
         self.shape = np.broadcast_shapes(*(m.shape for m in modes))
         self.wavenumbers = tuple(np.where(np.abs(m) == n // 2, 0.0,
                                           m * (TWO_PI / grid.period)) for m in modes)
@@ -275,13 +277,11 @@ class ModeBox:
         return out
 
     def gather(self, half):
-        """Compact coefficients of a half-spectrum array (axes of length 1,
-        as in broadcast multipliers, stay); a view of all of it when the box
-        covers the half."""
+        """Compact coefficients of a half-spectrum array; a view of all of it
+        when the box covers the half."""
         c = half[..., :self.radius + 1]
         for axis in _leading_axes(self.grid):
-            if c.shape[axis] > 1:
-                c = self._take_rows(c, axis)
+            c = self._take_rows(c, axis)
         return c
 
     def expand(self, c):

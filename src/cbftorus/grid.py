@@ -3,8 +3,9 @@
 A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
 the torus, the sample and half-spectrum shapes (the half that ``rfftn``
 keeps: last-axis modes 0..N/2), the volumes, the grid coordinates and the
-integer mode indices; and it caches the compact mode boxes of
-``fields.band_box``, which own every spectral multiplier built from them.
+1-D integer mode index of an axis; and it caches the compact mode boxes of
+``fields.band_box``, which build their modes from their rows and own every
+spectral multiplier built from them.
 """
 
 from dataclasses import dataclass
@@ -79,15 +80,6 @@ class TorusGrid:
         """Shape of the half spectrum that ``rfftn`` keeps: last-axis modes
         0..N/2."""
         return self.shape[:-1] + (self.n_points // 2 + 1,)
-
-    @cached_property
-    def mode_grids(self):
-        """Integer mode index per axis on the half spectrum, broadcastable to
-        :attr:`half_shape`: FFT order on the leading axes, 0..N/2 last."""
-        last = np.arange(self.n_points // 2 + 1)
-        return tuple(np.reshape(self.modes if a < self.dim - 1 else last,
-                                [-1 if b == a else 1 for b in range(self.dim)])
-                     for a in range(self.dim))
 
     @cached_property
     def boxes(self):

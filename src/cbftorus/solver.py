@@ -202,12 +202,6 @@ class DiagnosticsSample:
     int_a_norm_sq: float = None
     int_weighted_grad_sq: float = None
 
-    BASE_COLUMNS = ("t", "energy", "v_seminorm_sq", "v_norm_sq", "lr1_norm",
-                    "forcing_power", "energy_residual", "int_dissipation",
-                    "int_damping", "int_forcing")
-    EXTENDED_COLUMNS = ("a_norm_sq", "weighted_grad_sq",
-                        "int_a_norm_sq", "int_weighted_grad_sq")
-
 
 def _rates(c, box, t, forcing, samples, jac):
     """Evaluate the budget integrands at one instant for the coefficients

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidArgumentsError, RegimeError)
+from .errors import InvalidArgumentsError, RegimeError
 from .families import random_band_limited
 from .fields import SpectralField, band_box, squared_magnitude
 from .grid import TorusGrid
@@ -759,7 +759,7 @@ def check_regularity(diagnostics, params: CbfParams,
     rate, coeff_a, coeff_w, notes = regularity_bound(params)
     times = _times_from_zero(diagnostics)
     if diagnostics[0].int_a_norm_sq is None:
-        raise ConfigError("regularity check needs extended diagnostics")
+        raise InvalidArgumentsError("regularity check needs extended diagnostics")
     f_int = _forcing_integrals(forcing, times, l2_norm)
     g0 = diagnostics[0].v_seminorm_sq
     margins = []
@@ -776,40 +776,30 @@ def check_regularity(diagnostics, params: CbfParams,
 # the checks of ``cbftorus verify``
 
 
-Check = namedtuple("Check", "run inputs cap regime", defaults=(None, None))
+Check = namedtuple("Check", "run cap regime", defaults=(None, None))
 # Every check of ``cbftorus verify``, in report order, and how a session runs
-# it: ``run(*inputs)``, each input the one the session holds under that
-# name, where "samples" is [verify] samples, at most ``cap``, and "tolerance"
-# is [verify] tolerance.  Before it builds the inputs of a trajectory check,
+# it: each parameter of ``run`` is the session's input of that name, where
+# ``n_samples`` is [verify] samples, at most ``cap``, and ``tolerance`` is
+# [verify] tolerance.  Before it builds the inputs of a trajectory check,
 # the session calls ``regime(params)``, which raises RegimeError outside the
 # check's regime; a sampled check decides its own before its first draw.
 CHECKS = {
-    "trilinear": Check(check_trilinear, "sampler samples"),
-    "monotone_shifted": Check(check_monotone_shifted,
-                              "sampler params samples tolerance"),
-    "monotone_critical": Check(check_monotone_critical,
-                               "sampler params samples tolerance"),
-    "advection_splitting": Check(check_advection_splitting,
-                                 "sampler params samples tolerance"),
-    "local_2d": Check(check_local_bound_2d, "sampler mu samples tolerance"),
-    "damping_monotone": Check(check_damping_monotone,
-                              "sampler r samples tolerance"),
-    "damping_lipschitz": Check(check_damping_lipschitz,
-                               "sampler r samples tolerance"),
-    "mvt": Check(check_pointwise_mvt, "sampler r samples tolerance", 200),
-    "dissipation_identity": Check(check_dissipation_identity,
-                                  "sampler r samples", 200),
-    "interpolation": Check(check_interpolation,
-                           "sampler s_exp rho_exp t_exp samples tolerance"),
-    "advection_bounds": Check(check_advection_bounds, "sampler r samples"),
-    "filter": Check(check_filter_props, "sampler samples", 50),
-    "operator_continuity": Check(check_operator_continuity,
-                                 "sampler params samples", 20),
-    "gronwall": Check(check_gronwall, ""),
+    "trilinear": Check(check_trilinear),
+    "monotone_shifted": Check(check_monotone_shifted),
+    "monotone_critical": Check(check_monotone_critical),
+    "advection_splitting": Check(check_advection_splitting),
+    "local_2d": Check(check_local_bound_2d),
+    "damping_monotone": Check(check_damping_monotone),
+    "damping_lipschitz": Check(check_damping_lipschitz),
+    "mvt": Check(check_pointwise_mvt, 200),
+    "dissipation_identity": Check(check_dissipation_identity, 200),
+    "interpolation": Check(check_interpolation),
+    "advection_bounds": Check(check_advection_bounds),
+    "filter": Check(check_filter_props, 50),
+    "operator_continuity": Check(check_operator_continuity, 20),
+    "gronwall": Check(check_gronwall),
     "continuous_dependence": Check(check_continuous_dependence,
-                                   "params solver ic perturbation forcing",
                                    regime=monotonicity_shift),
-    "apriori": Check(check_apriori, "diagnostics params forcing"),
-    "regularity": Check(check_regularity, "diagnostics params forcing",
-                        regime=regularity_bound),
+    "apriori": Check(check_apriori),
+    "regularity": Check(check_regularity, regime=regularity_bound),
 }

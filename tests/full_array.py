@@ -54,10 +54,9 @@ def sq_norm(grid):
 
 def mode_inf_norm(grid):
     """max_i |m_i| per mode of the half spectrum (box radius of the index)."""
-    out = np.zeros(grid.half_shape, dtype=int)
-    for m in grid.mode_grids:
-        out = np.maximum(out, np.abs(m))
-    return out
+    half = np.ix_(*[grid.modes] * (grid.dim - 1),
+                  np.arange(grid.n_points // 2 + 1))
+    return np.max(np.broadcast_arrays(*(np.abs(m) for m in half)), axis=0)
 
 
 def restrict(c, fine, coarse):

@@ -318,8 +318,13 @@ def test_box_transforms_are_exact(grid):
 
 def _gathered(box, full):
     """A full-spectrum reference array, or a multiplier broadcast to it,
-    cut to the half and gathered onto ``box``."""
-    return box.gather(full[..., :box.grid.n_points // 2 + 1])
+    cut to the box's columns and gathered onto its rows on each leading axis
+    longer than 1 (a broadcast axis stays)."""
+    c = full[..., :box.radius + 1]
+    for axis in range(-box.grid.dim, -1):
+        if c.shape[axis] > 1:
+            c = np.take(c, box.rows, axis)
+    return c
 
 
 @pytest.mark.parametrize("grid", IDENTITY_GRIDS,

@@ -1,6 +1,7 @@
 """Configuration, snapshot format, diagnostics files, and the CLI surface."""
 
 import dataclasses
+import inspect
 import os
 import re
 import struct
@@ -21,7 +22,7 @@ from cbftorus.families import random_band_limited
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams
 from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
-from cbftorus.solver import DiagnosticsSample, SolverConfig, run
+from cbftorus.solver import SolverConfig, run
 from cbftorus.spectral import l2_norm
 from cbftorus.verification import CheckReport
 
@@ -322,6 +323,11 @@ def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
 # diagnostics files
 
 
+BASE_COLUMNS = ["t", "energy", "v_seminorm_sq", "v_norm_sq", "lr1_norm",
+                "forcing_power", "energy_residual", "int_dissipation",
+                "int_damping", "int_forcing"]
+
+
 def test_diagnostics_header_documented_order(tmp_path, grid32):
     ic = random_band_limited(grid32, seed=35, band_limit=6)
     config = SolverConfig(dt=1e-3, t_end=5e-3, diagnostics_every=1)
@@ -329,11 +335,7 @@ def test_diagnostics_header_documented_order(tmp_path, grid32):
     path = tmp_path / "diag.tsv"
     cli.write_diagnostics(diagnostics, path)
     header = path.read_text().splitlines()[0]
-    assert header == "\t".join(DiagnosticsSample.BASE_COLUMNS)
-    assert header.split("\t") == [
-        "t", "energy", "v_seminorm_sq", "v_norm_sq", "lr1_norm",
-        "forcing_power", "energy_residual", "int_dissipation", "int_damping",
-        "int_forcing"]
+    assert header.split("\t") == BASE_COLUMNS
 
 
 def test_extended_diagnostics_columns(tmp_path, grid32):
@@ -344,8 +346,15 @@ def test_extended_diagnostics_columns(tmp_path, grid32):
     path = tmp_path / "diag.tsv"
     cli.write_diagnostics(diagnostics, path)
     header = path.read_text().splitlines()[0].split("\t")
-    assert header[-4:] == ["a_norm_sq", "weighted_grad_sq", "int_a_norm_sq",
-                           "int_weighted_grad_sq"]
+    assert header == BASE_COLUMNS + ["a_norm_sq", "weighted_grad_sq",
+                                     "int_a_norm_sq", "int_weighted_grad_sq"]
+
+
+def test_empty_diagnostics_get_the_base_columns(tmp_path):
+    # The fields with no default: a run that kept no row still names them.
+    path = tmp_path / "diag.tsv"
+    cli.write_diagnostics([], path)
+    assert path.read_text() == "\t".join(BASE_COLUMNS) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +604,7 @@ amplitude = 1e30
     out = tmp_path / "overflow_out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
     lines = (out / "diagnostics.tsv").read_text().splitlines()
-    assert lines[0].split("\t") == list(DiagnosticsSample.BASE_COLUMNS)
+    assert lines[0].split("\t") == BASE_COLUMNS
     assert len(lines) == 2 and float(lines[1].split("\t")[0]) == 0.0
 
 
@@ -623,6 +632,19 @@ band_limit = 6
 checks = trilinear, interpolation, monotone_critical, continuous_dependence, apriori
 samples = 10
 """
+
+
+def test_check_parameters_are_session_inputs():
+    # A session fills each parameter of a check with its input of that name,
+    # and caps n_samples.  The lazy inputs (the [ic] problem, its extended
+    # run) are properties of the class, so none is built here.
+    session = cli._Session(config_from_text(VERIFY_INI))
+    for name, row in verif.CHECKS.items():
+        params = inspect.signature(row.run).parameters
+        for key in params:
+            assert hasattr(type(session), key) or key in vars(session), (name, key)
+        assert row.cap is None or "n_samples" in params, name
+    assert "diagnostics" not in vars(session)
 
 
 def test_cli_verify_report_and_regime_skip(tmp_path, capsys):
@@ -896,7 +918,7 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     failing = CheckReport("trilinear", 1, -1.0, 0)
     monkeypatch.setitem(cli.verif.CHECKS, "trilinear",
                         cli.verif.CHECKS["trilinear"]._replace(
-                            run=lambda *a: failing))
+                            run=lambda sampler, n_samples: failing))
     cfg = _write(tmp_path, "verify.ini", VERIFY_INI.replace(
         "trilinear, interpolation, monotone_critical", "trilinear"))
     assert cli.main(["verify", "--config", cfg, "--out",
@@ -935,6 +957,23 @@ def test_cli_out_naming_a_file_exit_2(tmp_path, capsys, monkeypatch, command):
         args += ["--config", _write(tmp_path, "c.ini", text[command])]
     assert cli.main(args) == 2
     assert "cannot make output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", [
+    ("run", "diagnostics.tsv"), ("verify", "verify_report.txt"),
+    ("convergence", "convergence_dt.tsv"), ("taylor-green", "diagnostics.tsv")])
+def test_cli_unwritable_output_file_exit_2(tmp_path, capsys, command, name):
+    """An output file that cannot be written (here a directory stands at its
+    path) is an error of exit 2 that names it, not a raw OSError."""
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    args = [command, "--out", str(out)]
+    if command != "taylor-green":
+        text = {"run": RUN_INI, "verify": NS_VERIFY_INI, "convergence": CONV_INI}
+        args += ["--config", _write(tmp_path, "c.ini", text[command])]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 @pytest.mark.parametrize("command", ["run", "convergence"])

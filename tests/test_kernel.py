@@ -367,7 +367,7 @@ def _reference_step(state, params, config, forcing):
 def _assert_same_diagnostics(got, ref, params, energy0):
     a = sample_diagnostics(got)
     b = sample_diagnostics(dataclasses.replace(ref, params=params))
-    for name in DiagnosticsSample.BASE_COLUMNS + DiagnosticsSample.EXTENDED_COLUMNS:
+    for name in (f.name for f in dataclasses.fields(DiagnosticsSample)):
         x, y = getattr(a, name), getattr(b, name)
         if name == "energy_residual":
             assert abs(x - y) <= 1e-14 * energy0, name

@@ -1,5 +1,6 @@
 """Verification harness: samplers, reports, checks, and envelope lemmas."""
 
+import inspect
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import full_array as fa
-from cbftorus.errors import (ConfigError, InvalidArgumentsError, RegimeError)
+from cbftorus.errors import InvalidArgumentsError, RegimeError
 from cbftorus.families import random_band_limited, single_mode
 from cbftorus.fields import magnitude, to_physical, zero_field
 from cbftorus.grid import TorusGrid
@@ -412,11 +413,13 @@ def test_trajectory_bounds_need_diagnostics_from_t0():
 
 
 def test_regularity_requires_extended(grid32):
+    # An argument error, as the other precondition (rows from t = 0) is; the
+    # package keeps ConfigError for configuration files.
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=55, band_limit=6)
     config = SolverConfig(dt=2e-3, t_end=0.02, diagnostics_every=5)
     _, diagnostics = run(ic, params, config)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidArgumentsError, match="extended diagnostics"):
         check_regularity(diagnostics, params)
 
 
@@ -527,11 +530,12 @@ def test_certifier_margins_match_pointwise_references(dim, n, band, r):
         u, v = sampler.field_from_seed(seed), sampler.field_from_seed(seed + 1)
         ref = _ref_margins(u, v, sampler.field_from_seed(seed, stream=31), params,
                            grid.cell_volume)
-        inputs = {"sampler": sampler, "params": params, "r": r, "samples": 1,
+        inputs = {"sampler": sampler, "params": params, "r": r, "n_samples": 1,
                   "tolerance": verif.DEFAULT_TOL}
         for name, margin in ref.items():
-            check, keys = verif.CHECKS[name][:2]
-            got = check(*(inputs[key] for key in keys.split())).worst_margin
+            check = verif.CHECKS[name].run
+            got = check(**{key: inputs[key] for key in
+                           inspect.signature(check).parameters}).worst_margin
             assert abs(got - margin) <= 1e-13 * abs(margin), (name, seed)
         for got, want in zip(dissipation_identity_forms(u, r), _ref_identity_forms(u, r)):
             assert abs(got - want) <= 1e-13 * abs(want), seed
