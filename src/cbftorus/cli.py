@@ -254,16 +254,17 @@ def _convergence_errors_n(config: RunConfig, ns):
     return errors
 
 
-def _order_table(xs, errors):
-    lines = []
-    for i, (x, e) in enumerate(zip(xs, errors)):
-        if i == 0:
-            order = float("nan")
-        else:
-            order = (np.log(errors[i - 1] / e)
-                     / np.log(xs[i - 1] / x)) if e > 0 else float("nan")
-        lines.append((x, e, order))
-    return lines
+def _write_ladder(path, header, rungs, errors, rule):
+    """Write each rung, its error and ``rule(e0 / e, x0 / x)`` against the
+    rung before, nan on the first rung and where e = 0; return that column."""
+    third = [rule(errors[i - 1] / e, rungs[i - 1] / x) if i and e > 0
+             else float("nan") for i, (x, e) in enumerate(zip(rungs, errors))]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header)
+        for x, e, value in zip(rungs, errors, third):
+            cell = _fmt(x) if isinstance(x, float) else x
+            fh.write(f"{cell}\t{_fmt(e)}\t{value:.4f}\n")
+    return third
 
 
 def cmd_convergence(config: RunConfig, out_dir=None) -> int:
@@ -275,25 +276,19 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     if dts:
         errors = _convergence_errors_dt(config, conv["metric"], dts)
-        rows = _order_table(dts, errors)
-        path = os.path.join(out, "convergence_dt.tsv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("dt\terror\torder\n")
-            for dt, e, order in rows:
-                fh.write(f"{_fmt(dt)}\t{_fmt(e)}\t{order:.4f}\n")
+        orders = _write_ladder(os.path.join(out, "convergence_dt.tsv"),
+                               "dt\terror\torder\n", dts, errors,
+                               lambda ratio, step: np.log(ratio) / np.log(step))
         print(f"dt\terror\torder  (metric: {conv['metric']})")
-        for dt, e, order in rows:
+        for dt, e, order in zip(dts, errors, orders):
             print(f"{dt:.6g}\t{e:.6e}\t{order:.3f}")
     if ns:
+        rungs = sorted(ns)[:-1]
         errors = _convergence_errors_n(config, ns)
-        path = os.path.join(out, "convergence_n.tsv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("n\terror\tratio\n")
-            for i, (n, e) in enumerate(zip(sorted(ns)[:-1], errors)):
-                ratio = errors[i - 1] / e if i > 0 and e > 0 else float("nan")
-                fh.write(f"{n}\t{_fmt(e)}\t{ratio:.4f}\n")
+        _write_ladder(os.path.join(out, "convergence_n.tsv"), "n\terror\tratio\n",
+                      rungs, errors, lambda ratio, step: ratio)
         print("n\terror (vs finest)")
-        for n, e in zip(sorted(ns)[:-1], errors):
+        for n, e in zip(rungs, errors):
             print(f"{n}\t{e:.6e}")
     return EXIT_OK
 

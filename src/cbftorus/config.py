@@ -124,17 +124,6 @@ SCHEMA = {
     },
 }
 
-_FORMATTERS = {
-    int: lambda v: str(v),
-    float: lambda v: repr(v),
-    str: lambda v: v,
-    _bool: lambda v: "true" if v else "false",
-    _int_list: lambda v: ", ".join(str(x) for x in v),
-    _float_list: lambda v: ", ".join(repr(x) for x in v),
-    _str_list: lambda v: ", ".join(v),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated configuration with defaults applied."""
@@ -208,15 +197,13 @@ class RunConfig:
         grid = grid if grid is not None else self.grid()
         spec = self["forcing"]
         if spec["kind"] == "zero":
-            return Forcing.zero()
-        if spec["snapshot"]:
-            base = self._snapshot_field("forcing", grid)
-        else:
-            base = self._family_field(grid, "forcing")
+            return Forcing()
+        base = (self._snapshot_field("forcing", grid) if spec["snapshot"]
+                else self._family_field(grid, "forcing"))
         if spec["kind"] == "steady":
-            return Forcing.steady(base)
+            return Forcing(base)
         rate = spec["decay_rate"]
-        return Forcing.analytic(base, lambda t: np.exp(-rate * t))
+        return Forcing(base, lambda t: np.exp(-rate * t))
 
     def problem(self, grid=None):
         """``(ic, params, solver config, forcing)`` on one grid, [grid] by
@@ -338,13 +325,20 @@ def _cross_validate(config: RunConfig):
         raise ConfigError(str(err)) from None
 
 
+def _format(value) -> str:
+    """A config value as the text that parses back to it: a tuple's items
+    joined by ", ", a bool in lower case, a float as its repr (its str)."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_format, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def dump_config(config: RunConfig, path=None) -> str:
     lines = []
     for section, entries in config.values:
         lines.append(f"[{section}]")
         for key, value in entries:
-            parser = SCHEMA[section][key][0]
-            lines.append(f"{key} = {_FORMATTERS[parser](value)}")
+            lines.append(f"{key} = {_format(value)}")
         lines.append("")
     text = "\n".join(lines)
     if path is not None:

@@ -53,7 +53,8 @@ def _settled(a, dtype, shape, what):
 
 @dataclass(frozen=True)
 class PhysicalField:
-    """Real samples on the grid, shape (ncomp, N, ..., N)."""
+    """Real samples on the grid, shape (ncomp, N, ..., N), read as ``data``:
+    pointwise functions take the array (``magnitude(data)``)."""
 
     grid: TorusGrid
     data: np.ndarray
@@ -61,18 +62,6 @@ class PhysicalField:
     def __post_init__(self):
         object.__setattr__(self, "data", _settled(
             self.data, float, self.grid.shape, "samples"))
-
-    @property
-    def ncomp(self):
-        return self.data.shape[0]
-
-    @property
-    def is_vector(self):
-        return self.ncomp == self.grid.dim
-
-    def magnitude(self):
-        """Pointwise Euclidean magnitude |u(x)|."""
-        return magnitude(self.data)
 
 
 def _norm(mags, weights=1.0):

@@ -125,9 +125,9 @@ def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
 
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:
-    """C_r(u) = P(|u|^{r-1} u), evaluated pointwise then dealiased/projected."""
-    samples = damping_pointwise(to_physical(u).data, r)
+    """C_r(u) = P(|u|^{r-1} u), pointwise on the dealiased u, then dealiased."""
     box = band_box(u.grid, apply_dealias)
+    samples = damping_pointwise(box.inverse(box.gather(u.coeffs)), r)
     return SpectralField(u.grid, box.expand(_forward(samples, box)))
 
 

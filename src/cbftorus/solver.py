@@ -83,28 +83,15 @@ class SolverConfig:
 
 
 class Forcing:
-    """Right-hand side f(t) = profile(t) * P(base), with P the Leray
-    projector: zero (no base), steady (no profile) or analytic.  The base is
-    projected once, and gathered onto each mode box once."""
+    """Right-hand side f(t) = profile(t) * P(base), P the Leray projector,
+    profile a callable t -> float: ``Forcing()`` is zero, ``Forcing(base)``
+    steady, ``Forcing(base, profile)`` analytic.  The base is projected
+    once, and gathered onto each mode box once."""
 
     def __init__(self, base: SpectralField = None, profile=None):
         self._base = None if base is None else leray_project(base)
         self._profile = profile
         self._gathered = {}  # mode box -> base gathered onto it
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def steady(cls, f: SpectralField):
-        return cls(f)
-
-    @classmethod
-    def analytic(cls, base: SpectralField, profile):
-        """Time-dependent forcing profile(t) * P(base) for a callable
-        t -> float."""
-        return cls(base, profile)
 
     @property
     def is_zero(self):
@@ -227,7 +214,7 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
     """Project and restrict the initial condition, and prime the budget
     rates; the state is exactly Hermitian.  ``forcing`` None is unforced."""
-    forcing = Forcing.zero() if forcing is None else forcing
+    forcing = Forcing() if forcing is None else forcing
     if divergence_defect(ic) > DIV_FREE_TOL:
         warnings.warn("initial condition is not divergence-free; projecting")
     box = band_box(ic.grid, config.dealias, config.galerkin_n,

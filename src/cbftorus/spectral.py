@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
 from .fields import (ModeBox, PhysicalField, SpectralField, band_box,
-                     require_same_grid, to_physical)
+                     magnitude, require_same_grid, to_physical)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -159,7 +159,7 @@ def lp_norm(u, p: float) -> float:
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
     phys = u if isinstance(u, PhysicalField) else to_physical(u)
-    mag = phys.magnitude()
+    mag = magnitude(phys.data)
     return float(np.sum(mag ** p) * phys.grid.cell_volume) ** (1.0 / p)
 
 

@@ -75,7 +75,7 @@ def test_mean_forcing_accumulates(grid32):
     data = np.zeros((2,) + grid32.shape)
     data[1] = 0.25
     from cbftorus.solver import Forcing
-    forcing = Forcing.steady(to_spectral(PhysicalField(grid32, data)))
+    forcing = Forcing(to_spectral(PhysicalField(grid32, data)))
     params = CbfParams(mu=1.0, alpha=0.0, beta=1e-12, r=3.0)
     config = SolverConfig(dt=1e-2, t_end=0.1, scheme="imex_euler",
                           diagnostics_every=10)

@@ -137,7 +137,7 @@ def test_fields_are_immutable(random_field):
     grid = random_field.grid
     state = step(initialize_state(random_field, CbfParams(),
                                   SolverConfig(dt=1e-3, t_end=1e-3),
-                                  Forcing.zero()))
+                                  Forcing()))
     for a in (phys.data, random_field.coeffs, state.coeffs,
               PhysicalField(grid, np.asfortranarray(phys.data)).data,
               SpectralField(grid, np.asfortranarray(random_field.coeffs)).coeffs):

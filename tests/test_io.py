@@ -101,6 +101,41 @@ def test_config_round_trip(tmp_path):
     assert dump_config(reloaded) == dump_config(config)
 
 
+def test_dump_config_text_of_each_value_type():
+    # One formatter decides by the value's type: a bool is lower case (not
+    # the str of an int), a tuple is its items joined by ", ", a float is
+    # its repr, anything else its str; an empty str leaves "key = ".
+    config = config_from_text(MINIMAL + """
+[solver]
+dt = 0.002
+dealias = off
+
+[ic]
+mode = 0, 1
+
+[output]
+extended_diagnostics = yes
+
+[verify]
+checks = trilinear, filter
+
+[convergence]
+dts = 4e-3, 0.002, 0.001
+ns = 8, 12, 16
+""")
+    text = dump_config(config)
+    assert ("[solver]\ndt = 0.002\nt_end = 1.0\nscheme = imex_cnab2\n"
+            "galerkin_n = 0\ngalerkin_shape = box\ndealias = false\n"
+            "diagnostics_every = 10\nsnapshot_every = 0\nsubsteps = 1\n\n") in text
+    lines = text.splitlines()
+    for line in ("l = 6.283185307179586", "n = 32", "r = 4.0", "mode = 0, 1",
+                 "snapshot = ", "extended_diagnostics = true",
+                 "checks = trilinear, filter", "dts = 0.004, 0.002, 0.001",
+                 "ns = 8, 12, 16", "interpolation_exponents = 2.0, 4.0, 6.0"):
+        assert line in lines
+    assert lines.count("snapshot = ") == 2  # [ic] and [forcing]
+
+
 def test_missing_snapshot_path_rejected(tmp_path):
     text = MINIMAL + "\n[ic]\nfamily = snapshot\nsnapshot = missing.snap\n"
     with pytest.raises(ConfigError, match="not resolvable"):
@@ -1316,3 +1351,52 @@ metric = energy_residual
     rows = (out / "convergence_n.tsv").read_text().splitlines()[1:]
     errors = [float(line.split("\t")[1]) for line in rows]
     assert len(errors) == 2 and errors[1] < errors[0] < 1e-3
+
+
+def test_cli_convergence_ladder_tables_text(tmp_path, capsys):
+    # One writer makes both tables: a header, then each rung (a dt to 17
+    # digits, an N as an integer), its error to 17 digits, and the order
+    # log(e0/e)/log(x0/x) or the ratio e0/e against the rung before, nan on
+    # the first rung.
+    text = """
+[grid]
+n = 16
+
+[solver]
+dt = 0.002
+t_end = 0.02
+
+[ic]
+family = random
+band_limit = 4
+
+[convergence]
+dts = 0.004, 0.002, 0.001
+ns = 8, 12, 16
+metric = energy_residual
+"""
+    cfg = _write(tmp_path, "conv.ini", text)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert len(stdout) == 7
+    assert stdout[0] == "dt\terror\torder  (metric: energy_residual)"
+    assert stdout[4] == "n\terror (vs finest)"
+    cell = re.compile(r"^[1-9]\.\d{17}e[-+]\d\d$")
+    for name, header, rungs, rule in (
+            ("convergence_dt.tsv", "dt\terror\torder", ["0.004", "0.002", "0.001"],
+             lambda e0, e, x0, x: np.log(e0 / e) / np.log(x0 / x)),
+            ("convergence_n.tsv", "n\terror\tratio", ["8", "12"],
+             lambda e0, e, x0, x: e0 / e)):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [float(row[0]) for row in rows] == [float(x) for x in rungs]
+        if name == "convergence_n.tsv":
+            assert [row[0] for row in rows] == rungs
+        else:
+            assert all(cell.match(row[0]) for row in rows)
+        assert all(cell.match(row[1]) for row in rows)
+        assert rows[0][2] == "nan"
+        for (x0, e0, _), (x, e, third) in zip(rows, rows[1:]):
+            assert third == f"{rule(float(e0), float(e), float(x0), float(x)):.4f}"

@@ -1,6 +1,7 @@
 """The real-transform nonlinear kernel against the complex convective pipeline
-it replaced, advection and damping against their full-array pipelines, exact
-2/3-rule dealiasing for every N, random fields against their full-spectrum
+it replaced, advection and damping against their full-array pipelines, the
+operator as the sum of its terms on fields above the band, exact 2/3-rule
+dealiasing for every N, random fields against their full-spectrum
 arithmetic, the solver's cache of physical samples, the solver step on the
 mode box against the full-array and the half-spectrum steps it replaced, and,
 to the byte, the state kept on the box with fused pointwise work against the
@@ -18,9 +19,10 @@ from cbftorus.fields import (PhysicalField, SpectralField, band_box, to_physical
                              to_spectral)
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
-                                damping, damping_pointwise, nonlinear_term,
-                                physical_jacobian, pointwise_power,
-                                pointwise_samples, recover_pressure)
+                                cbf_operator, damping, damping_pointwise,
+                                nonlinear_term, physical_jacobian,
+                                pointwise_power, pointwise_samples,
+                                recover_pressure, stokes)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
 from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
                              SolverConfig, initialize_state,
@@ -146,7 +148,9 @@ def _reference_advection(u, v, apply_dealias):
 
 
 def _reference_damping(u, r, apply_dealias):
-    samples = damping_pointwise(_full_to_physical(u.full(), u.grid), r)
+    """Dealias the input, as the reference advection does, then the tail."""
+    c = u.full() * fa.dealias_mask(u.grid) if apply_dealias else u.full()
+    samples = damping_pointwise(_full_to_physical(c, u.grid), r)
     return _reference_tail(samples, u.grid, apply_dealias)
 
 
@@ -168,6 +172,20 @@ def test_advection_and_damping_match_full_array_pipeline(grid, apply_dealias):
         got = damping(u, r, apply_dealias)
         assert np.array_equal(got.full(), _reference_damping(u, r, apply_dealias))
         assert divergence_defect(got) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(dim=2, n_points=32),
+                                  TorusGrid(dim=3, n_points=12)],
+                         ids=lambda g: f"{g.dim}d-n{g.n_points}")
+def test_operator_is_the_sum_of_its_terms_above_the_band(grid):
+    """G(u) = mu*A u + B(u) + beta*C_r(u) + alpha*u on a field with every
+    mode filled: each term dealiases its input, as G does."""
+    u = _full_band_field(grid, seed=21)
+    params = CbfParams(mu=0.1, alpha=0.3, beta=1.0, r=4.0)
+    terms = (stokes(u) * params.mu + advection(u)
+             + damping(u, params.r) * params.beta + u * params.alpha)
+    got = cbf_operator(u, params)
+    assert l2_norm(got - terms) <= 1e-12 * l2_norm(got)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def test_cached_samples_match_state(grid3d, scheme, substeps):
     params = CbfParams(mu=0.1, beta=1.0, r=3.5)
     config = SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme, substeps=substeps,
                           galerkin_n=4)
-    forcing = Forcing.zero()
+    forcing = Forcing()
     state = initialize_state(random_band_limited(grid3d, seed=2, band_limit=5),
                              params, config, forcing)
     for _ in range(3):
@@ -253,7 +271,7 @@ def test_transforms_per_cnab2_step(monkeypatch, dim, extended, expected):
     grid = TorusGrid(dim=dim, n_points=16)
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
     config = SolverConfig(dt=1e-3, t_end=1.0)
-    forcing = Forcing.zero()
+    forcing = Forcing()
     state = initialize_state(random_band_limited(grid, seed=1, band_limit=4),
                              params, config, forcing, extended=extended)
     state = step(state)
@@ -379,10 +397,10 @@ def _forcing(kind, grid):
     f = _full_band_field(grid, seed=7)
     f = f * (0.5 / l2_norm(f))
     if kind == "steady":
-        return Forcing.steady(f)
+        return Forcing(f)
     if kind == "analytic":
-        return Forcing.analytic(f, lambda t: np.cos(3.0 * t))
-    return Forcing.zero()
+        return Forcing(f, lambda t: np.cos(3.0 * t))
+    return Forcing()
 
 
 # dim, scheme, substeps, dealias, (galerkin_n, shape), extended, forcing, r
@@ -790,7 +808,7 @@ def test_step_stays_on_the_box(monkeypatch, dim, scheme, substeps, apply_dealias
 def test_state_field_is_built_once(monkeypatch, grid32):
     params = CbfParams(mu=0.1, beta=1.0, r=4.0)
     config = SolverConfig(dt=1e-3, t_end=1.0)
-    forcing = Forcing.zero()
+    forcing = Forcing()
     state = initialize_state(random_band_limited(grid32, seed=3, band_limit=8),
                              params, config, forcing)
     state = step(state)

@@ -92,7 +92,7 @@ def test_euler_first_order_on_single_mode(grid32):
 def test_divergence_free_preserved(grid32):
     ic = random_band_limited(grid32, seed=14, band_limit=8)
     config = SolverConfig(dt=2e-3, t_end=0.05, diagnostics_every=1)
-    forcing = Forcing.zero()
+    forcing = Forcing()
     state = initialize_state(ic, DAMPED, config, forcing)
     for _ in range(25):
         state = step(state)
@@ -125,7 +125,7 @@ def test_manufactured_steady_state_residual(grid32):
     # forcing chosen so u* is a steady state; cnab2 stays on it to O(dt^2)
     u_star = random_band_limited(grid32, seed=17, band_limit=6)
     params = CbfParams(mu=0.5, alpha=0.1, beta=1.0, r=4.0)
-    forcing = Forcing.steady(cbf_operator(u_star, params))
+    forcing = Forcing(cbf_operator(u_star, params))
     config = SolverConfig(dt=1e-3, t_end=0.2, diagnostics_every=20)
     state, diagnostics = run(u_star, params, config, forcing)
     drift = l2_norm(state.u - u_star) / l2_norm(u_star)
@@ -157,8 +157,8 @@ def test_apriori_bound_formulas(grid32):
     ic = random_band_limited(grid32, seed=19, band_limit=8)
     f = random_band_limited(grid32, seed=20, band_limit=4, amplitude=0.5)
     times, e0 = [0.0, 0.5, 2.0, 3.0], l2_norm(ic) ** 2
-    for forcing, f_sq in ((Forcing.zero(), 0.0),
-                          (Forcing.steady(f), dual_norm(f) ** 2)):
+    for forcing, f_sq in ((Forcing(), 0.0),
+                          (Forcing(f), dual_norm(f) ** 2)):
         bound = [e0 + t / DAMPED.mu * f_sq for t in times]
         f_int = _forcing_integrals(forcing, times, dual_norm)
         assert e0 + f_int / DAMPED.mu == pytest.approx(bound, rel=1e-12)
@@ -171,7 +171,7 @@ def test_apriori_bound_holds_along_run(grid32):
     config = SolverConfig(dt=1e-3, t_end=0.5, diagnostics_every=50)
     _, diagnostics = run(ic, DAMPED, config)
     assert diagnostics[0].energy == pytest.approx(l2_norm(ic) ** 2, rel=1e-12)
-    report = check_apriori(diagnostics, DAMPED, Forcing.zero())
+    report = check_apriori(diagnostics, DAMPED, Forcing())
     assert report.passed and report.samples == len(diagnostics) - 1
 
 
@@ -197,7 +197,7 @@ def test_overflow_is_reported_as_blowup():
     params = CbfParams(mu=1.0, beta=1.0, r=12.0)
     config = SolverConfig(dt=1e-3, t_end=1e-2)
     ic = random_band_limited(grid, seed=1, band_limit=4, amplitude=1e30)
-    state = initialize_state(ic, params, config, Forcing.zero())
+    state = initialize_state(ic, params, config, Forcing())
     with pytest.raises(BlowUpError, match="non-finite") as err:
         step(state)
     assert err.value.last_valid_time == 0.0
@@ -214,7 +214,7 @@ def test_nonsolenoidal_ic_projected_with_warning(grid32):
 def test_cfl_warning(grid32):
     ic = random_band_limited(grid32, seed=23, band_limit=4, amplitude=50.0)
     config = SolverConfig(dt=0.05, t_end=0.05, diagnostics_every=1)
-    forcing = Forcing.zero()
+    forcing = Forcing()
     state = initialize_state(ic, NSE, config, forcing)
     with pytest.warns(UserWarning, match="CFL"):
         step(state)
@@ -285,8 +285,8 @@ def test_snapshot_sink_matches_stepped_states(dim, n, scheme, substeps, kind):
     new fields that the run keeps no reference to."""
     grid = TorusGrid(dim=dim, n_points=n)
     ic = random_band_limited(grid, seed=8, band_limit=4)
-    forcing = (Forcing.zero() if kind == "zero" else
-               Forcing.steady(random_band_limited(grid, seed=9, band_limit=3)))
+    forcing = (Forcing() if kind == "zero" else
+               Forcing(random_band_limited(grid, seed=9, band_limit=3)))
     config = SolverConfig(dt=1e-3, t_end=7e-3, scheme=scheme, substeps=substeps,
                           diagnostics_every=2, snapshot_every=3)
     got, refs = [], []
@@ -338,9 +338,9 @@ def test_run_memory_does_not_grow_with_the_snapshot_count(grid32):
 
 def test_forcing_is_projected(grid32):
     raw = single_mode(grid32, (1, 0), component=0)  # not divergence-free
-    forcing = Forcing.steady(raw)
+    forcing = Forcing(raw)
     assert divergence_defect(forcing.at(0.0)) < 1e-12
-    decaying = Forcing.analytic(raw, lambda t: np.exp(-t))
+    decaying = Forcing(raw, lambda t: np.exp(-t))
     assert divergence_defect(decaying.at(0.3)) < 1e-12
     assert l2_norm(decaying.at(1.0)) == pytest.approx(
         np.exp(-1.0) * l2_norm(decaying.at(0.0)), rel=1e-12)
@@ -367,7 +367,7 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
                                                        galerkin_n):
     base = random_band_limited(grid32, seed=3, band_limit=6, project=False)
     profile = lambda t: np.exp(-2.0 * t) * np.cos(5.0 * t)  # noqa: E731
-    new = Forcing.analytic(base, profile)
+    new = Forcing(base, profile)
     old = _ProjectedEachCall(lambda t: base * float(profile(t)))
     box = band_box(grid32)
     for t in (0.0, 0.3, 1.7):
@@ -393,7 +393,7 @@ def test_state_steps_on_its_band_and_keeps_its_problem(grid32, band):
     # The state is the one owner of its trajectory's problem: each step runs
     # on the band its config selects and hands the problem on.
     config = SolverConfig(**band)
-    forcing = Forcing.steady(random_band_limited(grid32, seed=3, band_limit=4))
+    forcing = Forcing(random_band_limited(grid32, seed=3, band_limit=4))
     state = initialize_state(random_band_limited(grid32, seed=2, band_limit=6),
                              DAMPED, config, forcing)
     states = [state]
@@ -411,11 +411,11 @@ def test_state_steps_on_its_band_and_keeps_its_problem(grid32, band):
 
 def test_no_forcing_is_spelled_none_everywhere(grid32):
     # None is the unforced problem wherever a forcing is taken, and the same
-    # trajectory as Forcing.zero().
+    # trajectory as Forcing().
     ic = random_band_limited(grid32, seed=2, band_limit=6)
     config = SolverConfig(dt=1e-3, t_end=3e-3)
     states = [initialize_state(ic, DAMPED, config, f)
-              for f in (None, Forcing.zero())]
+              for f in (None, Forcing())]
     assert states[0].forcing.is_zero
     for _ in range(3):
         states = [step(s) for s in states]
@@ -429,7 +429,7 @@ def test_forcing_on_another_grid_rejected(grid32, forcing_grid):
     # The state's box would gather the forcing's coefficients as if they
     # were on the initial condition's grid.
     other = dataclasses.replace(grid32, **forcing_grid)
-    forcing = Forcing.steady(kolmogorov(other))
+    forcing = Forcing(kolmogorov(other))
     with pytest.raises(GridMismatchError):
         initialize_state(random_band_limited(grid32, seed=2, band_limit=6),
                          DAMPED, SolverConfig(), forcing)

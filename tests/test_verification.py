@@ -363,8 +363,8 @@ def test_apriori_and_regularity_checks(grid32):
     params = CbfParams(mu=0.5, beta=1.0, r=4.0)
     ic = random_band_limited(grid32, seed=53, band_limit=6)
     config = SolverConfig(dt=2e-3, t_end=0.2, diagnostics_every=20)
-    forcing = Forcing.steady(random_band_limited(grid32, seed=54, band_limit=4,
-                                                 amplitude=0.3))
+    forcing = Forcing(random_band_limited(grid32, seed=54, band_limit=4,
+                                          amplitude=0.3))
     _, diagnostics = run(ic, params, config, forcing, extended=True)
     assert check_apriori(diagnostics, params, forcing).passed
     assert check_regularity(diagnostics, params, forcing).passed
@@ -378,8 +378,8 @@ def test_trajectory_checks_report_their_trajectory(grid32, r):
     params = CbfParams(mu=0.5, beta=1.0, r=r)
     ic = random_band_limited(grid32, seed=56, band_limit=6)
     delta = random_band_limited(grid32, seed=57, band_limit=6, amplitude=1e-3)
-    forcing = Forcing.steady(random_band_limited(grid32, seed=58, band_limit=4,
-                                                 amplitude=0.3))
+    forcing = Forcing(random_band_limited(grid32, seed=58, band_limit=4,
+                                          amplitude=0.3))
     for t_end in (0.04, 0.0):
         config = SolverConfig(dt=2e-3, t_end=t_end, diagnostics_every=5)
         _, diagnostics = run(ic, params, config, forcing, extended=True)
