@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import verification as verif
-from .config import RunConfig, config_from_text, dump_config, load_config
+from .config import (RunConfig, check_value, config_from_text, dump_config,
+                     load_config)
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
 from .families import check_band_limit, taylor_green_exact
@@ -125,7 +126,8 @@ class _Session:
         self.n_samples, self.tolerance = v["samples"], v["tolerance"]
         self.s_exp, self.rho_exp, self.t_exp = v["interpolation_exponents"]
         grid = dataclasses.replace(config.grid(), n_points=v["n"])
-        seed = v["seed"] if seed_override is None else seed_override
+        seed = v["seed"] if seed_override is None else check_value(
+            "verify", "seed", seed_override)
         self.sampler = FieldSampler(
             grid=grid, seed=seed, band_limit=v["band_limit"],
             spectrum_slope=v["slope"], amplitude=v["amplitude"])

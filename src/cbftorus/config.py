@@ -20,7 +20,7 @@ from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
 from .solver import Forcing, SolverConfig
-from .verification import CHECKS, interpolation_theta
+from .verification import CHECKS, DEFAULT_TOL, interpolation_theta
 
 
 def _positive(x):
@@ -81,7 +81,7 @@ SCHEMA = {
         "amplitude": (float, 1.0, None),
         "band_limit": (int, 8, None),
         "slope": (float, 2.0, None),
-        "seed": (int, 7, None),
+        "seed": (int, 7, _non_negative),
         "mode": (_int_list, (0, 1), None),
         "component": (int, 0, _non_negative),
         "phase": (float, 0.0, None),
@@ -95,7 +95,7 @@ SCHEMA = {
         "mode": (int, 1, None),
         "band_limit": (int, 4, None),
         "slope": (float, 2.0, None),
-        "seed": (int, 11, None),
+        "seed": (int, 11, _non_negative),
         "decay_rate": (float, 0.0, _non_negative),
         "snapshot": (str, "", None),
     },
@@ -105,13 +105,13 @@ SCHEMA = {
     },
     "verify": {
         "checks": (_str_list, ("all",), None),
-        "seed": (int, 42, None),
+        "seed": (int, 42, _non_negative),
         "samples": (int, 100, _positive),
         "n": (int, 32, None),
         "band_limit": (int, 8, None),
         "slope": (float, 2.0, None),
         "amplitude": (float, 1.0, _positive),
-        "tolerance": (float, 1e-9, _positive),
+        "tolerance": (float, DEFAULT_TOL, _positive),
         "interpolation_exponents": (_float_list, (2.0, 4.0, 6.0), None),
         "perturbation": (float, 1e-3, _positive),
     },
@@ -245,6 +245,14 @@ def config_from_text(text, base_dir=".") -> RunConfig:
     return build_config(cp, base_dir=base_dir)
 
 
+def check_value(section, key, value):
+    """``value``, a config error unless it lies in the domain of ``section.key``."""
+    validator = SCHEMA[section][key][2]
+    if validator is not None and not validator(value):
+        raise ConfigError(f"{section}.{key}: value {value!r} out of domain")
+    return value
+
+
 def build_config(cp: configparser.ConfigParser, base_dir=".") -> RunConfig:
     for section in cp.sections():
         if section not in SCHEMA:
@@ -255,14 +263,10 @@ def build_config(cp: configparser.ConfigParser, base_dir=".") -> RunConfig:
     values = []
     for section, keys in SCHEMA.items():
         entries = []
-        for key, (parser, default, validator) in keys.items():
-            if cp.has_option(section, key):
-                value = _parse_value(section, key, parser, cp.get(section, key))
-            else:
-                value = default
-            if validator is not None and not validator(value):
-                raise ConfigError(f"{section}.{key}: value {value!r} out of domain")
-            entries.append((key, value))
+        for key, (parser, default, _) in keys.items():
+            value = (_parse_value(section, key, parser, cp.get(section, key))
+                     if cp.has_option(section, key) else default)
+            entries.append((key, check_value(section, key, value)))
         values.append((section, tuple(entries)))
     config = RunConfig(values=tuple(values), base_dir=base_dir)
     _cross_validate(config)

@@ -2,10 +2,10 @@
 
 A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
 the torus, the sample and half-spectrum shapes (the half that ``rfftn``
-keeps: last-axis modes 0..N/2), the volumes, the grid coordinates and the
-1-D integer mode index of an axis; and it caches the compact mode boxes of
-``fields.band_box``, which build their modes from their rows and own every
-spectral multiplier built from them.
+keeps: last-axis modes 0..N/2), the volumes and the grid-point quadrature,
+the grid coordinates and the 1-D integer mode index of an axis; and it caches
+the compact mode boxes of ``fields.band_box``, which build their modes from
+their rows and own every spectral multiplier built from them.
 """
 
 from dataclasses import dataclass
@@ -60,6 +60,10 @@ class TorusGrid:
     @property
     def cell_volume(self):
         return (self.period / self.n_points) ** self.dim
+
+    def integral(self, values):
+        """Grid-point quadrature of ``values``: their sum times the cell volume."""
+        return float(np.sum(values) * self.cell_volume)
 
     @cached_property
     def axes(self):

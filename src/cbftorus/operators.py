@@ -164,8 +164,6 @@ def _rotational_samples(coeffs, u_phys, box):
 def _forward(samples, box, project=True):
     """Coefficients of the samples on ``box``, restricted to its mask and
     Leray-projected."""
-    if project and len(samples) != box.grid.dim:
-        raise InvalidArgumentsError("Leray projection needs a vector field")
     out = box.masked(box.forward(samples))
     if project:
         out = project_coeffs(out, box.wavenumbers, box.inv_k_squared)
@@ -215,7 +213,7 @@ def advection_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
     u_phys = to_physical(u).data
     w_phys = to_physical(w).data
     term = advect_samples(u_phys, physical_jacobian(v))
-    return float(np.sum(term * w_phys) * u.grid.cell_volume)
+    return u.grid.integral(term * w_phys)
 
 
 def cbf_operator(u: SpectralField, params: CbfParams,

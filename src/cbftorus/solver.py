@@ -198,14 +198,14 @@ def _rates(c, box, t, forcing, samples, jac):
     grid = box.grid
     power = mode_power(c, box.volume_weights)
     k2 = box.k_squared
-    damping_val = float((samples.weight * samples.sq).sum() * grid.cell_volume)
+    damping_val = grid.integral(samples.weight * samples.sq)
     forcing_val = (0.0 if forcing.is_zero else
                    mode_pairing(forcing.box_coeffs(t, box), c, box.volume_weights))
     a_sq = wgrad = 0.0
     if jac is not None:
         a_sq = float((k2 * k2 * power).sum())
         grad_sq = (jac * jac).sum(axis=(0, 1))
-        wgrad = float((samples.weight * grad_sq).sum() * grid.cell_volume)
+        wgrad = grid.integral(samples.weight * grad_sq)
     return BudgetRates(float((k2 * power).sum()), damping_val, forcing_val,
                        float(power.sum()), a_sq, wgrad)
 
@@ -243,21 +243,18 @@ def _multiplier(box, params: CbfParams, a: float):
     return 1.0 + a * (params.mu * box.k_squared + params.alpha)
 
 
-def _check_cfl(u_sq, grid, dt: float):
-    """Warn when dt*max|u|*k_max >= 1, given the samples of |u|^2."""
-    max_speed = float(np.sqrt(np.max(u_sq)))
+def _check_explicit(samples, grid, params: CbfParams, dt: float, h: float,
+                    limit: float):
+    """Warn when the explicit part of the update that ran, given the
+    :class:`Samples` it read, was unstable: when dt*max|u|*k_max >= 1 (CFL),
+    then when h*beta*r*max|u|^{r-1}, the explicit damping's rate times the
+    step h, reaches the update's ``limit`` (2 for an Euler step, 1 for
+    Adams-Bashforth-2)."""
     k_max = np.pi * grid.n_points / grid.period
-    if dt * max_speed * k_max >= 1.0:
-        warnings.warn(
-            f"CFL sanity violated: dt*max|u|*k_max = {dt * max_speed * k_max:.3g} >= 1")
-
-
-def _check_damping(weight, params: CbfParams, h: float, limit: float):
-    """Warn when h*beta*r*max|u|^{r-1}, the explicit damping's rate times the
-    step, reaches the stability ``limit`` of the update that ran (2 for an
-    Euler step of size h, 1 for Adams-Bashforth-2), given the samples of
-    |u|^{r-1}."""
-    stiffness = h * params.beta * params.r * float(np.max(weight))
+    cfl = dt * float(np.sqrt(np.max(samples.sq))) * k_max
+    if cfl >= 1.0:
+        warnings.warn(f"CFL sanity violated: dt*max|u|*k_max = {cfl:.3g} >= 1")
+    stiffness = h * params.beta * params.r * float(np.max(samples.weight))
     if stiffness >= limit:
         warnings.warn(f"explicit damping is stiff: h*beta*r*max|u|^(r-1) = "
                       f"{stiffness:.3g} >= {limit:g}")
@@ -268,7 +265,6 @@ def step(state: SimulationState) -> SimulationState:
     construction.  Raises :class:`BlowUpError` on overflow or runaway."""
     box, c = state.box, state.coeffs
     params, config, forcing = state.params, state.config, state.forcing
-    grid = box.grid
     dt = config.dt
 
     # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
@@ -278,8 +274,10 @@ def step(state: SimulationState) -> SimulationState:
         n_sub = config.substeps if config.scheme == "imex_euler" else 1
         h, limit = dt / n_sub, 2.0
         for s in range(n_sub):
+            if s:  # the last sub-step's, freed before the next are built
+                nl = samples = None
             nl, samples = nonlinear_term(c, box, params, config.dealias,
-                                         samples=None if s else samples)
+                                         samples=samples)
             new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
             np.multiply(h, new, out=new)
             np.add(c, new, out=new)
@@ -301,8 +299,8 @@ def step(state: SimulationState) -> SimulationState:
         c = _settle(c, box)
     except InvalidFieldError:
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
-    _check_cfl(samples.sq, grid, dt)
-    _check_damping(samples.weight, params, h, limit)
+    _check_explicit(samples, box.grid, params, dt, h, limit)
+    del samples, nl  # freed before the new samples are built
     new_t = state.t + dt
     samples, jac = grid_samples(c, box, params.r, state.extended)
     new_rates = _rates(c, box, new_t, forcing, samples, jac)

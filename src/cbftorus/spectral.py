@@ -23,8 +23,6 @@ def leray_project(u: SpectralField) -> SpectralField:
     mode, and Nyquist-only indices under the zeroed-derivative convention)
     pass through unchanged.
     """
-    if not u.is_vector:
-        raise InvalidArgumentsError("Leray projection needs a vector field")
     half = band_box(u.grid, False)
     coeffs = project_coeffs(u.coeffs, half.wavenumbers, half.inv_k_squared)
     return SpectralField(u.grid, coeffs)
@@ -33,6 +31,8 @@ def leray_project(u: SpectralField) -> SpectralField:
 def project_coeffs(coeffs, k, inv_k2):
     """(I - k k^T/|k|^2) applied to a (dim, ...) coefficient array, given the
     wavenumbers and 1/|k|^2 broadcast to its modes."""
+    if len(coeffs) != len(k):
+        raise InvalidArgumentsError("Leray projection needs a vector field")
     factor = inv_k2 * sum(k[i] * coeffs[i] for i in range(len(k)))
     out = np.empty(coeffs.shape, factor.dtype)
     for i, out_i in enumerate(out):
@@ -132,7 +132,7 @@ def mode_pairing(fc, uc, weights):
 def l2_norm(u) -> float:
     """L2 norm; spectral Plancherel sum or physical quadrature."""
     if isinstance(u, PhysicalField):
-        return float(np.sqrt(np.sum(u.data ** 2) * u.grid.cell_volume))
+        return float(np.sqrt(u.grid.integral(u.data ** 2)))
     return float(np.sqrt(np.sum(power_spectrum(u))))
 
 
@@ -159,8 +159,7 @@ def lp_norm(u, p: float) -> float:
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
     phys = u if isinstance(u, PhysicalField) else to_physical(u)
-    mag = magnitude(phys.data)
-    return float(np.sum(mag ** p) * phys.grid.cell_volume) ** (1.0 / p)
+    return phys.grid.integral(magnitude(phys.data) ** p) ** (1.0 / p)
 
 
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:

@@ -133,16 +133,11 @@ def _samples(u: SpectralField, r: float = 1.0):
     return grid_samples(u.coeffs, band_box(u.grid, False), r)[0]
 
 
-def _integral(values, grid):
-    """Grid-point quadrature of ``values`` on ``grid``."""
-    return float(np.sum(values) * grid.cell_volume)
-
-
 def _damping_pairing(su, sv, grid):
     """<C(u)-C(v), u-v> = int (|u|^{r-1}u - |v|^{r-1}v).(u-v) dx from the
     samples of u and v."""
-    return _integral((su.weight * su.phys - sv.weight * sv.phys)
-                     * (su.phys - sv.phys), grid)
+    return grid.integral((su.weight * su.phys - sv.weight * sv.phys)
+                         * (su.phys - sv.phys))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def check_monotone_critical(sampler: FieldSampler, params: CbfParams,
     coeff = 0.5 * (params.beta - 1.0 / (2.0 * params.mu))
     def margin(u, v, s):
         delta, pairing, scale = _pair_quantities(u, v, params)
-        lower = coeff * _integral(_samples(v).sq * _samples(delta).sq, u.grid)
+        lower = coeff * u.grid.integral(_samples(v).sq * _samples(delta).sq)
         return (pairing - lower) / scale
     notes = "2*beta*mu < 1: no proven bound, margins reported only" \
         if exploratory else f"lower-bound coefficient {coeff:.6g}"
@@ -232,7 +227,7 @@ def check_advection_splitting(sampler: FieldSampler, params: CbfParams,
     def margin(u, v, s):
         delta = u - v
         lhs = abs(advection_form(delta, delta, v))
-        weighted = _integral(_samples(v, params.r).weight * _samples(delta).sq, u.grid)
+        weighted = u.grid.integral(_samples(v, params.r).weight * _samples(delta).sq)
         rhs = (0.5 * params.mu * grad_norm(delta) ** 2
                + 0.5 * params.beta * weighted + rho * l2_norm(delta) ** 2)
         return (rhs - lhs) / (rhs + lhs + TINY)
@@ -275,8 +270,8 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
         su, sv = _samples(u, r), _samples(v, r)
         d_sq = squared_magnitude(su.phys - sv.phys)
         pairing = _damping_pairing(su, sv, u.grid)
-        rhs = 0.5 * (_integral(su.weight * d_sq, u.grid)
-                     + _integral(sv.weight * d_sq, u.grid))
+        rhs = 0.5 * (u.grid.integral(su.weight * d_sq)
+                     + u.grid.integral(sv.weight * d_sq))
         scale = abs(pairing) + rhs + TINY
         return min(pairing - rhs, pairing) / scale
     return _sampled("damping_monotone", sampler, n_samples, margin, tolerance)
@@ -292,8 +287,8 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
     def margin(u, v, s):
         su, sv = _samples(u, r), _samples(v, r)
         pairing = _damping_pairing(su, sv, u.grid)
-        diff_lp = _integral(np.sqrt(squared_magnitude(su.phys - sv.phys))
-                            ** (r + 1.0), u.grid) ** (2.0 / (r + 1.0))
+        diff_lp = u.grid.integral(np.sqrt(squared_magnitude(su.phys - sv.phys))
+                                  ** (r + 1.0)) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
         return (rhs - pairing) / (abs(pairing) + rhs + TINY)
     return _sampled("damping_lipschitz", sampler, n_samples, margin, tolerance)
@@ -339,8 +334,8 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     box = band_box(u.grid, False)
     s, jac = grid_samples(u.coeffs, box, r, True)
     neg_lap = box.inverse(box.k_squared * u.coeffs)
-    i1 = _integral(neg_lap * (s.weight * s.phys), u.grid)
-    mid = _integral(s.weight * np.sum(jac * jac, axis=(0, 1)), u.grid)
+    i1 = u.grid.integral(neg_lap * (s.weight * s.phys))
+    mid = u.grid.integral(s.weight * np.sum(jac * jac, axis=(0, 1)))
 
     # grad(|u|^2) = 2 sum_i u_i grad u_i, exact for band-limited u.
     half_grad_sq = np.sum(np.einsum("i...,ia...->a...", s.phys, jac) ** 2, axis=0)
@@ -352,9 +347,9 @@ def dissipation_identity_forms(u: SpectralField, r: float):
     else:
         pow_coeffs = box.forward(s.sq[np.newaxis] ** (0.25 * (r + 1.0)))
         grad_pow_sq = squared_magnitude(box.inverse(jacobian(pow_coeffs, box))[0])
-    i2 = mid + 4.0 * (r - 1.0) / r1_sq * _integral(grad_pow_sq, u.grid)
+    i2 = mid + 4.0 * (r - 1.0) / r1_sq * u.grid.integral(grad_pow_sq)
 
-    third = 0.0 if r == 1.0 else _integral(4.0 * w * half_grad_sq, u.grid)
+    third = 0.0 if r == 1.0 else u.grid.integral(4.0 * w * half_grad_sq)
     i3 = mid + 0.25 * (r - 1.0) * third
     return i1, i2, i3, mid
 

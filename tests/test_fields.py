@@ -112,6 +112,16 @@ def test_grid_compatibility_is_exact():
     assert not grid.compatible(TorusGrid(dim=2, n_points=18))
 
 
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_grid_integral_is_the_cell_volume_sum(dim, n):
+    # The one grid-point quadrature: np.sum's reduction, bit for bit.
+    grid = TorusGrid(dim=dim, n_points=n)
+    values = np.random.default_rng(dim).standard_normal((3,) + grid.shape)
+    expected = float(np.sum(values) * grid.cell_volume)
+    assert grid.integral(values) == expected
+    assert type(grid.integral(values)) is float
+
+
 # Each field type with its array's shape and the other type's.
 FIELD_TYPES = [(PhysicalField, "shape", "half_shape"),
                (SpectralField, "half_shape", "shape")]

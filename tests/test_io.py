@@ -1085,6 +1085,25 @@ def test_cli_band_limit_checked_at_load(tmp_path, capsys, command, section, text
     assert message in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("command,text,args,key", [
+    ("run", "[ic]\nfamily = random\nseed = -3\n", [], "ic.seed"),
+    ("run", "[forcing]\nkind = steady\nfamily = random\nseed = -2\n", [],
+     "forcing.seed"),
+    ("verify", "[verify]\nchecks = trilinear\nseed = -4\n", [], "verify.seed"),
+    ("verify", "[verify]\nchecks = trilinear\n", ["--seed", "-7"],
+     "verify.seed"),
+], ids=["ic", "forcing", "verify", "verify_flag"])
+def test_cli_negative_seed_exit_2_before_any_output(tmp_path, capsys, command,
+                                                    text, args, key):
+    # A seed is a non-negative integer, the domain of numpy's generators:
+    # exit 2 naming the key, and no output directory.
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.ini", MINIMAL + "\n" + text)
+    assert cli.main([command, "--config", cfg, "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and not out.exists()
+
+
 def test_cli_verify_band_above_grid_nyquist_skipped_check_runs(tmp_path,
                                                                capsys):
     # beta = 0: continuous_dependence is a REGIME-SKIP and draws nothing.

@@ -13,7 +13,7 @@ from cbftorus.spectral import (dealias, divergence, divergence_defect,
                                dual_norm, embed_modes, exp_filter, grad_norm,
                                gradient, h1_norm, l2_norm, l2_pairing,
                                laplacian, leray_project, lp_norm,
-                               truncate_modes)
+                               project_coeffs, truncate_modes)
 
 
 def scalar_field(grid, data):
@@ -30,6 +30,16 @@ def test_gradient_fields_are_annihilated(grid32):
     grad_q = gradient(scalar_field(grid32, q))
     projected = leray_project(grad_q)
     assert l2_norm(projected) < 1e-13 * l2_norm(grad_q)
+
+
+def test_projection_needs_a_vector_field(grid32):
+    # The projection owns its precondition: one component on a 2D grid.
+    half = band_box(grid32, False)
+    scalar = np.zeros((1,) + grid32.half_shape, complex)
+    with pytest.raises(InvalidArgumentsError, match="needs a vector field"):
+        project_coeffs(scalar, half.wavenumbers, half.inv_k_squared)
+    with pytest.raises(InvalidArgumentsError, match="needs a vector field"):
+        leray_project(SpectralField(grid32, scalar))
 
 
 def test_divergence_free_fields_unchanged(random_field):
