@@ -218,8 +218,8 @@ def _check_ladders(config: RunConfig, metric, dts, ns):
         config.check_bands(max(ns))
 
 
-def _convergence_errors_dt(config: RunConfig, metric, dts):
-    ic, params, base, forcing = config.problem()
+def _convergence_errors_dt(config: RunConfig, metric, dts, problem):
+    ic, params, base, forcing = problem
     if metric == "single_mode":
         k_sq = (sum(m * m for m in config["ic"]["mode"])
                 * (2.0 * np.pi / ic.grid.period) ** 2)
@@ -240,19 +240,18 @@ def _convergence_errors_dt(config: RunConfig, metric, dts):
     return errors
 
 
-def _convergence_errors_n(config: RunConfig, ns):
+def _convergence_errors_n(problem, ns):
     """L2 distance of each coarser run to the finest, all of one problem:
     the [ic] and [forcing] fields are built on the finest grid once, and
     each coarser run starts from their modes restricted to its grid."""
     errors = []
-    fine_grid = dataclasses.replace(config.grid(), n_points=max(ns))
-    ic, params, solver_config, forcing = config.problem(fine_grid)
+    ic, params, solver_config, forcing = problem
     ref, _ = run(ic, params, solver_config, forcing)
     for n in sorted(ns)[:-1]:
-        grid = dataclasses.replace(fine_grid, n_points=n)
+        grid = dataclasses.replace(ic.grid, n_points=n)
         state, _ = run(restrict_modes(ic, grid), params, solver_config,
                        forcing.restricted(grid))
-        errors.append(l2_norm(embed_modes(state.u, fine_grid) - ref.u))
+        errors.append(l2_norm(embed_modes(state.u, ic.grid) - ref.u))
     return errors
 
 
@@ -275,9 +274,13 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
     if not dts and not ns:
         raise InvalidArgumentsError("convergence needs a dt ladder or an N ladder")
     _check_ladders(config, conv["metric"], dts, ns)
+    # Each ladder's fields are built before anything is written.
+    dt_problem = config.problem() if dts else None
+    n_problem = config.problem(dataclasses.replace(
+        config.grid(), n_points=max(ns))) if ns else None
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     if dts:
-        errors = _convergence_errors_dt(config, conv["metric"], dts)
+        errors = _convergence_errors_dt(config, conv["metric"], dts, dt_problem)
         orders = _write_ladder(os.path.join(out, "convergence_dt.tsv"),
                                "dt\terror\torder\n", dts, errors,
                                lambda ratio, step: np.log(ratio) / np.log(step))
@@ -286,7 +289,7 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
             print(f"{dt:.6g}\t{e:.6e}\t{order:.3f}")
     if ns:
         rungs = sorted(ns)[:-1]
-        errors = _convergence_errors_n(config, ns)
+        errors = _convergence_errors_n(n_problem, ns)
         _write_ladder(os.path.join(out, "convergence_n.tsv"), "n\terror\tratio\n",
                       rungs, errors, lambda ratio, step: ratio)
         print("n\terror (vs finest)")

@@ -48,8 +48,6 @@ def _tokens(text):
 
 
 def _bool(text):
-    if isinstance(text, bool):
-        return text
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -180,7 +178,11 @@ class RunConfig:
             raise ConfigError(f"{section}: {err}") from None
 
     def _snapshot_field(self, section, grid):
-        path = self._resolve(self[section]["snapshot"])
+        """The [ic] or [forcing] snapshot's field, which must lie on ``grid``."""
+        name = self[section]["snapshot"]
+        path = self._resolve(name)
+        if not name or not os.path.exists(path):
+            raise ConfigError(f"{section}.snapshot: path not resolvable: {path!r}")
         field, _, _ = read_snapshot_file(path)
         if not field.grid.compatible(grid):
             raise ConfigError(f"{section}.snapshot grid does not match [grid]")
@@ -288,16 +290,12 @@ def _cross_validate(config: RunConfig):
         interpolation_theta(*exps)
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None
-    ic = config["ic"]
-    if ic["family"] == "snapshot":
-        path = config._resolve(ic["snapshot"])
-        if not ic["snapshot"] or not os.path.exists(path):
-            raise ConfigError(f"ic.snapshot: path not resolvable: {path!r}")
+    # A snapshot is read at load, so a bad one fails before any output.
+    if config["ic"]["family"] == "snapshot":
+        config._snapshot_field("ic", config.grid())
     forcing = config["forcing"]
     if forcing["kind"] != "zero" and forcing["snapshot"]:
-        path = config._resolve(forcing["snapshot"])
-        if not os.path.exists(path):
-            raise ConfigError(f"forcing.snapshot: path not resolvable: {path!r}")
+        config._snapshot_field("forcing", config.grid())
     verify = config["verify"]
     checks = verify["checks"]
     if not checks or len(set(checks)) < len(checks):

@@ -65,6 +65,13 @@ def check_band_limit(band_limit, n_points, section=None):
             "is below 1" if band_limit < 1 else f"exceeds N/2 = {n_points // 2}"))
 
 
+def check_seed(seed):
+    """``seed``; a negative integer seed is an argument error."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidArgumentsError(f"seed {seed} is negative")
+    return seed
+
+
 def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
                         spectrum_slope: float = 2.0, amplitude: float = 1.0,
                         project: bool = True) -> SpectralField:
@@ -81,7 +88,7 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     check_band_limit(band_limit, grid.n_points)
     box, rows, half, mirror, mask, scale = _band_layout(grid, band_limit,
                                                         spectrum_slope)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     shape = (grid.dim,) + grid.shape
     real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
     raw = (real[rows] + 1j * imag[rows]) * mask * scale

@@ -77,10 +77,8 @@ def stokes(u: SpectralField) -> SpectralField:
 
 def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
     """mag**p taken as 0 where mag = 0, and 1 everywhere for p = 0."""
-    if p == 0.0:
-        return np.ones_like(mag)
-    if p > 0.0:
-        return mag ** p  # 0**p = 0 already
+    if p >= 0.0:
+        return mag ** p  # 0**p = 0 already, and 0**0 = 1
     positive = mag > 0
     return np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentsError, RegimeError
-from .families import random_band_limited
+from .families import check_seed, random_band_limited
 from .fields import SpectralField, band_box, squared_magnitude
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
@@ -113,7 +113,7 @@ class FieldSampler:
         """Field of seed ``s``, or of child ``stream`` of seed ``s``, which
         no integer seed reaches (its spawn key is not empty)."""
         seed = s if stream is None else np.random.SeedSequence(
-            s, spawn_key=(stream,))
+            check_seed(s), spawn_key=(stream,))
         return random_band_limited(self.grid, seed=seed, band_limit=self.band_limit,
                                    spectrum_slope=self.spectrum_slope,
                                    amplitude=self.amplitude)
@@ -568,7 +568,7 @@ def nonlinear_gronwall_envelope(c: float, a_samples, b_samples,
 
 
 def check_gronwall() -> CheckReport:
-    """Envelope domination over synthetic ODE trajectories.
+    """Envelope domination over exact ODE solutions.
 
     Linear: y' = f2 y + f1 (constant rates) against the linear envelope.
     Nonlinear: y' = a y + b y^alpha, alpha = 1/2, whose Bernoulli solution
@@ -581,13 +581,14 @@ def check_gronwall() -> CheckReport:
     margins = []
 
     a0, f1, f2 = 0.7, 0.8, 1.3
-    y = _rk4_scalar(lambda tt, yy: f2 * yy + f1, a0, t)
+    y = (a0 + f1 / f2) * np.exp(f2 * t) - f1 / f2
     env = gronwall_envelope(a0, np.full_like(t, f1), np.full_like(t, f2), t)
     margins.append(float(np.min((env * (1.0 + tolerance) - y) / env)))
 
+    # (sqrt y)' = (a sqrt y + b) / 2 is linear in sqrt y.
     c, a_rate, b_rate, alpha = 0.5, 0.9, 0.6, 0.5
-    y = _rk4_scalar(lambda tt, yy: a_rate * yy + b_rate * max(yy, 0.0) ** alpha,
-                    c, t)
+    y = ((np.sqrt(c) + b_rate / a_rate) * np.exp(0.5 * a_rate * t)
+         - b_rate / a_rate) ** 2
     env = nonlinear_gronwall_envelope(c, np.full_like(t, a_rate),
                                       np.full_like(t, b_rate), alpha, t)
     margins.append(float(np.min((env * (1.0 + tolerance) - y) / env)))
@@ -601,20 +602,6 @@ def check_gronwall() -> CheckReport:
 
     return _report("gronwall", margins, [0, 1, 2], tolerance=0.0,
                    notes="linear / nonlinear domination, alpha=0 degeneracy")
-
-
-def _rk4_scalar(f, y0, t_grid):
-    y = np.empty_like(t_grid)
-    y[0] = y0
-    for i in range(len(t_grid) - 1):
-        h = t_grid[i + 1] - t_grid[i]
-        ti, yi = t_grid[i], y[i]
-        k1 = f(ti, yi)
-        k2 = f(ti + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = f(ti + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = f(ti + h, yi + h * k3)
-        y[i + 1] = yi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 # ---------------------------------------------------------------------------

@@ -332,12 +332,24 @@ def test_cli_malformed_snapshot_exit_code(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["config_missing", "config_directory",
-                                  "config_not_utf8", "ic_snapshot_directory",
-                                  "forcing_snapshot_directory"])
-def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
+# (case, command): every command reads a snapshot when its config loads.
+UNREADABLE = ([(case, "run") for case in (
+    "config_missing", "config_directory", "config_not_utf8",
+    "ic_snapshot_directory", "forcing_snapshot_directory")]
+    + [(case, command) for command in ("verify", "convergence")
+       for case in ("ic_snapshot_directory", "forcing_snapshot_directory")])
+
+
+@pytest.mark.parametrize("case,command", UNREADABLE, ids=[
+    case if command == "run" else f"{case}-{command}" for case, command in UNREADABLE])
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys, monkeypatch, case, command):
     (tmp_path / "adir").mkdir()
     cfg = str(tmp_path / "adir")
+    # Settings that run, verify and convergence each accept, were the
+    # snapshot readable: one check, and a dt ladder of the energy residual.
+    accepted = ("[verify]\nchecks = trilinear\nsamples = 2\n"
+                "[convergence]\ndts = 0.004, 0.002, 0.001\n"
+                "metric = energy_residual\n")
     if case == "config_missing":
         cfg = str(tmp_path / "missing.ini")
     elif case == "config_not_utf8":
@@ -346,12 +358,48 @@ def test_cli_unreadable_paths_exit_2(tmp_path, capsys, case):
             fh.write("[grid]\nn = 16 ; \u00e9\n".encode("latin-1"))
     elif case == "ic_snapshot_directory":
         cfg = _write(tmp_path, "ic.ini", "[grid]\nn = 16\n"
-                     "[ic]\nfamily = snapshot\nsnapshot = adir\n")
+                     "[ic]\nfamily = snapshot\nsnapshot = adir\n" + accepted)
     elif case == "forcing_snapshot_directory":
         cfg = _write(tmp_path, "f.ini", "[grid]\nn = 16\n"
-                     "[forcing]\nkind = steady\nsnapshot = adir\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+                     "[forcing]\nkind = steady\nsnapshot = adir\n" + accepted)
+    monkeypatch.setattr(cli, "_run_one_check", _no_run)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "cannot read" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("section", ["ic", "forcing"])
+def test_cli_missing_snapshot_exit_2_before_any_output(tmp_path, capsys, section):
+    text = ("[grid]\nn = 16\n[ic]\nfamily = snapshot\nsnapshot = missing.snap\n"
+            if section == "ic" else
+            "[grid]\nn = 16\n[forcing]\nkind = steady\nsnapshot = missing.snap\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.snapshot: path not resolvable" in err and not out.exists()
+
+
+def test_cli_run_from_a_snapshot_of_an_earlier_run(tmp_path, capsys):
+    # The t = 0 snapshot of one run is the [ic] of the next, which starts
+    # at its energy; on another grid it is a config error at load.
+    first = tmp_path / "first"
+    assert cli.main(["run", "--config", _write(tmp_path, "a.ini", RUN_INI),
+                     "--out", str(first)]) == 0
+    text = RUN_INI.replace("family = random", "family = snapshot\nsnapshot = "
+                           + str(first / "snap_000000.snap"))
+    second = tmp_path / "second"
+    assert cli.main(["run", "--config", _write(tmp_path, "b.ini", text),
+                     "--out", str(second)]) == 0
+    energies = [float((out / "diagnostics.tsv").read_text().splitlines()[1]
+                      .split("\t")[1]) for out in (first, second)]
+    assert energies[1] == pytest.approx(energies[0], rel=1e-14)
+    capsys.readouterr()
+    coarse = tmp_path / "coarse"
+    assert cli.main(["run", "--config", _write(tmp_path, "c.ini", text.replace(
+        "n = 32", "n = 16")), "--out", str(coarse)]) == 2
+    err = capsys.readouterr().err
+    assert "ic.snapshot grid does not match [grid]" in err and not coarse.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +598,19 @@ def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,entry,message", [
+    ("grid", "n = abc", "grid.n: cannot parse 'abc'"),
+    ("solver", "dealias = maybe",
+     "solver.dealias: cannot parse 'maybe' (not a boolean: 'maybe')"),
+], ids=["int", "bool"])
+def test_cli_unparsable_value_exit_2_naming_its_key(tmp_path, capsys, section,
+                                                    entry, message):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.ini", f"[{section}]\n{entry}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):
@@ -866,6 +927,18 @@ def test_cli_verify_huge_exponent_skips_dissipation_identity(tmp_path):
     assert re.match(r"check dissipation_identity\n  status       REGIME-SKIP "
                     r"\(identity constant \(r\+1\)\^2 overflows a float at r = 1e\+300\)",
                     report)
+
+
+def test_cli_verify_regularity_below_r3_is_a_skip(tmp_path, monkeypatch):
+    # The gradient bound exists for r > 3, or r = 3 with 2 beta mu >= 1:
+    # at r = 2 the check is skipped before the [ic] run.
+    monkeypatch.setattr(cli, "run", _no_run)
+    cfg = _write(tmp_path, "v.ini", MINIMAL.replace("r = 4.0", "r = 2.0")
+                 + "\n[verify]\nchecks = regularity\n")
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert (tmp_path / "v" / "verify_report.txt").read_text() == (
+        "check regularity\n  status       REGIME-SKIP (gradient bound needs "
+        "r > 3, or r = 3 with 2*beta*mu >= 1)\n")
 
 
 # Each config, and the checks it reports as REGIME-SKIP.
@@ -1271,6 +1344,35 @@ def test_cli_convergence_metric_checked_before_its_directory(
     assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
                      "--out", str(out)]) == 2
     assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("ladder", ["dts = 0.004, 0.002, 0.001", "ns = 8, 12, 16"],
+                         ids=["dt", "n"])
+def test_cli_convergence_builds_its_fields_before_its_directory(
+        tmp_path, capsys, monkeypatch, ladder):
+    # The config loads (a family's arguments are checked when it is built),
+    # but no single-mode field on a 2D grid has component 5.
+    text = ("[grid]\nn = 16\n[params]\nbeta = 0.0\n"
+            "[solver]\ndt = 0.002\nt_end = 0.01\n"
+            "[ic]\nfamily = single_mode\ncomponent = 5\n"
+            f"[convergence]\n{ladder}\nmetric = energy_residual\n")
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ic: component must be in [0, 2), got 5" in err and not out.exists()
+
+
+def test_cli_convergence_taylor_green_second_order(tmp_path):
+    # The default metric: the error against the closed form, under cnab2.
+    text = ("[grid]\nn = 16\n[params]\nmu = 0.1\nbeta = 0.0\n"
+            "[solver]\nt_end = 0.1\n[convergence]\ndts = 0.02, 0.01, 0.005\n")
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 0
+    rows = (out / "convergence_dt.tsv").read_text().splitlines()[2:]
+    assert [float(row.split("\t")[2]) > 1.9 for row in rows] == [True, True]
 
 
 @pytest.mark.parametrize("section,text", [

@@ -41,6 +41,15 @@ def test_t_end_equal_dt_is_one_step(grid32):
     assert len(diagnostics) == 2  # initial sample and the single step
 
 
+def test_t_end_off_the_step_grid_warns_and_rounds(grid32):
+    # 0.01 / 0.003 = 3.33 steps: three are taken, with a warning.
+    config = SolverConfig(dt=0.003, t_end=0.01, diagnostics_every=1)
+    with pytest.warns(UserWarning, match="t_end is not an integer number of "
+                                         "steps; rounding"):
+        state, diagnostics = run(taylor_green(grid32), NSE, config)
+    assert len(diagnostics) == 4 and state.t == pytest.approx(0.009)
+
+
 def test_single_mode_euler_scalar_recurrence(grid32):
     u0 = leray_project(single_mode(grid32, (0, 2), component=0))
     params = CbfParams(mu=0.5, alpha=0.2, beta=1e-14, r=3.0)

@@ -55,6 +55,25 @@ def test_sampler_deterministic_and_solenoidal(grid32):
     assert l2_norm(a) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda g: random_band_limited(g, seed=-1),
+    lambda g: FieldSampler(grid=g).field_from_seed(-1),
+    lambda g: FieldSampler(grid=g).field_from_seed(-1, stream=17),
+    lambda g: FieldSampler(grid=g, seed=-3).pair(0),
+], ids=["family", "sampler", "child_stream", "pair"])
+def test_negative_seed_is_an_argument_error(grid32, draw):
+    with pytest.raises(InvalidArgumentsError, match=r"^seed -[13] is negative$"):
+        draw(grid32)
+
+
+def test_seed_zero_and_seed_sequences_draw(grid32):
+    sequence = np.random.SeedSequence(0, spawn_key=(17,))
+    child = random_band_limited(grid32, seed=sequence)
+    assert np.array_equal(FieldSampler(grid=grid32).field_from_seed(0, 17).coeffs,
+                          child.coeffs)
+    assert l2_norm(random_band_limited(grid32, seed=0)) == pytest.approx(1.0)
+
+
 def test_readme_lists_the_checks_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("Verification check names:", 1)[1].split(".", 1)[0]
@@ -304,10 +323,11 @@ def test_nonlinear_envelope_alpha_zero_matches_linear():
 
 
 def test_nonlinear_envelope_dominates_bernoulli_ode():
-    # y' = a y + b y^alpha saturates the envelope; RK4 vs trapezoid margins
+    # y' = a y + b y^alpha saturates the envelope; its exact solution, from
+    # (sqrt y)' = (a sqrt y + b) / 2, vs the trapezoid margins
     t = np.linspace(0.0, 1.0, 2001)
     c, a, b, alpha = 0.5, 0.9, 0.6, 0.5
-    y = verif._rk4_scalar(lambda tt, yy: a * yy + b * max(yy, 0.0) ** alpha, c, t)
+    y = ((np.sqrt(c) + b / a) * np.exp(0.5 * a * t) - b / a) ** 2
     env = nonlinear_gronwall_envelope(c, np.full_like(t, a),
                                       np.full_like(t, b), alpha, t)
     assert np.all(env * (1 + 1e-8) >= y)
