@@ -178,18 +178,24 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
         else:
             check_band_limit(session.verify["band_limit"], config["grid"]["n"], "verify")
     out = out_dir or config["output"]["directory"]  # empty: print only
+    made = bool(out) and not os.path.exists(out)
     if out:
         _ensure_outdir(out)
     blocks, failures = [], 0
-    for name in names:
-        try:
-            report = _run_one_check(name, session)
-        except RegimeError as err:
-            blocks.append(f"check {name}\n  status       REGIME-SKIP ({err})")
-            continue
-        blocks.append(str(report))
-        if not report.passed:
-            failures += 1
+    try:
+        for name in names:
+            try:
+                report = _run_one_check(name, session)
+            except RegimeError as err:
+                blocks.append(f"check {name}\n  status       REGIME-SKIP ({err})")
+                continue
+            blocks.append(str(report))
+            if not report.passed:
+                failures += 1
+    except BaseException:
+        if made and not os.listdir(out):  # an error before the report
+            os.rmdir(out)
+        raise
     text = "\n\n".join(blocks) + "\n"
     print(text, end="")
     if out:

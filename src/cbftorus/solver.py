@@ -268,38 +268,35 @@ def step(state: SimulationState) -> SimulationState:
     dt = config.dt
 
     # In place, in the operation order of (c + h*(f - nl)) / (1 + h*lam) and
-    # ((1 - dt/2*lam)*c + dt*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam).
+    # ((1 - dt/2*lam)*c + h*(f - (1.5*nl - 0.5*prev))) / (1 + dt/2*lam), where
+    # h = dt.  A first CNAB2 step, with no previous term, is an Euler step.
+    cnab2 = state.prev_nonlinear is not None
+    h = dt / config.substeps
     samples = state.samples  # of u at the step's start
-    if config.scheme == "imex_euler" or state.prev_nonlinear is None:
-        n_sub = config.substeps if config.scheme == "imex_euler" else 1
-        h, limit = dt / n_sub, 2.0
-        for s in range(n_sub):
-            if s:  # the last sub-step's, freed before the next are built
-                nl = samples = None
-            nl, samples = nonlinear_term(c, box, params, config.dealias,
-                                         samples=samples)
-            new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
-            np.multiply(h, new, out=new)
-            np.add(c, new, out=new)
-            c = np.divide(new, _multiplier(box, params, h), out=new)
-        prev_nl = nl if config.scheme == "imex_cnab2" else None
-    else:
-        h, limit = dt, 1.0
+    for s in range(config.substeps):
+        if s:  # the last sub-step's, freed before the next are built
+            nl = samples = None
         nl, samples = nonlinear_term(c, box, params, config.dealias,
                                      samples=samples)
-        new = np.multiply(1.5, nl)
-        new -= 0.5 * state.prev_nonlinear
-        np.subtract(forcing.box_coeffs(state.t + 0.5 * dt, box), new, out=new)
-        np.multiply(dt, new, out=new)
-        np.add(_multiplier(box, params, -0.5 * dt) * c, new, out=new)
-        c = np.divide(new, _multiplier(box, params, 0.5 * dt), out=new)
-        prev_nl = nl
+        if cnab2:
+            new = np.multiply(1.5, nl)
+            new -= 0.5 * state.prev_nonlinear
+            np.subtract(forcing.box_coeffs(state.t + 0.5 * dt, box), new,
+                        out=new)
+        else:
+            new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
+        np.multiply(h, new, out=new)
+        np.add(_multiplier(box, params, -0.5 * dt) * c if cnab2 else c, new,
+               out=new)
+        c = np.divide(new, _multiplier(box, params, 0.5 * dt if cnab2 else h),
+                      out=new)
+    prev_nl = nl if config.scheme == "imex_cnab2" else None
 
     try:
         c = _settle(c, box)
     except InvalidFieldError:
         raise BlowUpError("non-finite state", last_valid_time=state.t) from None
-    _check_explicit(samples, box.grid, params, dt, h, limit)
+    _check_explicit(samples, box.grid, params, dt, h, 1.0 if cnab2 else 2.0)
     del samples, nl  # freed before the new samples are built
     new_t = state.t + dt
     samples, jac = grid_samples(c, box, params.r, state.extended)

@@ -664,20 +664,17 @@ def check_continuous_dependence(params: CbfParams, config: SolverConfig,
     return _trajectory_report("continuous_dependence", margins, notes)
 
 
-def _forcing_integrals(forcing: Forcing, times, norm_fn):
+def _forcing_integrals(diagnostics, forcing: Forcing, norm_fn):
+    """int_0^t norm_fn(f)^2 at the times of ``diagnostics``, whose first row
+    must be the initial value, at t = 0: the bounds along a trajectory
+    compare every row with it."""
+    times = [d.t for d in diagnostics]
+    if not times or times[0] != 0.0:
+        raise InvalidArgumentsError("diagnostics must start at t = 0")
     vals = np.zeros(len(times))
     if forcing is not None and not forcing.is_zero:
         vals = np.array([norm_fn(forcing.at(t)) ** 2 for t in times])
     return _cumulative_trapezoid(vals, np.asarray(times))
-
-
-def _times_from_zero(diagnostics):
-    """The times of ``diagnostics``, whose first row must be the initial
-    value, at t = 0: the bounds along a trajectory compare every row with it."""
-    times = [d.t for d in diagnostics]
-    if not times or times[0] != 0.0:
-        raise InvalidArgumentsError("diagnostics must start at t = 0")
-    return times
 
 
 def check_apriori(diagnostics, params: CbfParams,
@@ -687,8 +684,7 @@ def check_apriori(diagnostics, params: CbfParams,
     ||u(t)||^2 + mu int_0^t ||grad u||^2 + 2 beta int_0^t ||u||_{r+1}^{r+1}
         <= ||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2.
     """
-    times = _times_from_zero(diagnostics)
-    f_int = _forcing_integrals(forcing, times, dual_norm)
+    f_int = _forcing_integrals(diagnostics, forcing, dual_norm)
     e0 = diagnostics[0].energy
     margins = []
     for d, fi in zip(diagnostics, f_int):
@@ -739,10 +735,9 @@ def check_regularity(diagnostics, params: CbfParams,
         <= ||grad u0||^2 + (2/mu) int ||f||^2.
     """
     rate, coeff_a, coeff_w, notes = regularity_bound(params)
-    times = _times_from_zero(diagnostics)
+    f_int = _forcing_integrals(diagnostics, forcing, l2_norm)
     if diagnostics[0].int_a_norm_sq is None:
         raise InvalidArgumentsError("regularity check needs extended diagnostics")
-    f_int = _forcing_integrals(forcing, times, l2_norm)
     g0 = diagnostics[0].v_seminorm_sq
     margins = []
     for d, fi in zip(diagnostics, f_int):

@@ -1067,6 +1067,41 @@ def test_cli_out_naming_a_file_exit_2(tmp_path, capsys, monkeypatch, command):
     assert "cannot make output directory" in capsys.readouterr().err
 
 
+# The [ic] component is judged when the trajectory checks build the initial
+# condition, after trilinear has run.
+BAD_COMPONENT_VERIFY_INI = """
+[grid]
+dim = 2
+n = 16
+
+[solver]
+dt = 0.01
+t_end = 0.02
+
+[ic]
+family = single_mode
+component = 5
+
+[verify]
+checks = trilinear, apriori
+samples = 3
+n = 16
+band_limit = 4
+"""
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_cli_verify_error_removes_only_the_output_directory_it_made(
+        tmp_path, capsys, existed):
+    cfg = _write(tmp_path, "c.ini", BAD_COMPONENT_VERIFY_INI)
+    out = tmp_path / "o"
+    if existed:
+        out.mkdir()
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "component must be in [0, 2)" in capsys.readouterr().err
+    assert out.exists() == existed
+
+
 @pytest.mark.parametrize("command,name", [
     ("run", "diagnostics.tsv"), ("verify", "verify_report.txt"),
     ("convergence", "convergence_dt.tsv"), ("taylor-green", "diagnostics.tsv")])

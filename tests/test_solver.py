@@ -169,7 +169,7 @@ def test_apriori_bound_formulas(grid32):
     for forcing, f_sq in ((Forcing(), 0.0),
                           (Forcing(f), dual_norm(f) ** 2)):
         bound = [e0 + t / DAMPED.mu * f_sq for t in times]
-        f_int = _forcing_integrals(forcing, times, dual_norm)
+        f_int = _forcing_integrals(_energy_rows(times, bound), forcing, dual_norm)
         assert e0 + f_int / DAMPED.mu == pytest.approx(bound, rel=1e-12)
         report = check_apriori(_energy_rows(times, bound), DAMPED, forcing)
         assert report.worst_margin == pytest.approx(SLACK, abs=1e-12)
