@@ -98,8 +98,7 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
                                                           t, params))
     except BlowUpError as err:
         write_diagnostics(err.diagnostics, os.path.join(out, "diagnostics.tsv"))
-        print(f"blow-up at t = {err.last_valid_time:g}: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+        raise
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     final = diagnostics[-1]
     max_residual = max(abs(d.energy_residual) for d in diagnostics)
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as err:
-        print(f"blow-up at t = {err.last_valid_time:g}", file=sys.stderr)
+        print(f"blow-up at t = {err.last_valid_time:g}: {err}", file=sys.stderr)
         return EXIT_BLOWUP
     except CbfError as err:
         print(f"error: {err}", file=sys.stderr)

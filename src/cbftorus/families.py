@@ -7,10 +7,9 @@ import functools
 import numpy as np
 
 from .errors import InvalidArgumentsError
-from .fields import (PhysicalField, SpectralField, band_box, conj_mirror,
-                     to_spectral)
+from .fields import (PhysicalField, SpectralField, abs_sq, band_box,
+                     conj_mirror, to_spectral)
 from .grid import TorusGrid, TWO_PI
-from .spectral import abs_sq, project_coeffs
 
 
 def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
@@ -96,7 +95,7 @@ def random_band_limited(grid: TorusGrid, seed: int, band_limit: int = 8,
     c = (0.5 * (raw + conj_mirror(raw, tuple(range(-grid.dim, 0)))))[
         ..., :box.radius + 1]
     if project:
-        c = project_coeffs(c, box.wavenumbers, box.inv_k_squared)
+        c = box.project(c)
     # |c|^2 summed over the full layout, in its order, so that a seed gives
     # the same field to the bit whatever the layout of the norms; the half
     # leaves out columns -1..-K, whose |c(-m)|^2 is |c(m)|^2.

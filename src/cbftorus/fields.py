@@ -17,11 +17,12 @@ one Hermitian check (raising :class:`SymmetryError`), and
 :meth:`SpectralField.full` expands for output; snapshot files store the full
 array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch; it is
-the one transform and the one owner of the spectral multipliers and of the
-row layout, one index of its rows (from which it builds its modes) and one
-of their mirror, and the box that covers the half serves
-:func:`to_physical`, :func:`to_spectral` and every operation on whole
-half-spectrum fields.
+the one transform, the one owner of the spectral multipliers, the Leray
+projection and Plancherel sums that read them, and of the layout: one
+index of its rows (from which it builds its modes), of their mirror and of
+its place in the half.  :func:`mode_box` builds each once per grid value;
+the one that covers the half serves :func:`to_physical`,
+:func:`to_spectral` and every operation on whole half-spectrum fields.
 """
 
 import functools
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidFieldError, SymmetryError
+from .errors import (GridMismatchError, InvalidArgumentsError,
+                     InvalidFieldError, SymmetryError)
 from .grid import TWO_PI, TorusGrid
 
 SYMMETRY_TOL = 1e-10
@@ -116,10 +118,7 @@ class SpectralField:
         its half.  Raises :class:`InvalidFieldError` unless the array is
         finite, and :class:`SymmetryError` unless it is Hermitian symmetric
         relative to its norm: the one symmetry check of the package."""
-        full = np.asarray(full, dtype=complex)
-        if full.shape[1:] != grid.shape or not np.all(np.isfinite(full)):
-            raise InvalidFieldError(f"need finite coefficients of shape "
-                                    f"(ncomp,) + {grid.shape}, got {full.shape}")
+        full = _settled(full, complex, grid.shape, "coefficients")
         defect = float(np.max(np.abs(full - conj_mirror(
             full, tuple(range(-grid.dim, 0))))))
         if defect > SYMMETRY_TOL * max(_norm(np.abs(full)), 1e-300):
@@ -150,6 +149,11 @@ def squared_magnitude(data: np.ndarray) -> np.ndarray:
     for x in data[1:]:
         out += x * x
     return out
+
+
+def abs_sq(coeffs):
+    """|c|^2 as c.real^2 + c.imag^2, with no square root taken."""
+    return coeffs.real ** 2 + coeffs.imag ** 2
 
 
 def magnitude(data: np.ndarray) -> np.ndarray:
@@ -198,13 +202,14 @@ class ModeBox:
     compactly, in an array of ``shape``: the rows ``rows`` of each leading
     axis, 0..R and N-R..N-1 (a cyclic order of length 2R+1), and columns
     0..R; at R = N/2, the half as it is, ``rows`` all N.  ``mirror`` indexes
-    the rows -m of those rows m on every leading axis.  It owns the
-    multipliers on them: the wavenumbers 2*pi*m/L with the unmatched Nyquist
-    entries zeroed (so ik*c stays Hermitian), |k|^2 and 1/|k|^2 (0 at
-    k = 0), both built on first read, the columns' Plancherel weights (1 on
-    columns 0 and N/2, their own mirrors, 2 elsewhere) and, times the
-    volume, ``volume_weights``; ``mask`` marks a Galerkin ball of radius
-    ``ball_n`` (None: no ball, all of the box)."""
+    the rows -m of those rows m on every leading axis, ``index`` the box in
+    the half.  It owns the multipliers on them, and the projection and
+    Plancherel sums that read them: the wavenumbers 2*pi*m/L with the
+    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2 and
+    1/|k|^2 (0 at k = 0), both built on first read, the columns' Plancherel
+    weights (1 on columns 0 and N/2, their own mirrors, 2 elsewhere) and,
+    times the volume, ``volume_weights``; ``mask`` marks a Galerkin ball of
+    radius ``ball_n`` (None: no ball).  Only :func:`mode_box` builds it."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
@@ -214,6 +219,8 @@ class ModeBox:
                      else np.r_[0:radius + 1, n - radius:n])
         mirror = -np.arange(len(self.rows)) % len(self.rows)
         self.mirror = (Ellipsis, *np.ix_(*[mirror] * (grid.dim - 1)), slice(None))
+        self.index = (Ellipsis, *np.ix_(*[self.rows] * (grid.dim - 1)),
+                      slice(0, radius + 1))
         modes = np.ix_(*[grid.modes[self.rows]] * (grid.dim - 1),
                        np.arange(radius + 1))
         self.shape = np.broadcast_shapes(*(m.shape for m in modes))
@@ -235,6 +242,26 @@ class ModeBox:
     def inv_k_squared(self):
         return np.divide(1.0, self.k_squared, where=self.k_squared > 0,
                          out=np.zeros_like(self.k_squared))
+
+    def project(self, c):
+        """The Leray projection (I - k k^T/|k|^2)c of vector coefficients."""
+        k = self.wavenumbers
+        if len(c) != len(k):
+            raise InvalidArgumentsError("Leray projection needs a vector field")
+        factor = self.inv_k_squared * sum(k[i] * c[i] for i in range(len(k)))
+        out = np.empty(c.shape, factor.dtype)
+        for i, out_i in enumerate(out):
+            np.subtract(c[i], np.multiply(k[i], factor, out=out_i), out=out_i)
+        return out
+
+    def mode_power(self, c):
+        """L2 energy per mode of ``c`` on the box, summed over components."""
+        return self.volume_weights * abs_sq(c).sum(axis=0)
+
+    def mode_pairing(self, fc, uc):
+        """Plancherel sum of f.u: the integral of f.u, given its coefficients."""
+        return float((self.volume_weights * (
+            fc.real * uc.real + fc.imag * uc.imag).sum(axis=0)).sum())
 
     def masked(self, c):
         """Coefficients ``c`` on the box zeroed off its Galerkin ball: a new
@@ -266,20 +293,16 @@ class ModeBox:
         return out
 
     def gather(self, half):
-        """Compact coefficients of a half-spectrum array; a view of all of it
-        when the box covers the half."""
-        c = half[..., :self.radius + 1]
-        for axis in _leading_axes(self.grid):
-            c = self._take_rows(c, axis)
-        return c
+        """Compact coefficients of a half-spectrum array, a new array; the
+        half itself when the box covers it."""
+        return half if self.covers_half else half[self.index]
 
     def expand(self, c):
         """Half-spectrum array of compact coefficients, zero off the box."""
         if self.covers_half:
             return c
         out = np.zeros(c.shape[:-self.grid.dim] + self.grid.half_shape, c.dtype)
-        out[(Ellipsis, *np.ix_(*[self.rows] * (self.grid.dim - 1)),
-             slice(0, self.radius + 1))] = c
+        out[self.index] = c
         return out
 
     def inverse(self, c):
@@ -298,20 +321,25 @@ class ModeBox:
         return c
 
 
+@functools.lru_cache(maxsize=None)
+def mode_box(grid, radius, ball_n=0):
+    """The :class:`ModeBox` of ``radius`` on ``grid``, masked to the
+    Galerkin ball of radius ``ball_n`` (0: no ball), built once per grid
+    value: equal grids, and equal boxes asked for by other names, share one
+    object."""
+    return ModeBox(grid, radius, ball_n)
+
+
 def band_box(grid, apply_dealias=True, galerkin_n=0, galerkin_shape="box"):
-    """The box of the modes that 2/3-rule dealiasing and Galerkin truncation
-    (off at ``galerkin_n = 0``, whatever the shape) keep, built once per grid
-    and band.  Dealiasing keeps |m_i| <= K = (N-1)//3: the aliases of a
-    product of two such fields land at |m_i| >= N - 2K > K, as 3K < N (which
+    """The :func:`mode_box` of the modes that 2/3-rule dealiasing and
+    Galerkin truncation (off at ``galerkin_n = 0``, whatever the shape)
+    keep.  Dealiasing keeps |m_i| <= K = (N-1)//3: the aliases of a product
+    of two such fields land at |m_i| >= N - 2K > K, as 3K < N (which
     floor(N/3) breaks at 3 | N)."""
-    key = (apply_dealias, galerkin_n, galerkin_shape if galerkin_n else "box")
-    if key not in grid.boxes:
-        n = grid.n_points
-        band = min([n // 2] + [(n - 1) // 3] * apply_dealias
-                   + [galerkin_n] * (galerkin_n > 0))
-        grid.boxes[key] = ModeBox(grid, band,
-                                  galerkin_n if galerkin_shape == "ball" else 0)
-    return grid.boxes[key]
+    n = grid.n_points
+    band = min([n // 2] + [(n - 1) // 3] * apply_dealias
+               + [galerkin_n] * (galerkin_n > 0))
+    return mode_box(grid, band, galerkin_n if galerkin_shape == "ball" else 0)
 
 
 def to_spectral(field: PhysicalField) -> SpectralField:

@@ -3,9 +3,9 @@
 A :class:`TorusGrid` fixes the dimension, per-axis resolution and period of
 the torus, the sample and half-spectrum shapes (the half that ``rfftn``
 keeps: last-axis modes 0..N/2), the volumes and the grid-point quadrature,
-the grid coordinates and the 1-D integer mode index of an axis; and it caches
-the compact mode boxes of ``fields.band_box``, which build their modes from
-their rows and own every spectral multiplier built from them.
+the grid coordinates and the 1-D integer mode index of an axis.  The
+compact mode boxes, which build their modes from their rows and own every
+spectral multiplier, are built once per grid value by ``fields.mode_box``.
 """
 
 from dataclasses import dataclass
@@ -84,12 +84,6 @@ class TorusGrid:
         """Shape of the half spectrum that ``rfftn`` keeps: last-axis modes
         0..N/2."""
         return self.shape[:-1] + (self.n_points // 2 + 1,)
-
-    @cached_property
-    def boxes(self):
-        """Mode boxes by their arguments, built once each by
-        ``fields.band_box``."""
-        return {}
 
     def compatible(self, other):
         """Same dimension, resolution and (finite, so exactly equal) period."""

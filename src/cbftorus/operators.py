@@ -29,7 +29,7 @@ from .errors import (ContractViolationError, InvalidArgumentsError,
                      InvalidExponentError, RegimeError)
 from .fields import (SpectralField, band_box, require_same_grid,
                      squared_magnitude, to_physical)
-from .spectral import divergence_defect, jacobian, project_coeffs
+from .spectral import divergence, divergence_defect, jacobian
 
 DIV_FREE_TOL = 1e-10
 
@@ -163,9 +163,7 @@ def _forward(samples, box, project=True):
     """Coefficients of the samples on ``box``, restricted to its mask and
     Leray-projected."""
     out = box.masked(box.forward(samples))
-    if project:
-        out = project_coeffs(out, box.wavenumbers, box.inv_k_squared)
-    return out
+    return box.project(out) if project else out
 
 
 def nonlinear_term(coeffs: np.ndarray, box, params: CbfParams,
@@ -281,6 +279,5 @@ def recover_pressure(u: SpectralField, f: SpectralField,
     box = band_box(grid, apply_dealias)
     rhs, _ = nonlinear_term(box.gather(u.coeffs), box, params, apply_dealias,
                             project=False)
-    half = band_box(grid, False)
-    div = sum(ik * c for ik, c in zip(half.ik, f.coeffs - box.expand(rhs)))
-    return SpectralField(grid, -half.inv_k_squared * div)
+    div = divergence(f - SpectralField(grid, box.expand(rhs))).coeffs
+    return SpectralField(grid, -band_box(grid, False).inv_k_squared * div)

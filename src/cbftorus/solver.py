@@ -32,8 +32,7 @@ from .fields import (ModeBox, SpectralField, _settled, band_box,
                      require_same_grid)
 from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
                         nonlinear_term)
-from .spectral import (divergence_defect, leray_project, mode_pairing,
-                       mode_power, project_coeffs, restrict_modes)
+from .spectral import divergence_defect, leray_project, restrict_modes
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -196,11 +195,11 @@ def _rates(c, box, t, forcing, samples, jac):
     u and, in the extended rates, ``jac`` of its Jacobian (None: not
     extended)."""
     grid = box.grid
-    power = mode_power(c, box.volume_weights)
+    power = box.mode_power(c)
     k2 = box.k_squared
     damping_val = grid.integral(samples.weight * samples.sq)
     forcing_val = (0.0 if forcing.is_zero else
-                   mode_pairing(forcing.box_coeffs(t, box), c, box.volume_weights))
+                   box.mode_pairing(forcing.box_coeffs(t, box), c))
     a_sq = wgrad = 0.0
     if jac is not None:
         a_sq = float((k2 * k2 * power).sum())
@@ -219,8 +218,7 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
         warnings.warn("initial condition is not divergence-free; projecting")
     box = band_box(ic.grid, config.dealias, config.galerkin_n,
                    config.galerkin_shape)
-    c = _settle(box.masked(project_coeffs(box.gather(ic.coeffs), box.wavenumbers,
-                                          box.inv_k_squared)), box)
+    c = _settle(box.masked(box.project(box.gather(ic.coeffs))), box)
     samples, jac = grid_samples(c, box, params.r, extended)
     rates = _rates(c, box, 0.0, forcing, samples, jac)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,

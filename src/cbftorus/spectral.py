@@ -1,19 +1,20 @@
 """Spectral calculus: projection, differentiation, filtering, norms.
 
 Every operation acts on the half spectrum that a :class:`SpectralField`
-stores, with the multipliers of the box that covers it.  They are built
-from derivative wavenumbers with the unmatched Nyquist entries zeroed, which
-keeps the discrete identities exact: the Leray projector annihilates
-discrete gradients, <Au,u> equals the quadrature of |grad u|^2, and
-Plancherel sums, which weight each column that stands for its mirror image
-by 2, match physical quadrature to rounding.
+stores, with the multipliers, projection and Plancherel sums of the box
+that covers it.  The multipliers are built from derivative wavenumbers with
+the unmatched Nyquist entries zeroed, which keeps the discrete identities
+exact: the Leray projector annihilates discrete gradients, <Au,u> equals
+the quadrature of |grad u|^2, and Plancherel sums, which weight each column
+that stands for its mirror image by 2, match physical quadrature to
+rounding.
 """
 
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidArgumentsError
-from .fields import (ModeBox, PhysicalField, SpectralField, band_box,
-                     magnitude, require_same_grid, to_physical)
+from .fields import (PhysicalField, SpectralField, band_box, magnitude,
+                     mode_box, require_same_grid, to_physical)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -23,21 +24,7 @@ def leray_project(u: SpectralField) -> SpectralField:
     mode, and Nyquist-only indices under the zeroed-derivative convention)
     pass through unchanged.
     """
-    half = band_box(u.grid, False)
-    coeffs = project_coeffs(u.coeffs, half.wavenumbers, half.inv_k_squared)
-    return SpectralField(u.grid, coeffs)
-
-
-def project_coeffs(coeffs, k, inv_k2):
-    """(I - k k^T/|k|^2) applied to a (dim, ...) coefficient array, given the
-    wavenumbers and 1/|k|^2 broadcast to its modes."""
-    if len(coeffs) != len(k):
-        raise InvalidArgumentsError("Leray projection needs a vector field")
-    factor = inv_k2 * sum(k[i] * coeffs[i] for i in range(len(k)))
-    out = np.empty(coeffs.shape, factor.dtype)
-    for i, out_i in enumerate(out):
-        np.subtract(coeffs[i], np.multiply(k[i], factor, out=out_i), out=out_i)
-    return out
+    return SpectralField(u.grid, band_box(u.grid, False).project(u.coeffs))
 
 
 def divergence_defect(u: SpectralField) -> float:
@@ -90,7 +77,7 @@ def truncate_modes(u: SpectralField, n: int, shape: str = "box") -> SpectralFiel
     the gather and expansion of the mode box of radius n, masked to its ball."""
     if n < 0 or shape not in ("box", "ball"):
         raise InvalidArgumentsError(f"need n >= 0, box or ball: {n}, {shape!r}")
-    box = ModeBox(u.grid, min(n, u.grid.n_points // 2), n if shape == "ball" else 0)
+    box = mode_box(u.grid, min(n, u.grid.n_points // 2), n if shape == "ball" else 0)
     return SpectralField(u.grid, box.expand(box.masked(box.gather(u.coeffs))))
 
 
@@ -107,26 +94,10 @@ def exp_filter(u: SpectralField, n: float) -> SpectralField:
     return SpectralField(u.grid, mult * u.coeffs)
 
 
-def abs_sq(coeffs):
-    """|c|^2 as c.real^2 + c.imag^2, with no square root taken."""
-    return coeffs.real ** 2 + coeffs.imag ** 2
-
-
 def power_spectrum(u: SpectralField) -> np.ndarray:
     """L2 energy per half-spectrum mode, summed over components: its sum is
     ||u||^2, and with multiplier weights it gives the Sobolev norms."""
-    return mode_power(u.coeffs, band_box(u.grid, False).volume_weights)
-
-
-def mode_power(coeffs, weights):
-    """Energy per mode, summed over components, given column ``weights``."""
-    return weights * abs_sq(coeffs).sum(axis=0)
-
-
-def mode_pairing(fc, uc, weights):
-    """Plancherel sum of f.u, given column ``weights``."""
-    return float((weights * (fc.real * uc.real + fc.imag * uc.imag).sum(
-        axis=0)).sum())
+    return band_box(u.grid, False).mode_power(u.coeffs)
 
 
 def l2_norm(u) -> float:
@@ -165,7 +136,7 @@ def lp_norm(u, p: float) -> float:
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:
     """Duality pairing <f, u> = integral of f.u, as a Plancherel sum."""
     require_same_grid(f, u)
-    return mode_pairing(f.coeffs, u.coeffs, band_box(f.grid, False).volume_weights)
+    return band_box(f.grid, False).mode_pairing(f.coeffs, u.coeffs)
 
 
 def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
@@ -173,7 +144,8 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
     coarse modes, each Nyquist mode split evenly onto -N/2 and +N/2, as
     compact coefficients of the fine grid's box of radius N/2, so that the
     fine field is real and equals u at the coarse grid points."""
-    if fine_grid.dim != u.grid.dim or fine_grid.n_points < u.grid.n_points:
+    if ((fine_grid.dim, fine_grid.period) != (u.grid.dim, u.grid.period)
+            or fine_grid.n_points < u.grid.n_points):
         raise InvalidArgumentsError("target grid must refine the source grid")
     n, h = u.grid.n_points, u.grid.n_points // 2
     if fine_grid.n_points == n:
@@ -183,14 +155,15 @@ def embed_modes(u: SpectralField, fine_grid) -> SpectralField:
     c = u.coeffs * split[:h + 1]  # column +N/2 stands for -N/2 too
     for axis in range(-u.grid.dim, -1):
         c = np.take(c, rows, axis) * split.reshape((-1,) + (1,) * (-axis - 1))
-    return SpectralField(fine_grid, band_box(fine_grid, False, h).expand(c))
+    return SpectralField(fine_grid, mode_box(fine_grid, h).expand(c))
 
 
 def restrict_modes(u: SpectralField, coarse_grid) -> SpectralField:
     """The modes of u with every |m_i| < N/2 on a coarser grid (same period,
     N points per axis): that box's gather on u's grid, expanded on the coarse."""
-    if coarse_grid.dim != u.grid.dim or coarse_grid.n_points > u.grid.n_points:
+    if ((coarse_grid.dim, coarse_grid.period) != (u.grid.dim, u.grid.period)
+            or coarse_grid.n_points > u.grid.n_points):
         raise InvalidArgumentsError("target grid must coarsen the source grid")
     radius = coarse_grid.n_points // 2 - 1
-    c = band_box(u.grid, False, radius).gather(u.coeffs)
-    return SpectralField(coarse_grid, band_box(coarse_grid, False, radius).expand(c))
+    c = mode_box(u.grid, radius).gather(u.coeffs)
+    return SpectralField(coarse_grid, mode_box(coarse_grid, radius).expand(c))

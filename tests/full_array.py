@@ -6,8 +6,8 @@ random field family as it was drawn and weighted on the full spectrum."""
 import numpy as np
 
 from cbftorus.errors import InvalidArgumentsError
-from cbftorus.fields import SpectralField
-from cbftorus.spectral import abs_sq, dealias, leray_project
+from cbftorus.fields import SpectralField, abs_sq
+from cbftorus.spectral import dealias, leray_project
 
 
 def modes(grid):

@@ -122,9 +122,11 @@ def test_grid_integral_is_the_cell_volume_sum(dim, n):
     assert type(grid.integral(values)) is float
 
 
-# Each field type with its array's shape and the other type's.
+# Each field constructor with its array's shape and the other type's; a
+# full coefficient array keeps its half.
 FIELD_TYPES = [(PhysicalField, "shape", "half_shape"),
-               (SpectralField, "half_shape", "shape")]
+               (SpectralField, "half_shape", "shape"),
+               (SpectralField.from_full, "shape", "half_shape")]
 
 
 def test_non_finite_samples_rejected(grid32):
@@ -166,8 +168,10 @@ def test_component_count_must_match_grid(grid32):
 def test_single_component_gains_its_axis(grid32):
     for field_type, shape, _ in FIELD_TYPES:
         field = field_type(grid32, np.ones(getattr(grid32, shape)))
-        array = field.data if field_type is PhysicalField else field.coeffs
-        assert array.shape == (1,) + getattr(grid32, shape)
+        if field_type is PhysicalField:
+            assert field.data.shape == (1,) + grid32.shape
+        else:
+            assert field.coeffs.shape == (1,) + grid32.half_shape
 
 
 def test_field_arithmetic(random_field, random_field_b):

@@ -683,7 +683,7 @@ amplitude = 200.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_overflow_exits_as_blowup(tmp_path):
+def test_cli_overflow_exits_as_blowup(tmp_path, capsys):
     text = """
 [grid]
 n = 16
@@ -695,11 +695,19 @@ r = 12.0
 family = random
 band_limit = 4
 amplitude = 1e30
+
+[verify]
+checks = apriori
 """
     cfg = _write(tmp_path, "overflow.ini", text)
-    out = tmp_path / "overflow_out"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
-    lines = (out / "diagnostics.tsv").read_text().splitlines()
+    # Every command names the cause; verify leaves no directory behind.
+    for command in ("run", "verify"):
+        out = tmp_path / f"overflow_{command}"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert ("blow-up at t = 0: non-finite state"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "overflow_verify").exists()
+    lines = (tmp_path / "overflow_run" / "diagnostics.tsv").read_text().splitlines()
     assert lines[0].split("\t") == BASE_COLUMNS
     assert len(lines) == 2 and float(lines[1].split("\t")[0]) == 0.0
 

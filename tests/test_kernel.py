@@ -29,7 +29,7 @@ from cbftorus.solver import (BudgetRates, DiagnosticsSample, Forcing,
                              sample_diagnostics, step)
 from cbftorus.spectral import (dealias, divergence_defect, embed_modes,
                                jacobian, l2_norm, l2_pairing, leray_project,
-                               power_spectrum, project_coeffs)
+                               power_spectrum)
 
 from conftest import rel_diff
 
@@ -480,7 +480,7 @@ def _half_nonlinear(half, grid, params, config, samples=None):
     out = fa.half_forward(term + params.beta * samples.weight * u, grid)
     if mask is not None:
         out = out * mask
-    return project_coeffs(out, cover.wavenumbers, cover.inv_k_squared), samples
+    return cover.project(out), samples
 
 
 def _half_rates(u, t, params, forcing, extended, samples):
@@ -508,7 +508,7 @@ def _half_samples(u, params):
 def _half_initialize(ic, params, config, forcing, extended):
     grid = ic.grid
     cover = band_box(grid, False)
-    half = project_coeffs(ic.coeffs, cover.wavenumbers, cover.inv_k_squared)
+    half = cover.project(ic.coeffs)
     mask = _half_band(grid, config)
     u = SpectralField(grid, cover.symmetrize(
         half if mask is None else half * mask))
@@ -682,13 +682,13 @@ def _stacked_nonlinear(c, box, params, config, samples=None):
     out = box.forward(term + params.beta * samples.weight * u)
     if box.mask is not None:
         out = out * box.mask
-    return project_coeffs(out, box.wavenumbers, box.inv_k_squared), samples
+    return box.project(out), samples
 
 
 def _expanding_initialize(ic, params, config, forcing, extended):
     grid = ic.grid
     box = band_box(grid, config.dealias, config.galerkin_n, config.galerkin_shape)
-    c = project_coeffs(box.gather(ic.coeffs), box.wavenumbers, box.inv_k_squared)
+    c = box.project(box.gather(ic.coeffs))
     if box.mask is not None:
         c = c * box.mask
     box.symmetrize(c)

@@ -447,6 +447,14 @@ def test_forcing_on_another_grid_rejected(grid32, forcing_grid):
             SolverConfig(dt=1e-3, t_end=1e-3), forcing)
 
 
+def test_restricted_forcing_needs_the_same_period(grid32):
+    # Restriction keeps the modes of the forcing's torus: a coarser grid on
+    # another period is another torus.
+    forcing = Forcing(random_band_limited(grid32, seed=9, band_limit=3))
+    with pytest.raises(InvalidArgumentsError, match="coarsen"):
+        forcing.restricted(TorusGrid(dim=2, n_points=16, period=3.0))
+
+
 def test_step_count_bound_is_2_53():
     SolverConfig(dt=1.0, t_end=2.0 ** 53)
     with pytest.raises(InvalidArgumentsError, match="exceeds 2"):

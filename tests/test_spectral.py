@@ -13,7 +13,7 @@ from cbftorus.spectral import (dealias, divergence, divergence_defect,
                                dual_norm, embed_modes, exp_filter, grad_norm,
                                gradient, h1_norm, l2_norm, l2_pairing,
                                laplacian, leray_project, lp_norm,
-                               project_coeffs, truncate_modes)
+                               restrict_modes, truncate_modes)
 
 
 def scalar_field(grid, data):
@@ -37,7 +37,7 @@ def test_projection_needs_a_vector_field(grid32):
     half = band_box(grid32, False)
     scalar = np.zeros((1,) + grid32.half_shape, complex)
     with pytest.raises(InvalidArgumentsError, match="needs a vector field"):
-        project_coeffs(scalar, half.wavenumbers, half.inv_k_squared)
+        half.project(scalar)
     with pytest.raises(InvalidArgumentsError, match="needs a vector field"):
         leray_project(SpectralField(grid32, scalar))
 
@@ -304,3 +304,13 @@ def test_embed_modes_preserves_field(grid32):
     coarse_phys = to_physical(u).data
     fine_phys = to_physical(embedded).data
     assert np.max(np.abs(fine_phys[:, ::2, ::2] - coarse_phys)) < 1e-12
+
+
+def test_embed_and_restrict_need_the_same_period(grid32):
+    # A grid on another period is another torus: u's modes are not its modes
+    # (embedded at L = 1, a unit-norm field read an L2 norm of 0.159).
+    u = random_band_limited(grid32, seed=8, band_limit=8)
+    with pytest.raises(InvalidArgumentsError, match="refine"):
+        embed_modes(u, TorusGrid(dim=2, n_points=64, period=1.0))
+    with pytest.raises(InvalidArgumentsError, match="coarsen"):
+        restrict_modes(u, TorusGrid(dim=2, n_points=16, period=3.0))
