@@ -31,29 +31,21 @@ def _non_negative(x):
     return x >= 0
 
 
-def _int_list(text):
-    return tuple(int(tok) for tok in _tokens(text))
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values; blank items drop."""
+    return lambda text: tuple(kind(tok.strip()) for tok in str(text).split(",")
+                              if tok.strip())
 
 
-def _float_list(text):
-    return tuple(float(tok) for tok in _tokens(text))
-
-
-def _str_list(text):
-    return tuple(_tokens(text))
-
-
-def _tokens(text):
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+_int_list, _float_list, _str_list = _list_of(int), _list_of(float), _list_of(str)
 
 
 def _bool(text):
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    """A boolean in the INI reader's own spellings, in any letter case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(text).strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _rows(cls):

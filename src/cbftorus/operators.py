@@ -83,11 +83,6 @@ def pointwise_power(mag: np.ndarray, p: float) -> np.ndarray:
     return np.where(positive, np.where(positive, mag, 1.0) ** p, 0.0)
 
 
-def damping_weight(u_sq: np.ndarray, r: float) -> np.ndarray:
-    """|u|^{r-1} = (|u|^2)^{(r-1)/2} from samples of |u|^2, 0 where u = 0."""
-    return pointwise_power(u_sq, 0.5 * (r - 1.0))
-
-
 class Samples(NamedTuple):
     """u on the grid with |u|^2 and the damping weight |u|^{r-1} there."""
 
@@ -97,9 +92,9 @@ class Samples(NamedTuple):
 
 
 def pointwise_samples(u_phys: np.ndarray, r: float) -> Samples:
-    """Form |u|^2 once, and the weight from it."""
+    """Form |u|^2 once, and from it the weight |u|^{r-1}, 0 where u = 0."""
     u_sq = squared_magnitude(u_phys)
-    return Samples(u_phys, u_sq, damping_weight(u_sq, r))
+    return Samples(u_phys, u_sq, pointwise_power(u_sq, 0.5 * (r - 1.0)))
 
 
 def grid_samples(c, box, r: float, with_jacobian: bool = False):
@@ -119,7 +114,7 @@ def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:
     """|u|^{r-1} u evaluated on samples, with |u|^{r-1}u := 0 where u = 0."""
     if not 1 <= r < math.inf:
         raise InvalidExponentError(f"r must be finite and >= 1, got {r}")
-    return damping_weight(squared_magnitude(data), r) * data
+    return pointwise_samples(data, r).weight * data
 
 
 def damping(u: SpectralField, r: float, apply_dealias: bool = True) -> SpectralField:

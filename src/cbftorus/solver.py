@@ -22,7 +22,7 @@ damping rate and the next step's damping term.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -212,7 +212,8 @@ def _rates(c, box, t, forcing, samples, jac):
 def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
                      forcing: Forcing, extended: bool = False) -> SimulationState:
     """Project and restrict the initial condition, and prime the budget
-    rates; the state is exactly Hermitian.  ``forcing`` None is unforced."""
+    rates, a :class:`BlowUpError` if one is not finite; the state is
+    exactly Hermitian.  ``forcing`` None is unforced."""
     forcing = Forcing() if forcing is None else forcing
     if divergence_defect(ic) > DIV_FREE_TOL:
         warnings.warn("initial condition is not divergence-free; projecting")
@@ -221,6 +222,8 @@ def initialize_state(ic: SpectralField, params: CbfParams, config: SolverConfig,
     c = _settle(box.masked(box.project(box.gather(ic.coeffs))), box)
     samples, jac = grid_samples(c, box, params.r, extended)
     rates = _rates(c, box, 0.0, forcing, samples, jac)
+    if not np.all(np.isfinite(astuple(rates))):
+        raise BlowUpError("non-finite energy budget", last_valid_time=0.0)
     return SimulationState(t=0.0, coeffs=c, box=box, samples=samples,
                            rates=rates, energy0=rates.darcy, extended=extended,
                            params=params, config=config, forcing=forcing)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentsError, RegimeError
 from .families import check_seed, random_band_limited
-from .fields import SpectralField, band_box, squared_magnitude
+from .fields import SpectralField, band_box, magnitude, squared_magnitude
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         finite_constant, grid_samples, monotonicity_shift,
@@ -287,7 +287,7 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
     def margin(u, v, s):
         su, sv = _samples(u, r), _samples(v, r)
         pairing = _damping_pairing(su, sv, u.grid)
-        diff_lp = u.grid.integral(np.sqrt(squared_magnitude(su.phys - sv.phys))
+        diff_lp = u.grid.integral(magnitude(su.phys - sv.phys)
                                   ** (r + 1.0)) ** (2.0 / (r + 1.0))
         rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
         return (rhs - pairing) / (abs(pairing) + rhs + TINY)
@@ -304,9 +304,9 @@ def check_pointwise_mvt(sampler: FieldSampler, r: float,
     """
     def margin(u, v, s):
         y, z = _samples(u, r), _samples(v, r)
-        lhs = np.sqrt(squared_magnitude(y.weight * y.phys - z.weight * z.phys))
+        lhs = magnitude(y.weight * y.phys - z.weight * z.phys)
         rhs = (r * (np.sqrt(y.sq) + np.sqrt(z.sq)) ** (r - 1.0)
-               * np.sqrt(squared_magnitude(y.phys - z.phys)))
+               * magnitude(y.phys - z.phys))
         scale = float(np.max(rhs)) + TINY
         return float(np.min(rhs - lhs)) / scale
     return _sampled("pointwise_mvt", sampler, n_samples, margin, tolerance)
@@ -682,29 +682,33 @@ def check_apriori(diagnostics, params: CbfParams,
     """Energy estimate along a trajectory, pointwise in time:
 
     ||u(t)||^2 + mu int_0^t ||grad u||^2 + 2 beta int_0^t ||u||_{r+1}^{r+1}
-        <= ||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2.
+        <= (||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2) e^{rate t}, where rate
+    is 0 for f = 0, else max(mu - 2 alpha, 0): ||.||_V is the full H^1 norm, so
+    2<f,u> <= ||f||_{V'}^2/mu + mu ||u||_V^2 leaves (mu - 2 alpha)||u||^2.
     """
     f_int = _forcing_integrals(diagnostics, forcing, dual_norm)
     e0 = diagnostics[0].energy
+    forced = forcing is not None and not forcing.is_zero
+    rate = max(params.mu - 2.0 * params.alpha, 0.0) if forced else 0.0
     margins = []
     for d, fi in zip(diagnostics, f_int):
         lhs = (d.energy + params.mu * d.int_dissipation
                + 2.0 * params.beta * d.int_damping)
         rhs = e0 + fi / params.mu
-        margins.append((rhs * (1.0 + SLACK) - lhs) / (rhs + TINY))
+        margins.append((rhs * (1.0 + SLACK) - lhs * np.exp(-min(rate * d.t, 700.0)))
+                       / (rhs + TINY))
     return _trajectory_report("apriori", margins, f"relative slack {SLACK:g}")
 
 
 def resolve_theta(params: CbfParams) -> float:
     """Splitting weight theta of the critical-exponent gradient bound.
 
-    It needs 1/(2 mu) <= theta <= beta, so the regime requirement is
-    2*beta*mu >= 1; theta sits just above the lower end.
+    It needs 1/(2 mu) <= theta <= beta, so it is taken only where
+    ``params.critical_regime`` holds; theta sits just above the lower end.
     """
-    lo = 1.0 / (2.0 * params.mu)
-    if params.beta < lo:
+    if not params.critical_regime:
         raise RegimeError("gradient bound at r = 3 requires 2*beta*mu >= 1")
-    return min(lo + 1e-6, params.beta)
+    return min(1.0 / (2.0 * params.mu) + 1e-6, params.beta)
 
 
 def regularity_bound(params: CbfParams):

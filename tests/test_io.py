@@ -699,17 +699,18 @@ amplitude = 1e30
 [verify]
 checks = apriori
 """
-    cfg = _write(tmp_path, "overflow.ini", text)
-    # Every command names the cause; verify leaves no directory behind.
-    for command in ("run", "verify"):
-        out = tmp_path / f"overflow_{command}"
+    # Every command names the cause, also where continuous_dependence would
+    # perturb the initial condition; verify leaves no directory behind.
+    for command, checks in (("run", "apriori"), ("verify", "apriori"),
+                            ("verify", "continuous_dependence")):
+        cfg = _write(tmp_path, "overflow.ini", text.replace("apriori", checks))
+        out = tmp_path / f"overflow_{command}_{checks}"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
-        assert ("blow-up at t = 0: non-finite state"
+        assert ("blow-up at t = 0: non-finite energy budget"
                 in capsys.readouterr().err)
-    assert not (tmp_path / "overflow_verify").exists()
-    lines = (tmp_path / "overflow_run" / "diagnostics.tsv").read_text().splitlines()
-    assert lines[0].split("\t") == BASE_COLUMNS
-    assert len(lines) == 2 and float(lines[1].split("\t")[0]) == 0.0
+        assert command == "run" or not out.exists()
+    lines = (tmp_path / "overflow_run_apriori" / "diagnostics.tsv").read_text().splitlines()
+    assert [line.split("\t") for line in lines] == [BASE_COLUMNS]
 
 
 VERIFY_INI = """
@@ -935,6 +936,22 @@ def test_cli_verify_huge_exponent_skips_dissipation_identity(tmp_path):
     assert re.match(r"check dissipation_identity\n  status       REGIME-SKIP "
                     r"\(identity constant \(r\+1\)\^2 overflows a float at r = 1e\+300\)",
                     report)
+
+
+def test_cli_verify_regime_edge_is_one_regime(tmp_path):
+    # beta = 1/(2 mu) as computed, where 2*beta*mu rounds below 1: every
+    # r = 3 check of one session reads the regime as CbfParams does.
+    mu = 1.3522987986828883
+    cfg = _write(tmp_path, "v.ini", NS_VERIFY_INI
+                 .replace("mu = 0.5", f"mu = {mu!r}")
+                 .replace("beta = 0.0", f"beta = {1.0 / (2.0 * mu)!r}")
+                 .replace("r = 4.0", "r = 3.0").replace(
+                     "checks = all", "checks = monotone_critical, "
+                     "continuous_dependence, regularity"))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    report = (tmp_path / "v" / "verify_report.txt").read_text()
+    assert re.findall(r"status       (\S+)", report) == [
+        "EXPLORATORY", "REGIME-SKIP", "REGIME-SKIP"]
 
 
 def test_cli_verify_regularity_below_r3_is_a_skip(tmp_path, monkeypatch):

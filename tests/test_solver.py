@@ -160,18 +160,21 @@ def _energy_rows(times, energies):
 
 
 def test_apriori_bound_formulas(grid32):
-    # check_apriori's right-hand side ||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2
-    # is ||u0||^2 with f = 0, and ||u0||^2 + (t/mu)||f||_{V'}^2 for steady f:
-    # rows whose left-hand side equals it have the slack alone as margin.
+    # check_apriori's bound (||u0||^2 + (1/mu) int_0^t ||f||_{V'}^2) e^{rate t}
+    # is ||u0||^2 with f = 0 (rate 0), and (||u0||^2 + (t/mu)||f||_{V'}^2)
+    # e^{(mu - 2 alpha) t} for steady f: rows whose left-hand side equals it
+    # have the slack alone as margin.
     ic = random_band_limited(grid32, seed=19, band_limit=8)
     f = random_band_limited(grid32, seed=20, band_limit=4, amplitude=0.5)
     times, e0 = [0.0, 0.5, 2.0, 3.0], l2_norm(ic) ** 2
-    for forcing, f_sq in ((Forcing(), 0.0),
-                          (Forcing(f), dual_norm(f) ** 2)):
+    for forcing, f_sq, rate in (
+            (Forcing(), 0.0, 0.0),
+            (Forcing(f), dual_norm(f) ** 2, DAMPED.mu - 2.0 * DAMPED.alpha)):
         bound = [e0 + t / DAMPED.mu * f_sq for t in times]
         f_int = _forcing_integrals(_energy_rows(times, bound), forcing, dual_norm)
         assert e0 + f_int / DAMPED.mu == pytest.approx(bound, rel=1e-12)
-        report = check_apriori(_energy_rows(times, bound), DAMPED, forcing)
+        rows = [b * np.exp(rate * t) for b, t in zip(bound, times)]
+        report = check_apriori(_energy_rows(times, rows), DAMPED, forcing)
         assert report.worst_margin == pytest.approx(SLACK, abs=1e-12)
 
 
@@ -182,6 +185,20 @@ def test_apriori_bound_holds_along_run(grid32):
     assert diagnostics[0].energy == pytest.approx(l2_norm(ic) ** 2, rel=1e-12)
     report = check_apriori(diagnostics, DAMPED, Forcing())
     assert report.passed and report.samples == len(diagnostics) - 1
+
+
+def test_apriori_bound_holds_past_one_over_mu_when_forced():
+    # A steady Kolmogorov forcing from near rest: u ~ a(t) sin y e_x with
+    # a' = F - mu a, whose energy outgrows ||u0||^2 + (t/mu)||f||_{V'}^2
+    # once t > 1/mu; the envelope e^{(mu - 2 alpha) t} covers it.
+    grid = TorusGrid(dim=2, n_points=16)
+    params = CbfParams(mu=1.0, beta=1.0, r=4.0)
+    ic = random_band_limited(grid, seed=7, band_limit=2, amplitude=1e-3)
+    forcing = Forcing(kolmogorov(grid, mode=1, amplitude=1.0))
+    config = SolverConfig(dt=0.01, t_end=6.0, diagnostics_every=50)
+    _, diagnostics = run(ic, params, config, forcing)
+    report = check_apriori(diagnostics, params, forcing)
+    assert report.passed and report.worst_margin > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +219,21 @@ def test_blowup_detected_with_partial_diagnostics(grid32):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_is_reported_as_blowup():
+    # An initial condition whose energy budget overflows stops at t = 0; a
+    # finite start whose first update overflows stops in that step.
     grid = TorusGrid(dim=2, n_points=16)
     params = CbfParams(mu=1.0, beta=1.0, r=12.0)
     config = SolverConfig(dt=1e-3, t_end=1e-2)
     ic = random_band_limited(grid, seed=1, band_limit=4, amplitude=1e30)
-    state = initialize_state(ic, params, config, Forcing())
-    with pytest.raises(BlowUpError, match="non-finite") as err:
+    with pytest.raises(BlowUpError, match="non-finite energy budget") as err:
+        initialize_state(ic, params, config, Forcing())
+    assert err.value.last_valid_time == 0.0
+    ic = random_band_limited(grid, seed=1, band_limit=4, amplitude=1e-3)
+    forcing = Forcing(random_band_limited(grid, seed=2, band_limit=4,
+                                          amplitude=1e300))
+    config = SolverConfig(dt=1e10, t_end=1e10)
+    state = initialize_state(ic, params, config, forcing)
+    with pytest.raises(BlowUpError, match="non-finite state") as err:
         step(state)
     assert err.value.last_valid_time == 0.0
 

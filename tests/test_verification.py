@@ -451,6 +451,13 @@ def test_resolve_theta():
     assert resolve_theta(boundary) == pytest.approx(0.5)
     with pytest.raises(RegimeError):
         resolve_theta(CbfParams(mu=1.0, beta=0.4, r=3.0))
+    # beta = 1/(2 mu) as computed, yet 2*beta*mu rounds to 1 - 2**-53: the
+    # regime is CbfParams.critical_regime's, which excludes this pair.
+    mu = 1.3522987986828883
+    edge = CbfParams(mu=mu, beta=1.0 / (2.0 * mu), r=3.0)
+    assert not edge.critical_regime
+    with pytest.raises(RegimeError):
+        resolve_theta(edge)
 
 
 # ---------------------------------------------------------------------------
