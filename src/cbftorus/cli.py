@@ -19,11 +19,11 @@ from .config import (RunConfig, check_value, config_from_text, dump_config,
                      load_config)
 from .errors import (BlowUpError, CbfError, ConfigError, InvalidArgumentsError,
                      RegimeError, SnapshotFormatError)
-from .families import check_band_limit, taylor_green_exact
+from .families import check_band_limit
 from .fields import to_physical
 from .snapshot import write_snapshot_file
-from .solver import DiagnosticsSample, run
-from .spectral import embed_modes, l2_norm, leray_project, restrict_modes
+from .solver import DiagnosticsSample, initialize_state, run
+from .spectral import embed_modes, l2_norm, restrict_modes
 from .verification import FieldSampler
 
 EXIT_OK = 0
@@ -203,46 +203,49 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _taylor_green_error(state, params):
-    """Max pointwise error against the Taylor-Green closed form, relative."""
-    exact = taylor_green_exact(state.u.grid, params.mu, state.t)
-    num = to_physical(state.u)
-    return np.max(np.abs(num.data - exact.data)) / np.max(np.abs(exact.data))
+def _exact_error(state, start, params):
+    """Max pointwise error of ``state`` against the exact solution through
+    ``start`` at beta = 0, unforced, start.u * e^{-(mu*lam + alpha)*t} with
+    lam the Rayleigh quotient of ``start``, relative to that field."""
+    lam = start.rates.dissipation / start.rates.darcy
+    exact = to_physical(start.u * float(np.exp(-(params.mu * lam + params.alpha)
+                                               * state.t))).data
+    return np.max(np.abs(to_physical(state.u).data - exact)) / np.max(np.abs(exact))
 
 
-def _check_ladders(config: RunConfig, metric, dts, ns):
-    """The dt ladder's metric rule, and the band of each random field on the
-    N ladder's finest grid, where it is drawn: checked before anything is made."""
-    params, family = config.params(), config["ic"]["family"]
-    if dts and metric == "taylor_green" and (params.beta or params.alpha):
-        raise ConfigError("taylor_green metric needs beta = alpha = 0")
-    if dts and metric == "single_mode" and (params.beta or family != "single_mode"):
-        raise ConfigError("single_mode metric needs beta = 0 and "
-                          "ic.family = single_mode")
+def _check_ladders(config: RunConfig, metric, problem, ns):
+    """Check the ladders before anything is made; return the state that a
+    closed-form metric's dt ladder of ``problem`` starts from, or None.
+    That metric needs beta = 0, its own [ic] family, no forcing and a state
+    that keeps more than a rounding share of the [ic] energy.  The N
+    ladder's finest grid, where the fields are drawn, must be the grid of a
+    snapshot field and admit the band of each random one."""
+    ic, forcing, start = config["ic"], config["forcing"], None
+    if problem is not None and metric != "energy_residual":
+        start = initialize_state(*problem)
+        if (start.params.beta or ic["family"] != metric or forcing["kind"] != "zero"
+                or start.rates.darcy <= np.finfo(float).eps * l2_norm(problem[0]) ** 2):
+            raise ConfigError(f"{metric} metric needs beta = 0 and ic.family = "
+                              f"{metric}, unforced (forcing.kind = zero), from "
+                              "an initial state with energy")
     if ns:
+        n = config["grid"]["n"]
+        if max(ns) != n and (ic["family"] == "snapshot" or (
+                forcing["kind"] != "zero" and forcing["snapshot"])):
+            raise ConfigError(f"convergence.ns: the finest N = {max(ns)} is "
+                              f"not [grid] n = {n}, the snapshot's grid")
         config.check_bands(max(ns))
+    return start
 
 
-def _convergence_errors_dt(config: RunConfig, metric, dts, problem):
+def _convergence_errors_dt(dts, problem, start):
+    """Each rung's error: against the exact solution through ``start``, or,
+    start None, the final energy residual."""
     ic, params, base, forcing = problem
-    if metric == "single_mode":
-        k_sq = (sum(m * m for m in config["ic"]["mode"])
-                * (2.0 * np.pi / ic.grid.period) ** 2)
-        u0 = leray_project(ic)
-    errors = []
-    for dt in dts:
-        solver_config = dataclasses.replace(base, dt=dt,
-                                            diagnostics_every=10 ** 9)
-        state, diagnostics = run(ic, params, solver_config, forcing)
-        if metric == "taylor_green":
-            err = _taylor_green_error(state, params)
-        elif metric == "single_mode":
-            decay = np.exp(-(params.mu * k_sq + params.alpha) * state.t)
-            err = l2_norm(state.u - u0 * float(decay)) / l2_norm(u0)
-        else:
-            err = abs(diagnostics[-1].energy_residual)
-        errors.append(float(err))
-    return errors
+    runs = (run(ic, params, dataclasses.replace(base, dt=dt), forcing) for dt in dts)
+    return [float(abs(diagnostics[-1].energy_residual) if start is None
+                  else _exact_error(state, start, params))
+            for state, diagnostics in runs]
 
 
 def _convergence_errors_n(problem, ns):
@@ -278,14 +281,14 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
     dts, ns = conv["dts"], conv["ns"]
     if not dts and not ns:
         raise InvalidArgumentsError("convergence needs a dt ladder or an N ladder")
-    _check_ladders(config, conv["metric"], dts, ns)
-    # Each ladder's fields are built before anything is written.
+    # Each ladder's fields are built and checked before anything is written.
     dt_problem = config.problem() if dts else None
+    start = _check_ladders(config, conv["metric"], dt_problem, ns)
     n_problem = config.problem(dataclasses.replace(
         config.grid(), n_points=max(ns))) if ns else None
     out = _ensure_outdir(out_dir or config["output"]["directory"])
     if dts:
-        errors = _convergence_errors_dt(config, conv["metric"], dts, dt_problem)
+        errors = _convergence_errors_dt(dts, dt_problem, start)
         orders = _write_ladder(os.path.join(out, "convergence_dt.tsv"),
                                "dt\terror\torder\n", dts, errors,
                                lambda ratio, step: np.log(ratio) / np.log(step))
@@ -345,16 +348,17 @@ def main(argv=None) -> int:
 
 
 def cmd_taylor_green(out_dir) -> int:
-    """Canned benchmark: decaying Taylor-Green vortex against its closed form."""
+    """Canned benchmark: decaying Taylor-Green vortex against its exact solution."""
     config = config_from_text(TAYLOR_GREEN_CONFIG)
-    ic, params, solver_config, forcing = config.problem()
+    problem = config.problem()
+    params, start = problem[1], initialize_state(*problem)
     out = _ensure_outdir(out_dir)
     dump_config(config, os.path.join(out, "config_effective.ini"))
-    state, diagnostics = run(ic, params, solver_config, forcing)
+    state, diagnostics = run(*problem)
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     write_snapshot_file(os.path.join(out, "final_state.snap"),
                         state.u, state.t, params)
-    err = _taylor_green_error(state, params)
+    err = _exact_error(state, start, params)
     print(f"taylor-green max pointwise relative error at t={state.t:g}: {err:.3e}")
     print(f"outputs in {out}")
     return EXIT_OK

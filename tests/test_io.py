@@ -1,5 +1,6 @@
 """Configuration, snapshot format, diagnostics files, and the CLI surface."""
 
+import contextlib
 import dataclasses
 import inspect
 import os
@@ -1392,7 +1393,7 @@ def test_verify_n_is_checked_as_a_grid(tmp_path, capsys, monkeypatch, n):
 
 
 @pytest.mark.parametrize("metric,message", [
-    ("taylor_green", "taylor_green metric needs beta = alpha = 0"),
+    ("taylor_green", "taylor_green metric needs beta = 0 and ic.family = taylor_green"),
     ("single_mode", "single_mode metric needs beta = 0 and ic.family = single_mode"),
 ])
 def test_cli_convergence_metric_checked_before_its_directory(
@@ -1404,6 +1405,106 @@ def test_cli_convergence_metric_checked_before_its_directory(
     assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
                      "--out", str(out)]) == 2
     assert message in capsys.readouterr().err and not out.exists()
+
+
+def _exact_ladder(metric, **sections):
+    """A closed-form dt ladder of ``metric``: 2D N = 16, mu = 0.1, beta = 0,
+    the Taylor-Green [ic] and no forcing, with the lines of ``sections``
+    (name -> text) added."""
+    text = {"grid": "n = 16\n", "params": "mu = 0.1\nbeta = 0.0\n",
+            "solver": "t_end = 0.1\n",
+            "convergence": f"dts = 0.02, 0.01, 0.005\nmetric = {metric}\n"}
+    for name, lines in sections.items():
+        text[name] = text.get(name, "") + lines
+    return "".join(f"[{name}]\n{lines}" for name, lines in text.items())
+
+
+STEADY_KOLMOGOROV = "kind = steady\nfamily = kolmogorov\n"
+
+
+@pytest.mark.parametrize("metric,sections,warns", [
+    ("taylor_green", {"ic": "family = random\nband_limit = 4\n"}, False),
+    ("taylor_green", {"forcing": STEADY_KOLMOGOROV}, False),
+    ("single_mode", {"ic": "family = single_mode\nmode = 1, 2\n",
+                     "forcing": STEADY_KOLMOGOROV}, True),
+    # |m_1| = 6 lies outside the dealiased band |m_i| <= 5
+    ("single_mode", {"ic": "family = single_mode\nmode = 6, 0\ncomponent = 1\n"},
+     False),
+    # a gradient, which the projection takes to zero
+    ("single_mode", {"ic": "family = single_mode\nmode = 0, 1\ncomponent = 1\n"},
+     True),
+    # the Taylor-Green modes have |m|^2 = 2, outside the ball
+    ("taylor_green", {"solver": "galerkin_n = 1\ngalerkin_shape = ball\n"}, False),
+], ids=["random-ic", "forced", "single-mode-forced", "off-band", "gradient",
+        "ball"])
+def test_cli_convergence_closed_form_rule(tmp_path, capsys, monkeypatch, metric,
+                                          sections, warns):
+    # The exact solution through the initial state holds only at beta = 0,
+    # for the metric's own [ic] family, unforced, from a state that keeps
+    # energy once projected and banded: otherwise exit 2, naming the
+    # metric, before any step or directory.
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    cfg = _write(tmp_path, "c.ini", _exact_ladder(metric, **sections))
+    with (pytest.warns(UserWarning, match="not divergence-free") if warns
+          else contextlib.nullcontext()):
+        assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    message = (f"{metric} metric needs beta = 0 and ic.family = {metric}, "
+               "unforced (forcing.kind = zero), from an initial state with energy")
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_cli_convergence_taylor_green_exact_through_the_start(tmp_path):
+    # The exact solution decays the initial state at mu*lam + alpha:
+    # second order at alpha = 0.5, and at amplitude 2 the relative errors
+    # of amplitude 1.
+    tables = []
+    for name, sections in (("unit", {}), ("double", {"ic": "amplitude = 2\n"}),
+                           ("darcy", {"params": "alpha = 0.5\n"})):
+        cfg = _write(tmp_path, f"{name}.ini", _exact_ladder("taylor_green", **sections))
+        assert cli.main(["convergence", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "convergence_dt.tsv").read_text().splitlines()
+        tables.append(np.array([line.split("\t") for line in lines[1:]], float))
+    unit, double, darcy = tables
+    np.testing.assert_allclose(double[:, 1], unit[:, 1], rtol=1e-9)
+    assert list(darcy[1:, 2] > 1.9) == [True, True]
+
+
+def test_cli_convergence_needs_a_ladder(tmp_path, capsys, monkeypatch):
+    # Neither dts nor ns: exit 2, with nothing run or made.
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", LADDER_INI),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "convergence needs a dt ladder or an N ladder" in err and not out.exists()
+
+
+@pytest.mark.parametrize("section", ["ic", "forcing"])
+def test_cli_convergence_n_ladder_ends_on_the_snapshot_grid(tmp_path, capsys,
+                                                            monkeypatch, section):
+    # A snapshot field lies on [grid], n = 16, so an N ladder that ends on
+    # another grid exits 2 before anything runs or is made, naming
+    # convergence.ns and both N; one that ends on n = 16 runs, as run does.
+    grid = TorusGrid(dim=2, n_points=16)
+    write_snapshot_file(tmp_path / "f.snap", random_band_limited(grid, seed=3,
+                                                                 band_limit=4),
+                        0.0, CbfParams())
+    spec = {"ic": "[ic]\nfamily = snapshot\nsnapshot = f.snap\n",
+            "forcing": "[forcing]\nkind = steady\nsnapshot = f.snap\n"}[section]
+    text = ("[grid]\nn = 16\n[solver]\ndt = 0.002\nt_end = 0.004\n" + spec
+            + "[convergence]\nmetric = energy_residual\n")
+    cfg = _write(tmp_path, "c.ini", text + "ns = 16, 24, 32\n")
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+    message = "convergence.ns: the finest N = 32 is not [grid] n = 16"
+    assert message in capsys.readouterr().err and not out.exists() and runs == []
+    assert cli.main(["convergence", "--config", _write(
+        tmp_path, "d.ini", text + "ns = 8, 12, 16\n"), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 @pytest.mark.parametrize("ladder", ["dts = 0.004, 0.002, 0.001", "ns = 8, 12, 16"],
