@@ -1,7 +1,7 @@
 """Command-line surface: run, verify, convergence, taylor-green.
 
 Exit status contract: 0 all good, 1 check failure, 2 usage/config error,
-malformed snapshot or unwritable output file, 3 numerical blow-up.
+malformed snapshot, unwritable output file or failed allocation, 3 blow-up.
 """
 
 import argparse
@@ -203,35 +203,42 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _exact_error(state, start, params):
-    """Max pointwise error of ``state`` against the exact solution through
-    ``start`` at beta = 0, unforced, start.u * e^{-(mu*lam + alpha)*t} with
-    lam the Rayleigh quotient of ``start``, relative to that field."""
-    lam = start.rates.dissipation / start.rates.darcy
-    exact = to_physical(start.u * float(np.exp(-(params.mu * lam + params.alpha)
-                                               * state.t))).data
+def _exact_solution(start, t):
+    """Point values at time t of the exact solution through ``start`` at
+    beta = 0, unforced, start.u * e^{-(mu*lam + alpha)*t} with lam the
+    Rayleigh quotient of ``start``."""
+    lam, p = start.rates.dissipation / start.rates.darcy, start.params
+    return to_physical(start.u * float(np.exp(-(p.mu * lam + p.alpha) * t))).data
+
+
+def _exact_error(state, start):
+    """Max pointwise error of ``state`` relative to ``_exact_solution``."""
+    exact = _exact_solution(start, state.t)
     return np.max(np.abs(to_physical(state.u).data - exact)) / np.max(np.abs(exact))
 
 
 def _check_ladders(config: RunConfig, metric, problem, ns):
-    """Check the ladders before anything is made; return the state that a
-    closed-form metric's dt ladder of ``problem`` starts from, or None.
-    That metric needs beta = 0, its own [ic] family, no forcing and a state
-    that keeps more than a rounding share of the [ic] energy.  The N
-    ladder's finest grid, where the fields are drawn, must be the grid of a
-    snapshot field and admit the band of each random one."""
-    ic, forcing, start = config["ic"], config["forcing"], None
-    if problem is not None and metric != "energy_residual":
+    """Check the ladders before anything is made; return the state that the
+    exact metric's dt ladder of ``problem`` starts from, or None.  That
+    metric needs beta = 0, a Taylor-Green or single-mode [ic], no forcing,
+    a start that keeps more than a rounding share of the [ic] energy and a
+    normal-float exact solution at t_end.  The N ladder's finest grid must
+    be a snapshot field's grid and admit the band of each random one."""
+    ic, forcing, start = config.source("ic"), config.source("forcing"), None
+    if problem is not None and metric == "exact":
         start = initialize_state(*problem)
-        if (start.params.beta or ic["family"] != metric or forcing["kind"] != "zero"
+        if (start.params.beta or forcing or ic not in ("taylor_green", "single_mode")
                 or start.rates.darcy <= np.finfo(float).eps * l2_norm(problem[0]) ** 2):
-            raise ConfigError(f"{metric} metric needs beta = 0 and ic.family = "
-                              f"{metric}, unforced (forcing.kind = zero), from "
-                              "an initial state with energy")
+            raise ConfigError("exact metric needs beta = 0, ic.family = taylor_green or "
+                              "single_mode, unforced (forcing.kind = zero), from an "
+                              "initial state with energy")
+        t_end = problem[2].t_end
+        if np.max(np.abs(_exact_solution(start, t_end))) < np.finfo(float).tiny:
+            raise ConfigError(f"exact metric: the exact solution underflows by "
+                              f"t_end = {t_end:g}")
     if ns:
         n = config["grid"]["n"]
-        if max(ns) != n and (ic["family"] == "snapshot" or (
-                forcing["kind"] != "zero" and forcing["snapshot"])):
+        if max(ns) != n and "snapshot" in (ic, forcing):
             raise ConfigError(f"convergence.ns: the finest N = {max(ns)} is "
                               f"not [grid] n = {n}, the snapshot's grid")
         config.check_bands(max(ns))
@@ -244,7 +251,7 @@ def _convergence_errors_dt(dts, problem, start):
     ic, params, base, forcing = problem
     runs = (run(ic, params, dataclasses.replace(base, dt=dt), forcing) for dt in dts)
     return [float(abs(diagnostics[-1].energy_residual) if start is None
-                  else _exact_error(state, start, params))
+                  else _exact_error(state, start))
             for state, diagnostics in runs]
 
 
@@ -335,8 +342,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, out_dir=args.out, seed_override=args.seed)
         return cmd_convergence(config, out_dir=args.out)
-    except (ConfigError, InvalidArgumentsError, SnapshotFormatError,
-            OSError) as err:  # OSError: an output file that cannot be written
+    except (ConfigError, InvalidArgumentsError, SnapshotFormatError, OSError,
+            MemoryError) as err:  # an unwritable output file, an array too large
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as err:
@@ -358,7 +365,7 @@ def cmd_taylor_green(out_dir) -> int:
     write_diagnostics(diagnostics, os.path.join(out, "diagnostics.tsv"))
     write_snapshot_file(os.path.join(out, "final_state.snap"),
                         state.u, state.t, params)
-    err = _exact_error(state, start, params)
+    err = _exact_error(state, start)
     print(f"taylor-green max pointwise relative error at t={state.t:g}: {err:.3e}")
     print(f"outputs in {out}")
     return EXIT_OK

@@ -108,9 +108,7 @@ SCHEMA = {
     "convergence": {
         "dts": (_float_list, (), None),
         "ns": (_int_list, (), None),
-        "metric": (str, "taylor_green",
-                   lambda v: v in ("taylor_green", "single_mode",
-                                   "energy_residual")),
+        "metric": (str, "exact", lambda v: v in ("exact", "energy_residual")),
     },
 }
 
@@ -134,24 +132,33 @@ class RunConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(**self["solver"])
 
+    def source(self, section):
+        """What the [ic] or [forcing] field is drawn from: None for no
+        forcing, "snapshot" for a snapshot file, else the family name."""
+        spec = self[section]
+        if section == "forcing":
+            if spec["kind"] == "zero":
+                return None
+            if spec["snapshot"]:
+                return "snapshot"
+        return spec["family"]
+
     def check_bands(self, n_points):
         """The band rule of the random [ic] and [forcing] fields on N = n_points."""
-        ic, forcing = self["ic"], self["forcing"]
-        if ic["family"] == "random":
-            check_band_limit(ic["band_limit"], n_points, "ic")
-        if (forcing["kind"] != "zero" and forcing["family"] == "random"
-                and not forcing["snapshot"]):
-            check_band_limit(forcing["band_limit"], n_points, "forcing")
+        for section in ("ic", "forcing"):
+            if self.source(section) == "random":
+                check_band_limit(self[section]["band_limit"], n_points, section)
 
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _family_field(self, grid, section):
-        """The [ic] or [forcing] family field; an argument a family rejects,
-        or a field that overflows its finiteness check, is a section error."""
-        spec = self[section]
-        name = spec["family"]
+    def _field(self, grid, section):
+        """The [ic] or [forcing] field on ``grid``, from its source; a family
+        argument rejected, or a field that overflows, is a section error."""
+        spec, name = self[section], self.source(section)
+        if name == "snapshot":
+            return self._snapshot_field(section, grid)
         try:
             if name == "taylor_green":
                 return taylor_green(grid, amplitude=spec["amplitude"])
@@ -181,22 +188,15 @@ class RunConfig:
         return field
 
     def initial_condition(self, grid=None):
-        grid = grid if grid is not None else self.grid()
-        spec = self["ic"]
-        if spec["family"] == "snapshot":
-            return self._snapshot_field("ic", grid)
-        return self._family_field(grid, "ic")
+        return self._field(grid if grid is not None else self.grid(), "ic")
 
     def forcing(self, grid=None) -> Forcing:
-        grid = grid if grid is not None else self.grid()
-        spec = self["forcing"]
-        if spec["kind"] == "zero":
+        if self.source("forcing") is None:
             return Forcing()
-        base = (self._snapshot_field("forcing", grid) if spec["snapshot"]
-                else self._family_field(grid, "forcing"))
-        if spec["kind"] == "steady":
+        base = self._field(grid if grid is not None else self.grid(), "forcing")
+        if self["forcing"]["kind"] == "steady":
             return Forcing(base)
-        rate = spec["decay_rate"]
+        rate = self["forcing"]["decay_rate"]
         return Forcing(base, lambda t: np.exp(-rate * t))
 
     def problem(self, grid=None):
@@ -283,11 +283,9 @@ def _cross_validate(config: RunConfig):
     except InvalidArgumentsError as err:
         raise ConfigError(str(err)) from None
     # A snapshot is read at load, so a bad one fails before any output.
-    if config["ic"]["family"] == "snapshot":
-        config._snapshot_field("ic", config.grid())
-    forcing = config["forcing"]
-    if forcing["kind"] != "zero" and forcing["snapshot"]:
-        config._snapshot_field("forcing", config.grid())
+    for section in ("ic", "forcing"):
+        if config.source(section) == "snapshot":
+            config._snapshot_field(section, config.grid())
     verify = config["verify"]
     checks = verify["checks"]
     if not checks or len(set(checks)) < len(checks):

@@ -126,11 +126,14 @@ def dual_norm(u: SpectralField) -> float:
 
 
 def lp_norm(u, p: float) -> float:
-    """L^p norm of the pointwise magnitude, by grid-point quadrature."""
+    """L^p norm of the pointwise magnitude, by grid-point quadrature summed
+    relative to the peak magnitude, so that |u|^p cannot underflow to 0."""
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
     phys = u if isinstance(u, PhysicalField) else to_physical(u)
-    return phys.grid.integral(magnitude(phys.data) ** p) ** (1.0 / p)
+    mags = magnitude(phys.data)
+    peak = float(np.max(mags)) or 1.0  # a zero field sums to 0 either way
+    return peak * phys.grid.integral((mags / peak) ** p) ** (1.0 / p)
 
 
 def l2_pairing(f: SpectralField, u: SpectralField) -> float:

@@ -187,6 +187,25 @@ amplitude = 0.5
     assert f is not None and l2_norm(f) > 0
 
 
+@pytest.mark.parametrize("sections,ic,forcing", [
+    ("", "taylor_green", None),
+    ("[ic]\nfamily = random\n", "random", None),
+    ("[ic]\nfamily = single_mode\n", "single_mode", None),
+    ("[ic]\nfamily = snapshot\nsnapshot = f.snap\n", "snapshot", None),
+    ("[forcing]\nkind = steady\n", "taylor_green", "kolmogorov"),
+    ("[forcing]\nkind = analytic\nfamily = random\n", "taylor_green", "random"),
+    ("[forcing]\nkind = steady\nsnapshot = f.snap\n", "taylor_green", "snapshot"),
+    # a zero forcing draws on nothing, whatever its family and snapshot
+    ("[forcing]\nfamily = random\nsnapshot = f.snap\n", "taylor_green", None),
+], ids=["default", "random-ic", "single-mode-ic", "snapshot-ic", "steady-family",
+        "analytic-random", "steady-snapshot", "zero-with-snapshot"])
+def test_config_source_of_each_field(tmp_path, sections, ic, forcing):
+    write_snapshot_file(tmp_path / "f.snap", random_band_limited(
+        TorusGrid(dim=2, n_points=32), seed=3, band_limit=4), 0.0, CbfParams())
+    config = config_from_text(MINIMAL + sections, base_dir=str(tmp_path))
+    assert (config.source("ic"), config.source("forcing")) == (ic, forcing)
+
+
 def test_kolmogorov_is_forcing_only(tmp_path):
     text = MINIMAL + "\n[ic]\nfamily = kolmogorov\n"
     with pytest.raises(ConfigError, match="ic.family"):
@@ -1145,6 +1164,24 @@ def test_cli_unwritable_output_file_exit_2(tmp_path, capsys, command, name):
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_allocation_failure_exit_2(tmp_path, capsys, monkeypatch, command):
+    # An array the config asks for that does not fit in memory is a config
+    # error: one error line, exit 2 and no directory.
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 116. TiB for an array")
+
+    monkeypatch.setattr(RunConfig, "problem", too_large)
+    monkeypatch.setattr(cli, "_run_one_check", too_large)
+    text = {"run": RUN_INI, "verify": NS_VERIFY_INI}[command]
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 116. TiB for an array\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "convergence"])
 def test_cli_empty_output_directory_exit_2(tmp_path, capsys, command):
     text = {"run": RUN_INI, "convergence": CONV_INI}[command]
@@ -1278,7 +1315,7 @@ component = 0
 
 [convergence]
 dts = 0.004, 0.002, 0.001
-metric = single_mode
+metric = exact
 """
 
 
@@ -1292,9 +1329,23 @@ def test_cli_convergence_single_mode_first_order(tmp_path, capsys):
     assert all(0.9 < p < 1.1 for p in orders)
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "convergence"])
+def test_old_closed_form_metric_names_exit_2_at_load(tmp_path, capsys, command):
+    # The two closed-form metrics are one, exact; their old names lie
+    # outside the domain under every command, before any directory.
+    for metric in ("taylor_green", "single_mode"):
+        text = CONV_INI.replace("metric = exact", f"metric = {metric}")
+        out = tmp_path / metric
+        assert cli.main([command, "--config", _write(tmp_path, "c.ini", text),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"convergence.metric: value {metric!r} out of domain" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("metric,ic", [
-    ("taylor_green", "family = taylor_green"),
-    ("single_mode", "family = single_mode\nmode = 0, 1"),
+    ("exact", "family = taylor_green"),
+    ("exact", "family = single_mode\nmode = 0, 1"),
 ])
 def test_cli_convergence_metric_checked_before_any_step(tmp_path, monkeypatch,
                                                         metric, ic):
@@ -1393,8 +1444,7 @@ def test_verify_n_is_checked_as_a_grid(tmp_path, capsys, monkeypatch, n):
 
 
 @pytest.mark.parametrize("metric,message", [
-    ("taylor_green", "taylor_green metric needs beta = 0 and ic.family = taylor_green"),
-    ("single_mode", "single_mode metric needs beta = 0 and ic.family = single_mode"),
+    ("exact", "exact metric needs beta = 0, ic.family = taylor_green or single_mode"),
 ])
 def test_cli_convergence_metric_checked_before_its_directory(
         tmp_path, capsys, monkeypatch, metric, message):
@@ -1423,18 +1473,18 @@ STEADY_KOLMOGOROV = "kind = steady\nfamily = kolmogorov\n"
 
 
 @pytest.mark.parametrize("metric,sections,warns", [
-    ("taylor_green", {"ic": "family = random\nband_limit = 4\n"}, False),
-    ("taylor_green", {"forcing": STEADY_KOLMOGOROV}, False),
-    ("single_mode", {"ic": "family = single_mode\nmode = 1, 2\n",
+    ("exact", {"ic": "family = random\nband_limit = 4\n"}, False),
+    ("exact", {"forcing": STEADY_KOLMOGOROV}, False),
+    ("exact", {"ic": "family = single_mode\nmode = 1, 2\n",
                      "forcing": STEADY_KOLMOGOROV}, True),
     # |m_1| = 6 lies outside the dealiased band |m_i| <= 5
-    ("single_mode", {"ic": "family = single_mode\nmode = 6, 0\ncomponent = 1\n"},
+    ("exact", {"ic": "family = single_mode\nmode = 6, 0\ncomponent = 1\n"},
      False),
     # a gradient, which the projection takes to zero
-    ("single_mode", {"ic": "family = single_mode\nmode = 0, 1\ncomponent = 1\n"},
+    ("exact", {"ic": "family = single_mode\nmode = 0, 1\ncomponent = 1\n"},
      True),
     # the Taylor-Green modes have |m|^2 = 2, outside the ball
-    ("taylor_green", {"solver": "galerkin_n = 1\ngalerkin_shape = ball\n"}, False),
+    ("exact", {"solver": "galerkin_n = 1\ngalerkin_shape = ball\n"}, False),
 ], ids=["random-ic", "forced", "single-mode-forced", "off-band", "gradient",
         "ball"])
 def test_cli_convergence_closed_form_rule(tmp_path, capsys, monkeypatch, metric,
@@ -1449,7 +1499,7 @@ def test_cli_convergence_closed_form_rule(tmp_path, capsys, monkeypatch, metric,
     with (pytest.warns(UserWarning, match="not divergence-free") if warns
           else contextlib.nullcontext()):
         assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 2
-    message = (f"{metric} metric needs beta = 0 and ic.family = {metric}, "
+    message = (f"{metric} metric needs beta = 0, ic.family = taylor_green or single_mode, "
                "unforced (forcing.kind = zero), from an initial state with energy")
     assert message in capsys.readouterr().err and not out.exists()
 
@@ -1461,7 +1511,7 @@ def test_cli_convergence_taylor_green_exact_through_the_start(tmp_path):
     tables = []
     for name, sections in (("unit", {}), ("double", {"ic": "amplitude = 2\n"}),
                            ("darcy", {"params": "alpha = 0.5\n"})):
-        cfg = _write(tmp_path, f"{name}.ini", _exact_ladder("taylor_green", **sections))
+        cfg = _write(tmp_path, f"{name}.ini", _exact_ladder("exact", **sections))
         assert cli.main(["convergence", "--config", cfg,
                          "--out", str(tmp_path / name)]) == 0
         lines = (tmp_path / name / "convergence_dt.tsv").read_text().splitlines()
@@ -1469,6 +1519,35 @@ def test_cli_convergence_taylor_green_exact_through_the_start(tmp_path):
     unit, double, darcy = tables
     np.testing.assert_allclose(double[:, 1], unit[:, 1], rtol=1e-9)
     assert list(darcy[1:, 2] > 1.9) == [True, True]
+
+
+@pytest.mark.parametrize("ic", ["family = taylor_green\n",
+                                "family = single_mode\nmode = 0, 2\n"],
+                         ids=["taylor_green", "single_mode"])
+def test_cli_convergence_exact_ladders_second_order(tmp_path, ic):
+    # One metric for either closed form: cnab2 is second order against it.
+    cfg = _write(tmp_path, "c.ini", _exact_ladder("exact", ic=ic))
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "convergence_dt.tsv").read_text().splitlines()[2:]
+    assert [float(row.split("\t")[2]) >= 1.9 for row in rows] == [True, True]
+
+
+def test_cli_convergence_exact_solution_underflow_exit_2(tmp_path, capsys,
+                                                        monkeypatch):
+    # mu*lam*t_end = 10 * 49 * 1.6 = 784 and e^{-784} is 0 in a float, so
+    # every rung would read inf: exit 2, naming the metric, before any step
+    # or directory.
+    text = ("[grid]\nn = 32\n[params]\nmu = 10\nbeta = 0.0\n[solver]\nt_end = 1.6\n"
+            "[ic]\nfamily = single_mode\nmode = 7, 0\ncomponent = 1\n"
+            "[convergence]\ndts = 0.02, 0.01, 0.005\nmetric = exact\n")
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exact metric: the exact solution underflows by t_end = 1.6" in err
+    assert not out.exists()
 
 
 def test_cli_convergence_needs_a_ladder(tmp_path, capsys, monkeypatch):

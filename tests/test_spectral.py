@@ -243,6 +243,14 @@ def test_lp_norm_sin_fourth_power(grid32):
     assert lp_norm(u, 4) ** 4 == pytest.approx(exact, rel=1e-12)
 
 
+def test_lp_norm_does_not_underflow(grid32):
+    # (1e-3)^1000 is 0 in a float; summed relative to the peak, the norm of
+    # the constant 1e-3 is 1e-3 |T|^{1/p}, and the zero field's is 0.
+    u = PhysicalField(grid32, np.full((2,) + grid32.shape, 1e-3 / np.sqrt(2)))
+    assert lp_norm(u, 1000) == pytest.approx(1e-3 * grid32.volume ** 1e-3, rel=1e-12)
+    assert lp_norm(PhysicalField(grid32, 0.0 * u.data), 1000) == 0.0
+
+
 @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
 def test_lp_norm_needs_finite_p_at_least_one(grid32, p):
     # Quadrature of mag**p answers neither max|u| at p = inf nor anything
