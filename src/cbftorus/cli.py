@@ -203,12 +203,17 @@ def cmd_verify(config: RunConfig, out_dir=None, seed_override=None) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
+def _decay_rate(start):
+    """mu*lam + alpha, lam the Rayleigh quotient of ``start``: the rate at
+    which the exact solution through it decays at beta = 0, unforced."""
+    lam, p = start.rates.dissipation / start.rates.darcy, start.params
+    return p.mu * lam + p.alpha
+
+
 def _exact_solution(start, t):
     """Point values at time t of the exact solution through ``start`` at
-    beta = 0, unforced, start.u * e^{-(mu*lam + alpha)*t} with lam the
-    Rayleigh quotient of ``start``."""
-    lam, p = start.rates.dissipation / start.rates.darcy, start.params
-    return to_physical(start.u * float(np.exp(-(p.mu * lam + p.alpha) * t))).data
+    beta = 0, unforced, start.u * e^{-(mu*lam + alpha)*t}."""
+    return to_physical(start.u * float(np.exp(-_decay_rate(start) * t))).data
 
 
 def _exact_error(state, start):
@@ -217,13 +222,16 @@ def _exact_error(state, start):
     return np.max(np.abs(to_physical(state.u).data - exact)) / np.max(np.abs(exact))
 
 
-def _check_ladders(config: RunConfig, metric, problem, ns):
+def _check_ladders(config: RunConfig, metric, problem, ns, dts):
     """Check the ladders before anything is made; return the state that the
-    exact metric's dt ladder of ``problem`` starts from, or None.  That
+    exact metric's ladder ``dts`` of ``problem`` starts from, or None.  That
     metric needs beta = 0, a Taylor-Green or single-mode [ic], no forcing,
-    a start that keeps more than a rounding share of the [ic] energy and a
-    normal-float exact solution at t_end.  The N ladder's finest grid must
-    be a snapshot field's grid and admit the band of each random one."""
+    a start that keeps more than a rounding share of the [ic] energy, a
+    normal-float exact solution at t_end and steps that resolve its decay:
+    z = (mu*lam + alpha)*dt below 2 for the largest dt, where cnab2's
+    factor (1 - z/2)/(1 + z/2) is still positive.  The N ladder's finest
+    grid must be a snapshot field's grid and admit the band of each random
+    one."""
     ic, forcing, start = config.source("ic"), config.source("forcing"), None
     if problem is not None and metric == "exact":
         start = initialize_state(*problem)
@@ -236,6 +244,11 @@ def _check_ladders(config: RunConfig, metric, problem, ns):
         if np.max(np.abs(_exact_solution(start, t_end))) < np.finfo(float).tiny:
             raise ConfigError(f"exact metric: the exact solution underflows by "
                               f"t_end = {t_end:g}")
+        z = _decay_rate(start) * max(dts)
+        if z >= 2.0:
+            raise ConfigError(f"exact metric: (mu*lam + alpha)*dt = {z:.4g} >= 2 "
+                              f"at dt = {max(dts):g}; the step does not resolve "
+                              "the exact solution's decay")
     if ns:
         n = config["grid"]["n"]
         if max(ns) != n and "snapshot" in (ic, forcing):
@@ -290,7 +303,7 @@ def cmd_convergence(config: RunConfig, out_dir=None) -> int:
         raise InvalidArgumentsError("convergence needs a dt ladder or an N ladder")
     # Each ladder's fields are built and checked before anything is written.
     dt_problem = config.problem() if dts else None
-    start = _check_ladders(config, conv["metric"], dt_problem, ns)
+    start = _check_ladders(config, conv["metric"], dt_problem, ns, dts)
     n_problem = config.problem(dataclasses.replace(
         config.grid(), n_points=max(ns))) if ns else None
     out = _ensure_outdir(out_dir or config["output"]["directory"])

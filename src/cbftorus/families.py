@@ -132,13 +132,7 @@ def _mesh(*rows):
 
 def kolmogorov(grid: TorusGrid, mode: int = 1, amplitude: float = 1.0) -> SpectralField:
     """Steady shear forcing amplitude*(sin(m * 2 pi y / L), 0, ...), for
-    |m| < N/2."""
-    if abs(mode) >= grid.n_points // 2:
-        raise InvalidArgumentsError(
-            f"mode {mode} needs |mode| < N/2 = {grid.n_points // 2}")
-    scale = TWO_PI / grid.period
-    mesh = grid.meshgrid()
-    data = np.zeros((grid.dim,) + grid.shape)
-    data[0] = amplitude * np.sin(mode * scale * mesh[1])
-    return to_spectral(PhysicalField(grid, data))
-
+    |m| < N/2: the single mode (0, m, 0, ...) of component 0 at phase
+    -pi/2, built on its coefficients."""
+    return single_mode(grid, (0, mode) + (0,) * (grid.dim - 2), 0, amplitude,
+                       -0.5 * np.pi)

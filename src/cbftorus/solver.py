@@ -28,11 +28,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BlowUpError, InvalidArgumentsError, InvalidFieldError
-from .fields import (ModeBox, SpectralField, _settled, band_box,
+from .fields import (ModeBox, SpectralField, _settled, band_box, mode_box,
                      require_same_grid)
 from .operators import (DIV_FREE_TOL, CbfParams, Samples, grid_samples,
                         nonlinear_term)
-from .spectral import divergence_defect, leray_project, restrict_modes
+from .spectral import divergence_defect, restrict_modes
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 BLOWUP_FACTOR = 1e6
@@ -85,41 +85,67 @@ class Forcing:
     """Right-hand side f(t) = profile(t) * P(base), P the Leray projector,
     profile a callable t -> float: ``Forcing()`` is zero, ``Forcing(base)``
     steady, ``Forcing(base, profile)`` analytic.  The base is projected
-    once, and gathered onto each mode box once."""
+    once and held on the mode box of its support, every |m_i| <= R with R
+    the largest |m_i| of its nonzero coefficients (at R = N/2, the half);
+    it is gathered onto each step box once and expanded to the half on
+    demand."""
 
     def __init__(self, base: SpectralField = None, profile=None):
-        self._base = None if base is None else leray_project(base)
+        self._box = self._coeffs = None
+        if base is not None:
+            self._box = mode_box(base.grid, _support_radius(base))
+            self._coeffs = _settled(self._box.project(self._box.gather(base.coeffs)),
+                                    complex, self._box.shape, "coefficients")
         self._profile = profile
         self._gathered = {}  # mode box -> base gathered onto it
 
     @property
     def is_zero(self):
-        return self._base is None
+        return self._box is None
+
+    def _base(self):
+        """The projected base as a field on the half spectrum, expanded
+        from the support box; nothing keeps it."""
+        return SpectralField(self._box.grid, self._box.expand(self._coeffs))
 
     def restricted(self, grid):
         """The same forcing with its base restricted to the modes of the
         coarser ``grid`` (``spectral.restrict_modes``)."""
-        if self._base is None:
+        if self._box is None:
             return self
-        return Forcing(restrict_modes(self._base, grid), self._profile)
+        return Forcing(restrict_modes(self._base(), grid), self._profile)
 
     def at(self, t: float):
         """Projected forcing field at time t, or None when zero."""
-        if self._base is None or self._profile is None:
-            return self._base
-        return self._base * float(self._profile(t))
+        if self._box is None:
+            return None
+        base = self._base()
+        return base if self._profile is None else base * float(self._profile(t))
 
     def box_coeffs(self, t: float, box):
         """Coefficients of f(t) on the mode ``box``, zero off its mask, or
         0.0 when f = 0; a base on another grid is a GridMismatchError."""
-        if self._base is None:
+        if self._box is None:
             return 0.0
         if box not in self._gathered:
-            require_same_grid(box, self._base)
-            self._gathered[box] = box.masked(box.gather(self._base.coeffs))
+            require_same_grid(box, self._box)
+            self._gathered[box] = box.masked(box.gather(self._base().coeffs))
         if self._profile is None:
             return self._gathered[box]
         return self._gathered[box] * float(self._profile(t))
+
+
+def _support_radius(field: SpectralField) -> int:
+    """The largest |m_i| among the nonzero coefficients of ``field`` (0 when
+    it has none)."""
+    grid = field.grid
+    nonzero = np.any(field.coeffs != 0, axis=0)
+    radius = 0
+    for axis in range(grid.dim):
+        hit = np.any(nonzero, axis=tuple(a for a in range(grid.dim) if a != axis))
+        modes = grid.modes if axis < grid.dim - 1 else np.arange(len(hit))
+        radius = max(radius, int(np.max(np.abs(modes[hit]), initial=0)))
+    return radius
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import InvalidArgumentsError, RegimeError
 from .families import check_seed, random_band_limited
-from .fields import SpectralField, band_box, magnitude, squared_magnitude
+from .fields import (PhysicalField, SpectralField, band_box, magnitude,
+                     squared_magnitude)
 from .grid import TorusGrid
 from .operators import (CbfParams, advection, advection_form, cbf_operator,
                         finite_constant, grid_samples, monotonicity_shift,
-                        pointwise_power, regularity_rate)
+                        pointwise_power, pointwise_samples, regularity_rate)
 from .solver import (Forcing, SolverConfig, initialize_state, step)
 from .spectral import (dual_norm, embed_modes, exp_filter, grad_norm, jacobian,
                        l2_norm, l2_pairing, lp_norm)
@@ -258,6 +259,12 @@ def check_local_bound_2d(sampler: FieldSampler, mu: float,
 # damping operator estimates
 
 
+def _rescaled(samples, s, r):
+    """:class:`~cbftorus.operators.Samples` of u/s, weight |u/s|^{r-1},
+    from the ``samples`` of u; ``s`` a positive number or array of them."""
+    return pointwise_samples(samples.phys / s, r)
+
+
 def check_damping_monotone(sampler: FieldSampler, r: float,
                            n_samples: int,
                            tolerance: float = DEFAULT_TOL) -> CheckReport:
@@ -265,9 +272,14 @@ def check_damping_monotone(sampler: FieldSampler, r: float,
 
     <C(u)-C(v), u-v> >= (1/2)|| |u|^{(r-1)/2}(u-v) ||^2
                        + (1/2)|| |v|^{(r-1)/2}(u-v) ||^2  (>= 0).
+
+    Every term has degree r + 1 in (u, v), so the margin is evaluated on
+    u/s and v/s, s the pair's peak |u|, where the terms cannot underflow.
     """
     def margin(u, v, s):
-        su, sv = _samples(u, r), _samples(v, r)
+        su, sv = _samples(u), _samples(v)
+        peak = float(np.sqrt(max(np.max(su.sq), np.max(sv.sq)))) or 1.0
+        su, sv = _rescaled(su, peak, r), _rescaled(sv, peak, r)
         d_sq = squared_magnitude(su.phys - sv.phys)
         pairing = _damping_pairing(su, sv, u.grid)
         rhs = 0.5 * (u.grid.integral(su.weight * d_sq)
@@ -283,13 +295,21 @@ def check_damping_lipschitz(sampler: FieldSampler, r: float,
     """Local Lipschitz upper bound for the damping pairing:
 
     <C(u)-C(v), u-v> <= r (||u||_{r+1} + ||v||_{r+1})^{r-1} ||u-v||_{r+1}^2.
+
+    Both sides have degree r + 1 in (u, v), so the margin is evaluated on
+    u/s and v/s, s = ||u||_{r+1} + ||v||_{r+1}, where the bound is
+    r ||u/s - v/s||_{r+1}^2 and cannot overflow; the L^{r+1} norms are
+    summed relative to their peaks.
     """
+    def lr1_norm(phys):
+        return lp_norm(PhysicalField(sampler.grid, phys), r + 1.0)
+
     def margin(u, v, s):
-        su, sv = _samples(u, r), _samples(v, r)
+        su, sv = _samples(u), _samples(v)
+        scale = (lr1_norm(su.phys) + lr1_norm(sv.phys)) or 1.0
+        su, sv = _rescaled(su, scale, r), _rescaled(sv, scale, r)
         pairing = _damping_pairing(su, sv, u.grid)
-        diff_lp = u.grid.integral(magnitude(su.phys - sv.phys)
-                                  ** (r + 1.0)) ** (2.0 / (r + 1.0))
-        rhs = r * (lp_norm(u, r + 1.0) + lp_norm(v, r + 1.0)) ** (r - 1.0) * diff_lp
+        rhs = r * lr1_norm(su.phys - sv.phys) ** 2
         return (rhs - pairing) / (abs(pairing) + rhs + TINY)
     return _sampled("damping_lipschitz", sampler, n_samples, margin, tolerance)
 
@@ -301,14 +321,20 @@ def check_pointwise_mvt(sampler: FieldSampler, r: float,
 
     | |y|^{r-1}y - |z|^{r-1}z | <= r (|y| + |z|)^{r-1} |y - z| at every
     grid point of each sampled pair.
+
+    Both sides have degree r in (y, z), so each point's margin, its slack
+    relative to its bound, is evaluated on y/t and z/t with t = |y| + |z|
+    there, where the bound is r |y/t - z/t| and neither side underflows or
+    overflows.
     """
     def margin(u, v, s):
-        y, z = _samples(u, r), _samples(v, r)
+        y, z = _samples(u), _samples(v)
+        t = np.sqrt(y.sq) + np.sqrt(z.sq)
+        t[t == 0.0] = 1.0  # y = z = 0: both sides are 0
+        y, z = _rescaled(y, t, r), _rescaled(z, t, r)
         lhs = magnitude(y.weight * y.phys - z.weight * z.phys)
-        rhs = (r * (np.sqrt(y.sq) + np.sqrt(z.sq)) ** (r - 1.0)
-               * magnitude(y.phys - z.phys))
-        scale = float(np.max(rhs)) + TINY
-        return float(np.min(rhs - lhs)) / scale
+        rhs = r * magnitude(y.phys - z.phys)
+        return float(np.min((rhs - lhs) / (rhs + TINY)))
     return _sampled("pointwise_mvt", sampler, n_samples, margin, tolerance)
 
 

@@ -18,8 +18,10 @@ from cbftorus import cli, solver
 from cbftorus import verification as verif
 from cbftorus.config import (RunConfig, config_from_text, dump_config,
                              load_config)
-from cbftorus.errors import ConfigError, SnapshotFormatError
+from cbftorus.errors import (ConfigError, ContractViolationError,
+                             SnapshotFormatError)
 from cbftorus.families import random_band_limited
+from cbftorus.fields import SpectralField
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams
 from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
@@ -88,9 +90,12 @@ def test_unknown_keys_and_sections_rejected():
         config_from_text("[turbulence]\nles = yes\n")
 
 
-def test_parse_error_reported():
+def test_parse_error_reported(tmp_path):
     with pytest.raises(ConfigError, match="parse error"):
         config_from_text("[grid\nn = 32\n")
+    path = _write(tmp_path, "unparsed.ini", "[grid\nn = 32\n")
+    with pytest.raises(ConfigError, match="parse error in"):
+        load_config(path)
 
 
 def test_config_round_trip(tmp_path):
@@ -260,6 +265,11 @@ def test_snapshot_bad_magic_and_truncation(tmp_path, grid32):
     (tmp_path / "cut.snap").write_bytes(good.read_bytes()[:-17])
     with pytest.raises(SnapshotFormatError, match="truncated"):
         read_snapshot_file(tmp_path / "cut.snap")
+    # One component on a 2D grid: the format stores vector fields only.
+    scalar = SpectralField(grid32, field.coeffs[:1])
+    with pytest.raises(SnapshotFormatError, match="vector fields"):
+        write_snapshot_file(tmp_path / "scalar.snap", scalar, 0.0, CbfParams())
+    assert not (tmp_path / "scalar.snap").exists()
 
 
 def _snapshot_bytes(tmp_path):
@@ -596,14 +606,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("ic", "family = single_mode\ncomponent = 5"),
     ("ic", "family = random\namplitude = nan"),
     ("ic", "family = single_mode\nmode = 0, 99"),  # would alias at N = 64
+    ("ic", "family = single_mode\nmode = 0, 1, 2"),  # a 3D mode on a 2D grid
     ("forcing", "kind = steady\nfamily = kolmogorov\nmode = 40"),
     ("grid", "l = 1e300"),  # the volume overflows
     ("grid", "l = 1e-320"),  # the wavenumbers overflow
-    ("forcing", "kind = steady\namplitude = 1e308"),  # its transform overflows
+    # Taylor-Green is sampled on the grid: its transform overflows.
+    ("forcing", "kind = steady\nfamily = taylor_green\namplitude = 1e308"),
     ("verify", "checks ="),  # a session that checks nothing
     ("verify", "checks = trilinear, trilinear"),
 ], ids=["t_end_inf", "dt_1e-320", "dt_1e-300", "component_5", "amplitude_nan",
-        "mode_above_nyquist", "forcing_mode_above_nyquist", "period_1e300",
+        "mode_above_nyquist", "mode_length_3", "forcing_mode_above_nyquist",
+        "period_1e300",
         "period_1e-320", "forcing_amplitude_1e308", "checks_empty",
         "checks_repeated"])
 def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
@@ -1182,6 +1195,22 @@ def test_cli_allocation_failure_exit_2(tmp_path, capsys, monkeypatch, command):
     assert not out.exists()
 
 
+def test_cli_library_error_exit_1(tmp_path, capsys, monkeypatch):
+    # A library error that is neither a config error nor a blow-up (here a
+    # broken operator contract) ends in one error line and exit 1, the
+    # status of a failed check, not in a traceback.
+    def violated(*args, **kwargs):
+        raise ContractViolationError("stokes operator requires a divergence-free field")
+
+    monkeypatch.setattr(RunConfig, "problem", violated)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", _write(tmp_path, "c.ini", RUN_INI),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: stokes operator requires a divergence-free field\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "convergence"])
 def test_cli_empty_output_directory_exit_2(tmp_path, capsys, command):
     text = {"run": RUN_INI, "convergence": CONV_INI}[command]
@@ -1547,6 +1576,24 @@ def test_cli_convergence_exact_solution_underflow_exit_2(tmp_path, capsys,
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "exact metric: the exact solution underflows by t_end = 1.6" in err
+    assert not out.exists()
+
+
+def test_cli_convergence_stiff_exact_ladder_exit_2(tmp_path, capsys, monkeypatch):
+    # The mode of the underflow case above at t_end = 1.4, where e^{-686} is
+    # a normal float: z = mu*lam*dt = 10 * 49 * 0.02 = 9.8 on the largest
+    # rung, where cnab2 flips the mode's sign each step (its rungs read
+    # errors of 1e284, 1e244 and 1e55): exit 2, naming the metric, z and
+    # dt, before any step or directory.
+    text = ("[grid]\nn = 32\n[params]\nmu = 10\nbeta = 0.0\n[solver]\nt_end = 1.4\n"
+            "[ic]\nfamily = single_mode\nmode = 7, 0\ncomponent = 1\n"
+            "[convergence]\ndts = 0.02, 0.01, 0.005\nmetric = exact\n")
+    monkeypatch.setattr(cli, "run", _no_run)
+    out = tmp_path / "c"
+    assert cli.main(["convergence", "--config", _write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exact metric: (mu*lam + alpha)*dt = 9.8 >= 2 at dt = 0.02" in err
     assert not out.exists()
 
 

@@ -17,7 +17,8 @@ from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
 from cbftorus.solver import (DiagnosticsSample, Forcing, SolverConfig,
                              initialize_state, run, step)
-from cbftorus.spectral import divergence_defect, dual_norm, l2_norm, leray_project
+from cbftorus.spectral import (divergence_defect, dual_norm, l2_norm,
+                               leray_project, restrict_modes)
 from cbftorus.verification import SLACK, _forcing_integrals, check_apriori
 
 from conftest import rel_diff
@@ -481,6 +482,62 @@ def test_restricted_forcing_needs_the_same_period(grid32):
         forcing.restricted(TorusGrid(dim=2, n_points=16, period=3.0))
 
 
+@pytest.mark.parametrize("mode", [3, -2, 0])
+def test_kolmogorov_forcing_is_held_on_its_mode(grid32, mode):
+    # A single mode m is held on the box of radius |m|, not on the half.
+    forcing = Forcing(kolmogorov(grid32, mode=mode))
+    assert forcing._box.radius == abs(mode)
+    assert forcing._coeffs.shape == (2, 2 * abs(mode) + 1, abs(mode) + 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kolmogorov_field_is_its_one_mode(dim):
+    # amplitude*sin(k_m y) is -i*amplitude/2 at (0, m) and its conjugate at
+    # (0, -m), and nothing else: no transform noise elsewhere.
+    grid = TorusGrid(dim=dim, n_points=16)
+    coeffs = kolmogorov(grid, mode=3, amplitude=2.5).coeffs
+    expected = np.zeros_like(coeffs)
+    expected[(0, 0, 3) + (0,) * (dim - 2)] = -1.25j
+    if dim == 3:  # column 0 of the half holds (0, -m, 0) too
+        expected[0, 0, -3, 0] = 1.25j
+    assert np.count_nonzero(coeffs) == np.count_nonzero(expected)
+    assert np.allclose(coeffs, expected, rtol=0.0, atol=1e-15)
+
+
+def test_kolmogorov_run_builds_no_multipliers_on_the_half():
+    # A grid value that no other test builds: boxes are cached per grid.
+    grid = TorusGrid(dim=2, n_points=20, period=5.0)
+    forcing = Forcing(kolmogorov(grid, mode=2))
+    state = initialize_state(random_band_limited(grid, seed=2, band_limit=4),
+                             DAMPED, SolverConfig(dt=1e-3), forcing)
+    step(state)
+    built = vars(band_box(grid, False))
+    assert "k_squared" not in built and "inv_k_squared" not in built
+
+
+@pytest.mark.parametrize("profile", [None, lambda t: -np.cos(3.0 * t)],
+                         ids=["steady", "analytic"])
+def test_forcing_on_its_support_matches_the_half(grid32, profile):
+    # Projected on the box of its support, the base gives the values that
+    # projecting it on the half gives: the same multipliers, mode by mode.
+    base = random_band_limited(grid32, seed=5, band_limit=5, project=False)
+    forcing = Forcing(base, profile)
+    half = leray_project(base)
+    coarse = TorusGrid(dim=2, n_points=16)
+    restricted_half = leray_project(restrict_modes(half, coarse))
+    for t in (0.0, 0.4):
+        scale = 1.0 if profile is None else float(profile(t))
+        assert np.array_equal(forcing.at(t).coeffs, (half * scale).coeffs)
+        assert np.array_equal(forcing.restricted(coarse).at(t).coeffs,
+                              (restricted_half * scale).coeffs)
+        for box in (band_box(grid32), band_box(grid32, False),
+                    band_box(grid32, galerkin_n=6, galerkin_shape="ball")):
+            expected = box.masked(box.gather(half.coeffs))
+            if profile is not None:
+                expected = expected * scale
+            assert np.array_equal(forcing.box_coeffs(t, box), expected)
+
+
 def test_step_count_bound_is_2_53():
     SolverConfig(dt=1.0, t_end=2.0 ** 53)
     with pytest.raises(InvalidArgumentsError, match="exceeds 2"):
@@ -496,6 +553,8 @@ def test_config_validation():
         SolverConfig(scheme="rk4")
     with pytest.raises(InvalidArgumentsError):
         SolverConfig(diagnostics_every=0)
+    with pytest.raises(InvalidArgumentsError, match="substeps must be >= 1"):
+        SolverConfig(substeps=0)
 
 
 @pytest.mark.parametrize("band", [dict(galerkin_n=-3), dict(galerkin_shape="cube")],

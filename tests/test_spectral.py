@@ -40,6 +40,8 @@ def test_projection_needs_a_vector_field(grid32):
         half.project(scalar)
     with pytest.raises(InvalidArgumentsError, match="needs a vector field"):
         leray_project(SpectralField(grid32, scalar))
+    with pytest.raises(InvalidArgumentsError, match="divergence needs a vector"):
+        divergence(SpectralField(grid32, scalar))
 
 
 def test_divergence_free_fields_unchanged(random_field):

@@ -199,6 +199,18 @@ def test_pointwise_mvt_check(sampler32):
     assert check_pointwise_mvt(sampler32, 3.5, 40).passed
 
 
+def test_damping_margins_do_not_underflow_at_large_r():
+    # At r = 3000, |u|^{r-1} of a unit-size field underflows; each margin is
+    # a ratio of terms of one degree, evaluated where they are of order 1,
+    # so none reads 0 (a 0/0 that passes whatever the fields).
+    sampler = FieldSampler(grid=TorusGrid(dim=2, n_points=16), seed=42,
+                           band_limit=4)
+    for check in (check_damping_monotone, check_damping_lipschitz,
+                  check_pointwise_mvt):
+        report = check(sampler, 3000.0, 3)
+        assert report.passed and report.worst_margin > 0.0, report
+
+
 def test_dissipation_identity_r1_degenerates_to_gradient(grid32):
     u = random_band_limited(grid32, seed=40, band_limit=8)
     i1, i2, i3, mid = dissipation_identity_forms(u, 1.0)
@@ -312,6 +324,8 @@ def test_nonlinear_envelope_b_zero_and_alpha_validation():
     assert np.allclose(env, 2.0 * np.exp(0.4 * t), rtol=1e-10)
     with pytest.raises(InvalidArgumentsError):
         nonlinear_gronwall_envelope(1.0, t * 0, t * 0, 1.0, t)
+    with pytest.raises(InvalidArgumentsError, match="c must be non-negative"):
+        nonlinear_gronwall_envelope(-1.0, t * 0, t * 0, 0.5, t)
 
 
 def test_nonlinear_envelope_alpha_zero_matches_linear():
@@ -512,7 +526,7 @@ def _ref_margins(u, v, w, params, cell):
     out["damping_lipschitz"] = (rhs - pairing) / (abs(pairing) + rhs + verif.TINY)
     lhs = magnitude(damping_pointwise(up, r) - damping_pointwise(vp, r))
     rhs = r * (magnitude(up) + magnitude(vp)) ** (r - 1.0) * magnitude(d_phys)
-    out["mvt"] = float(np.min(rhs - lhs)) / (float(np.max(rhs)) + verif.TINY)
+    out["mvt"] = float(np.min((rhs - lhs) / (rhs + verif.TINY)))  # per point
     q = 2.0 * (r + 1.0) / (r - 1.0)
     bounds = [(dual_norm(advection(u, v)), lp_norm(u, r + 1.0) * lp_norm(v, q)),
               (abs(advection_form(u, v, w)),
