@@ -7,6 +7,7 @@ identical effective configuration.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -16,6 +17,7 @@ from .errors import (ConfigError, InvalidArgumentsError, InvalidExponentError,
                      InvalidFieldError)
 from .families import (check_band_limit, kolmogorov, random_band_limited,
                        single_mode, taylor_green)
+from .fields import _norm, band_box
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
@@ -152,10 +154,22 @@ class RunConfig:
     def _resolve(self, path):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _field(self, grid, section):
-        """The [ic] or [forcing] field on ``grid``, from its source; a family
-        argument rejected, or a field that overflows, is a section error."""
+        """The [ic] or [forcing] field on ``grid``; one whose L2 norm, summed
+        relative to its peak as ``SpectralField.scale`` sums it, is not a
+        finite float is a section error."""
+        field = self._drawn_field(grid, section)
+        nonzero = np.nonzero(field.coeffs)  # a band-limited field has few
+        scale = _norm(np.abs(field.coeffs[nonzero]),
+                      band_box(grid, False).plancherel_weights[nonzero[-1]])
+        if not math.isfinite(scale * math.sqrt(grid.volume)):
+            raise ConfigError(f"{section}: the field's L2 norm overflows a float")
+        return field
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _drawn_field(self, grid, section):
+        """The field from its source; a family argument rejected, or a field
+        that overflows, is a section error."""
         spec, name = self[section], self.source(section)
         if name == "snapshot":
             return self._snapshot_field(section, grid)

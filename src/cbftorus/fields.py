@@ -19,10 +19,11 @@ array.  A :class:`ModeBox` stores the modes that dealiasing and truncation
 keep more compactly still, and transforms only the lines they touch; it is
 the one transform, the one owner of the spectral multipliers, the Leray
 projection and Plancherel sums that read them, and of the layout: one
-index of its rows (from which it builds its modes), of their mirror and of
-its place in the half.  :func:`mode_box` builds each once per grid value;
-the one that covers the half serves :func:`to_physical`,
-:func:`to_spectral` and every operation on whole half-spectrum fields.
+index of its rows (from which it builds its modes), of their mirror, of
+its place in the half and of a smaller box's modes in it.
+:func:`mode_box` builds each once per grid value; the one that covers the
+half serves :func:`to_physical`, :func:`to_spectral` and every operation on
+whole half-spectrum fields.
 """
 
 import functools
@@ -203,13 +204,14 @@ class ModeBox:
     axis, 0..R and N-R..N-1 (a cyclic order of length 2R+1), and columns
     0..R; at R = N/2, the half as it is, ``rows`` all N.  ``mirror`` indexes
     the rows -m of those rows m on every leading axis, ``index`` the box in
-    the half.  It owns the multipliers on them, and the projection and
-    Plancherel sums that read them: the wavenumbers 2*pi*m/L with the
-    unmatched Nyquist entries zeroed (so ik*c stays Hermitian), |k|^2 and
-    1/|k|^2 (0 at k = 0), both built on first read, the columns' Plancherel
-    weights (1 on columns 0 and N/2, their own mirrors, 2 elsewhere) and,
-    times the volume, ``volume_weights``; ``mask`` marks a Galerkin ball of
-    radius ``ball_n`` (None: no ball).  Only :func:`mode_box` builds it."""
+    the half, :meth:`index_of` a smaller box in it.  It owns the
+    multipliers on them, and the projection and Plancherel sums that read
+    them: the wavenumbers 2*pi*m/L with the unmatched Nyquist entries
+    zeroed (so ik*c stays Hermitian), |k|^2 and 1/|k|^2 (0 at k = 0), both
+    built on first read, the columns' Plancherel weights (1 on columns 0
+    and N/2, their own mirrors, 2 elsewhere) and, times the volume,
+    ``volume_weights``; ``mask`` marks a Galerkin ball of radius ``ball_n``
+    (None: no ball).  Only :func:`mode_box` builds it."""
 
     def __init__(self, grid, radius, ball_n):
         self.grid, self.radius = grid, radius
@@ -291,6 +293,17 @@ class ModeBox:
         out = np.zeros(shape, c.dtype)
         out[(Ellipsis, self.rows) + (slice(None),) * (-axis - 1)] = c
         return out
+
+    def index_of(self, box):
+        """Index of the modes of ``box``, a box of no larger radius on the
+        same grid, in this box's compact layout: row -m at -m mod the row
+        count, columns 0..R of ``box``; all of this box (a view) when the
+        radii are equal."""
+        if box.radius == self.radius:
+            return (Ellipsis,)
+        rows = self.grid.modes[box.rows] % len(self.rows)
+        return (Ellipsis, *np.ix_(*[rows] * (self.grid.dim - 1)),
+                slice(0, box.radius + 1))
 
     def gather(self, half):
         """Compact coefficients of a half-spectrum array, a new array; the

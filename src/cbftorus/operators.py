@@ -100,14 +100,15 @@ def pointwise_samples(u_phys: np.ndarray, r: float) -> Samples:
 def grid_samples(c, box, r: float, with_jacobian: bool = False):
     """(:class:`Samples` of the u of coefficients ``c`` on ``box``, samples
     of its Jacobian when ``with_jacobian`` or None) from one inverse
-    transform of [c] or [c; grad c], stacked in place."""
+    transform: of ``c`` itself, or of [c; grad c], stacked in place."""
+    if not with_jacobian:
+        return pointwise_samples(box.inverse(c), r), None
     d, shape = box.grid.dim, c.shape[1:]
-    stacked = np.empty((d + with_jacobian * d * d,) + shape, complex)
+    stacked = np.empty((d + d * d,) + shape, complex)
     stacked[:d] = c
-    jacobian(c, box, out=stacked[d:].reshape((-1, d) + shape))
+    jacobian(c, box, out=stacked[d:].reshape((d, d) + shape))
     phys = box.inverse(stacked)
-    jac = phys[d:].reshape((d, d) + box.grid.shape) if with_jacobian else None
-    return pointwise_samples(phys[:d], r), jac
+    return pointwise_samples(phys[:d], r), phys[d:].reshape((d, d) + box.grid.shape)
 
 
 def damping_pointwise(data: np.ndarray, r: float) -> np.ndarray:

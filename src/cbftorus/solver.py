@@ -86,9 +86,10 @@ class Forcing:
     profile a callable t -> float: ``Forcing()`` is zero, ``Forcing(base)``
     steady, ``Forcing(base, profile)`` analytic.  The base is projected
     once and held on the mode box of its support, every |m_i| <= R with R
-    the largest |m_i| of its nonzero coefficients (at R = N/2, the half);
-    it is gathered onto each step box once and expanded to the half on
-    demand."""
+    the largest |m_i| of its nonzero coefficients (at R = N/2, the half),
+    and expanded to the half on demand.  A step meets f only on the modes
+    that the support shares with its box: per step box, the index of those
+    modes in it and the base on them, masked, are kept."""
 
     def __init__(self, base: SpectralField = None, profile=None):
         self._box = self._coeffs = None
@@ -97,7 +98,7 @@ class Forcing:
             self._coeffs = _settled(self._box.project(self._box.gather(base.coeffs)),
                                     complex, self._box.shape, "coefficients")
         self._profile = profile
-        self._gathered = {}  # mode box -> base gathered onto it
+        self._shared = {}  # step box -> (shared box, its index there, base)
 
     @property
     def is_zero(self):
@@ -122,17 +123,45 @@ class Forcing:
         base = self._base()
         return base if self._profile is None else base * float(self._profile(t))
 
-    def box_coeffs(self, t: float, box):
-        """Coefficients of f(t) on the mode ``box``, zero off its mask, or
-        0.0 when f = 0; a base on another grid is a GridMismatchError."""
+    def _on(self, t: float, box):
+        """(the box of the modes that the support shares with the step
+        ``box``, their index in ``box``, f(t) on them, zero off the box's
+        mask, and f(t) off them: 0.0 times the profile, signed zero and
+        all); a base on another grid is a GridMismatchError."""
+        if box not in self._shared:
+            require_same_grid(box, self._box)
+            shared = mode_box(box.grid, min(box.radius, self._box.radius))
+            index = box.index_of(shared)
+            base = self._coeffs[self._box.index_of(shared)]
+            if box.mask is not None:
+                base = base * box.mask[index]
+            self._shared[box] = shared, index, base
+        shared, index, base = self._shared[box]
+        if self._profile is None:
+            return shared, index, base, 0.0
+        scale = float(self._profile(t))
+        return shared, index, base * scale, np.multiply(np.zeros((), complex), scale)
+
+    def minus(self, t: float, box, x, out=None):
+        """f(t) - x for coefficients ``x`` on the step ``box``, into ``out``
+        (which may be ``x``; a new array when None): f - x on the modes the
+        support shares with the box, 0.0 - x elsewhere, as f gathered onto
+        the whole box would give to the bit."""
+        if self._box is None:
+            return np.subtract(0.0, x, out=out)
+        _, index, f, off = self._on(t, box)
+        on = np.subtract(f, x[index])
+        out = np.subtract(off, x, out=out)
+        out[index] = on
+        return out
+
+    def power(self, t: float, box, c):
+        """<f(t), u> for the u of coefficients ``c`` on the step ``box``: a
+        Plancherel sum over the modes that the support shares with it."""
         if self._box is None:
             return 0.0
-        if box not in self._gathered:
-            require_same_grid(box, self._box)
-            self._gathered[box] = box.masked(box.gather(self._base().coeffs))
-        if self._profile is None:
-            return self._gathered[box]
-        return self._gathered[box] * float(self._profile(t))
+        shared, index, f, _ = self._on(t, box)
+        return shared.mode_pairing(f, c[index])
 
 
 def _support_radius(field: SpectralField) -> int:
@@ -224,8 +253,7 @@ def _rates(c, box, t, forcing, samples, jac):
     power = box.mode_power(c)
     k2 = box.k_squared
     damping_val = grid.integral(samples.weight * samples.sq)
-    forcing_val = (0.0 if forcing.is_zero else
-                   box.mode_pairing(forcing.box_coeffs(t, box), c))
+    forcing_val = forcing.power(t, box, c)
     a_sq = wgrad = 0.0
     if jac is not None:
         a_sq = float((k2 * k2 * power).sum())
@@ -308,10 +336,9 @@ def step(state: SimulationState) -> SimulationState:
         if cnab2:
             new = np.multiply(1.5, nl)
             new -= 0.5 * state.prev_nonlinear
-            np.subtract(forcing.box_coeffs(state.t + 0.5 * dt, box), new,
-                        out=new)
+            forcing.minus(state.t + 0.5 * dt, box, new, out=new)
         else:
-            new = np.subtract(forcing.box_coeffs(state.t + s * h, box), nl)
+            new = forcing.minus(state.t + s * h, box, nl)
         np.multiply(h, new, out=new)
         np.add(_multiplier(box, params, -0.5 * dt) * c if cnab2 else c, new,
                out=new)

@@ -612,12 +612,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("grid", "l = 1e-320"),  # the wavenumbers overflow
     # Taylor-Green is sampled on the grid: its transform overflows.
     ("forcing", "kind = steady\nfamily = taylor_green\namplitude = 1e308"),
+    # A single mode: its coefficients are finite, its L2 norm is not.
+    ("forcing", "kind = steady\nfamily = kolmogorov\namplitude = 1e308"),
     ("verify", "checks ="),  # a session that checks nothing
     ("verify", "checks = trilinear, trilinear"),
 ], ids=["t_end_inf", "dt_1e-320", "dt_1e-300", "component_5", "amplitude_nan",
         "mode_above_nyquist", "mode_length_3", "forcing_mode_above_nyquist",
         "period_1e300",
-        "period_1e-320", "forcing_amplitude_1e308", "checks_empty",
+        "period_1e-320", "forcing_amplitude_1e308",
+        "forcing_kolmogorov_amplitude_1e308", "checks_empty",
         "checks_repeated"])
 def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
     grid = "[grid]\ndim = 2\nn = 64\n"

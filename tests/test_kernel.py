@@ -20,7 +20,7 @@ from cbftorus.fields import (PhysicalField, SpectralField, band_box, to_physical
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import (CbfParams, Samples, advect_samples, advection,
                                 cbf_operator, damping, damping_pointwise,
-                                nonlinear_term, physical_jacobian,
+                                grid_samples, nonlinear_term, physical_jacobian,
                                 pointwise_power, pointwise_samples,
                                 recover_pressure, stokes)
 from cbftorus.snapshot import read_snapshot_file, write_snapshot_file
@@ -700,6 +700,15 @@ def _expanding_initialize(ic, params, config, forcing, extended):
                      samples=samples, extended=extended)
 
 
+def _whole_box_forcing(forcing, t, box):
+    """f(t) on the whole mode ``box``: the projected base gathered onto it
+    and masked, times the profile; 0.0 for no forcing."""
+    if forcing.is_zero:
+        return 0.0
+    f = box.masked(box.gather(forcing._base().coeffs))
+    return f if forcing._profile is None else f * float(forcing._profile(t))
+
+
 def _expanding_step(state, params, config, forcing):
     """The step on the mode box with a half-spectrum state: it gathers u,
     updates out of place and expands the result into a new field."""
@@ -709,7 +718,7 @@ def _expanding_step(state, params, config, forcing):
     c = box.gather(state.u.coeffs)
 
     def forcing_at(t):
-        f = forcing.box_coeffs(t, box)
+        f = _whole_box_forcing(forcing, t, box)
         return f if box.mask is None else f * box.mask
 
     if config.scheme == "imex_euler" or state.prev_nonlinear is None:
@@ -803,6 +812,26 @@ def test_step_stays_on_the_box(monkeypatch, dim, scheme, substeps, apply_dealias
     state = step(state)
     assert calls == []
     assert not state.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("dim,apply_dealias", [(2, True), (2, False),
+                                               (3, True), (3, False)])
+def test_plain_grid_samples_match_the_stacked_path_bytes(dim, apply_dealias):
+    # The samples of a state's read-only coefficients, inverted directly,
+    # against the inverse of a stacked array they are copied into.
+    grid = TorusGrid(dim=dim, n_points=16 if dim == 2 else 12)
+    config = SolverConfig(dealias=apply_dealias)
+    state = initialize_state(random_band_limited(grid, seed=3, band_limit=4),
+                             CbfParams(r=3.5), config, None)
+    c, box = state.coeffs, state.box
+    assert not c.flags.writeable
+    stacked = np.empty(c.shape, complex)
+    stacked[:] = c
+    ref = pointwise_samples(box.inverse(stacked), 3.5)
+    got, jac = grid_samples(c, box, 3.5)
+    assert jac is None
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_state_field_is_built_once(monkeypatch, grid32):

@@ -12,7 +12,7 @@ import full_array as fa
 from cbftorus.errors import BlowUpError, GridMismatchError, InvalidArgumentsError
 from cbftorus.families import (kolmogorov, random_band_limited, single_mode,
                                taylor_green, taylor_green_exact)
-from cbftorus.fields import band_box, to_physical, zero_field
+from cbftorus.fields import band_box, mode_box, to_physical, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams, cbf_operator
 from cbftorus.solver import (DiagnosticsSample, Forcing, SolverConfig,
@@ -393,8 +393,11 @@ class _ProjectedEachCall:
     def at(self, t):
         return leray_project(self.fn(t))
 
-    def box_coeffs(self, t, box):
-        return box.gather(self.at(t).coeffs)
+    def minus(self, t, box, x, out=None):
+        return np.subtract(box.gather(self.at(t).coeffs), x, out=out)
+
+    def power(self, t, box, c):
+        return box.mode_pairing(box.gather(self.at(t).coeffs), c)
 
 
 @pytest.mark.parametrize("scheme,substeps,galerkin_n", [("imex_cnab2", 1, 0),
@@ -406,9 +409,13 @@ def test_analytic_forcing_matches_projection_each_call(grid32, scheme, substeps,
     new = Forcing(base, profile)
     old = _ProjectedEachCall(lambda t: base * float(profile(t)))
     box = band_box(grid32)
+    zero = np.zeros((2,) + box.shape, complex)  # f(t) - 0 is f(t) on the box
+    c = box.gather(random_band_limited(grid32, seed=5, band_limit=6).coeffs)
     for t in (0.0, 0.3, 1.7):
         assert rel_diff(new.at(t).coeffs, old.at(t).coeffs) < 1e-12
-        assert rel_diff(new.box_coeffs(t, box), old.box_coeffs(t, box)) < 1e-12
+        assert rel_diff(new.minus(t, box, zero), old.minus(t, box, zero)) < 1e-12
+        assert new.power(t, box, c) == pytest.approx(old.power(t, box, c),
+                                                     rel=1e-12)
     config = SolverConfig(dt=2e-3, t_end=2e-2, scheme=scheme, substeps=substeps,
                           galerkin_n=galerkin_n, diagnostics_every=2)
     ic = random_band_limited(grid32, seed=4, band_limit=6)
@@ -535,7 +542,135 @@ def test_forcing_on_its_support_matches_the_half(grid32, profile):
             expected = box.masked(box.gather(half.coeffs))
             if profile is not None:
                 expected = expected * scale
-            assert np.array_equal(forcing.box_coeffs(t, box), expected)
+            x = box.gather(random_band_limited(grid32, seed=6).coeffs)
+            assert np.array_equal(forcing.minus(t, box, x),
+                                  np.subtract(expected, x))
+            assert forcing.power(t, box, x) == pytest.approx(
+                box.mode_pairing(expected, x), rel=1e-13)
+
+
+class _WholeBox:
+    """The forcing met on the whole step box: its projected base gathered
+    onto the box and masked, times the profile, subtracted from with
+    np.subtract and paired with u by a Plancherel sum over every mode."""
+
+    def __init__(self, forcing):
+        self.forcing, self.is_zero = forcing, forcing.is_zero
+
+    def gathered(self, t, box):
+        f = box.masked(box.gather(self.forcing._base().coeffs))
+        profile = self.forcing._profile
+        return f if profile is None else f * float(profile(t))
+
+    def minus(self, t, box, x, out=None):
+        return np.subtract(self.gathered(t, box), x, out=out)
+
+    def power(self, t, box, c):
+        return box.mode_pairing(self.gathered(t, box), c)
+
+
+def _kolmogorov_and_corner(grid):
+    """Kolmogorov mode 2 plus the mode (3, 3), which a Galerkin ball of
+    radius 4 leaves out while its box holds it."""
+    return kolmogorov(grid, mode=2) + single_mode(grid, (3, 3), component=0)
+
+
+@pytest.mark.parametrize("profile", [None, lambda t: -np.cos(3.0 * t)],
+                         ids=["steady", "analytic"])
+@pytest.mark.parametrize("galerkin_n", [0, 4])
+def test_forcing_minus_matches_the_whole_box_bytes(profile, galerkin_n):
+    # Exact zeros in x, where 0.0 - x and -0.0 - x differ in sign: off the
+    # shared modes f(t) is 0.0 times the profile, as the gathered base gave.
+    grid = TorusGrid(dim=2, n_points=32)
+    forcing = Forcing(_kolmogorov_and_corner(grid), profile)
+    box = band_box(grid, galerkin_n=galerkin_n, galerkin_shape="ball")
+    x = box.gather(random_band_limited(grid, seed=6, band_limit=10).coeffs)
+    x[..., ::2] = 0.0
+    for t in (0.0, 0.7):
+        ref = _WholeBox(forcing).minus(t, box, x)
+        assert forcing.minus(t, box, x).tobytes() == ref.tobytes()
+        out = x.copy()
+        assert forcing.minus(t, box, out, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+        assert forcing.power(t, box, x) == _WholeBox(forcing).power(t, box, x)
+
+
+def _diagnostic_reprs(diagnostics):
+    return [repr(dataclasses.astuple(d)) for d in diagnostics]
+
+
+@pytest.mark.parametrize("scheme,substeps,profile,galerkin_n", [
+    ("imex_cnab2", 1, None, 0),
+    ("imex_euler", 3, None, 0),
+    ("imex_cnab2", 1, lambda t: -np.cos(40.0 * t), 0),
+    ("imex_cnab2", 1, None, 4),
+], ids=["cnab2", "euler-substeps", "cnab2-analytic", "cnab2-ball-corner"])
+def test_forced_run_matches_the_whole_box_forcing_bytes(scheme, substeps,
+                                                        profile, galerkin_n):
+    # One or two forced modes: the pairing over the shared modes adds the
+    # same nonzero terms as the one over the box, so the diagnostics match
+    # to the bit too.
+    grid = TorusGrid(dim=2, n_points=64 if galerkin_n == 0 else 32)
+    base = (kolmogorov(grid, mode=2, amplitude=2.0) if galerkin_n == 0
+            else _kolmogorov_and_corner(grid))
+    forcing = Forcing(base, profile)
+    config = SolverConfig(dt=1e-3, t_end=1e-2, scheme=scheme, substeps=substeps,
+                          galerkin_n=galerkin_n, galerkin_shape="ball",
+                          diagnostics_every=1)
+    ic = random_band_limited(grid, seed=6, band_limit=8)
+    state, got = run(ic, DAMPED, config, forcing)
+    ref_state, ref = run(ic, DAMPED, config, _WholeBox(forcing))
+    assert state.coeffs.tobytes() == ref_state.coeffs.tobytes()
+    if scheme == "imex_cnab2":
+        assert state.prev_nonlinear.tobytes() == ref_state.prev_nonlinear.tobytes()
+    assert _diagnostic_reprs(got) == _diagnostic_reprs(ref)
+    assert got[-1].forcing_power != 0.0
+
+
+@pytest.mark.parametrize("galerkin_n", [0, 12])
+def test_random_forcing_wider_than_the_box_matches_the_whole_box(galerkin_n):
+    # Band 24 at N = 48, dealiased to |m_i| <= 15: under a ball of radius
+    # 12 the support is larger than the step box.  The state matches to the
+    # bit; the pairing sums the same terms in another order.
+    grid = TorusGrid(dim=2, n_points=48)
+    forcing = Forcing(random_band_limited(grid, seed=8, band_limit=24),
+                      lambda t: np.exp(-t))
+    config = SolverConfig(dt=1e-3, t_end=1e-2, galerkin_n=galerkin_n,
+                          galerkin_shape="ball", diagnostics_every=1)
+    ic = random_band_limited(grid, seed=9, band_limit=10)
+    state, got = run(ic, DAMPED, config, forcing)
+    ref_state, ref = run(ic, DAMPED, config, _WholeBox(forcing))
+    assert state.coeffs.tobytes() == ref_state.coeffs.tobytes()
+    for a, b in zip(got, ref):
+        assert a.energy == b.energy
+        assert abs(a.forcing_power - b.forcing_power) <= 1e-13 * abs(b.forcing_power)
+        assert abs(a.int_forcing - b.int_forcing) <= 1e-13 * abs(b.int_forcing)
+
+
+def _arrays(value):
+    """Every array reachable from ``value`` through dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+
+
+def test_forcing_keeps_no_array_larger_than_its_support():
+    # Kolmogorov mode 2 at N = 64: a support box of 5 x 3 modes, a step box
+    # of 43 x 22.
+    grid = TorusGrid(dim=2, n_points=64)
+    forcing = Forcing(kolmogorov(grid, mode=2))
+    state = initialize_state(random_band_limited(grid, seed=2, band_limit=4),
+                             DAMPED, SolverConfig(dt=1e-3), forcing)
+    step(state)
+    support = 2 * np.prod(mode_box(grid, 2).shape)
+    kept = list(_arrays(vars(forcing)))
+    assert kept and all(a.size <= support for a in kept)
+    assert 2 * np.prod(state.box.shape) > 50 * support
 
 
 def test_step_count_bound_is_2_53():
