@@ -17,7 +17,6 @@ from .errors import (ConfigError, InvalidArgumentsError, InvalidExponentError,
                      InvalidFieldError)
 from .families import (check_band_limit, kolmogorov, random_band_limited,
                        single_mode, taylor_green)
-from .fields import _norm, band_box
 from .grid import TWO_PI, TorusGrid
 from .operators import CbfParams
 from .snapshot import read_snapshot_file
@@ -155,14 +154,11 @@ class RunConfig:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
     def _field(self, grid, section):
-        """The [ic] or [forcing] field on ``grid``; one whose L2 norm, summed
-        relative to its peak as ``SpectralField.scale`` sums it, is not a
-        finite float is a section error."""
+        """The [ic] or [forcing] field on ``grid``; one whose L2 norm, its
+        ``SpectralField.scale`` times sqrt(volume), is not a finite float is
+        a section error."""
         field = self._drawn_field(grid, section)
-        nonzero = np.nonzero(field.coeffs)  # a band-limited field has few
-        scale = _norm(np.abs(field.coeffs[nonzero]),
-                      band_box(grid, False).plancherel_weights[nonzero[-1]])
-        if not math.isfinite(scale * math.sqrt(grid.volume)):
+        if not math.isfinite(field.scale() * math.sqrt(grid.volume)):
             raise ConfigError(f"{section}: the field's L2 norm overflows a float")
         return field
 

@@ -198,6 +198,15 @@ _FORWARD_ORDER = (reversed if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
                   else tuple)
 
 
+def _index_in(n_rows, box):
+    """Index of the modes of ``box`` in a compact layout of ``n_rows`` rows
+    per leading axis, row m at m mod ``n_rows``, and columns 0..R of
+    ``box``: the layout of every box, the half (``n_rows`` = N) included."""
+    rows = box.grid.modes[box.rows] % n_rows
+    return (Ellipsis, *np.ix_(*[rows] * (box.grid.dim - 1)),
+            slice(0, box.radius + 1))
+
+
 class ModeBox:
     """The modes with every |m_i| <= R of the half spectrum, stored
     compactly, in an array of ``shape``: the rows ``rows`` of each leading
@@ -221,8 +230,7 @@ class ModeBox:
                      else np.r_[0:radius + 1, n - radius:n])
         mirror = -np.arange(len(self.rows)) % len(self.rows)
         self.mirror = (Ellipsis, *np.ix_(*[mirror] * (grid.dim - 1)), slice(None))
-        self.index = (Ellipsis, *np.ix_(*[self.rows] * (grid.dim - 1)),
-                      slice(0, radius + 1))
+        self.index = _index_in(n, self)
         modes = np.ix_(*[grid.modes[self.rows]] * (grid.dim - 1),
                        np.arange(radius + 1))
         self.shape = np.broadcast_shapes(*(m.shape for m in modes))
@@ -296,14 +304,11 @@ class ModeBox:
 
     def index_of(self, box):
         """Index of the modes of ``box``, a box of no larger radius on the
-        same grid, in this box's compact layout: row -m at -m mod the row
-        count, columns 0..R of ``box``; all of this box (a view) when the
-        radii are equal."""
+        same grid, in this box's compact layout; all of this box (a view)
+        when the radii are equal."""
         if box.radius == self.radius:
             return (Ellipsis,)
-        rows = self.grid.modes[box.rows] % len(self.rows)
-        return (Ellipsis, *np.ix_(*[rows] * (self.grid.dim - 1)),
-                slice(0, box.radius + 1))
+        return _index_in(len(self.rows), box)
 
     def gather(self, half):
         """Compact coefficients of a half-spectrum array, a new array; the

@@ -21,7 +21,7 @@ from cbftorus.config import (RunConfig, config_from_text, dump_config,
 from cbftorus.errors import (ConfigError, ContractViolationError,
                              SnapshotFormatError)
 from cbftorus.families import random_band_limited
-from cbftorus.fields import SpectralField
+from cbftorus.fields import SpectralField, zero_field
 from cbftorus.grid import TorusGrid
 from cbftorus.operators import CbfParams
 from cbftorus.snapshot import MAGIC, read_snapshot_file, write_snapshot_file
@@ -634,6 +634,27 @@ def test_cli_malformed_values_exit_2(tmp_path, capsys, section, entries):
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"{section}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ic,forcing", [
+    ("family = single_mode\namplitude = 0", "family = kolmogorov"),
+    ("family = random\nseed = 4\nband_limit = 6",
+     "family = kolmogorov\namplitude = 0"),
+    ("family = snapshot\nsnapshot = zero.snap",
+     "family = random\nsnapshot = zero.snap"),
+], ids=["ic_amplitude_0", "forcing_amplitude_0", "zero_snapshots"])
+def test_cli_run_zero_fields_exit_0(tmp_path, ic, forcing):
+    """A zero [ic] or [forcing] field has a finite L2 norm: a forced run from
+    rest, a forcing of amplitude 0 and zero snapshots all run."""
+    grid = TorusGrid(dim=2, n_points=32)
+    write_snapshot_file(str(tmp_path / "zero.snap"), zero_field(grid), 0.0,
+                        CbfParams(mu=0.1, beta=1.0, r=4.0))
+    text = (RUN_INI.replace("family = random\nseed = 4\nband_limit = 6", ic)
+            + f"\n[forcing]\nkind = steady\n{forcing}\n")
+    cfg = _write(tmp_path, "zero.ini", text)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "diagnostics.tsv").exists()
 
 
 @pytest.mark.parametrize("section,entry,message", [
